@@ -1,0 +1,424 @@
+"""Label schema, 2-of-3 adjudication, preprocessing, splits, and dataset stats.
+
+Eight aspects are annotated (seven content aspects plus Overall relevance);
+after preprocessing the modeling subset drops Economy and Culture and the
+three-way sentiment collapses to Negative vs NonNegative. Overall relevance
+is folded in as a sixth detectable label with its own sentiment slot, so all
+model-facing vectors are indexed over `A_USED` in a fixed order.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from collections import Counter
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from .errors import PipelineError
+from .ingest import RawTweet, tweet_from_obj, tweet_to_obj
+
+
+class Aspect(str, Enum):
+    POLITICS = "Politics"
+    ECONOMY = "Economy"
+    FOREIGN = "Foreign"
+    CULTURE = "Culture"
+    SITUATION = "Situation"
+    MEASURES = "Measures"
+    RACISM = "Racism"
+    OVERALL = "Overall"
+
+
+class Sentiment(str, Enum):
+    NEGATIVE = "Negative"
+    NEUTRAL = "Neutral"
+    POSITIVE = "Positive"
+
+
+class BinarySentiment(str, Enum):
+    NEGATIVE = "Negative"
+    NON_NEGATIVE = "NonNegative"
+
+
+# Fixed modeling subset and vector order; changing it invalidates trained heads.
+A_USED: tuple[Aspect, ...] = (
+    Aspect.POLITICS,
+    Aspect.FOREIGN,
+    Aspect.SITUATION,
+    Aspect.MEASURES,
+    Aspect.RACISM,
+    Aspect.OVERALL,
+)
+CONTENT_ASPECTS: tuple[Aspect, ...] = A_USED[:-1]
+DROPPED_ASPECTS: tuple[Aspect, ...] = (Aspect.ECONOMY, Aspect.CULTURE)
+ASPECT_INDEX: dict[Aspect, int] = {a: i for i, a in enumerate(A_USED)}
+
+# Presentation order of the dataset-statistics table.
+TABLE_ASPECTS: tuple[Aspect, ...] = (
+    Aspect.POLITICS,
+    Aspect.ECONOMY,
+    Aspect.FOREIGN,
+    Aspect.CULTURE,
+    Aspect.SITUATION,
+    Aspect.MEASURES,
+    Aspect.RACISM,
+    Aspect.OVERALL,
+)
+
+
+def merge_sentiment(s: Sentiment) -> BinarySentiment:
+    """Neutral and Positive merge to NonNegative; Negative stays Negative."""
+    if s is Sentiment.NEGATIVE:
+        return BinarySentiment.NEGATIVE
+    return BinarySentiment.NON_NEGATIVE
+
+
+class ProtocolError(PipelineError):
+    """Adjudication called without the annotations the protocol requires."""
+
+
+class InputError(PipelineError):
+    """Malformed annotation or dataset input."""
+
+
+@dataclass(frozen=True)
+class Annotation:
+    """One annotator's labels for one tweet.
+
+    `labels` maps content aspects to sentiments (an absent aspect means "not
+    mentioned"); `overall` is present iff the annotator judged the tweet
+    relevant. The Overall aspect never appears inside `labels`.
+    """
+
+    tweet_id: str
+    annotator_id: str
+    labels: Mapping[Aspect, Sentiment] = field(default_factory=dict)
+    overall: Sentiment | None = None
+
+    def __post_init__(self):
+        if Aspect.OVERALL in self.labels:
+            raise InputError("Overall must be annotated via the overall field, not labels")
+
+
+@dataclass
+class AdjudicatedExample:
+    """Final labels after 2-of-3 agreement. `tweet` may be attached later."""
+
+    tweet_id: str
+    labels: dict[Aspect, Sentiment]
+    overall: Sentiment | None
+    provenance: str  # "phase-1" | "phase-2"
+    tweet: RawTweet | None = None
+
+
+def adjudicate(
+    a1: Annotation,
+    a2: Annotation,
+    a3: Annotation | None = None,
+    tweet: RawTweet | None = None,
+) -> AdjudicatedExample | None:
+    """Resolve two or three annotations into final labels, or discard.
+
+    With two identical annotations the result is accepted as phase-1. With a
+    third annotation, each (aspect, sentiment) pair is kept iff at least two
+    annotators assigned exactly that pair; an aspect mentioned by two or more
+    annotators without a majority sentiment is dropped from the example. The
+    whole example is discarded (None) iff the overall judgment, where absence
+    counts as "irrelevant", has no 2-of-3 majority.
+    """
+    anns = [a1, a2] if a3 is None else [a1, a2, a3]
+    ids = [a.annotator_id for a in anns]
+    if len(set(ids)) != len(ids):
+        raise InputError(f"duplicate annotator_id among {ids}")
+    if len({a.tweet_id for a in anns}) != 1:
+        raise InputError("annotations refer to different tweets")
+    tweet_id = a1.tweet_id
+
+    if a3 is None:
+        if dict(a1.labels) == dict(a2.labels) and a1.overall == a2.overall:
+            return AdjudicatedExample(tweet_id, dict(a1.labels), a1.overall, "phase-1", tweet)
+        raise ProtocolError(
+            f"tweet {tweet_id}: annotators disagree and no third annotation was supplied"
+        )
+
+    pair_votes = Counter((a, s) for ann in anns for a, s in ann.labels.items())
+    labels = {a: s for (a, s), votes in pair_votes.items() if votes >= 2}
+
+    overall_votes = Counter(ann.overall for ann in anns)
+    overall, votes = overall_votes.most_common(1)[0]
+    if votes < 2:
+        return None
+    return AdjudicatedExample(tweet_id, labels, overall, "phase-2", tweet)
+
+
+def group_annotations(annotations: Iterable[Annotation]) -> dict[str, list[Annotation]]:
+    grouped: dict[str, list[Annotation]] = {}
+    for ann in annotations:
+        grouped.setdefault(ann.tweet_id, []).append(ann)
+    return grouped
+
+
+def adjudicate_corpus(
+    annotations: Iterable[Annotation],
+    tweets_by_id: Mapping[str, RawTweet] | None = None,
+) -> tuple[list[AdjudicatedExample], int]:
+    """Adjudicate per tweet; returns (accepted examples, discard count)."""
+    accepted: list[AdjudicatedExample] = []
+    discarded = 0
+    for tweet_id, anns in group_annotations(annotations).items():
+        if not 2 <= len(anns) <= 3:
+            raise InputError(f"tweet {tweet_id}: expected 2 or 3 annotations, got {len(anns)}")
+        tweet = tweets_by_id.get(tweet_id) if tweets_by_id else None
+        result = adjudicate(*anns, tweet=tweet)
+        if result is None:
+            discarded += 1
+        else:
+            accepted.append(result)
+    return accepted, discarded
+
+
+@dataclass
+class ModelExample:
+    """One training/evaluation example over `A_USED`-indexed binary vectors.
+
+    `aspect_targets[i]` marks aspect presence, `sentiment_targets[i]` marks a
+    Negative sentiment (only meaningful where the mask is set), and
+    `sentiment_mask` equals `aspect_targets` by construction.
+    """
+
+    text: str
+    aspect_targets: np.ndarray
+    sentiment_targets: np.ndarray
+    sentiment_mask: np.ndarray
+
+
+def to_model_example(example: AdjudicatedExample) -> ModelExample:
+    """Apply preprocessing: drop Economy/Culture, binarize, fold Overall in."""
+    if example.tweet is None:
+        raise InputError(f"example {example.tweet_id} has no attached tweet text")
+    n = len(A_USED)
+    t_a = np.zeros(n)
+    t_y = np.zeros(n)
+    for aspect, sentiment in example.labels.items():
+        if aspect in DROPPED_ASPECTS:
+            continue
+        i = ASPECT_INDEX[aspect]
+        t_a[i] = 1.0
+        if merge_sentiment(sentiment) is BinarySentiment.NEGATIVE:
+            t_y[i] = 1.0
+    if example.overall is not None:
+        i = ASPECT_INDEX[Aspect.OVERALL]
+        t_a[i] = 1.0
+        if merge_sentiment(example.overall) is BinarySentiment.NEGATIVE:
+            t_y[i] = 1.0
+    return ModelExample(
+        text=example.tweet.text,
+        aspect_targets=t_a,
+        sentiment_targets=t_y,
+        sentiment_mask=t_a.copy(),
+    )
+
+
+def split(dataset: Sequence, seed: int, ratios: Sequence[int] = (8, 1, 1)) -> tuple[list, ...]:
+    """Disjoint, exhaustive split with sizes within +/-1 of exact proportions.
+
+    The partition is a pure function of (len(dataset), seed, ratios); members
+    keep their original relative order inside each part.
+    """
+    n = len(dataset)
+    if n < 10:
+        raise InputError(f"dataset too small to split: {n} < 10")
+    total = sum(ratios)
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    sizes = [math.floor(n * r / total + 0.5) for r in ratios[1:]]
+    sizes.insert(0, n - sum(sizes))
+    parts: list[list] = []
+    pos = 0
+    for size in sizes:
+        chosen = sorted(order[pos : pos + size])
+        parts.append([dataset[i] for i in chosen])
+        pos += size
+    return tuple(parts)
+
+
+def _pct(count: int, total: int) -> float:
+    """Percentage rounded half-up to one decimal; 0 on an empty denominator."""
+    if total == 0:
+        return 0.0
+    return math.floor(count / total * 1000 + 0.5) / 10
+
+
+@dataclass(frozen=True)
+class SentimentCell:
+    count: int
+    percent: float
+
+
+@dataclass(frozen=True)
+class AspectStats:
+    aspect: str
+    count: int
+    percent_of_corpus: float
+    sentiments: dict[str, SentimentCell]
+
+
+@dataclass(frozen=True)
+class DatasetStats:
+    total: int
+    rows: tuple[AspectStats, ...]
+
+
+def dataset_stats(dataset: Sequence[AdjudicatedExample]) -> DatasetStats:
+    """Per-aspect tweet counts and sentiment breakdowns over the full corpus."""
+    total = len(dataset)
+    rows = []
+    for aspect in TABLE_ASPECTS:
+        if aspect is Aspect.OVERALL:
+            values = [e.overall for e in dataset if e.overall is not None]
+        else:
+            values = [e.labels[aspect] for e in dataset if aspect in e.labels]
+        count = len(values)
+        counts = Counter(values)
+        sentiments = {
+            s.value: SentimentCell(counts.get(s, 0), _pct(counts.get(s, 0), count))
+            for s in Sentiment
+        }
+        rows.append(AspectStats(aspect.value, count, _pct(count, total), sentiments))
+    return DatasetStats(total, tuple(rows))
+
+
+@dataclass(frozen=True)
+class ConfidentCandidate:
+    tweet_id: str
+    text: str
+    probability: float
+
+
+def select_confident(
+    pool: Sequence[tuple[str, str]],
+    provider,
+    params,
+    threshold: float = 0.90,
+    cap: int = 300,
+) -> dict[Aspect, list[ConfidentCandidate]]:
+    """Per aspect, up to `cap` pool texts with detection probability >= threshold.
+
+    `pool` is (tweet_id, text) pairs; candidates are sorted by descending
+    probability with ties broken by tweet id. Aspects with no candidate are
+    omitted. The output is a candidate file for human labeling.
+    """
+    from .model import forward_aspect
+
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    if not pool:
+        return {}
+    probs = forward_aspect(provider.embed([text for _, text in pool]), params)
+    out: dict[Aspect, list[ConfidentCandidate]] = {}
+    for i, aspect in enumerate(A_USED):
+        hits = [
+            ConfidentCandidate(tweet_id, text, float(p))
+            for (tweet_id, text), p in zip(pool, probs[:, i])
+            if p >= threshold
+        ]
+        hits.sort(key=lambda c: (-c.probability, c.tweet_id))
+        if hits:
+            out[aspect] = hits[:cap]
+    return out
+
+
+def _parse_aspect(name: str) -> Aspect:
+    try:
+        return Aspect(name)
+    except ValueError:
+        raise InputError(f"unknown aspect {name!r}") from None
+
+
+def _parse_sentiment(name: str) -> Sentiment:
+    try:
+        return Sentiment(name)
+    except ValueError:
+        raise InputError(f"unknown sentiment {name!r}") from None
+
+
+def read_annotations(path) -> list[Annotation]:
+    """Annotation export: JSONL with tweet_id, annotator_id, labels, overall."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                labels = {
+                    _parse_aspect(a): _parse_sentiment(s)
+                    for a, s in (obj.get("labels") or {}).items()
+                }
+                overall = obj.get("overall")
+                out.append(
+                    Annotation(
+                        tweet_id=obj["tweet_id"],
+                        annotator_id=obj["annotator_id"],
+                        labels=labels,
+                        overall=None if overall is None else _parse_sentiment(overall),
+                    )
+                )
+            except (KeyError, json.JSONDecodeError, PipelineError) as exc:
+                raise InputError(f"{path}:{lineno}: bad annotation record: {exc}") from exc
+    return out
+
+
+def example_to_obj(example: AdjudicatedExample) -> dict:
+    labels = {
+        a.value: example.labels[a].value for a in TABLE_ASPECTS if a in example.labels
+    }
+    return {
+        "tweet_id": example.tweet_id,
+        "tweet": None if example.tweet is None else tweet_to_obj(example.tweet),
+        "labels": labels,
+        "overall": None if example.overall is None else example.overall.value,
+        "provenance": example.provenance,
+    }
+
+
+def example_from_obj(obj: dict) -> AdjudicatedExample:
+    labels = {
+        _parse_aspect(a): _parse_sentiment(s) for a, s in (obj.get("labels") or {}).items()
+    }
+    if Aspect.OVERALL in labels:
+        raise InputError("Overall must not appear inside labels")
+    overall = obj.get("overall")
+    tweet = obj.get("tweet")
+    return AdjudicatedExample(
+        tweet_id=obj["tweet_id"],
+        labels=labels,
+        overall=None if overall is None else _parse_sentiment(overall),
+        provenance=obj.get("provenance", "phase-1"),
+        tweet=None if tweet is None else tweet_from_obj(tweet),
+    )
+
+
+def read_dataset(path) -> list[AdjudicatedExample]:
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(example_from_obj(json.loads(line)))
+            except (KeyError, json.JSONDecodeError, PipelineError) as exc:
+                raise InputError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+    return out
+
+
+def write_dataset(path, examples: Iterable[AdjudicatedExample]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in examples:
+            fh.write(json.dumps(example_to_obj(e), ensure_ascii=False) + "\n")

@@ -1,0 +1,463 @@
+"""Two-stage classifier: multi-label aspect detection, then masked sentiment.
+
+Both heads are linear layers under a sigmoid: the aspect head emits, per
+aspect, the probability that the tweet discusses it; the sentiment head
+emits, per aspect, the probability that the expressed sentiment is Negative
+(the three-way scheme collapses to Negative vs NonNegative after the
+neutral/positive merge). Training minimizes the sum of two binary
+cross-entropies, with the sentiment terms masked to the aspects actually
+labeled on each example. Inference first thresholds the aspect
+probabilities, then reads sentiment only for the detected aspects.
+
+Losses are accumulated with exact (fsum) summation, so full-batch loss is
+invariant under any permutation of the batch.
+"""
+
+from __future__ import annotations
+
+import base64
+import json
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from . import evaluation
+from .corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
+from .errors import PipelineError
+from .features import HashedFeatureConfig, HashedProvider
+
+LOSS_CLAMP_EPS = 1e-12
+
+PARAMS_FORMAT_VERSION = 1
+
+
+class ModelError(PipelineError):
+    pass
+
+
+class TrainingError(ModelError):
+    pass
+
+
+@dataclass
+class HeadParams:
+    """The four trainable tensors: W_a/b_a (aspect), W_y/b_y (sentiment)."""
+
+    W_a: np.ndarray
+    b_a: np.ndarray
+    W_y: np.ndarray
+    b_y: np.ndarray
+
+    def __post_init__(self):
+        for name in ("W_a", "b_a", "W_y", "b_y"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ModelError(f"non-finite entries in {name}")
+            setattr(self, name, arr)
+        k = len(A_USED)
+        if self.W_a.shape != (k, self.dim) or self.W_y.shape != (k, self.dim):
+            raise ModelError("weight matrices must be |A_used| x d")
+        if self.b_a.shape != (k,) or self.b_y.shape != (k,):
+            raise ModelError("bias vectors must have length |A_used|")
+
+    @property
+    def dim(self) -> int:
+        return self.W_a.shape[1]
+
+    def copy(self) -> "HeadParams":
+        return HeadParams(self.W_a.copy(), self.b_a.copy(), self.W_y.copy(), self.b_y.copy())
+
+    def is_finite(self) -> bool:
+        return all(
+            np.isfinite(t).all() for t in (self.W_a, self.b_a, self.W_y, self.b_y)
+        )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.1
+    epochs: int = 20
+    batch_size: int = 32
+    weight_decay: float = 0.0
+    seed: int = 0
+    aspect_threshold: float = 0.5
+    sentiment_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        for t in (self.aspect_threshold, self.sentiment_threshold):
+            if not 0.0 < t < 1.0:
+                raise ValueError("thresholds must be in (0, 1)")
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _forward(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    h = np.asarray(h, dtype=float)
+    if h.shape[-1] != W.shape[1]:
+        raise ModelError(f"embedding dim {h.shape[-1]} != parameter dim {W.shape[1]}")
+    # clamp so emitted probabilities stay strictly inside (0, 1) even at
+    # sigmoid saturation
+    return np.clip(_sigmoid(h @ W.T + b), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+
+
+def forward_aspect(h: np.ndarray, params: HeadParams) -> np.ndarray:
+    """Per-aspect detection probabilities sigmoid(W_a h + b_a)."""
+    return _forward(h, params.W_a, params.b_a)
+
+
+def forward_sentiment(h: np.ndarray, params: HeadParams) -> np.ndarray:
+    """Per-aspect P(Negative) probabilities sigmoid(W_y h + b_y)."""
+    return _forward(h, params.W_y, params.b_y)
+
+
+def _bce_terms(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    p = np.clip(np.asarray(p, dtype=float), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+    t = np.asarray(t, dtype=float)
+    if p.shape != t.shape:
+        raise ModelError(f"probability shape {p.shape} != target shape {t.shape}")
+    return -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
+
+
+def loss_aspect(p_a: np.ndarray, t_a: np.ndarray) -> float:
+    """Binary cross-entropy summed over all aspect slots (and batch rows)."""
+    return math.fsum(_bce_terms(p_a, t_a).ravel())
+
+
+def loss_sentiment(p_y: np.ndarray, t_y: np.ndarray, mask: np.ndarray) -> float:
+    """Binary cross-entropy summed only over slots where mask = 1."""
+    terms = _bce_terms(p_y, t_y) * np.asarray(mask, dtype=float)
+    return math.fsum(terms.ravel())
+
+
+@dataclass
+class HeadGrads:
+    W_a: np.ndarray
+    b_a: np.ndarray
+    W_y: np.ndarray
+    b_y: np.ndarray
+
+
+def gradients(
+    h: np.ndarray,
+    t_a: np.ndarray,
+    t_y: np.ndarray,
+    mask: np.ndarray,
+    params: HeadParams,
+    h_y: np.ndarray | None = None,
+) -> HeadGrads:
+    """Analytic gradient of L_a + L_y, summed over the batch.
+
+    Uses the sigmoid-BCE identity dL/dz = p - t, masked for the sentiment
+    head. `h_y` supplies separate sentiment-stage embeddings when two
+    representations are in use; it defaults to `h`.
+    """
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    h_y = h if h_y is None else np.atleast_2d(np.asarray(h_y, dtype=float))
+    t_a = np.atleast_2d(np.asarray(t_a, dtype=float))
+    t_y = np.atleast_2d(np.asarray(t_y, dtype=float))
+    mask = np.atleast_2d(np.asarray(mask, dtype=float))
+    if h.shape[0] == 0:
+        raise ModelError("gradient of an empty batch")
+
+    d_a = forward_aspect(h, params) - t_a
+    d_y = (forward_sentiment(h_y, params) - t_y) * mask
+    return HeadGrads(
+        W_a=d_a.T @ h,
+        b_a=d_a.sum(axis=0),
+        W_y=d_y.T @ h_y,
+        b_y=d_y.sum(axis=0),
+    )
+
+
+def _init_from_rng(rng: np.random.Generator, dim: int) -> HeadParams:
+    bound = 1.0 / math.sqrt(dim)
+    k = len(A_USED)
+    return HeadParams(
+        W_a=rng.uniform(-bound, bound, size=(k, dim)),
+        b_a=np.zeros(k),
+        W_y=rng.uniform(-bound, bound, size=(k, dim)),
+        b_y=np.zeros(k),
+    )
+
+
+def init_params(dim: int, seed: int) -> HeadParams:
+    """W ~ uniform(-1/sqrt(d), 1/sqrt(d)) from the seeded generator; b = 0."""
+    return _init_from_rng(np.random.default_rng(seed), dim)
+
+
+def _stack_examples(examples: Sequence[ModelExample]):
+    t_a = np.stack([e.aspect_targets for e in examples]).astype(float)
+    t_y = np.stack([e.sentiment_targets for e in examples]).astype(float)
+    mask = np.stack([e.sentiment_mask for e in examples]).astype(float)
+    return t_a, t_y, mask
+
+
+def _dev_aspect_macro_f1(h_dev, t_a_dev, params, threshold) -> float:
+    pred = (forward_aspect(h_dev, params) >= threshold).astype(float)
+    report = evaluation.evaluate(pred, t_a_dev, stage="aspect")
+    return report["Overall"].macro_f1
+
+
+def full_loss(h, t_a, t_y, mask, params, h_y=None) -> float:
+    h_y = h if h_y is None else h_y
+    return loss_aspect(forward_aspect(h, params), t_a) + loss_sentiment(
+        forward_sentiment(h_y, params), t_y, mask
+    )
+
+
+def train(
+    train_set: Sequence[ModelExample],
+    dev_set: Sequence[ModelExample],
+    provider,
+    config: TrainConfig,
+    provider_y=None,
+    epoch_callback=None,
+) -> HeadParams:
+    """Mini-batch gradient descent on the summed BCE losses.
+
+    The update divides the summed batch gradient by the batch size so the
+    learning rate is batch-size independent, with optional L2 weight decay on
+    the weight matrices. Deterministic under `config.seed`. Returns the
+    parameters with the best dev-set aspect-stage macro F1 (pooled over all
+    slots) seen at any epoch end; with an empty dev set, the final epoch wins.
+    `epoch_callback(epoch, full_train_loss)`, when given, observes each epoch.
+    """
+    if not train_set:
+        raise ModelError("empty training set")
+    texts = [e.text for e in train_set]
+    h = provider.embed(texts)
+    h_y = provider_y.embed(texts) if provider_y is not None else h
+    t_a, t_y, mask = _stack_examples(train_set)
+    n = len(train_set)
+
+    rng = np.random.default_rng(config.seed)
+    params = _init_from_rng(rng, provider.dim)
+
+    h_dev = t_a_dev = None
+    if dev_set:
+        h_dev = provider.embed([e.text for e in dev_set])
+        t_a_dev = _stack_examples(dev_set)[0]
+
+    best_score = -math.inf
+    best_params = params.copy()
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            g = gradients(h[idx], t_a[idx], t_y[idx], mask[idx], params, h_y[idx])
+            scale = config.learning_rate / len(idx)
+            decay = config.learning_rate * config.weight_decay
+            params.W_a -= scale * g.W_a + decay * params.W_a
+            params.b_a -= scale * g.b_a
+            params.W_y -= scale * g.W_y + decay * params.W_y
+            params.b_y -= scale * g.b_y
+        epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
+        if not (params.is_finite() and math.isfinite(epoch_loss)):
+            raise TrainingError(f"training diverged at epoch {epoch}")
+        if epoch_callback is not None:
+            epoch_callback(epoch, epoch_loss)
+        if h_dev is not None:
+            score = _dev_aspect_macro_f1(h_dev, t_a_dev, params, config.aspect_threshold)
+            if score > best_score:
+                best_score = score
+                best_params = params.copy()
+
+    return best_params if h_dev is not None and config.epochs > 0 else params
+
+
+@dataclass(frozen=True)
+class SentimentCall:
+    label: BinarySentiment
+    p_negative: float
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """Stage-1 probabilities plus stage-2 sentiment for the detected aspects."""
+
+    aspect_probs: np.ndarray
+    detected: frozenset[Aspect]
+    sentiment: dict[Aspect, SentimentCall]
+
+
+def _prediction_from_probs(p_a, p_y, config: TrainConfig) -> Prediction:
+    detected = frozenset(a for a in A_USED if p_a[ASPECT_INDEX[a]] >= config.aspect_threshold)
+    sentiment = {}
+    for a in A_USED:
+        if a not in detected:
+            continue
+        pn = float(p_y[ASPECT_INDEX[a]])
+        label = (
+            BinarySentiment.NEGATIVE
+            if pn >= config.sentiment_threshold
+            else BinarySentiment.NON_NEGATIVE
+        )
+        sentiment[a] = SentimentCall(label, pn)
+    return Prediction(aspect_probs=np.asarray(p_a, dtype=float), detected=detected, sentiment=sentiment)
+
+
+def predict_batch(
+    texts: Sequence[str],
+    provider,
+    params: HeadParams,
+    config: TrainConfig,
+    provider_y=None,
+) -> list[Prediction]:
+    """Two-stage inference: threshold aspects, then sentiment for detected ones."""
+    if not texts:
+        return []
+    h = provider.embed(list(texts))
+    h_y = provider_y.embed(list(texts)) if provider_y is not None else h
+    p_a = forward_aspect(h, params)
+    p_y = forward_sentiment(h_y, params)
+    return [_prediction_from_probs(p_a[i], p_y[i], config) for i in range(len(texts))]
+
+
+def predict(text: str, provider, params: HeadParams, config: TrainConfig, provider_y=None) -> Prediction:
+    return predict_batch([text], provider, params, config, provider_y)[0]
+
+
+def train_svm_baseline(
+    train_set: Sequence[ModelExample],
+    config: TrainConfig,
+    feature_config: HashedFeatureConfig | None = None,
+) -> tuple[HeadParams, HashedProvider]:
+    """Linear one-vs-rest hinge-loss baseline over hashed unigram features.
+
+    Subgradient descent on hinge loss with L2 regularization, one detector
+    per aspect and one Negative-vs-NonNegative classifier per aspect
+    (sentiment slots masked as in the main model). Returns parameters plus
+    the unigram provider; `predict` then works unchanged, since the margins
+    pass through the logistic and margin >= 0 lands at probability >= 0.5.
+    """
+    if not train_set:
+        raise ModelError("empty training set")
+    fc = feature_config or HashedFeatureConfig(ngram_max=1)
+    provider = HashedProvider(fc)
+    h = provider.embed([e.text for e in train_set])
+    t_a, t_y, mask = _stack_examples(train_set)
+    s_a = 2.0 * t_a - 1.0
+    s_y = 2.0 * t_y - 1.0
+    n = len(train_set)
+    k = len(A_USED)
+
+    W_a = np.zeros((k, provider.dim))
+    b_a = np.zeros(k)
+    W_y = np.zeros((k, provider.dim))
+    b_y = np.zeros(k)
+
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            hb = h[idx]
+            scale = config.learning_rate / len(idx)
+
+            m_a = hb @ W_a.T + b_a
+            active = (1.0 - s_a[idx] * m_a > 0).astype(float)
+            coef = -s_a[idx] * active
+            W_a -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_a
+            b_a -= scale * coef.sum(axis=0)
+
+            m_y = hb @ W_y.T + b_y
+            active = ((1.0 - s_y[idx] * m_y > 0).astype(float)) * mask[idx]
+            coef = -s_y[idx] * active
+            W_y -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_y
+            b_y -= scale * coef.sum(axis=0)
+
+    return HeadParams(W_a, b_a, W_y, b_y), provider
+
+
+@dataclass
+class ModelBundle:
+    """Everything needed to run inference: tensors, provider config, thresholds."""
+
+    params: HeadParams
+    provider_config: dict
+    aspect_threshold: float = 0.5
+    sentiment_threshold: float = 0.5
+    objective: str = "bce"
+
+    @property
+    def fingerprint(self) -> str:
+        return json.dumps(self.provider_config, sort_keys=True)
+
+
+def _tensor_to_obj(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {
+        "shape": list(arr.shape),
+        "dtype": "<f8",
+        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def _tensor_from_obj(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(obj["b64"])
+    return np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"]).copy()
+
+
+def save_params(path, bundle: ModelBundle) -> None:
+    """Write the versioned parameter container; round-trips bit-exactly."""
+    doc = {
+        "format_version": PARAMS_FORMAT_VERSION,
+        "dim": bundle.params.dim,
+        "aspects": [a.value for a in A_USED],
+        "objective": bundle.objective,
+        "provider": bundle.provider_config,
+        "provider_fingerprint": bundle.fingerprint,
+        "aspect_threshold": bundle.aspect_threshold,
+        "sentiment_threshold": bundle.sentiment_threshold,
+        "tensors": {
+            "W_a": _tensor_to_obj(bundle.params.W_a),
+            "b_a": _tensor_to_obj(bundle.params.b_a),
+            "W_y": _tensor_to_obj(bundle.params.W_y),
+            "b_y": _tensor_to_obj(bundle.params.b_y),
+        },
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_params(path) -> ModelBundle:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    version = doc.get("format_version")
+    if version != PARAMS_FORMAT_VERSION:
+        raise ModelError(f"unsupported parameter file version {version!r}")
+    if doc.get("aspects") != [a.value for a in A_USED]:
+        raise ModelError("parameter file was trained with a different aspect set")
+    tensors = doc["tensors"]
+    params = HeadParams(
+        W_a=_tensor_from_obj(tensors["W_a"]),
+        b_a=_tensor_from_obj(tensors["b_a"]),
+        W_y=_tensor_from_obj(tensors["W_y"]),
+        b_y=_tensor_from_obj(tensors["b_y"]),
+    )
+    return ModelBundle(
+        params=params,
+        provider_config=doc["provider"],
+        aspect_threshold=float(doc["aspect_threshold"]),
+        sentiment_threshold=float(doc["sentiment_threshold"]),
+        objective=doc.get("objective", "bce"),
+    )
