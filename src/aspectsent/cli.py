@@ -16,13 +16,15 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
+from contextlib import contextmanager
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import __version__, corpus, evaluation, ingest, model, stats
 from .errors import PipelineError
-from .features import provider_to_config, providers_from_config
+from .features import iter_chunks, provider_to_config, providers_from_config
 from .stats import DailySeries, PredictionRow
 
 PROVIDER_DEFAULTS = {
@@ -82,6 +84,22 @@ def _write_meta(out_path, effective_config: dict, seed=None) -> None:
     Path(f"{out_path}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+@contextmanager
+def _atomic_output(path):
+    """Write `path` through a temp file in its directory, renamed into place
+    only on success; on any error the temp file is removed and `path` is left
+    as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_paths(*pairs: tuple[str, str | None]) -> None:
@@ -458,15 +476,17 @@ def _cmd_eval(args, file_cfg):
 def _cmd_infer(args, file_cfg):
     bundle, provider, provider_y = _load_bundle_and_provider(args, file_cfg)
     _require_paths(("corpus", args.corpus))
-    tweets = ingest.read_corpus(args.corpus)
     config = _infer_config(bundle)
-    predictions = model.predict_batch([t.text for t in tweets], provider, bundle.params,
-                                      config, provider_y=provider_y)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for tweet, pred in zip(tweets, predictions):
-            fh.write(json.dumps(_prediction_to_obj(tweet, pred), ensure_ascii=False) + "\n")
+    count = 0
+    with _atomic_output(args.out) as fh:
+        for tweets in iter_chunks(ingest.iter_corpus(args.corpus)):
+            predictions = model.predict_batch([t.text for t in tweets], provider, bundle.params,
+                                              config, provider_y=provider_y)
+            for tweet, pred in zip(tweets, predictions):
+                fh.write(json.dumps(_prediction_to_obj(tweet, pred), ensure_ascii=False) + "\n")
+            count += len(tweets)
     _write_meta(args.out, {"params": args.params, "corpus": args.corpus})
-    print(f"infer: {len(tweets)} tweets -> {args.out}")
+    print(f"infer: {count} tweets -> {args.out}")
     return 0
 
 
@@ -479,7 +499,9 @@ def _cmd_augment_candidates(args, file_cfg):
         {"threshold": args.threshold, "cap": args.cap},
     )
     threshold, cap = float(section["threshold"]), int(section["cap"])
-    pool = [(t.id, t.text) for t in ingest.iter_corpus(args.pool)]
+    if not 0.0 < threshold < 1.0 or cap < 1:
+        raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
+    pool = ((t.id, t.text) for t in ingest.iter_corpus(args.pool))
     candidates = corpus.select_confident(
         pool, provider, bundle.params, threshold=threshold, cap=cap
     )

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PipelineError
+from .features import iter_chunks
 from .ingest import RawTweet, tweet_from_obj, tweet_to_obj
 
 
@@ -302,7 +303,7 @@ class ConfidentCandidate:
 
 
 def select_confident(
-    pool: Sequence[tuple[str, str]],
+    pool: Iterable[tuple[str, str]],
     provider,
     params,
     threshold: float = 0.90,
@@ -310,28 +311,30 @@ def select_confident(
 ) -> dict[Aspect, list[ConfidentCandidate]]:
     """Per aspect, up to `cap` pool texts with detection probability >= threshold.
 
-    `pool` is (tweet_id, text) pairs; candidates are sorted by descending
-    probability with ties broken by tweet id. Aspects with no candidate are
-    omitted. The output is a candidate file for human labeling.
+    `pool` is (tweet_id, text) pairs, embedded in `iter_chunks` blocks so a
+    pool of any size fits in memory; candidates are sorted by descending
+    probability with ties broken by tweet id, then by pool order. Aspects with
+    no candidate are omitted. The output is a candidate file for human labeling.
     """
     from .model import forward_aspect
 
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    if not pool:
-        return {}
-    probs = forward_aspect(provider.embed([text for _, text in pool]), params)
-    out: dict[Aspect, list[ConfidentCandidate]] = {}
-    for i, aspect in enumerate(A_USED):
-        hits = [
-            ConfidentCandidate(tweet_id, text, float(p))
-            for (tweet_id, text), p in zip(pool, probs[:, i])
-            if p >= threshold
-        ]
-        hits.sort(key=lambda c: (-c.probability, c.tweet_id))
-        if hits:
-            out[aspect] = hits[:cap]
-    return out
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    best: dict[Aspect, list[ConfidentCandidate]] = {a: [] for a in A_USED}
+    for chunk in iter_chunks(pool):
+        probs = forward_aspect(provider.embed([text for _, text in chunk]), params)
+        for i, aspect in enumerate(A_USED):
+            hits = best[aspect] + [
+                ConfidentCandidate(tweet_id, text, float(p))
+                for (tweet_id, text), p in zip(chunk, probs[:, i])
+                if p >= threshold
+            ]
+            # a stable sort keeps earlier chunks first among ties, as one sort would
+            hits.sort(key=lambda c: (-c.probability, c.tweet_id))
+            best[aspect] = hits[:cap]
+    return {aspect: hits for aspect, hits in best.items() if hits}
 
 
 def _parse_aspect(name: str) -> Aspect:

@@ -1,7 +1,17 @@
 """Text representations: a native hashed n-gram encoder and a remote provider.
 
-Both providers expose the same surface — `dim` plus `embed(texts) -> (n, dim)
-float64 array` — so the model trains against either without code changes.
+Both providers expose the same surface — `dim` plus `embed(texts)` returning
+n rows of width `dim` — so the model trains against either without code
+changes. The rows differ in storage only:
+
+* hashed rows are sparse: a tweet fills about 20 of 4,096 buckets, so
+  `HashedProvider.embed` returns `SparseRows`, a numpy-only CSR matrix that
+  supports exactly the products and row selection the model uses;
+* remote rows are dense `(n, dim)` float64 arrays.
+
+Callers that stream a corpus embed it in `iter_chunks` blocks of
+`EMBED_CHUNK_ROWS` texts, so memory stays flat as the corpus grows.
+
 The remote provider stands in for a transformer-style sentence encoder and
 speaks a fixed HTTP contract: POST `<endpoint>/embed` with
 `{"texts": [...]}`, response `{"dim": N, "embeddings": [[...], ...]}`.
@@ -15,12 +25,119 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import PipelineError
 from .hashing import stable_hash64
+
+
+T = TypeVar("T")
+
+# Texts embedded per call when a corpus is streamed. A multiple of the default
+# remote batch size (64), so streaming issues the same HTTP batches as one call.
+EMBED_CHUNK_ROWS = 1024
+
+
+def iter_chunks(items: Iterable[T]) -> Iterator[list[T]]:
+    """Consecutive lists of `EMBED_CHUNK_ROWS` items (the last may be shorter)."""
+    it = iter(items)
+    while chunk := list(islice(it, EMBED_CHUNK_ROWS)):
+        yield chunk
+
+
+class SparseRows:
+    """A float64 matrix of shape (n, dim) stored row-compressed, numpy only.
+
+    Row i holds `data[indptr[i]:indptr[i+1]]` at the columns
+    `indices[indptr[i]:indptr[i+1]]`, ascending. The model needs three
+    operations, each computed without a dense copy:
+
+    * `rows @ M` for a dense (dim, k) M, as a gather-sum: each output row is
+      summed from that row's own entries alone;
+    * `D @ rows` for a dense (k, n) D, as a scatter-add into a (k, dim) array;
+    * `rows[idx]` for a slice or an index array, selecting rows.
+
+    Implicit densification (`np.asarray`, `np.stack`, any other numpy
+    function but `np.count_nonzero`) raises TypeError; `toarray()` is the
+    explicit way.
+    """
+
+    __array_ufunc__ = None  # numpy hands `D @ rows` to __rmatmul__
+
+    def __init__(self, indptr, indices, data, dim: int):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.dim = int(dim)
+        if (self.indptr.ndim != 1 or self.indptr.size == 0 or self.indptr[0] != 0
+                or self.indptr[-1] != self.indices.size or self.indices.shape != self.data.shape):
+            raise ValueError("inconsistent CSR arrays")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.size - 1, self.dim)
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+    def _row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def copy(self) -> "SparseRows":
+        return SparseRows(self.indptr.copy(), self.indices.copy(), self.data.copy(), self.dim)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._row_ids(), self.indices] = self.data
+        return out
+
+    def __getitem__(self, key) -> "SparseRows":
+        rows = np.arange(self.shape[0])[key]
+        if rows.ndim != 1:
+            raise TypeError("SparseRows selects rows by slice or index array only")
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return SparseRows(indptr, self.indices[pos], self.data[pos], self.dim)
+
+    def __matmul__(self, other) -> np.ndarray:
+        if not isinstance(other, np.ndarray):
+            return NotImplemented
+        if other.ndim != 2 or other.shape[0] != self.dim:
+            raise ValueError(f"cannot multiply {self.shape} rows by {other.shape}")
+        out = np.zeros((self.shape[0], other.shape[1]))
+        starts = self.indptr[:-1]
+        nonempty = self.indptr[1:] > starts
+        if self.data.size:
+            terms = other[self.indices] * self.data[:, None]
+            out[nonempty] = np.add.reduceat(terms, starts[nonempty], axis=0)
+        return out
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        if not isinstance(other, np.ndarray):
+            return NotImplemented
+        if other.ndim != 2 or other.shape[1] != self.shape[0]:
+            raise ValueError(f"cannot multiply {other.shape} by {self.shape} rows")
+        k = other.shape[0]
+        weights = other[:, self._row_ids()] * self.data
+        cols = np.arange(k)[:, None] * self.dim + self.indices
+        out = np.bincount(cols.ravel(), weights=weights.ravel(), minlength=k * self.dim)
+        return out.reshape(k, self.dim)
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("SparseRows does not densify implicitly; call .toarray()")
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return int(np.count_nonzero(self.data))
+        return NotImplemented
 
 
 class EmbeddingServiceError(PipelineError):
@@ -67,18 +184,29 @@ class HashedFeatureConfig:
             raise ValueError("dim must be a power of two >= 1024")
 
 
-def embed_hashed(tokens: Sequence[str], config: HashedFeatureConfig) -> np.ndarray:
-    """Count each n-gram (n <= ngram_max) into bucket hash(seed, gram) mod dim.
+def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
+    """The bucket hash(seed, gram) mod dim of each n-gram (n <= ngram_max).
 
-    N-grams are the tokens joined with a single space. With normalize=True the
-    vector is scaled to unit Euclidean norm (the zero vector stays zero).
+    N-grams are the tokens joined with a single space.
     """
-    vec = np.zeros(config.dim)
     mask = config.dim - 1  # dim is a power of two
+    out = []
     for n in range(1, config.ngram_max + 1):
         for i in range(len(tokens) - n + 1):
             gram = tokens[i] if n == 1 else " ".join(tokens[i : i + n])
-            vec[stable_hash64(config.hash_seed, gram) & mask] += 1.0
+            out.append(stable_hash64(config.hash_seed, gram) & mask)
+    return out
+
+
+def embed_hashed(tokens: Sequence[str], config: HashedFeatureConfig) -> np.ndarray:
+    """Dense reference encoder: count each n-gram into its bucket.
+
+    With normalize=True the vector is scaled to unit Euclidean norm (the zero
+    vector stays zero). `HashedProvider.embed` stores the same values sparsely.
+    """
+    vec = np.zeros(config.dim)
+    for b in _buckets(tokens, config):
+        vec[b] += 1.0
     if config.normalize:
         norm = math.sqrt(float(vec @ vec))
         if norm > 0.0:
@@ -131,12 +259,12 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
     if spec.kind != "remote":
         raise ValueError("embed_remote requires a remote provider spec")
     texts = list(texts)
-    if not texts:
-        return np.zeros((0, spec.dim))
-    rows: list[list[float]] = []
+    out = np.empty((len(texts), spec.dim))
     for start in range(0, len(texts), spec.batch_size):
         batch = texts[start : start + spec.batch_size]
         body = _post_embed(spec.endpoint, batch, spec.timeout)
+        if not isinstance(body, dict):
+            raise EmbeddingContractError("service response is not a JSON object")
         dim = body.get("dim")
         embs = body.get("embeddings")
         if dim != spec.dim:
@@ -148,12 +276,15 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
             raise EmbeddingContractError(
                 f"service returned {got} embeddings for a batch of {len(batch)}"
             )
-        rows.extend(embs)
-    out = np.asarray(rows, dtype=float)
-    if out.shape != (len(texts), spec.dim):
-        raise EmbeddingContractError(f"embedding matrix has shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise EmbeddingContractError("service returned non-finite embedding values")
+        try:
+            block = np.asarray(embs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise EmbeddingContractError(f"service returned non-numeric embeddings: {exc}") from None
+        if block.shape != (len(batch), spec.dim):
+            raise EmbeddingContractError(f"embedding batch has shape {block.shape}")
+        if not np.isfinite(block).all():
+            raise EmbeddingContractError("service returned non-finite embedding values")
+        out[start : start + len(batch)] = block
     return out
 
 
@@ -169,10 +300,28 @@ class HashedProvider:
         c = self.config
         return f"hashed:ngram{c.ngram_max}:dim{c.dim}:seed{c.hash_seed}:norm{int(c.normalize)}"
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim))
-        return np.stack([embed_hashed(tokenize(t), self.config) for t in texts])
+    def embed(self, texts: Sequence[str]) -> SparseRows:
+        """The `embed_hashed` vector of each text, as sparse rows."""
+        c = self.config
+        buckets: list[int] = []
+        lengths = []
+        for text in texts:
+            row = _buckets(tokenize(text), c)
+            buckets.extend(row)
+            lengths.append(len(row))
+        n = len(lengths)
+        row_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
+        # sorted unique (row, bucket) keys give CSR order; their counts are the values
+        keys, counts = np.unique(row_of * c.dim + np.asarray(buckets, dtype=np.intp),
+                                 return_counts=True)
+        row_of, indices = np.divmod(keys, c.dim)
+        data = counts.astype(float)
+        if c.normalize:
+            # integer sums of squares are exact, so this matches embed_hashed bit for bit
+            data /= np.sqrt(np.bincount(row_of, weights=data * data, minlength=n))[row_of]
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
+        return SparseRows(indptr, indices, data, c.dim)
 
 
 class RemoteProvider:

@@ -26,7 +26,7 @@ import numpy as np
 from . import evaluation
 from .corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
 from .errors import PipelineError
-from .features import HashedFeatureConfig, HashedProvider
+from .features import HashedFeatureConfig, HashedProvider, SparseRows
 
 LOSS_CLAMP_EPS = 1e-12
 
@@ -109,8 +109,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
+def _forward(h: np.ndarray | SparseRows, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     if h.shape[-1] != W.shape[1]:
         raise ModelError(f"embedding dim {h.shape[-1]} != parameter dim {W.shape[1]}")
     # clamp so emitted probabilities stay strictly inside (0, 1) even at
@@ -118,12 +117,12 @@ def _forward(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(h @ W.T + b), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
 
 
-def forward_aspect(h: np.ndarray, params: HeadParams) -> np.ndarray:
+def forward_aspect(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
     """Per-aspect detection probabilities sigmoid(W_a h + b_a)."""
     return _forward(h, params.W_a, params.b_a)
 
 
-def forward_sentiment(h: np.ndarray, params: HeadParams) -> np.ndarray:
+def forward_sentiment(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
     """Per-aspect P(Negative) probabilities sigmoid(W_y h + b_y)."""
     return _forward(h, params.W_y, params.b_y)
 
@@ -156,21 +155,22 @@ class HeadGrads:
 
 
 def gradients(
-    h: np.ndarray,
+    h: np.ndarray | SparseRows,
     t_a: np.ndarray,
     t_y: np.ndarray,
     mask: np.ndarray,
     params: HeadParams,
-    h_y: np.ndarray | None = None,
+    h_y: np.ndarray | SparseRows | None = None,
 ) -> HeadGrads:
     """Analytic gradient of L_a + L_y, summed over the batch.
 
     Uses the sigmoid-BCE identity dL/dz = p - t, masked for the sentiment
-    head. `h_y` supplies separate sentiment-stage embeddings when two
-    representations are in use; it defaults to `h`.
+    head. `h` is an (n, d) batch of dense or `SparseRows` embeddings; `h_y`
+    supplies separate sentiment-stage embeddings when two representations are
+    in use and defaults to `h`.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    h_y = h if h_y is None else np.atleast_2d(np.asarray(h_y, dtype=float))
+    if h_y is None:
+        h_y = h
     t_a = np.atleast_2d(np.asarray(t_a, dtype=float))
     t_y = np.atleast_2d(np.asarray(t_y, dtype=float))
     mask = np.atleast_2d(np.asarray(mask, dtype=float))

@@ -47,6 +47,8 @@ class DailySeries:
             v = float(v)
             if math.isnan(v):
                 raise ValueError("NaN is not allowed; encode missing days as None")
+            if math.isinf(v):
+                raise ValueError("infinite values are not allowed")
             cleaned.append(v)
         self.values = cleaned
 
@@ -470,8 +472,19 @@ def read_series_csv(path) -> DailySeries:
         for row in reader:
             if not row:
                 continue
-            days.append(date.fromisoformat(row[0]))
-            values.append(float(row[1]) if len(row) > 1 and row[1] != "" else None)
+            where = f"{path}:{reader.line_num}"
+            try:
+                days.append(date.fromisoformat(row[0]))
+            except ValueError:
+                raise PipelineError(f"{where}: bad date {row[0]!r}, expected YYYY-MM-DD") from None
+            cell = row[1] if len(row) > 1 else ""
+            try:
+                value = float(cell) if cell != "" else None
+            except ValueError:
+                raise PipelineError(f"{where}: non-numeric value {cell!r}") from None
+            if value is not None and not math.isfinite(value):
+                raise PipelineError(f"{where}: non-finite value {cell!r}")
+            values.append(value)
     if not days:
         raise PipelineError(f"{path}: series file has no rows")
     for prev, nxt in zip(days, days[1:]):

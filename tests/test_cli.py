@@ -1,13 +1,14 @@
 import csv
 import json
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aspectsent import corpus, model, stats, synth
+from aspectsent import cli, corpus, features, ingest, model, stats, synth
 from aspectsent.cli import emit_figure_data, main, read_prediction_rows
 from aspectsent.errors import PipelineError
 from aspectsent.features import provider_from_config
@@ -214,6 +215,108 @@ class TestTrainEvalInfer:
             assert probs == sorted(probs, reverse=True)
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 4)
+    return 4
+
+
+class TestStreamingInfer:
+    def test_chunked_lines_equal_one_tweet_predictions(self, tmp_path, trained_params,
+                                                        small_chunks):
+        params_path, _ = trained_params
+        records = synth.make_corpus_records(3 * small_chunks + 2, seed=5)
+        records[1]["text"] = ""  # a row with no features
+        corpus_path = tmp_path / "corpus.jsonl"
+        synth.write_jsonl(corpus_path, records)
+        out = tmp_path / "pred.jsonl"
+        assert main(["infer", "--params", str(params_path), "--corpus", str(corpus_path),
+                     "--out", str(out)]) == 0
+        bundle = model.load_params(params_path)
+        provider = provider_from_config(bundle.provider_config)
+        config = model.TrainConfig(aspect_threshold=bundle.aspect_threshold,
+                                   sentiment_threshold=bundle.sentiment_threshold)
+        expected = [
+            json.dumps(cli._prediction_to_obj(
+                t, model.predict(t.text, provider, bundle.params, config)), ensure_ascii=False)
+            for t in ingest.iter_corpus(corpus_path)
+        ]
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_peak_memory_flat_in_corpus_size(self, tmp_path, trained_params, monkeypatch):
+        # Holding every row of 4x the chunk as a dense 1024-wide matrix would
+        # add 1.5 MB over 1x; streamed sparse rows add next to nothing.
+        chunk = 64
+        monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", chunk)
+        params_path, _ = trained_params
+
+        def peak(n):
+            corpus_path = tmp_path / f"corpus{n}.jsonl"
+            synth.write_jsonl(corpus_path, synth.make_corpus_records(n, seed=5))
+            tracemalloc.start()
+            try:
+                assert main(["infer", "--params", str(params_path), "--corpus",
+                             str(corpus_path), "--out", str(tmp_path / "pred.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(chunk)  # warm lazy imports and caches
+        assert peak(4 * chunk) - peak(chunk) < 256 * 1024
+
+    @pytest.mark.parametrize("previous", [None, "earlier predictions\n"])
+    def test_bad_line_past_first_chunk_leaves_no_partial_output(
+        self, tmp_path, trained_params, small_chunks, capsys, previous
+    ):
+        params_path, _ = trained_params
+        lines = [json.dumps(r) for r in synth.make_corpus_records(3 * small_chunks, seed=5)]
+        bad_lineno = 2 * small_chunks + 2  # two chunks are written before it is read
+        lines.insert(bad_lineno - 1, '{"id": "broken"')
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_lines(corpus_path, lines)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "pred.jsonl"
+        if previous is not None:
+            out.write_text(previous, encoding="utf-8")
+        assert main(["infer", "--params", str(params_path), "--corpus", str(corpus_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus_path}:{bad_lineno}:" in err
+        assert "Traceback" not in err
+        if previous is None:
+            assert not out.exists()
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert out.read_text(encoding="utf-8") == previous
+            assert [p.name for p in out_dir.iterdir()] == ["pred.jsonl"]
+
+    def test_augment_candidates_independent_of_chunking(self, tmp_path, trained_params,
+                                                        monkeypatch):
+        params_path, _ = trained_params
+        pool = tmp_path / "pool.jsonl"
+        synth.write_jsonl(pool, synth.make_corpus_records(
+            60, seed=21, non_english_fraction=0.0, offtopic_fraction=0.0))
+        outputs = []
+        for chunk in (1024, 7):
+            monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", chunk)
+            out = tmp_path / f"candidates{chunk}.jsonl"
+            assert main(["augment-candidates", "--params", str(params_path), "--pool", str(pool),
+                         "--out", str(out), "--threshold", "0.5", "--cap", "4"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags", [["--threshold", "1.5"], ["--cap", "0"]])
+    def test_augment_candidates_bad_settings_exit_one(self, tmp_path, trained_params,
+                                                       capsys, flags):
+        params_path, _ = trained_params
+        pool = tmp_path / "pool.jsonl"
+        synth.write_jsonl(pool, synth.make_corpus_records(3, seed=21))
+        assert main(["augment-candidates", "--params", str(params_path), "--pool", str(pool),
+                     "--out", str(tmp_path / "c.jsonl")] + flags) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def _write_predictions(path, rows):
     objs = []
     for r in rows:
@@ -297,6 +400,24 @@ class TestSeriesAndGranger:
         assert float(rows[0]["F"]) == pytest.approx(expected.f_stat, rel=1e-12)
         assert float(rows[0]["p"]) == pytest.approx(expected.p_value, rel=1e-12)
         assert int(rows[0]["n_used"]) == expected.n_used
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-03-02,abc", "non-numeric value 'abc'"),
+        ("2020-03-02,inf", "non-finite value 'inf'"),
+        ("2020-03-02,-inf", "non-finite value '-inf'"),
+        ("2020-03-02,nan", "non-finite value 'nan'"),
+        ("2020-02-30,1.0", "bad date '2020-02-30'"),
+    ])
+    def test_granger_bad_series_cell_exits_one(self, tmp_path, capsys, row, message):
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        x_path.write_text(f"date,value\n2020-03-01,1.0\n{row}\n2020-03-03,2.0\n",
+                          encoding="utf-8")
+        stats.write_series_csv(y_path, DailySeries(D0, [1.0, 2.0, 3.0]))
+        assert main(["granger", "--x", str(x_path), "--y", str(y_path),
+                     "--out", str(tmp_path / "granger.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{x_path}:3: {message}" in err
+        assert "Traceback" not in err
 
     def test_compare_groups_csv(self, tmp_path):
         pred_path = tmp_path / "pred.jsonl"

@@ -13,6 +13,7 @@ from aspectsent.features import (
     HashedFeatureConfig,
     HashedProvider,
     RemoteProvider,
+    SparseRows,
     embed_hashed,
     embed_remote,
     provider_from_config,
@@ -119,6 +120,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"dim": self.dim, "embeddings": vecs}
         elif self.fail_mode == "short":
             payload = {"dim": self.dim, "embeddings": []}
+        elif self.fail_mode == "ragged":
+            payload = {"dim": self.dim, "embeddings": [[0.0] * (self.dim - 1) for _ in texts]}
+        elif self.fail_mode == "not-numbers":
+            payload = {"dim": self.dim, "embeddings": [["x"] * self.dim for _ in texts]}
+        elif self.fail_mode == "not-object":
+            payload = [[0.0] * self.dim for _ in texts]
         else:
             offset = sum(len(c) for c in type(self).calls[:-1])
             vecs = [
@@ -183,6 +190,23 @@ class TestEmbedRemote:
         with pytest.raises(EmbeddingContractError):
             embed_remote(["a", "b"], _spec(stub_server))
 
+    @pytest.mark.parametrize("mode", ["ragged", "not-numbers", "not-object"])
+    def test_malformed_batch_is_contract_error(self, stub_server, mode):
+        _StubHandler.fail_mode = mode
+        with pytest.raises(EmbeddingContractError):
+            embed_remote(["a", "b"], _spec(stub_server))
+
+    def test_bad_later_batch_is_contract_error(self, stub_server):
+        # each batch is checked as it arrives, not only the assembled matrix
+        _StubHandler.fail_mode = None
+        out = embed_remote(["a", "b", "c"], _spec(stub_server, batch_size=2))
+        assert out.dtype == np.float64 and out.shape == (3, 8)
+        _StubHandler.calls = []
+        _StubHandler.fail_mode = "nan"
+        with pytest.raises(EmbeddingContractError):
+            embed_remote(["a", "b", "c"], _spec(stub_server, batch_size=2))
+        assert len(_StubHandler.calls) == 1
+
     def test_unreachable_service_is_retryable_error(self):
         import socket
 
@@ -224,6 +248,80 @@ class TestProviders:
         provider = HashedProvider(HashedFeatureConfig(ngram_max=2, dim=2048))
         again = provider_from_config(provider_to_config(provider))
         assert again.config == provider.config
+
+
+_GRAMS = ["china", "news", "#china", "@who", "http://t.co/x", "a", "b", "covid-19", "数据", "é"]
+_texts = st.lists(
+    st.lists(st.sampled_from(_GRAMS), max_size=25).map(" ".join) | st.text(max_size=40),
+    max_size=6,
+)
+
+
+def _dense(texts, cfg):
+    return np.array([embed_hashed(tokenize(t), cfg) for t in texts]).reshape(len(texts), cfg.dim)
+
+
+class TestSparseRows:
+    @given(texts=_texts, ngram_max=st.integers(1, 3), normalize=st.booleans(),
+           dim=st.sampled_from([1024, 4096]), seed=st.integers(0, 3))
+    def test_rows_equal_dense_reference(self, texts, ngram_max, normalize, dim, seed):
+        cfg = HashedFeatureConfig(ngram_max=ngram_max, dim=dim, hash_seed=seed,
+                                  normalize=normalize)
+        rows = HashedProvider(cfg).embed(texts)
+        dense = _dense(texts, cfg)
+        assert isinstance(rows, SparseRows)
+        assert rows.shape == dense.shape
+        assert np.array_equal(rows.toarray(), dense)  # bit-identical values
+        assert np.count_nonzero(rows) == np.count_nonzero(dense)
+
+    @given(texts=_texts, data=st.data())
+    def test_row_selection(self, texts, data):
+        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
+        rows = HashedProvider(cfg).embed(texts)
+        dense = _dense(texts, cfg)
+        n = len(texts)
+        idx = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)
+                                 if n else st.just([])), dtype=np.intp)
+        assert np.array_equal(rows[idx].toarray(), dense[idx])
+        assert np.array_equal(rows[1:].toarray(), dense[1:])
+        assert np.array_equal(rows[::-1].toarray(), dense[::-1])
+
+    @given(texts=_texts, seed=st.integers(0, 2**32 - 1))
+    def test_products_match_dense(self, texts, seed):
+        # gather-sum and scatter-add sum in another order than BLAS, so the
+        # tolerance is a few float64 ulps of values of order one
+        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
+        rows = HashedProvider(cfg).embed(texts)
+        dense = _dense(texts, cfg)
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(6, cfg.dim))
+        D = rng.normal(size=(len(texts), 6))
+        np.testing.assert_allclose(rows @ W.T, dense @ W.T, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(D.T @ rows, D.T @ dense, rtol=1e-12, atol=1e-15)
+
+    def test_row_products_depend_on_the_row_alone(self):
+        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
+        provider = HashedProvider(cfg)
+        texts = [f"china news {i} " * (i % 5) for i in range(40)]
+        W = np.random.default_rng(3).normal(size=(1024, 6))
+        together = provider.embed(texts) @ W
+        for i, text in enumerate(texts):
+            assert np.array_equal(provider.embed([text]) @ W, together[i:i + 1])
+
+    def test_implicit_densification_raises(self):
+        rows = HashedProvider(HashedFeatureConfig(dim=1024)).embed(["china news", ""])
+        for densify in (np.asarray, np.atleast_2d, lambda r: np.stack([r]),
+                        lambda r: np.vstack([r, r]), lambda r: r + 1.0):
+            with pytest.raises(TypeError):
+                densify(rows)
+        with pytest.raises(ValueError):
+            rows @ np.zeros((512, 6))
+
+    def test_storage_is_proportional_to_nonzeros(self):
+        texts = ["china news update today"] * 100
+        rows = HashedProvider(HashedFeatureConfig(dim=4096)).embed(texts)
+        assert rows.nbytes <= 100 * 4 * 16 + 101 * 8  # 4 nonzeros per row, 8-byte values and indices
+        assert rows.copy().nbytes == rows.nbytes
 
 
 class TestDualRepresentation:

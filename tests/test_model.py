@@ -392,6 +392,48 @@ class TestPredict:
         assert set(got.sentiment) == set(got.detected)
 
 
+class TestSparseRowsInModel:
+    """Hashed rows reach the heads as SparseRows; results match the dense path.
+
+    Sparse products sum in another order than BLAS, so they agree to a
+    tolerance fixed from float64 rounding on values of order one.
+    """
+
+    RTOL, ATOL = 1e-12, 1e-15
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        texts = [f"{'alpha beta ' * (i % 3)}item{i} china news #covid @who" for i in range(12)]
+        texts[3] = ""  # an all-zero row
+        rows = HashedProvider(HashedFeatureConfig(ngram_max=2, dim=1024)).embed(texts)
+        _, t_a, t_y, mask = _random_batch(rng, 1, len(texts))
+        return rows, t_a, t_y, mask, random_params(1024, rng)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forward_and_gradients_match_dense(self, seed):
+        rows, t_a, t_y, mask, params = self._batch(seed)
+        dense = rows.toarray()
+        for fwd in (forward_aspect, forward_sentiment):
+            np.testing.assert_allclose(fwd(rows, params), fwd(dense, params),
+                                       rtol=self.RTOL, atol=self.ATOL)
+        sparse_g = gradients(rows, t_a, t_y, mask, params)
+        dense_g = gradients(dense, t_a, t_y, mask, params)
+        for name in ("W_a", "b_a", "W_y", "b_y"):
+            np.testing.assert_allclose(getattr(sparse_g, name), getattr(dense_g, name),
+                                       rtol=self.RTOL, atol=self.ATOL)
+        idx = np.array([5, 0, 3])
+        np.testing.assert_allclose(
+            gradients(rows[idx], t_a[idx], t_y[idx], mask[idx], params).W_y,
+            gradients(dense[idx], t_a[idx], t_y[idx], mask[idx], params).W_y,
+            rtol=self.RTOL, atol=self.ATOL,
+        )
+
+    def test_dim_mismatch_is_model_error(self):
+        rows, *_ = self._batch(0)
+        with pytest.raises(ModelError):
+            forward_aspect(rows, zero_params(2048))
+
+
 class TestSvmBaseline:
     def test_separable_training_accuracy(self):
         examples = separable_examples()

@@ -108,6 +108,11 @@ class TestDailySeries:
         with pytest.raises(ValueError):
             DailySeries(D0, [1.0, float("nan")])
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinity_rejected(self, value):
+        with pytest.raises(ValueError):
+            DailySeries(D0, [1.0, value])
+
 
 class TestSmoothMa:
     def test_constant_series(self):
