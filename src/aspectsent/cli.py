@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from datetime import date, datetime, timezone
@@ -73,7 +74,7 @@ def _config_hash(effective: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_meta(out_path, effective_config: dict, seed=None) -> None:
+def _write_meta(out_path, effective_config: dict, seed=None, counts=None) -> None:
     meta = {
         "tool": "aspectsent",
         "version": __version__,
@@ -81,25 +82,54 @@ def _write_meta(out_path, effective_config: dict, seed=None) -> None:
         "config_hash": _config_hash(effective_config),
         "seed": seed,
     }
+    if counts is not None:
+        meta["counts"] = counts
     Path(f"{out_path}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
 @contextmanager
-def _atomic_output(path):
-    """Write `path` through a temp file in its directory, renamed into place
-    only on success; on any error the temp file is removed and `path` is left
-    as it was."""
+def _atomic_path(path):
+    """Yield a temp path in `path`'s directory to write `path` through: it is
+    renamed into place only on success; on any error it is removed and `path`
+    is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _atomic_output(path):
+    """`_atomic_path`, opened as a UTF-8 text file."""
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+@contextmanager
+def _rereadable(path, out):
+    """`path` if it is a regular file; otherwise (a pipe, /dev/stdin) a copy
+    of it in a temp file next to `out`, removed on exit. Two-pass ingest
+    reads its corpus twice."""
+    if Path(path).is_file():
+        yield path
+        return
+    out = Path(out)
+    copy = out.with_name(f".{out.name}.{os.getpid()}.corpus.tmp")
+    try:
+        try:
+            with open(path, "rb") as src, open(copy, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+        except OSError as exc:  # a directory, an unreadable device, a full disk
+            raise PipelineError(f"copying the corpus: {exc.filename}: {exc.strerror}") from None
+        yield copy
+    finally:
+        copy.unlink(missing_ok=True)
 
 
 def _require_paths(*pairs: tuple[str, str | None]) -> None:
@@ -300,19 +330,22 @@ def _cmd_ingest(args, file_cfg):
     if section["accounts"]:
         _require_paths(("accounts", section["accounts"]))
         accounts = ingest.load_accounts(section["accounts"])
-    spec = ingest.FilterSpec(
-        lang=section["lang"],
-        keywords=ingest.load_keywords(args.keywords),
-        date_start=_parse_date(str(section["date_start"])),
-        date_end=_parse_date(str(section["date_end"])),
-        accounts=accounts,
-        sample_rate=float(section["sample_rate"]),
-        seed=int(section["seed"]),
-    )
-    kept = ingest.apply_filters(ingest.iter_corpus(args.corpus), spec)
-    ingest.write_corpus(args.out, kept)
-    _write_meta(args.out, section, seed=spec.seed)
-    print(f"ingest: kept {len(kept)} tweets -> {args.out}")
+    try:
+        spec = ingest.FilterSpec(
+            lang=section["lang"],
+            keywords=ingest.load_keywords(args.keywords),
+            date_start=_parse_date(str(section["date_start"])),
+            date_end=_parse_date(str(section["date_end"])),
+            accounts=accounts,
+            sample_rate=float(section["sample_rate"]),
+            seed=int(section["seed"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise PipelineError(f"bad ingest settings: {exc}") from None
+    with _atomic_path(args.out) as tmp, _rereadable(args.corpus, args.out) as corpus_path:
+        counts = ingest.ingest_file(corpus_path, spec, tmp, name=args.corpus)
+    _write_meta(args.out, section, seed=spec.seed, counts=counts)
+    print(f"ingest: kept {counts['kept']} tweets -> {args.out}")
     return 0
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import tempfile
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aspectsent import cli, corpus, features, ingest, model, stats, synth
 from aspectsent.cli import emit_figure_data, main, read_prediction_rows
@@ -72,6 +75,233 @@ class TestIngestCommand:
     def test_unknown_flag_is_usage_error(self, small_corpus, capsys):
         corpus_path, keywords = small_corpus
         assert main(["ingest", "--corpus", str(corpus_path), "--bogus"]) == 2
+
+
+INGEST_WINDOW = ["--lang", "en", "--date-start", "2020-01-22", "--date-end", "2020-05-21"]
+
+
+def ingest_argv(corpus_path, keywords, out, *extra):
+    return ["ingest", "--corpus", str(corpus_path), "--keywords", str(keywords),
+            "--out", str(out), *INGEST_WINDOW, *extra]
+
+
+def reference_ingest(corpus_path, keywords, out, rate, seed, accounts=None):
+    """The one-pass path: every filtered tweet in memory, then written."""
+    spec = ingest.FilterSpec(
+        lang="en", keywords=ingest.load_keywords(keywords), date_start=date(2020, 1, 22),
+        date_end=date(2020, 5, 21), accounts=accounts, sample_rate=rate, seed=seed)
+    ingest.write_corpus(out, ingest.apply_filters(ingest.iter_corpus(corpus_path), spec))
+
+
+_RECORD = st.fixed_dictionaries({
+    "when": st.sampled_from([
+        "2020-01-21T23:30:00Z", "2020-01-22T00:30:00+02:00", "2020-01-22T23:30:00-05:00",
+        "2020-02-10T12:00:00Z", "2020-02-10T01:00:00+03:00", "2020-05-21T23:59:59Z",
+        "2020-05-22T00:00:00Z", "2020-03-03T08:00:00"]),
+    "lang": st.sampled_from(["en", "en-GB", "EN", "es", "und"]),
+    "text": st.sampled_from(["china news", "#Wuhan update", "chinatown food", "offtopic",
+                             "COVID-19 in 中国", "wuhan_lab", "china"]),
+    "user": st.sampled_from(["alice", "NYTimes", "bob"]),
+    "id": st.integers(0, 30),
+})
+
+
+class TestTwoPassIngest:
+    @given(
+        records=st.lists(st.one_of(_RECORD, st.just(None)), max_size=40),
+        rate=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+        with_accounts=st.booleans(),
+    )
+    def test_matches_one_pass_filter_and_counts_every_record(
+        self, records, rate, seed, with_accounts
+    ):
+        # None is a blank line; ids repeat, so duplicates meet the sampler
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            lines = ["   " if r is None else corpus_line(
+                tweet_id=f"t{r['id']}", when=r["when"], text=r["text"], lang=r["lang"],
+                user_name=r["user"]) for r in records]
+            corpus_path = tmp / "corpus.jsonl"
+            write_lines(corpus_path, lines)
+            keywords = tmp / "keywords.txt"
+            keywords.write_text("china\n中国\nWuhan\ncovid-19\n", encoding="utf-8")
+            extra = ["--sample-rate", str(rate), "--seed", str(seed)]
+            accounts = None
+            if with_accounts:
+                (tmp / "accounts.txt").write_text("nytimes\nalice\n", encoding="utf-8")
+                extra += ["--accounts", str(tmp / "accounts.txt")]
+                accounts = frozenset({"nytimes", "alice"})
+            out = tmp / "kept.jsonl"
+            assert main(ingest_argv(corpus_path, keywords, out, *extra)) == 0
+            reference_ingest(corpus_path, keywords, tmp / "ref.jsonl", rate, seed, accounts)
+            assert out.read_bytes() == (tmp / "ref.jsonl").read_bytes()
+            counts = json.loads(Path(f"{out}.meta.json").read_text())["counts"]
+            assert set(counts) == set(ingest.INGEST_COUNTS)
+            assert counts["records_read"] == sum(r is not None for r in records)
+            assert sum(counts.values()) == 2 * counts["records_read"]
+            assert counts["kept"] == len(out.read_text(encoding="utf-8").splitlines())
+
+    def test_meta_counts_each_decision(self, tmp_path):
+        lines = [
+            corpus_line(tweet_id="lang", lang="es"),
+            corpus_line(tweet_id="date", when="2020-06-01T00:00:00Z"),
+            corpus_line(tweet_id="kw", text="nothing here"),
+            corpus_line(tweet_id="acct", user_name="mallory"),
+            "",
+        ] + [corpus_line(tweet_id=f"k{i}") for i in range(4)]
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_lines(corpus_path, lines)
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("china\n", encoding="utf-8")
+        accounts = tmp_path / "accounts.txt"
+        accounts.write_text("alice\n", encoding="utf-8")
+        out = tmp_path / "kept.jsonl"
+        assert main(ingest_argv(corpus_path, keywords, out, "--accounts", str(accounts),
+                                "--sample-rate", "0.5")) == 0
+        counts = json.loads(Path(f"{out}.meta.json").read_text())["counts"]
+        assert counts == {"records_read": 8, "rejected_lang": 1, "rejected_date": 1,
+                          "rejected_keyword": 1, "rejected_account": 1, "sampled_out": 2,
+                          "kept": 2}
+
+    def test_memory_per_survivor(self, tmp_path):
+        # Holding each survivor as a RawTweet grows the peak by about 720 B a
+        # survivor here; the pass-1 index entry and its sampling take about 230.
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("china\n", encoding="utf-8")
+
+        def peak(n):
+            corpus_path = tmp_path / f"corpus{n}.jsonl"
+            write_lines(corpus_path, [
+                corpus_line(tweet_id=f"{1220000000000000000 + i}",
+                            when=f"2020-02-{1 + i % 28:02d}T10:00:00Z",
+                            text=f"china lockdown policy update number {i}",
+                            user_name=f"user_{i % 97}")
+                for i in range(n)])
+            tracemalloc.start()
+            try:
+                assert main(ingest_argv(corpus_path, keywords, tmp_path / "kept.jsonl",
+                                        "--sample-rate", "0.4")) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2000
+        peak(n)  # warm lazy imports and caches
+        assert (peak(4 * n) - peak(n)) / (3 * n) <= 320
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: lines[:2] + [corpus_line(tweet_id="new")] + lines[3:], ":3: "),
+        (lambda lines: lines[:2] + [corpus_line(tweet_id="2", when="2020-03-02T00:00:00Z")]
+         + lines[3:], ":3: "),
+        (lambda lines: [corpus_line(tweet_id="new")] + lines, ":1: "),
+        (lambda lines: lines[:4], ": "),
+    ], ids=["other-id", "other-day", "inserted", "truncated"])
+    def test_corpus_changed_between_passes(self, tmp_path, monkeypatch, capsys, edit, where):
+        corpus_path = tmp_path / "corpus.jsonl"
+        lines = [corpus_line(tweet_id=str(i)) for i in range(6)]
+        write_lines(corpus_path, lines)
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("china\n", encoding="utf-8")
+        sample_daily = ingest.sample_daily
+
+        def edit_then_sample(*args):
+            write_lines(corpus_path, edit(lines))
+            return sample_daily(*args)
+
+        monkeypatch.setattr(ingest, "sample_daily", edit_then_sample)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "kept.jsonl"
+        assert main(ingest_argv(corpus_path, keywords, out)) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus_path}{where}corpus changed during ingest" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    @staticmethod
+    def _fifo_feeding(tmp_path, data):
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        return fifo, writer
+
+    def test_corpus_from_a_pipe(self, tmp_path, small_corpus):
+        corpus_path, keywords = small_corpus
+        fifo, writer = self._fifo_feeding(tmp_path, corpus_path.read_bytes())
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        extra = ["--sample-rate", "0.5", "--seed", "4"]
+        assert main(ingest_argv(fifo, keywords, out_dir / "piped.jsonl", *extra)) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main(ingest_argv(corpus_path, keywords, out_dir / "file.jsonl", *extra)) == 0
+        assert (out_dir / "piped.jsonl").read_bytes() == (out_dir / "file.jsonl").read_bytes()
+        piped_meta = json.loads(Path(f"{out_dir / 'piped.jsonl'}.meta.json").read_text())
+        file_meta = json.loads(Path(f"{out_dir / 'file.jsonl'}.meta.json").read_text())
+        assert piped_meta["counts"] == file_meta["counts"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "file.jsonl", "file.jsonl.meta.json", "piped.jsonl", "piped.jsonl.meta.json"]
+
+    def test_bad_line_in_a_pipe_names_the_pipe(self, tmp_path, small_corpus, capsys):
+        corpus_path, keywords = small_corpus
+        fifo, writer = self._fifo_feeding(tmp_path, corpus_path.read_bytes() + b"{oops\n")
+        bad_lineno = corpus_path.read_bytes().count(b"\n") + 1
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(ingest_argv(fifo, keywords, out_dir / "kept.jsonl")) == 1
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        err = capsys.readouterr().err
+        assert f"{fifo}:{bad_lineno}: malformed JSON" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_corpus_that_is_a_directory(self, tmp_path, small_corpus, capsys):
+        _, keywords = small_corpus
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(ingest_argv(tmp_path, keywords, out_dir / "kept.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_non_utf8_corpus_names_path_and_line(self, tmp_path, small_corpus, capsys):
+        corpus_path, keywords = small_corpus
+        good = corpus_path.read_bytes()
+        corpus_path.write_bytes(good + b'{"id": "x", "text": "caf\xe9"}\n')
+        bad_lineno = good.count(b"\n") + 1
+        assert main(ingest_argv(corpus_path, keywords, tmp_path / "kept.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus_path}:{bad_lineno}: not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "kept.jsonl").exists()
+
+    def test_non_utf8_keywords_names_path(self, tmp_path, small_corpus, capsys):
+        corpus_path, keywords = small_corpus
+        keywords.write_bytes(b"china\n\xff\xfe\n")
+        assert main(ingest_argv(corpus_path, keywords, tmp_path / "kept.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert f"{keywords}:2: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--sample-rate", "1.5"], "sample_rate"),
+        (["--date-start", "2020-05-01", "--date-end", "2020-04-01"], "date_start"),
+    ])
+    def test_bad_settings_exit_one(self, tmp_path, small_corpus, capsys, extra, message):
+        corpus_path, keywords = small_corpus
+        assert main(ingest_argv(corpus_path, keywords, tmp_path / "kept.jsonl", *extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestAdjudicateAndStats:

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import pytest
@@ -55,6 +56,10 @@ class TestParseRecord:
         assert exc.value.byte_offset >= 0
         assert "byte offset" in str(exc.value)
 
+    def test_deep_nesting_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_record("[" * 200_000 + "]" * 200_000)
+
     def test_non_utc_timestamp_normalized(self):
         t = parse_record(corpus_line(when="2020-03-01T01:30:00+02:00"))
         # 01:30+02:00 is 23:30 UTC the previous day
@@ -91,6 +96,17 @@ class TestKeywords:
     def test_hashtag_stripped(self):
         assert matches_keywords("#China is trending", KeywordSet(frozenset({"china"})))
 
+    def test_keywords_that_are_not_one_token_never_match(self):
+        ks = KeywordSet(frozenset({"covid-19", "#china"}))
+        assert not matches_keywords("covid-19 #china", ks)
+        assert matches_keywords("covid-19 in china", KeywordSet(frozenset({"covid-19", "china"})))
+
+    def test_non_ascii_tokens(self):
+        ks = KeywordSet(frozenset({"中国", "straße"}))
+        assert matches_keywords("#中国 news", ks)
+        assert matches_keywords("STRASSE closed, Straße open", ks)
+        assert not matches_keywords("中国人 news", ks)  # one longer token
+
     def test_empty_keywords_rejected(self):
         with pytest.raises(ValueError):
             KeywordSet(frozenset())
@@ -102,6 +118,29 @@ class TestKeywords:
         path.write_text("china\nWUHAN\n\n", encoding="utf-8")
         ks = ingest.load_keywords(path)
         assert ks.keywords == frozenset({"china", "wuhan"})
+
+
+def token_set_rule(text, keywords):
+    """The keyword rule as first written: split into tokens, test set membership."""
+    return any(tok in keywords.keywords for tok in re.findall(r"[^\W_]+", text.lower()))
+
+
+_WORDS = ["china", "China", "chinatown", "wuhan", "covid", "19", "covid-19", "#china",
+          "中国", "中国人", "café", "ÇA", "straße", "x_y", "_", "İstanbul", "ǅ", "١٢", "²"]
+# ASCII and Unicode whitespace (NBSP, em space, the \x1c separator) and non-space joiners
+_SEPS = [" ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "#", "-", "_", ".", "", "\u200b"]
+
+
+@given(
+    words=st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), max_size=8),
+    seps=st.lists(st.sampled_from(_SEPS), max_size=8),
+    keywords=st.sets(st.sampled_from(_WORDS) | st.text(min_size=1, max_size=4)
+                     .filter(lambda k: k.strip()), min_size=1, max_size=4),
+)
+def test_matches_keywords_equals_token_set_rule(words, seps, keywords):
+    text = "".join(w + s for w, s in zip(words, seps + [" "] * len(words)))
+    ks = KeywordSet(frozenset(keywords))
+    assert matches_keywords(text, ks) == token_set_rule(text, ks)
 
 
 def _same_day_tweets(n, day="2020-03-01"):
@@ -163,6 +202,32 @@ class TestSampleDaily:
         for t in got:
             by_day.setdefault(t.day, []).append(t)
         assert {len(v) for v in by_day.values()} == {4}
+
+
+    def test_duplicate_ids_across_days_keep_each_day_quota(self):
+        # the same ten ids on two days: a sampled id on one day must not drag
+        # its twin on the other day into the output
+        tweets = _same_day_tweets(10, day="2020-03-01") + _same_day_tweets(10, day="2020-03-02")
+        for seed in range(6):
+            per_day = {}
+            for t in sample_daily(tweets, 0.4, seed):
+                per_day[t.day] = per_day.get(t.day, 0) + 1
+            assert per_day == {date(2020, 3, 1): 4, date(2020, 3, 2): 4}
+
+    def test_duplicate_ids_within_a_day_are_deterministic(self):
+        tweets = [make_tweet(tweet_id=f"t{i % 3}", when=f"2020-03-01T0{i}:00:00Z")
+                  for i in range(10)]
+        first = sample_daily(tweets, 0.5, seed=2)
+        assert len(first) == 5
+        for _ in range(3):
+            again = sample_daily(list(tweets), 0.5, seed=2)
+            assert [tweets.index(t) for t in again] == [tweets.index(t) for t in first]
+
+    def test_survivor_entries_sample_like_tweets(self):
+        tweets = _same_day_tweets(10, day="2020-03-01") + _same_day_tweets(7, day="2020-03-02")
+        entries = [ingest.Survivor(i, t.day, t.id) for i, t in enumerate(tweets)]
+        got = sample_daily(entries, 0.4, seed=13)
+        assert [e.record for e in got] == [tweets.index(t) for t in sample_daily(tweets, 0.4, 13)]
 
 
 def _spec(rate=1.0, seed=0, accounts=None, lang="en"):
