@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Run the whole pipeline end to end on synthetic data.
 
-Generates a corpus and a labeled dataset, then drives the CLI through
-ingest, split, train, eval, infer, series, granger, and compare-groups,
-leaving all artifacts in the output directory. Useful as a live smoke test
-and as a template for running on real data.
+Generates a corpus, a media corpus, annotator labels and a labeled dataset,
+then drives the CLI through every subcommand: ingest, adjudicate,
+stats-dataset, split, train (BCE and the hinge baseline), eval, infer,
+augment-candidates, series, granger, compare-groups and report. All
+artifacts, including the report config, are left in the output directory.
+Useful as a live smoke test, as a template for running on real data, and
+for diffing every output before and after a change.
 
     python scripts/run_synthetic_pipeline.py --out-dir /tmp/aspectsent-demo
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -42,11 +46,20 @@ def main() -> int:
     synth.write_jsonl(corpus_path, synth.make_corpus_records(args.n, args.seed))
     synth.write_jsonl(dataset_path, synth.make_dataset_records(max(400, args.n // 2), args.seed + 1))
     keywords_path.write_text("china\nwuhan\n", encoding="utf-8")
+    annotations_path = out / "annotations.jsonl"
+    media_path = out / "media_corpus.jsonl"
+    synth.write_jsonl(annotations_path, synth.make_annotation_records(200, args.seed + 2))
+    synth.write_jsonl(media_path, synth.make_corpus_records(max(300, args.n // 3), args.seed + 3,
+                                                            offtopic_fraction=0.0,
+                                                            non_english_fraction=0.0))
 
     run(["ingest", "--corpus", str(corpus_path), "--keywords", str(keywords_path),
          "--out", str(out / "filtered.jsonl"), "--lang", "en",
          "--date-start", "2020-01-22", "--date-end", "2020-03-21",
          "--sample-rate", "0.4", "--seed", str(args.seed)])
+    run(["adjudicate", "--annotations", str(annotations_path),
+         "--out", str(out / "adjudicated.jsonl")])
+    run(["stats-dataset", "--dataset", str(dataset_path), "--out", str(out / "table1.csv")])
     run(["split", "--dataset", str(dataset_path), "--out-dir", str(out / "splits"),
          "--seed", str(args.seed)])
     run(["train", "--train", str(out / "splits" / "train.jsonl"),
@@ -54,12 +67,25 @@ def main() -> int:
          "--params-out", str(out / "params.json"),
          "--epochs", "60", "--lr", "0.5", "--dim", "2048",
          "--train-seed", str(args.seed)])
+    run(["train", "--objective", "hinge", "--train", str(out / "splits" / "train.jsonl"),
+         "--params-out", str(out / "params_hinge.json"),
+         "--epochs", "30", "--lr", "0.5", "--batch-size", "24", "--weight-decay", "0.001",
+         "--dim", "2048", "--train-seed", str(args.seed)])
     run(["eval", "--params", str(out / "params.json"),
          "--dataset", str(out / "splits" / "test.jsonl"),
          "--out", str(out / "eval_report.csv")])
+    run(["eval", "--params", str(out / "params_hinge.json"),
+         "--dataset", str(out / "splits" / "test.jsonl"),
+         "--out", str(out / "eval_hinge.csv")])
     run(["infer", "--params", str(out / "params.json"),
          "--corpus", str(out / "filtered.jsonl"),
          "--out", str(out / "predictions.jsonl")])
+    run(["infer", "--params", str(out / "params.json"),
+         "--corpus", str(media_path),
+         "--out", str(out / "media_predictions.jsonl")])
+    run(["augment-candidates", "--params", str(out / "params.json"),
+         "--pool", str(corpus_path), "--threshold", "0.6", "--cap", "25",
+         "--out", str(out / "candidates.jsonl")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),
          "--select", "count", "--out", str(out / "daily_count.csv")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),
@@ -72,6 +98,18 @@ def main() -> int:
     run(["compare-groups", "--predictions", str(out / "predictions.jsonl"),
          "--group-a", "bots", "--group-b", "users", "--mode", "aspect-proportion",
          "--out", str(out / "bots_vs_users.csv")])
+
+    report_config = out / "report.json"
+    report_config.write_text(json.dumps({"report": {
+        "dataset": str(dataset_path),
+        "params": str(out / "params.json"),
+        "test": str(out / "splits" / "test.jsonl"),
+        "predictions": str(out / "predictions.jsonl"),
+        "media_predictions": str(out / "media_predictions.jsonl"),
+        "group_a": "bots", "group_b": "users",
+        "lag": 1, "smoothing_window": 7, "series_input": "raw",
+    }}, indent=2) + "\n", encoding="utf-8")
+    run(["report", "-c", str(report_config), "--out-dir", str(out / "report")])
 
     print(f"pipeline artifacts in {out}")
     return 0

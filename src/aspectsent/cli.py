@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,8 @@ import sys
 from contextlib import contextmanager
 from datetime import date, datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, corpus, evaluation, ingest, model, stats
 from .errors import PipelineError
@@ -40,22 +43,18 @@ PROVIDER_DEFAULTS = {
     "batch_size": 64,
 }
 
-TRAIN_DEFAULTS = {
-    "learning_rate": None,  # resolved per provider kind: 0.1 hashed, 0.01 remote
-    "epochs": 20,
-    "batch_size": 32,
-    "weight_decay": 0.0,
-    "seed": 0,
-    "aspect_threshold": 0.5,
-    "sentiment_threshold": 0.5,
-}
+# TrainConfig's defaults; learning_rate is resolved per provider kind (0.1 hashed, 0.01 remote)
+TRAIN_DEFAULTS = {**dataclasses.asdict(model.TrainConfig()), "learning_rate": None}
 
 
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise PipelineError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise PipelineError(f"config file {path} must contain a JSON object")
     return cfg
@@ -147,27 +146,55 @@ def _parse_date(value: str) -> date:
         raise PipelineError(f"bad date {value!r}, expected YYYY-MM-DD") from None
 
 
+def _setting(convert, value, what: str):
+    """`convert(value)`, with a bad value as a PipelineError naming `what`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise PipelineError(f"bad {what} {value!r}") from None
+
+
+def _parse_lag(value) -> int:
+    lag = _setting(int, value, "lag")
+    if lag < 1:
+        raise PipelineError(f"lag must be >= 1, got {lag}")
+    return lag
+
+
+def _parse_window(value) -> int:
+    window = _setting(int, value, "smoothing window")
+    if window < 1 or window % 2 == 0:
+        raise PipelineError(f"smoothing window must be odd and >= 1, got {window}")
+    return window
+
+
+def _series_map(rows, columns: dict, window: int, start=None, end=None) -> dict:
+    """Column name -> the daily series of its (mode, aspect), smoothed when window > 1."""
+    out = {}
+    for name, (mode, aspect) in columns.items():
+        s = stats.daily_series(rows, mode, aspect=aspect, start=start, end=end)
+        out[name] = stats.smooth_ma(s, window) if window > 1 else s
+    return out
+
+
 # --- provider / train config plumbing ---
 
 
-def _provider_flags(args) -> dict:
-    return {
-        "kind": getattr(args, "provider", None),
-        "ngram_max": getattr(args, "ngram_max", None),
-        "dim": getattr(args, "dim", None),
-        "hash_seed": getattr(args, "hash_seed", None),
-        "endpoint": getattr(args, "endpoint", None),
-        "sentiment_endpoint": getattr(args, "sentiment_endpoint", None),
-        "timeout": getattr(args, "timeout", None),
-        "batch_size": getattr(args, "embed_batch_size", None),
+def _endpoint_flags(args) -> dict:
+    """The provider settings that `--endpoint/--timeout/--embed-batch-size` set."""
+    return {"endpoint": args.endpoint, "timeout": args.timeout, "batch_size": args.embed_batch_size}
+
+
+def _resolve_provider(args, file_cfg: dict) -> dict:
+    flags = {
+        "kind": args.provider,
+        "ngram_max": args.ngram_max,
+        "dim": args.dim,
+        "hash_seed": args.hash_seed,
+        "sentiment_endpoint": args.sentiment_endpoint,
+        **_endpoint_flags(args),
     }
-
-
-def _resolve_provider(args, file_cfg: dict, base: dict | None = None) -> dict:
-    defaults = dict(PROVIDER_DEFAULTS)
-    if base:
-        defaults.update(base)
-    cfg = _resolve(defaults, file_cfg.get("provider", {}), _provider_flags(args))
+    cfg = _resolve(PROVIDER_DEFAULTS, file_cfg.get("provider", {}), flags)
     if cfg["kind"] == "remote" and not cfg.get("endpoint"):
         raise PipelineError("remote provider requires --endpoint")
     if cfg["kind"] == "native-hashed":
@@ -182,18 +209,29 @@ def _resolve_provider(args, file_cfg: dict, base: dict | None = None) -> dict:
 
 def _resolve_train(args, file_cfg: dict, provider_kind: str) -> model.TrainConfig:
     flags = {
-        "learning_rate": getattr(args, "lr", None),
-        "epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "weight_decay": getattr(args, "weight_decay", None),
-        "seed": getattr(args, "train_seed", None),
-        "aspect_threshold": getattr(args, "aspect_threshold", None),
-        "sentiment_threshold": getattr(args, "sentiment_threshold", None),
+        "learning_rate": args.lr,
+        "epochs": args.epochs,
+        "batch_size": args.batch_size,
+        "weight_decay": args.weight_decay,
+        "seed": args.train_seed,
+        "aspect_threshold": args.aspect_threshold,
+        "sentiment_threshold": args.sentiment_threshold,
     }
     cfg = _resolve(TRAIN_DEFAULTS, file_cfg.get("train", {}), flags)
     if cfg["learning_rate"] is None:
         cfg["learning_rate"] = 0.01 if provider_kind == "remote" else 0.1
-    return model.TrainConfig(**cfg)
+    try:
+        return model.TrainConfig(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise PipelineError(f"bad train settings: {exc}") from None
+
+
+def _providers(cfg: dict):
+    """`providers_from_config`, with a bad setting as a PipelineError."""
+    try:
+        return providers_from_config(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PipelineError(f"bad provider settings: {type(exc).__name__}: {exc}") from None
 
 
 # --- predictions JSONL (infer output; series/compare-groups input) ---
@@ -363,11 +401,11 @@ def _cmd_adjudicate(args, file_cfg):
     return 0
 
 
-def _cmd_stats_dataset(args, file_cfg):
-    _require_paths(("dataset", args.dataset))
-    dataset = corpus.read_dataset(args.dataset)
-    table = corpus.dataset_stats(dataset)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+def _write_dataset_stats(dataset_path, out) -> None:
+    """Table 1: per-aspect and per-sentiment counts of a labeled dataset."""
+    _require_paths(("dataset", dataset_path))
+    table = corpus.dataset_stats(corpus.read_dataset(dataset_path))
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
@@ -379,20 +417,25 @@ def _cmd_stats_dataset(args, file_cfg):
                     [row.aspect, sentiment, cell.count, f"{cell.percent:.1f}",
                      row.count, f"{row.percent_of_corpus:.1f}"]
                 )
-    _write_meta(args.out, {"dataset": args.dataset})
+    _write_meta(out, {"dataset": dataset_path})
     print(f"stats-dataset: {table.total} examples")
     for row in table.rows:
         breakdown = ", ".join(
             f"{s} {cell.count} ({cell.percent:.1f}%)" for s, cell in row.sentiments.items()
         )
         print(f"  {row.aspect}: {row.count} ({row.percent_of_corpus:.1f}%) | {breakdown}")
+
+
+def _cmd_stats_dataset(args, file_cfg):
+    _write_dataset_stats(args.dataset, args.out)
     return 0
 
 
 def _cmd_split(args, file_cfg):
     _require_paths(("dataset", args.dataset))
     dataset = corpus.read_dataset(args.dataset)
-    seed = args.seed if args.seed is not None else int(file_cfg.get("split", {}).get("seed", 0))
+    seed = _resolve({"seed": 0}, file_cfg.get("split", {}), {"seed": args.seed})["seed"]
+    seed = _setting(int, seed, "split seed")
     train_part, dev_part, test_part = corpus.split(dataset, seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -423,20 +466,14 @@ def _cmd_train(args, file_cfg):
     train_cfg = _resolve_train(args, file_cfg, provider_cfg["kind"])
 
     if args.objective == "hinge":
-        from .features import HashedFeatureConfig
-
         if provider_cfg["kind"] != "native-hashed":
             raise PipelineError("the hinge baseline uses native hashed unigram features")
-        feature_config = HashedFeatureConfig(
-            ngram_max=1,  # the baseline is defined over unigrams
-            dim=int(provider_cfg["dim"]),
-            hash_seed=int(provider_cfg["hash_seed"]),
-            normalize=bool(provider_cfg["normalize"]),
-        )
-        params, provider = model.train_svm_baseline(train_examples, train_cfg, feature_config)
+        # the baseline is defined over unigrams
+        unigrams, _ = _providers(dict(provider_cfg, ngram_max=1))
+        params, provider = model.train_svm_baseline(train_examples, train_cfg, unigrams.config)
         provider_cfg = provider_to_config(provider)
     else:
-        provider, provider_y = providers_from_config(provider_cfg)
+        provider, provider_y = _providers(provider_cfg)
         params = model.train(train_examples, dev_examples, provider, train_cfg,
                              provider_y=provider_y)
 
@@ -454,67 +491,56 @@ def _cmd_train(args, file_cfg):
     return 0
 
 
-def _load_bundle_and_provider(args, file_cfg):
-    _require_paths(("params", args.params))
-    bundle = model.load_params(args.params)
-    provider_cfg = dict(bundle.provider_config)
-    for key, value in (
-        ("endpoint", getattr(args, "endpoint", None)),
-        ("timeout", getattr(args, "timeout", None)),
-        ("batch_size", getattr(args, "embed_batch_size", None)),
-    ):
-        if value is not None:
-            provider_cfg[key] = value
-    provider, provider_y = providers_from_config(provider_cfg)
+def _load_bundle_and_provider(params_path, flags: dict):
+    """Load a params file and its providers; the set values of `flags`
+    (see `_endpoint_flags`) override the file's provider config."""
+    _require_paths(("params", params_path))
+    bundle = model.load_params(params_path)
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    provider, provider_y = _providers({**bundle.provider_config, **overrides})
     return bundle, provider, provider_y
 
 
-def _infer_config(bundle: model.ModelBundle) -> model.TrainConfig:
-    return model.TrainConfig(
-        aspect_threshold=bundle.aspect_threshold,
-        sentiment_threshold=bundle.sentiment_threshold,
-    )
-
-
-def _cmd_eval(args, file_cfg):
-    import numpy as np
-
-    bundle, provider, provider_y = _load_bundle_and_provider(args, file_cfg)
-    _require_paths(("dataset", args.dataset))
-    examples = _dataset_to_examples(args.dataset)
+def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
+    """Table 2: per-aspect macro/micro F1 of a params file on a labeled dataset."""
+    bundle, provider, provider_y = _load_bundle_and_provider(params_path, flags)
+    _require_paths(("dataset", dataset_path))
+    examples = _dataset_to_examples(dataset_path)
     if not examples:
         raise PipelineError("evaluation dataset is empty")
-    texts = [e.text for e in examples]
-    h = provider.embed(texts)
-    h_y = provider_y.embed(texts) if provider_y is not None else h
+    p_a, p_y = model.predict_probs([e.text for e in examples], provider, bundle.params,
+                                   provider_y)
     gold_a = np.stack([e.aspect_targets for e in examples])
     gold_y = np.stack([e.sentiment_targets for e in examples])
-    pred_a = model.forward_aspect(h, bundle.params) >= bundle.aspect_threshold
-    pred_y = model.forward_sentiment(h_y, bundle.params) >= bundle.sentiment_threshold
+    pred_a = p_a >= bundle.aspect_threshold
+    pred_y = p_y >= bundle.sentiment_threshold
     reports = {
         "aspect": evaluation.evaluate(pred_a, gold_a, stage="aspect"),
         "sentiment": evaluation.evaluate(
             pred_y, gold_y, stage="sentiment", gold_aspects=gold_a
         ),
     }
-    evaluation.write_report_csv(args.out, reports)
-    _write_meta(args.out, {"params": args.params, "dataset": args.dataset})
+    evaluation.write_report_csv(out, reports)
+    _write_meta(out, {"params": params_path, "dataset": dataset_path})
     overall = reports["aspect"]["Overall"]
     print(
-        f"eval: aspect Overall macro={overall.macro_f1:.4f} micro={overall.micro_f1:.4f} -> {args.out}"
+        f"eval: aspect Overall macro={overall.macro_f1:.4f} micro={overall.micro_f1:.4f} -> {out}"
     )
+
+
+def _cmd_eval(args, file_cfg):
+    _write_eval(args.params, args.dataset, args.out, _endpoint_flags(args))
     return 0
 
 
 def _cmd_infer(args, file_cfg):
-    bundle, provider, provider_y = _load_bundle_and_provider(args, file_cfg)
+    bundle, provider, provider_y = _load_bundle_and_provider(args.params, _endpoint_flags(args))
     _require_paths(("corpus", args.corpus))
-    config = _infer_config(bundle)
     count = 0
     with _atomic_output(args.out) as fh:
         for tweets in iter_chunks(ingest.iter_corpus(args.corpus)):
             predictions = model.predict_batch([t.text for t in tweets], provider, bundle.params,
-                                              config, provider_y=provider_y)
+                                              bundle, provider_y=provider_y)
             for tweet, pred in zip(tweets, predictions):
                 fh.write(json.dumps(_prediction_to_obj(tweet, pred), ensure_ascii=False) + "\n")
             count += len(tweets)
@@ -524,14 +550,15 @@ def _cmd_infer(args, file_cfg):
 
 
 def _cmd_augment_candidates(args, file_cfg):
-    bundle, provider, _ = _load_bundle_and_provider(args, file_cfg)
+    bundle, provider, _ = _load_bundle_and_provider(args.params, _endpoint_flags(args))
     _require_paths(("pool", args.pool))
     section = _resolve(
         {"threshold": 0.90, "cap": 300},
         file_cfg.get("augment", {}),
         {"threshold": args.threshold, "cap": args.cap},
     )
-    threshold, cap = float(section["threshold"]), int(section["cap"])
+    threshold = _setting(float, section["threshold"], "augment threshold")
+    cap = _setting(int, section["cap"], "augment cap")
     if not 0.0 < threshold < 1.0 or cap < 1:
         raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     pool = ((t.id, t.text) for t in ingest.iter_corpus(args.pool))
@@ -570,15 +597,10 @@ def _cmd_series(args, file_cfg):
     )
     start = _parse_date(str(section["start"])) if section["start"] else None
     end = _parse_date(str(section["end"])) if section["end"] else None
-    window = int(section["smooth_window"])
+    window = _parse_window(section["smooth_window"])
     selects = args.select or ["count"]
-    series_map: dict[str, DailySeries] = {}
-    for spec in selects:
-        mode, aspect = _parse_select(spec)
-        s = stats.daily_series(rows, mode, aspect=aspect, start=start, end=end)
-        if window > 1:
-            s = stats.smooth_ma(s, window)
-        series_map[spec] = s
+    series_map = _series_map(rows, {spec: _parse_select(spec) for spec in selects}, window,
+                             start, end)
     if len(series_map) == 1:
         stats.write_series_csv(args.out, next(iter(series_map.values())))
     else:
@@ -598,7 +620,7 @@ def _cmd_granger(args, file_cfg):
     y = stats.read_series_csv(args.y)
     x_name = args.x_name or Path(args.x).stem
     y_name = args.y_name or Path(args.y).stem
-    lag = int(_resolve({"lag": 1}, file_cfg.get("granger", {}), {"lag": args.lag})["lag"])
+    lag = _parse_lag(_resolve({"lag": 1}, file_cfg.get("granger", {}), {"lag": args.lag})["lag"])
     results = [
         stats.granger_test(x, y, lag=lag, names=(x_name, y_name)),
         stats.granger_test(y, x, lag=lag, names=(y_name, x_name)),
@@ -616,7 +638,9 @@ def _cmd_granger(args, file_cfg):
     return 0
 
 
-def _write_ttest_csv(path, results: dict[str, stats.TTestResult]) -> None:
+def _write_group_compare(path, rows, group_a: str, group_b: str, mode: str) -> dict:
+    """Tables 7-8: per-aspect Welch t-tests between two group selectors."""
+    results = stats.group_compare(rows, _group_selector(group_a), _group_selector(group_b), mode)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -627,18 +651,13 @@ def _write_ttest_csv(path, results: dict[str, stats.TTestResult]) -> None:
                 [aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
                  repr(r.t_stat), repr(r.df), repr(r.p_value), r.stars]
             )
+    return results
 
 
 def _cmd_compare_groups(args, file_cfg):
     _require_paths(("predictions", args.predictions))
     rows = read_prediction_rows(args.predictions)
-    results = stats.group_compare(
-        rows,
-        _group_selector(args.group_a),
-        _group_selector(args.group_b),
-        mode=args.mode,
-    )
-    _write_ttest_csv(args.out, results)
+    results = _write_group_compare(args.out, rows, args.group_a, args.group_b, args.mode)
     _write_meta(
         args.out,
         {"predictions": args.predictions, "group_a": args.group_a,
@@ -652,28 +671,39 @@ def _cmd_compare_groups(args, file_cfg):
     return 0
 
 
+# Granger tables: file, key columns, and the series mode of each key under an aspect
+_GRANGER_TABLES = (
+    ("table5_granger_aspects.csv", ["aspect"], {(): "aspect-proportion"}),
+    ("table6_granger_sentiments.csv", ["aspect", "sentiment"],
+     {("negative",): "negative-proportion", ("nonnegative",): "nonnegative-proportion"}),
+)
+_FIGURE_ASPECTS = [a.value for a in corpus.CONTENT_ASPECTS + (corpus.Aspect.OVERALL,)]
+_FIGURES = {
+    "fig2_daily_counts.csv": {"daily_count": ("count", None)},
+    "fig3_aspect_proportions.csv": {a: ("aspect-proportion", a) for a in _FIGURE_ASPECTS},
+    "fig5_sentiment_proportions.csv": {
+        f"{a}_negative": ("negative-proportion", a) for a in _FIGURE_ASPECTS
+    },
+}
+
+
 def _cmd_report(args, file_cfg):
     section = file_cfg.get("report", {})
     if not section:
         raise PipelineError("report requires a config file with a 'report' section")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lag = int(section.get("lag", 1))
-    window = int(section.get("smoothing_window", 7))
+    lag = _parse_lag(section.get("lag", 1))
+    window = _parse_window(section.get("smoothing_window", 7))
     series_input = section.get("series_input", "raw")  # granger always uses raw series
     emitted = []
 
     if section.get("dataset"):
-        ns = argparse.Namespace(dataset=section["dataset"], out=str(out_dir / "table1_dataset_stats.csv"))
-        _cmd_stats_dataset(ns, file_cfg)
+        _write_dataset_stats(section["dataset"], out_dir / "table1_dataset_stats.csv")
         emitted.append("table1_dataset_stats.csv")
     if section.get("params") and section.get("test"):
-        ns = argparse.Namespace(
-            params=section["params"], dataset=section["test"],
-            out=str(out_dir / "table2_model_performance.csv"),
-            endpoint=None, timeout=None, embed_batch_size=None,
-        )
-        _cmd_eval(ns, file_cfg)
+        _write_eval(section["params"], section["test"],
+                    out_dir / "table2_model_performance.csv", {})
         emitted.append("table2_model_performance.csv")
 
     rows = media_rows = None
@@ -683,91 +713,43 @@ def _cmd_report(args, file_cfg):
         media_rows = read_prediction_rows(section["media_predictions"])
 
     if rows:
-        count = stats.daily_series(rows, "count")
-        smooth = stats.smooth_ma(count, window) if window > 1 else count
-        emit_figure_data({"daily_count": smooth}, out_dir / "fig2_daily_counts.csv")
-        _write_meta(out_dir / "fig2_daily_counts.csv", section)
-        emitted.append("fig2_daily_counts.csv")
-
-        aspect_series = {}
-        sentiment_series = {}
-        start, end = count.start_date, count.end_date
-        for aspect in corpus.CONTENT_ASPECTS + (corpus.Aspect.OVERALL,):
-            name = aspect.value
-            s = stats.daily_series(rows, "aspect-proportion", aspect=name, start=start, end=end)
-            aspect_series[name] = stats.smooth_ma(s, window) if window > 1 else s
-            neg = stats.daily_series(rows, "negative-proportion", aspect=name, start=start, end=end)
-            sentiment_series[f"{name}_negative"] = (
-                stats.smooth_ma(neg, window) if window > 1 else neg
-            )
-        emit_figure_data(aspect_series, out_dir / "fig3_aspect_proportions.csv")
-        _write_meta(out_dir / "fig3_aspect_proportions.csv", section)
-        emit_figure_data(sentiment_series, out_dir / "fig5_sentiment_proportions.csv")
-        _write_meta(out_dir / "fig5_sentiment_proportions.csv", section)
-        emitted += ["fig3_aspect_proportions.csv", "fig5_sentiment_proportions.csv"]
+        for name, columns in _FIGURES.items():
+            emit_figure_data(_series_map(rows, columns, window), out_dir / name)
+            _write_meta(out_dir / name, section)
+            emitted.append(name)
 
     if rows and media_rows:
-        start = min(min(r.day for r in rows), min(r.day for r in media_rows))
-        end = max(max(r.day for r in rows), max(r.day for r in media_rows))
-        smoothed = series_input == "smoothed"
-
-        def _series(source, mode, aspect):
-            s = stats.daily_series(source, mode, aspect=aspect, start=start, end=end)
-            return stats.smooth_ma(s, window) if smoothed else s
-
-        with open(out_dir / "table5_granger_aspects.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["aspect", "direction", "lag", "n_used", "F", "p"])
-            for aspect in corpus.A_USED:
-                name = aspect.value
-                media = _series(media_rows, "aspect-proportion", name)
-                public = _series(rows, "aspect-proportion", name)
-                for cause, effect, label in (
-                    (media, public, "media->public"),
-                    (public, media, "public->media"),
-                ):
-                    try:
-                        r = stats.granger_test(cause, effect, lag=lag, names=(label, name))
-                        writer.writerow([name, label, r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)])
-                    except PipelineError:
-                        writer.writerow([name, label, lag, "", "", ""])
-        _write_meta(out_dir / "table5_granger_aspects.csv", section)
-        emitted.append("table5_granger_aspects.csv")
-
-        with open(out_dir / "table6_granger_sentiments.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["aspect", "sentiment", "direction", "lag", "n_used", "F", "p"])
-            for aspect in corpus.A_USED:
-                name = aspect.value
-                for mode, label in (
-                    ("negative-proportion", "negative"),
-                    ("nonnegative-proportion", "nonnegative"),
-                ):
-                    media = _series(media_rows, mode, name)
-                    public = _series(rows, mode, name)
-                    for cause, effect, direction in (
-                        (media, public, "media->public"),
-                        (public, media, "public->media"),
-                    ):
+        # both sources over the union of their days; a pair too short or
+        # degenerate for the test is a row with blank cells
+        days = {r.day for r in rows} | {r.day for r in media_rows}
+        granger_window = window if series_input == "smoothed" else 1
+        for name, key_columns, modes in _GRANGER_TABLES:
+            columns = {(a.value, *key): (mode, a.value)
+                       for a in corpus.A_USED for key, mode in modes.items()}
+            media, public = (_series_map(source, columns, granger_window, min(days), max(days))
+                             for source in (media_rows, rows))
+            with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(key_columns + ["direction", "lag", "n_used", "F", "p"])
+                for key in columns:
+                    for cause, effect, direction in ((media[key], public[key], "media->public"),
+                                                     (public[key], media[key], "public->media")):
                         try:
-                            r = stats.granger_test(cause, effect, lag=lag, names=(direction, name))
-                            writer.writerow(
-                                [name, label, direction, r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-                            )
+                            r = stats.granger_test(cause, effect, lag=lag,
+                                                   names=(direction, key[0]))
+                            cells = [r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
                         except PipelineError:
-                            writer.writerow([name, label, direction, lag, "", "", ""])
-        _write_meta(out_dir / "table6_granger_sentiments.csv", section)
-        emitted.append("table6_granger_sentiments.csv")
+                            cells = [lag, "", "", ""]
+                        writer.writerow([*key, direction, *cells])
+            _write_meta(out_dir / name, section)
+            emitted.append(name)
 
     if rows and section.get("group_a") and section.get("group_b"):
-        sel_a = _group_selector(section["group_a"])
-        sel_b = _group_selector(section["group_b"])
         for mode, name in (
             ("aspect-proportion", "table7_group_aspects.csv"),
             ("sentiment-mean", "table8_group_sentiments.csv"),
         ):
-            results = stats.group_compare(rows, sel_a, sel_b, mode=mode)
-            _write_ttest_csv(out_dir / name, results)
+            _write_group_compare(out_dir / name, rows, section["group_a"], section["group_b"], mode)
             _write_meta(out_dir / name, section)
             emitted.append(name)
 
@@ -780,16 +762,20 @@ def _cmd_report(args, file_cfg):
 # --- parser ---
 
 
+def _add_endpoint_flags(sub):
+    sub.add_argument("--endpoint")
+    sub.add_argument("--timeout", type=float)
+    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+
+
 def _add_provider_flags(sub):
     sub.add_argument("--provider", choices=["native-hashed", "remote"])
     sub.add_argument("--ngram-max", type=int, dest="ngram_max")
     sub.add_argument("--dim", type=int)
     sub.add_argument("--hash-seed", type=int, dest="hash_seed")
-    sub.add_argument("--endpoint")
     sub.add_argument("--sentiment-endpoint", dest="sentiment_endpoint",
                      help="second remote endpoint for distinct sentiment-stage embeddings")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+    _add_endpoint_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -849,17 +835,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--params", required=True)
     sub.add_argument("--dataset", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--endpoint")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+    _add_endpoint_flags(sub)
 
     sub = add("infer", _cmd_infer, "two-stage predictions for a corpus")
     sub.add_argument("--params", required=True)
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--endpoint")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+    _add_endpoint_flags(sub)
 
     sub = add("augment-candidates", _cmd_augment_candidates,
               "high-confidence unlabeled texts per aspect, for human labeling")
@@ -868,9 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     sub.add_argument("--threshold", type=float)
     sub.add_argument("--cap", type=int)
-    sub.add_argument("--endpoint")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+    _add_endpoint_flags(sub)
 
     sub = add("series", _cmd_series, "daily series (counts/proportions) from predictions")
     sub.add_argument("--predictions", required=True)
@@ -909,7 +889,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        file_cfg = _load_config_file(getattr(args, "config", None))
+        file_cfg = _load_config_file(args.config)
         return args.func(args, file_cfg)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

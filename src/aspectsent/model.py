@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,6 +87,9 @@ class TrainConfig:
     sentiment_threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
@@ -223,6 +227,24 @@ def full_loss(h, t_a, t_y, mask, params, h_y=None) -> float:
     )
 
 
+def _sgd_epoch(params: HeadParams, order: np.ndarray, config: TrainConfig, batch_grads) -> None:
+    """One epoch of mini-batch descent over the examples in `order`, in place.
+
+    `batch_grads(idx, params)` returns the batch's summed `HeadGrads`; the
+    update divides it by the batch size so the learning rate is batch-size
+    independent, and L2 weight decay shrinks the weight matrices only.
+    """
+    decay = config.learning_rate * config.weight_decay
+    for start in range(0, len(order), config.batch_size):
+        idx = order[start : start + config.batch_size]
+        g = batch_grads(idx, params)
+        scale = config.learning_rate / len(idx)
+        params.W_a -= scale * g.W_a + decay * params.W_a
+        params.b_a -= scale * g.b_a
+        params.W_y -= scale * g.W_y + decay * params.W_y
+        params.b_y -= scale * g.b_y
+
+
 def train(
     train_set: Sequence[ModelExample],
     dev_set: Sequence[ModelExample],
@@ -231,13 +253,11 @@ def train(
     provider_y=None,
     epoch_callback=None,
 ) -> HeadParams:
-    """Mini-batch gradient descent on the summed BCE losses.
+    """Mini-batch gradient descent (`_sgd_epoch`) on the summed BCE losses.
 
-    The update divides the summed batch gradient by the batch size so the
-    learning rate is batch-size independent, with optional L2 weight decay on
-    the weight matrices. Deterministic under `config.seed`. Returns the
-    parameters with the best dev-set aspect-stage macro F1 (pooled over all
-    slots) seen at any epoch end; with an empty dev set, the final epoch wins.
+    Deterministic under `config.seed`. Returns the parameters with the best
+    dev-set aspect-stage macro F1 (pooled over all slots) seen at any epoch
+    end; with an empty dev set, the final epoch wins.
     `epoch_callback(epoch, full_train_loss)`, when given, observes each epoch.
     """
     if not train_set:
@@ -259,16 +279,8 @@ def train(
     best_score = -math.inf
     best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            g = gradients(h[idx], t_a[idx], t_y[idx], mask[idx], params, h_y[idx])
-            scale = config.learning_rate / len(idx)
-            decay = config.learning_rate * config.weight_decay
-            params.W_a -= scale * g.W_a + decay * params.W_a
-            params.b_a -= scale * g.b_a
-            params.W_y -= scale * g.W_y + decay * params.W_y
-            params.b_y -= scale * g.b_y
+        _sgd_epoch(params, rng.permutation(n), config,
+                   lambda idx, p: gradients(h[idx], t_a[idx], t_y[idx], mask[idx], p, h_y[idx]))
         epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
         if not (params.is_finite() and math.isfinite(epoch_loss)):
             raise TrainingError(f"training diverged at epoch {epoch}")
@@ -298,7 +310,7 @@ class Prediction:
     sentiment: dict[Aspect, SentimentCall]
 
 
-def _prediction_from_probs(p_a, p_y, config: TrainConfig) -> Prediction:
+def _prediction_from_probs(p_a, p_y, config: TrainConfig | ModelBundle) -> Prediction:
     detected = frozenset(a for a in A_USED if p_a[ASPECT_INDEX[a]] >= config.aspect_threshold)
     sentiment = {}
     for a in A_USED:
@@ -314,24 +326,32 @@ def _prediction_from_probs(p_a, p_y, config: TrainConfig) -> Prediction:
     return Prediction(aspect_probs=np.asarray(p_a, dtype=float), detected=detected, sentiment=sentiment)
 
 
+def predict_probs(
+    texts: Sequence[str], provider, params: HeadParams, provider_y=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed `texts` and run both heads: (aspect probs, P(Negative)), each n x |A_used|."""
+    h = provider.embed(list(texts))
+    h_y = provider_y.embed(list(texts)) if provider_y is not None else h
+    return forward_aspect(h, params), forward_sentiment(h_y, params)
+
+
 def predict_batch(
     texts: Sequence[str],
     provider,
     params: HeadParams,
-    config: TrainConfig,
+    config: TrainConfig | ModelBundle,
     provider_y=None,
 ) -> list[Prediction]:
     """Two-stage inference: threshold aspects, then sentiment for detected ones."""
     if not texts:
         return []
-    h = provider.embed(list(texts))
-    h_y = provider_y.embed(list(texts)) if provider_y is not None else h
-    p_a = forward_aspect(h, params)
-    p_y = forward_sentiment(h_y, params)
+    p_a, p_y = predict_probs(texts, provider, params, provider_y)
     return [_prediction_from_probs(p_a[i], p_y[i], config) for i in range(len(texts))]
 
 
-def predict(text: str, provider, params: HeadParams, config: TrainConfig, provider_y=None) -> Prediction:
+def predict(
+    text: str, provider, params: HeadParams, config: TrainConfig | ModelBundle, provider_y=None
+) -> Prediction:
     return predict_batch([text], provider, params, config, provider_y)[0]
 
 
@@ -344,9 +364,10 @@ def train_svm_baseline(
 
     Subgradient descent on hinge loss with L2 regularization, one detector
     per aspect and one Negative-vs-NonNegative classifier per aspect
-    (sentiment slots masked as in the main model). Returns parameters plus
-    the unigram provider; `predict` then works unchanged, since the margins
-    pass through the logistic and margin >= 0 lands at probability >= 0.5.
+    (sentiment slots masked as in the main model), by the same `_sgd_epoch`
+    loop as `train` from zero weights. Returns parameters plus the unigram
+    provider; `predict` then works unchanged, since the margins pass through
+    the logistic and margin >= 0 lands at probability >= 0.5.
     """
     if not train_set:
         raise ModelError("empty training set")
@@ -356,35 +377,24 @@ def train_svm_baseline(
     t_a, t_y, mask = _stack_examples(train_set)
     s_a = 2.0 * t_a - 1.0
     s_y = 2.0 * t_y - 1.0
-    n = len(train_set)
     k = len(A_USED)
 
-    W_a = np.zeros((k, provider.dim))
-    b_a = np.zeros(k)
-    W_y = np.zeros((k, provider.dim))
-    b_y = np.zeros(k)
+    def margin_grads(idx, p):
+        # subgradient of sum(max(0, 1 - s * margin)): -s where the hinge is active
+        hb = h[idx]
+        coef_a = -s_a[idx] * (1.0 - s_a[idx] * (hb @ p.W_a.T + p.b_a) > 0).astype(float)
+        active_y = (1.0 - s_y[idx] * (hb @ p.W_y.T + p.b_y) > 0).astype(float) * mask[idx]
+        coef_y = -s_y[idx] * active_y
+        return HeadGrads(coef_a.T @ hb, coef_a.sum(axis=0), coef_y.T @ hb, coef_y.sum(axis=0))
 
+    params = HeadParams(np.zeros((k, provider.dim)), np.zeros(k),
+                        np.zeros((k, provider.dim)), np.zeros(k))
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            hb = h[idx]
-            scale = config.learning_rate / len(idx)
-
-            m_a = hb @ W_a.T + b_a
-            active = (1.0 - s_a[idx] * m_a > 0).astype(float)
-            coef = -s_a[idx] * active
-            W_a -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_a
-            b_a -= scale * coef.sum(axis=0)
-
-            m_y = hb @ W_y.T + b_y
-            active = ((1.0 - s_y[idx] * m_y > 0).astype(float)) * mask[idx]
-            coef = -s_y[idx] * active
-            W_y -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_y
-            b_y -= scale * coef.sum(axis=0)
-
-    return HeadParams(W_a, b_a, W_y, b_y), provider
+        _sgd_epoch(params, rng.permutation(len(train_set)), config, margin_grads)
+    if not params.is_finite():
+        raise TrainingError("hinge baseline training diverged")
+    return params, provider
 
 
 @dataclass
@@ -440,24 +450,29 @@ def save_params(path, bundle: ModelBundle) -> None:
 
 
 def load_params(path) -> ModelBundle:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise ModelError(f"unsupported parameter file version {version!r}")
-    if doc.get("aspects") != [a.value for a in A_USED]:
-        raise ModelError("parameter file was trained with a different aspect set")
-    tensors = doc["tensors"]
-    params = HeadParams(
-        W_a=_tensor_from_obj(tensors["W_a"]),
-        b_a=_tensor_from_obj(tensors["b_a"]),
-        W_y=_tensor_from_obj(tensors["W_y"]),
-        b_y=_tensor_from_obj(tensors["b_y"]),
-    )
-    return ModelBundle(
-        params=params,
-        provider_config=doc["provider"],
-        aspect_threshold=float(doc["aspect_threshold"]),
-        sentiment_threshold=float(doc["sentiment_threshold"]),
-        objective=doc.get("objective", "bce"),
-    )
+    """Read a `save_params` file; a malformed one is a `ModelError` naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        version = doc.get("format_version")
+        if version != PARAMS_FORMAT_VERSION:
+            raise ModelError(f"unsupported parameter file version {version!r}")
+        if doc.get("aspects") != [a.value for a in A_USED]:
+            raise ModelError("parameter file was trained with a different aspect set")
+        tensors = doc["tensors"]
+        params = HeadParams(
+            W_a=_tensor_from_obj(tensors["W_a"]),
+            b_a=_tensor_from_obj(tensors["b_a"]),
+            W_y=_tensor_from_obj(tensors["W_y"]),
+            b_y=_tensor_from_obj(tensors["b_y"]),
+        )
+        return ModelBundle(
+            params=params,
+            provider_config=dict(doc["provider"]),
+            aspect_threshold=float(doc["aspect_threshold"]),
+            sentiment_threshold=float(doc["sentiment_threshold"]),
+            objective=doc.get("objective", "bce"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON, UTF-8 and base64, and bad tensor shapes
+        raise ModelError(f"bad parameter file {path}: {type(exc).__name__}: {exc}") from None

@@ -248,23 +248,14 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    # log of x^a (1-x)^b / B(a, b); each branch sums it in its own order, so
+    # that published p-values stay the same to the last bit
+    ln_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    a_log_x = a * math.log(x)
+    b_log_1mx = b * math.log1p(-x)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + b * math.log1p(-x)
-        + a * math.log(x)
-    ) * _betacf(b, a, 1.0 - x) / b
+        return math.exp(ln_beta + a_log_x + b_log_1mx) * _betacf(a, b, x) / a
+    return 1.0 - math.exp(ln_beta + b_log_1mx + a_log_x) * _betacf(b, a, 1.0 - x) / b
 
 
 def f_pvalue(f_stat: float, d1: float, d2: float) -> float:

@@ -18,7 +18,7 @@ from aspectsent.features import provider_from_config
 from aspectsent.stats import DailySeries
 
 from conftest import corpus_line
-from datetime import date
+from datetime import date, timedelta
 
 D0 = date(2020, 3, 1)
 
@@ -704,29 +704,33 @@ class TestEmitFigureData:
             emit_figure_data(series, tmp_path / "fig.csv")
 
 
+def _report_rows():
+    """400 rows over 40 days; Foreign and Situation are never detected."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(400):
+        day = D0 + timedelta(days=i % 40)
+        detected = set()
+        negatives = set()
+        for aspect in ("Politics", "Measures", "Racism"):
+            if rng.random() < 0.4:
+                detected.add(aspect)
+                if rng.random() < 0.5:
+                    negatives.add(aspect)
+        rows.append(stats.PredictionRow(
+            id=f"m{i}", day=day, detected=frozenset(detected),
+            negatives=frozenset(negatives),
+            bot_flag=bool(rng.random() < 0.3),
+        ))
+    return rows
+
+
 class TestReport:
     def test_full_bundle(self, tmp_path, trained_params):
         params, splits = trained_params
         public = tmp_path / "public.jsonl"
         media = tmp_path / "media.jsonl"
-        rng = np.random.default_rng(3)
-        rows = []
-        from datetime import timedelta
-
-        for i in range(400):
-            day = D0 + timedelta(days=i % 40)
-            detected = set()
-            negatives = set()
-            for aspect in ("Politics", "Measures", "Racism"):
-                if rng.random() < 0.4:
-                    detected.add(aspect)
-                    if rng.random() < 0.5:
-                        negatives.add(aspect)
-            rows.append(stats.PredictionRow(
-                id=f"m{i}", day=day, detected=frozenset(detected),
-                negatives=frozenset(negatives),
-                bot_flag=bool(rng.random() < 0.3),
-            ))
+        rows = _report_rows()
         _write_predictions(public, rows)
         _write_predictions(media, rows[::3])
 
@@ -773,6 +777,87 @@ class TestReport:
         assert "fig2_daily_counts.csv" in names
         assert "table5_granger_aspects.csv" not in names  # no media predictions
         assert "table1_dataset_stats.csv" not in names  # no dataset
+
+    DIRECTIONS = ("media->public", "public->media")
+
+    @pytest.mark.parametrize("series_input", ["raw", "smoothed"])
+    @pytest.mark.parametrize("media_span", ["every-third-row", "first-two-days"])
+    def test_tables_equal_the_stage_outputs(self, tmp_path, trained_params, series_input,
+                                            media_span):
+        params, splits = trained_params
+        rows = _report_rows()
+        media_rows = (rows[::3] if media_span == "every-third-row"
+                      else [r for r in rows if r.day < D0 + timedelta(days=2)])
+        public, media = tmp_path / "public.jsonl", tmp_path / "media.jsonl"
+        _write_predictions(public, rows)
+        _write_predictions(media, media_rows)
+        window = 5
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"report": {
+            "dataset": str(splits / "train.jsonl"), "params": str(params),
+            "test": str(splits / "test.jsonl"), "predictions": str(public),
+            "media_predictions": str(media), "lag": 1, "smoothing_window": window,
+            "series_input": series_input, "group_a": "bots", "group_b": "users",
+        }}), encoding="utf-8")
+        out_dir = tmp_path / "report"
+        assert main(["report", "-c", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+
+        table1, table2 = tmp_path / "table1.csv", tmp_path / "table2.csv"
+        assert main(["stats-dataset", "--dataset", str(splits / "train.jsonl"),
+                     "--out", str(table1)]) == 0
+        assert main(["eval", "--params", str(params), "--dataset", str(splits / "test.jsonl"),
+                     "--out", str(table2)]) == 0
+        assert (out_dir / "table1_dataset_stats.csv").read_bytes() == table1.read_bytes()
+        assert (out_dir / "table2_model_performance.csv").read_bytes() == table2.read_bytes()
+        for mode, name in (("aspect-proportion", "table7_group_aspects.csv"),
+                           ("sentiment-mean", "table8_group_sentiments.csv")):
+            compared = tmp_path / name
+            assert main(["compare-groups", "--predictions", str(public), "--group-a", "bots",
+                         "--group-b", "users", "--mode", mode, "--out", str(compared)]) == 0
+            assert (out_dir / name).read_bytes() == compared.read_bytes()
+
+        public_rows, media_rows = read_prediction_rows(public), read_prediction_rows(media)
+        days = [r.day for r in public_rows + media_rows]
+
+        def expected(mode, aspect, direction):
+            series = []
+            for source in (media_rows, public_rows):
+                s = stats.daily_series(source, mode, aspect=aspect, start=min(days), end=max(days))
+                series.append(stats.smooth_ma(s, window) if series_input == "smoothed" else s)
+            cause, effect = series if direction == "media->public" else series[::-1]
+            try:
+                r = stats.granger_test(cause, effect, lag=1)
+            except PipelineError:
+                return ["1", "", "", ""]
+            return [str(r.lag), str(r.n_used), repr(r.f_stat), repr(r.p_value)]
+
+        def cells(row):
+            return [row["lag"], row["n_used"], row["F"], row["p"]]
+
+        with open(out_dir / "table5_granger_aspects.csv", encoding="utf-8") as fh:
+            table5 = list(csv.DictReader(fh))
+        assert [(r["aspect"], r["direction"]) for r in table5] == [
+            (a.value, d) for a in corpus.A_USED for d in self.DIRECTIONS
+        ]
+        for r in table5:
+            assert cells(r) == expected("aspect-proportion", r["aspect"], r["direction"])
+
+        with open(out_dir / "table6_granger_sentiments.csv", encoding="utf-8") as fh:
+            table6 = list(csv.DictReader(fh))
+        assert [(r["aspect"], r["sentiment"], r["direction"]) for r in table6] == [
+            (a.value, s, d) for a in corpus.A_USED for s in ("negative", "nonnegative")
+            for d in self.DIRECTIONS
+        ]
+        for r in table6:
+            mode = f"{r['sentiment']}-proportion"
+            assert cells(r) == expected(mode, r["aspect"], r["direction"])
+
+        blank = [r for r in table5 + table6 if r["n_used"] == ""]
+        assert all(cells(r) == ["1", "", "", ""] for r in blank)
+        if media_span == "first-two-days":  # too short for any test at lag 1
+            assert len(blank) == len(table5) + len(table6)
+        else:
+            assert 0 < len(blank) < len(table5) + len(table6)
 
 
 class _DeterministicEmbedHandler(BaseHTTPRequestHandler):
@@ -863,6 +948,66 @@ class TestRemoteProviderIntegration:
         out = tmp_path / "pred.jsonl"
         assert main(["infer", "--params", str(params), "--corpus", str(fixture),
                      "--endpoint", embed_service, "--out", str(out)]) == 0
+
+
+_PARAMS_WITHOUT_TENSORS = json.dumps({
+    "format_version": 1, "aspects": [a.value for a in corpus.A_USED],
+    "provider": {"kind": "native-hashed"}, "aspect_threshold": 0.5, "sentiment_threshold": 0.5,
+})
+_TRAIN = ["train", "--train", "{d}/train.jsonl", "--params-out", "{d}/p.json"]
+_EVAL = ["eval", "--params", "{d}/params.json", "--dataset", "{d}/train.jsonl",
+         "--out", "{d}/e.csv"]
+_REPORT = ["report", "-c", "{d}/config.json", "--out-dir", "{d}/r"]
+_SERIES = ["series", "--predictions", "{d}/pred.jsonl", "--out", "{d}/s.csv"]
+
+
+def _report_config(**section):
+    return json.dumps({"report": {"predictions": "{d}/pred.jsonl", **section}})
+
+
+class TestDomainErrors:
+    """Bad settings and bad input files exit 1 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("file_name, content, argv", [
+        ("config.json", "{not json", _REPORT),
+        ("config.json", '{"train": {"epochs": "x"}}', _TRAIN[:1] + ["-c", "{d}/config.json"]
+         + _TRAIN[1:]),
+        ("config.json", '{"train": {"epochs": 2.5}}', _TRAIN[:1] + ["-c", "{d}/config.json"]
+         + _TRAIN[1:]),
+        (None, None, _TRAIN + ["--dim", "64"]),
+        (None, None, _TRAIN + ["--dim", "64", "--objective", "hinge"]),
+        ("params.json", _PARAMS_WITHOUT_TENSORS, _EVAL),
+        ("params.json", "not json", _EVAL),
+        (None, None, _SERIES + ["--smooth-window", "2"]),
+        ("config.json", _report_config(smoothing_window=2), _REPORT),
+        ("config.json", _report_config(lag="x"), _REPORT),
+        ("config.json", _report_config(lag=0, media_predictions="{d}/pred.jsonl"), _REPORT),
+        (None, None, ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--lag", "0",
+                      "--out", "{d}/g.csv"]),
+        ("config.json", '{"split": {"seed": "x"}}',
+         ["split", "-c", "{d}/config.json", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/s"]),
+        ("config.json", '{"augment": {"cap": "x"}}',
+         ["augment-candidates", "-c", "{d}/config.json", "--params", "{d}/params.json",
+          "--pool", "{d}/train.jsonl", "--out", "{d}/c.jsonl"]),
+    ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
+            "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
+            "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
+            "split-seed-string", "augment-cap-string"])
+    def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv):
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
+        stats.write_series_csv(tmp_path / "s.csv", DailySeries(D0, [float(i % 3) for i in range(9)]))
+        k, dim = len(corpus.A_USED), 1024
+        model.save_params(tmp_path / "params.json", model.ModelBundle(
+            model.HeadParams(np.zeros((k, dim)), np.zeros(k), np.zeros((k, dim)), np.zeros(k)),
+            {"kind": "native-hashed", "dim": dim}))
+        if file_name:  # replaces a valid input by a bad one
+            (tmp_path / file_name).write_text(content.replace("{d}", str(tmp_path)),
+                                              encoding="utf-8")
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestConfigPrecedence:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspectsent.corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
+from aspectsent import synth
+from aspectsent.corpus import (
+    A_USED,
+    ASPECT_INDEX,
+    Aspect,
+    BinarySentiment,
+    ModelExample,
+    example_from_obj,
+    to_model_example,
+)
 from aspectsent.features import HashedFeatureConfig, HashedProvider
 from aspectsent.model import (
     HeadParams,
@@ -464,6 +473,54 @@ class TestSvmBaseline:
         p2, _ = train_svm_baseline(examples, cfg)
         assert np.array_equal(p1.W_a, p2.W_a)
         assert np.array_equal(p1.W_y, p2.W_y)
+
+    @staticmethod
+    def reference_hinge(examples, config, provider):
+        """The baseline's subgradient loop written out on its own, as the oracle."""
+        h = provider.embed([e.text for e in examples])
+        t_a = np.stack([e.aspect_targets for e in examples]).astype(float)
+        t_y = np.stack([e.sentiment_targets for e in examples]).astype(float)
+        mask = np.stack([e.sentiment_mask for e in examples]).astype(float)
+        s_a = 2.0 * t_a - 1.0
+        s_y = 2.0 * t_y - 1.0
+        n = len(examples)
+        W_a = np.zeros((K, provider.dim))
+        b_a = np.zeros(K)
+        W_y = np.zeros((K, provider.dim))
+        b_y = np.zeros(K)
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                hb = h[idx]
+                scale = config.learning_rate / len(idx)
+
+                m_a = hb @ W_a.T + b_a
+                active = (1.0 - s_a[idx] * m_a > 0).astype(float)
+                coef = -s_a[idx] * active
+                W_a -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_a
+                b_a -= scale * coef.sum(axis=0)
+
+                m_y = hb @ W_y.T + b_y
+                active = ((1.0 - s_y[idx] * m_y > 0).astype(float)) * mask[idx]
+                coef = -s_y[idx] * active
+                W_y -= scale * (coef.T @ hb) + config.learning_rate * config.weight_decay * W_y
+                b_y -= scale * coef.sum(axis=0)
+        return W_a, b_a, W_y, b_y
+
+    @pytest.mark.parametrize("batch_size", [7, 32])
+    def test_matches_reference_loop_with_decay_and_ragged_batches(self, batch_size):
+        records = synth.make_dataset_records(45, seed=3)  # 45 = 6*7 + 3 = 32 + 13
+        examples = [to_model_example(example_from_obj(r)) for r in records]
+        cfg = TrainConfig(learning_rate=0.3, epochs=6, batch_size=batch_size,
+                          weight_decay=0.01, seed=8)
+        fc = HashedFeatureConfig(ngram_max=1, dim=1024)
+        params, _ = train_svm_baseline(examples, cfg, fc)
+        expected = self.reference_hinge(examples, cfg, HashedProvider(fc))
+        got = (params.W_a, params.b_a, params.W_y, params.b_y)
+        for name, g, e in zip(("W_a", "b_a", "W_y", "b_y"), got, expected):
+            assert np.array_equal(g, e), name
 
 
 class TestParamsIO:

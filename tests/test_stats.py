@@ -253,6 +253,36 @@ class TestDistributionFunctions:
                 float(special.betainc(a, b, x)), abs=1e-12
             )
 
+    @staticmethod
+    def reference_betainc(a, b, x):
+        """`betainc_reg` with its log prefactor written out once per branch."""
+        from aspectsent.stats import _betacf
+
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        front = math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * math.log(x) + b * math.log1p(-x)
+        )
+        if x < (a + 1.0) / (a + b + 2.0):
+            return front * _betacf(a, b, x) / a
+        return 1.0 - math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + b * math.log1p(-x) + a * math.log(x)
+        ) * _betacf(b, a, 1.0 - x) / b
+
+    @given(
+        d1=st.integers(1, 12), d2=st.integers(1, 400),
+        f=st.floats(0.0, 1e4, exclude_min=True, allow_subnormal=False),
+    )
+    def test_betainc_bit_identical_to_reference(self, d1, d2, f):
+        # the arguments f_pvalue passes for Granger and Welch statistics
+        a, b, x = d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f)
+        assert betainc_reg(a, b, x) == self.reference_betainc(a, b, x)
+        assert betainc_reg(b, a, 1.0 - x) == self.reference_betainc(b, a, 1.0 - x)
+
     def test_t_tail_against_scipy(self):
         from scipy import stats as sps
 
