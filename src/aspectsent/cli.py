@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corpus, evaluation, ingest, model, stats
+from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
 from .features import iter_chunks, provider_to_config, providers_from_config
 from .stats import DailySeries, PredictionRow
@@ -50,14 +49,10 @@ TRAIN_DEFAULTS = {**dataclasses.asdict(model.TrainConfig()), "learning_rate": No
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:  # invalid JSON or UTF-8
-            raise PipelineError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise PipelineError(f"config file {path} must contain a JSON object")
-    return cfg
+    try:
+        return files.json_object(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or JSON, or not an object
+        raise PipelineError(f"config file {path} is not a JSON object: {exc}") from None
 
 
 def _resolve(defaults: dict, file_section: dict, flag_values: dict) -> dict:
@@ -83,31 +78,7 @@ def _write_meta(out_path, effective_config: dict, seed=None, counts=None) -> Non
     }
     if counts is not None:
         meta["counts"] = counts
-    Path(f"{out_path}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-@contextmanager
-def _atomic_path(path):
-    """Yield a temp path in `path`'s directory to write `path` through: it is
-    renamed into place only on success; on any error it is removed and `path`
-    is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-@contextmanager
-def _atomic_output(path):
-    """`_atomic_path`, opened as a UTF-8 text file."""
-    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
+    files.write_json(f"{out_path}.meta.json", meta, indent=2)
 
 
 @contextmanager
@@ -260,32 +231,23 @@ def _prediction_to_obj(tweet: ingest.RawTweet, pred: model.Prediction) -> dict:
     }
 
 
+def _prediction_row(obj: dict) -> PredictionRow:
+    detected = frozenset(obj["detected"])
+    negatives = frozenset(
+        a for a, s in (obj.get("sentiment") or {}).items() if s.get("label") == "Negative"
+    )
+    return PredictionRow(
+        id=obj["id"],
+        day=date.fromisoformat(obj["date"]),
+        detected=detected,
+        negatives=negatives & detected,
+        group_tags=frozenset(obj.get("group_tags") or ()),
+        bot_flag=obj.get("bot_flag"),
+    )
+
+
 def read_prediction_rows(path) -> list[PredictionRow]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                detected = frozenset(obj["detected"])
-                negatives = frozenset(
-                    a for a, s in (obj.get("sentiment") or {}).items()
-                    if s.get("label") == "Negative"
-                )
-                rows.append(
-                    PredictionRow(
-                        id=obj["id"],
-                        day=date.fromisoformat(obj["date"]),
-                        detected=detected,
-                        negatives=negatives & detected,
-                        group_tags=frozenset(obj.get("group_tags") or ()),
-                        bot_flag=obj.get("bot_flag"),
-                    )
-                )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise PipelineError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-    return rows
+    return list(files.read_jsonl(path, _prediction_row, "prediction"))
 
 
 def _group_selector(spec: str):
@@ -312,15 +274,11 @@ def emit_figure_data(series_map: dict[str, DailySeries], path) -> None:
     for name, s in series_map.items():
         if s.start_date != first.start_date or len(s) != len(first):
             raise PipelineError(f"series {name!r} is misaligned with the others")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(series_map))
-        for i in range(len(first)):
-            row = [first.date_at(i).isoformat()]
-            for s in series_map.values():
-                v = s.values[i]
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
+    files.write_csv(path, ["date"] + list(series_map), (
+        [first.date_at(i).isoformat()]
+        + ["" if s.values[i] is None else repr(s.values[i]) for s in series_map.values()]
+        for i in range(len(first))
+    ))
 
 
 def _parse_select(spec: str) -> tuple[str, str | None]:
@@ -380,8 +338,8 @@ def _cmd_ingest(args, file_cfg):
         )
     except (TypeError, ValueError) as exc:
         raise PipelineError(f"bad ingest settings: {exc}") from None
-    with _atomic_path(args.out) as tmp, _rereadable(args.corpus, args.out) as corpus_path:
-        counts = ingest.ingest_file(corpus_path, spec, tmp, name=args.corpus)
+    with _rereadable(args.corpus, args.out) as corpus_path:
+        counts = ingest.ingest_file(corpus_path, spec, args.out, name=args.corpus)
     _write_meta(args.out, section, seed=spec.seed, counts=counts)
     print(f"ingest: kept {counts['kept']} tweets -> {args.out}")
     return 0
@@ -405,18 +363,14 @@ def _write_dataset_stats(dataset_path, out) -> None:
     """Table 1: per-aspect and per-sentiment counts of a labeled dataset."""
     _require_paths(("dataset", dataset_path))
     table = corpus.dataset_stats(corpus.read_dataset(dataset_path))
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
-             "count_aspect", "percent_of_corpus"]
-        )
-        for row in table.rows:
-            for sentiment, cell in row.sentiments.items():
-                writer.writerow(
-                    [row.aspect, sentiment, cell.count, f"{cell.percent:.1f}",
-                     row.count, f"{row.percent_of_corpus:.1f}"]
-                )
+    files.write_csv(
+        out,
+        ["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
+         "count_aspect", "percent_of_corpus"],
+        ([row.aspect, sentiment, cell.count, f"{cell.percent:.1f}",
+          row.count, f"{row.percent_of_corpus:.1f}"]
+         for row in table.rows for sentiment, cell in row.sentiments.items()),
+    )
     _write_meta(out, {"dataset": dataset_path})
     print(f"stats-dataset: {table.total} examples")
     for row in table.rows:
@@ -536,14 +490,14 @@ def _cmd_eval(args, file_cfg):
 def _cmd_infer(args, file_cfg):
     bundle, provider, provider_y = _load_bundle_and_provider(args.params, _endpoint_flags(args))
     _require_paths(("corpus", args.corpus))
-    count = 0
-    with _atomic_output(args.out) as fh:
+
+    def predictions():
         for tweets in iter_chunks(ingest.iter_corpus(args.corpus)):
-            predictions = model.predict_batch([t.text for t in tweets], provider, bundle.params,
-                                              bundle, provider_y=provider_y)
-            for tweet, pred in zip(tweets, predictions):
-                fh.write(json.dumps(_prediction_to_obj(tweet, pred), ensure_ascii=False) + "\n")
-            count += len(tweets)
+            preds = model.predict_batch([t.text for t in tweets], provider, bundle.params,
+                                        bundle, provider_y=provider_y)
+            yield from map(_prediction_to_obj, tweets, preds)
+
+    count = files.write_jsonl(args.out, predictions())
     _write_meta(args.out, {"params": args.params, "corpus": args.corpus})
     print(f"infer: {count} tweets -> {args.out}")
     return 0
@@ -565,24 +519,13 @@ def _cmd_augment_candidates(args, file_cfg):
     candidates = corpus.select_confident(
         pool, provider, bundle.params, threshold=threshold, cap=cap
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for aspect in corpus.A_USED:
-            for cand in candidates.get(aspect, []):
-                fh.write(
-                    json.dumps(
-                        {
-                            "aspect": aspect.value,
-                            "id": cand.tweet_id,
-                            "text": cand.text,
-                            "probability": cand.probability,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+    total = files.write_jsonl(args.out, (
+        {"aspect": aspect.value, "id": cand.tweet_id, "text": cand.text,
+         "probability": cand.probability}
+        for aspect in corpus.A_USED for cand in candidates.get(aspect, [])
+    ))
     _write_meta(args.out, {"params": args.params, "pool": args.pool,
                            "threshold": threshold, "cap": cap})
-    total = sum(len(v) for v in candidates.values())
     print(f"augment-candidates: {total} candidates -> {args.out}")
     return 0
 
@@ -625,13 +568,10 @@ def _cmd_granger(args, file_cfg):
         stats.granger_test(x, y, lag=lag, names=(x_name, y_name)),
         stats.granger_test(y, x, lag=lag, names=(y_name, x_name)),
     ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cause", "effect", "lag", "n_used", "F", "p"])
-        for r in results:
-            writer.writerow(
-                [r.direction[0], r.direction[1], r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-            )
+    files.write_csv(args.out, ["cause", "effect", "lag", "n_used", "F", "p"], (
+        [r.direction[0], r.direction[1], r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
+        for r in results
+    ))
     _write_meta(args.out, {"x": args.x, "y": args.y, "lag": lag})
     for r in results:
         print(f"granger: {r.direction[0]} -> {r.direction[1]}: F={r.f_stat:.4f} p={r.p_value:.4f}")
@@ -641,16 +581,12 @@ def _cmd_granger(args, file_cfg):
 def _write_group_compare(path, rows, group_a: str, group_b: str, mode: str) -> dict:
     """Tables 7-8: per-aspect Welch t-tests between two group selectors."""
     results = stats.group_compare(rows, _group_selector(group_a), _group_selector(group_b), mode)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["aspect", "group_a_mean", "group_b_mean", "difference", "t", "df", "p", "stars"]
-        )
-        for aspect, r in results.items():
-            writer.writerow(
-                [aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
-                 repr(r.t_stat), repr(r.df), repr(r.p_value), r.stars]
-            )
+    files.write_csv(
+        path, ["aspect", "group_a_mean", "group_b_mean", "difference", "t", "df", "p", "stars"],
+        ([aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
+          repr(r.t_stat), repr(r.df), repr(r.p_value), r.stars]
+         for aspect, r in results.items()),
+    )
     return results
 
 
@@ -695,7 +631,9 @@ def _cmd_report(args, file_cfg):
     out_dir.mkdir(parents=True, exist_ok=True)
     lag = _parse_lag(section.get("lag", 1))
     window = _parse_window(section.get("smoothing_window", 7))
-    series_input = section.get("series_input", "raw")  # granger always uses raw series
+    series_input = section.get("series_input", "raw")
+    if series_input not in ("raw", "smoothed"):
+        raise PipelineError(f"bad series_input {series_input!r} (use raw or smoothed)")
     emitted = []
 
     if section.get("dataset"):
@@ -728,19 +666,18 @@ def _cmd_report(args, file_cfg):
                        for a in corpus.A_USED for key, mode in modes.items()}
             media, public = (_series_map(source, columns, granger_window, min(days), max(days))
                              for source in (media_rows, rows))
-            with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(key_columns + ["direction", "lag", "n_used", "F", "p"])
-                for key in columns:
-                    for cause, effect, direction in ((media[key], public[key], "media->public"),
-                                                     (public[key], media[key], "public->media")):
-                        try:
-                            r = stats.granger_test(cause, effect, lag=lag,
-                                                   names=(direction, key[0]))
-                            cells = [r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-                        except PipelineError:
-                            cells = [lag, "", "", ""]
-                        writer.writerow([*key, direction, *cells])
+            table = []
+            for key in columns:
+                for cause, effect, direction in ((media[key], public[key], "media->public"),
+                                                 (public[key], media[key], "public->media")):
+                    try:
+                        r = stats.granger_test(cause, effect, lag=lag, names=(direction, key[0]))
+                        cells = [r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
+                    except PipelineError:
+                        cells = [lag, "", "", ""]
+                    table.append([*key, direction, *cells])
+            files.write_csv(out_dir / name, key_columns + ["direction", "lag", "n_used", "F", "p"],
+                            table)
             _write_meta(out_dir / name, section)
             emitted.append(name)
 
@@ -894,8 +831,9 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing input path: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing or unreadable input (a directory), a full disk
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

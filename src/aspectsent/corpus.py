@@ -9,7 +9,6 @@ model-facing vectors are indexed over `A_USED` in a fixed order.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import PipelineError
 from .features import iter_chunks
 from .ingest import RawTweet, tweet_from_obj, tweet_to_obj
@@ -351,31 +351,25 @@ def _parse_sentiment(name: str) -> Sentiment:
         raise InputError(f"unknown sentiment {name!r}") from None
 
 
+def _labels_from_obj(obj: dict) -> tuple[dict[Aspect, Sentiment], Sentiment | None]:
+    """The `labels` and `overall` fields of an annotation or dataset record."""
+    labels = {
+        _parse_aspect(a): _parse_sentiment(s) for a, s in (obj.get("labels") or {}).items()
+    }
+    if Aspect.OVERALL in labels:
+        raise InputError("Overall must not appear inside labels")
+    overall = obj.get("overall")
+    return labels, None if overall is None else _parse_sentiment(overall)
+
+
+def _annotation_from_obj(obj: dict) -> Annotation:
+    labels, overall = _labels_from_obj(obj)
+    return Annotation(obj["tweet_id"], obj["annotator_id"], labels, overall)
+
+
 def read_annotations(path) -> list[Annotation]:
     """Annotation export: JSONL with tweet_id, annotator_id, labels, overall."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                labels = {
-                    _parse_aspect(a): _parse_sentiment(s)
-                    for a, s in (obj.get("labels") or {}).items()
-                }
-                overall = obj.get("overall")
-                out.append(
-                    Annotation(
-                        tweet_id=obj["tweet_id"],
-                        annotator_id=obj["annotator_id"],
-                        labels=labels,
-                        overall=None if overall is None else _parse_sentiment(overall),
-                    )
-                )
-            except (KeyError, json.JSONDecodeError, PipelineError) as exc:
-                raise InputError(f"{path}:{lineno}: bad annotation record: {exc}") from exc
-    return out
+    return list(files.read_jsonl(path, _annotation_from_obj, "annotation", InputError))
 
 
 def example_to_obj(example: AdjudicatedExample) -> dict:
@@ -392,36 +386,20 @@ def example_to_obj(example: AdjudicatedExample) -> dict:
 
 
 def example_from_obj(obj: dict) -> AdjudicatedExample:
-    labels = {
-        _parse_aspect(a): _parse_sentiment(s) for a, s in (obj.get("labels") or {}).items()
-    }
-    if Aspect.OVERALL in labels:
-        raise InputError("Overall must not appear inside labels")
-    overall = obj.get("overall")
+    labels, overall = _labels_from_obj(obj)
     tweet = obj.get("tweet")
     return AdjudicatedExample(
         tweet_id=obj["tweet_id"],
         labels=labels,
-        overall=None if overall is None else _parse_sentiment(overall),
+        overall=overall,
         provenance=obj.get("provenance", "phase-1"),
         tweet=None if tweet is None else tweet_from_obj(tweet),
     )
 
 
 def read_dataset(path) -> list[AdjudicatedExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(example_from_obj(json.loads(line)))
-            except (KeyError, json.JSONDecodeError, PipelineError) as exc:
-                raise InputError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
-    return out
+    return list(files.read_jsonl(path, example_from_obj, "dataset", InputError))
 
 
 def write_dataset(path, examples: Iterable[AdjudicatedExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in examples:
-            fh.write(json.dumps(example_to_obj(e), ensure_ascii=False) + "\n")
+    files.write_jsonl(path, map(example_to_obj, examples))

@@ -11,12 +11,12 @@ the two stages are scored independently of each other.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .corpus import A_USED
 
 
@@ -130,15 +130,14 @@ def write_report_csv(path, reports: Mapping[str, Mapping[str, Metrics]]) -> None
     """Rows = aspects (+ pooled Overall), columns = stage x metric."""
     stages = list(reports)
     rows = list(next(iter(reports.values())).keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["aspect"]
+    header = ["aspect"]
+    for stage in stages:
+        header += [f"{stage}_macro_f1", f"{stage}_micro_f1"]
+    body = []
+    for name in rows:
+        row = [name]
         for stage in stages:
-            header += [f"{stage}_macro_f1", f"{stage}_micro_f1"]
-        writer.writerow(header)
-        for name in rows:
-            row = [name]
-            for stage in stages:
-                m = reports[stage][name]
-                row += [f"{m.macro_f1:.4f}", f"{m.micro_f1:.4f}"]
-            writer.writerow(row)
+            m = reports[stage][name]
+            row += [f"{m.macro_f1:.4f}", f"{m.micro_f1:.4f}"]
+        body.append(row)
+    files.write_csv(path, header, body)

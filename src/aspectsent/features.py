@@ -141,7 +141,8 @@ class SparseRows:
 
 
 class EmbeddingServiceError(PipelineError):
-    """Transport-level failure talking to the embedding service; retryable."""
+    """Transport-level failure talking to the embedding service. Nothing
+    retries it: the failing call ends the run with exit code 1."""
 
 
 class EmbeddingContractError(PipelineError):

@@ -1,0 +1,128 @@
+"""Pipeline files: the one place that decides how stage files are read and written.
+
+Readers see the non-blank lines of a UTF-8 file, numbered as text mode splits
+them, and report a line they cannot read (not UTF-8, not a JSON object, a
+missing or wrong-typed field) as a `PipelineError` saying `<path>:<line>: …`.
+Writers write a temp file in the output's directory and rename it over the
+output only once it is complete, so a failure leaves any previous output as it
+was and no partial file. CSV files use the excel dialect (`\r\n` line ends).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import re
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, TypeVar
+
+from .errors import PipelineError
+
+T = TypeVar("T")
+
+
+def text_lines(path, name=None) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 text file.
+
+    Errors call the file `name` (default: `path`).
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise _bad_utf8_error(path, path if name is None else name, exc) from None
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
+    """The error for a file that is not UTF-8, naming the first bad line.
+
+    Text mode decodes in blocks, so the failing line is found by a second
+    read that turns each undecodable byte into a lone surrogate.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if _ESCAPED_BYTE.search(line):
+                return PipelineError(f"{name}:{lineno}: not valid UTF-8 ({exc.reason})")
+    return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
+
+
+def json_object(line: str) -> dict:
+    """The JSON object on one line; ValueError if the line holds anything else."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def read_jsonl(path, convert: Callable[[dict], T], what: str,
+               error: type[PipelineError] = PipelineError) -> Iterator[T]:
+    """`convert(obj)` for the JSON object on each non-blank line of `path`.
+
+    A line that is not a JSON object, or that `convert` rejects with a
+    PipelineError, KeyError (a missing field), TypeError, AttributeError or
+    ValueError (a wrong-typed field), raises `error("<path>:<line>: bad
+    <what> record: ...")`.
+    """
+    for lineno, line in text_lines(path):
+        try:
+            yield convert(json_object(line))
+        except (PipelineError, KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise error(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+
+
+def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each non-blank line of a one-line-per-row CSV file."""
+    for lineno, line in text_lines(path):
+        yield lineno, next(csv.reader((line,)))
+
+
+@contextmanager
+def _atomic_output(path, newline=None):
+    """A UTF-8 text file to write `path` through: a temp file in `path`'s
+    directory, renamed into place only on success; on any error it is removed
+    and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = str(path)  # name the output, not its temp file
+        raise
+
+
+def write_json(path, doc, indent=None) -> None:
+    """One JSON document with sorted keys, then a newline."""
+    with _atomic_output(path) as fh:
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+def write_jsonl(path, objs: Iterable[dict]) -> int:
+    """One compact JSON object per line, non-ASCII kept as is; returns the line count."""
+    count = 0
+    with _atomic_output(path) as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
+def write_csv(path, header: list, rows: Iterable[list]) -> None:
+    """A header row, then `rows`, in the excel dialect."""
+    with _atomic_output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

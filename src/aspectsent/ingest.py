@@ -34,6 +34,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import PipelineError
+from .files import json_object, text_lines, write_jsonl
 from .hashing import stable_hash64
 
 
@@ -188,45 +189,13 @@ def parse_record(line: str) -> RawTweet:
     return tweet_from_obj(obj)
 
 
-def _text_lines(path, name=None) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line of a UTF-8 text file.
-
-    Lines are split in text mode (universal newlines); every reader of a
-    corpus goes through here, so all of them number lines alike. Errors call
-    the file `name` (default: `path`).
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise _bad_utf8_error(path, path if name is None else name, exc) from None
-
-
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
-    """The error for a file that is not UTF-8, naming the first bad line.
-
-    Text mode decodes in blocks, so the failing line is found by a second
-    read that turns each undecodable byte into a lone surrogate.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if _ESCAPED_BYTE.search(line):
-                return PipelineError(f"{name}:{lineno}: not valid UTF-8 ({exc.reason})")
-    return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
-
-
 def iter_corpus(path, name=None) -> Iterator[RawTweet]:
     """Stream-parse a JSONL corpus file, skipping blank lines.
 
     Errors name the line, and call the file `name` (default: `path`).
     """
     name = path if name is None else name
-    for lineno, line in _text_lines(path, name):
+    for lineno, line in text_lines(path, name):
         try:
             yield parse_record(line)
         except PipelineError as exc:
@@ -239,7 +208,7 @@ def read_corpus(path) -> list[RawTweet]:
 
 def load_keywords(path) -> KeywordSet:
     """One lowercase keyword per line; blank lines ignored."""
-    words = frozenset(line.strip().lower() for _, line in _text_lines(path))
+    words = frozenset(line.strip().lower() for _, line in text_lines(path))
     if not words:
         raise PipelineError(f"keyword file {path} contains no keywords")
     return KeywordSet(words)
@@ -247,7 +216,7 @@ def load_keywords(path) -> KeywordSet:
 
 def load_accounts(path) -> frozenset[str]:
     """One screen_name per line; blank lines ignored."""
-    return frozenset(line.strip() for _, line in _text_lines(path))
+    return frozenset(line.strip() for _, line in text_lines(path))
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -380,9 +349,8 @@ class Survivor(NamedTuple):
 
 def _reparse(line: str) -> RawTweet | None:
     try:
-        obj = json.loads(line)
-        return tweet_from_obj(obj) if isinstance(obj, dict) else None
-    except (ValueError, RecursionError, PipelineError):
+        return tweet_from_obj(json_object(line))
+    except (ValueError, PipelineError):
         return None
 
 
@@ -390,31 +358,16 @@ def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
     """Pass 2: re-read `path` and yield the tweet of each kept entry, in file
     order. A kept record that no longer parses or has another id or day
     raises PipelineError; a record edited in any other way goes unnoticed."""
-    with open(path, encoding="utf-8") as fh:
-        # the non-blank lines, numbered as pass 1 numbered them; skipped in C
-        records = filter(str.strip, fh)
-        done = 0
-        for want in kept:
-            try:
-                line = next(islice(records, want.record - done, None), None)
-            except UnicodeDecodeError:
-                line = None
-            done = want.record + 1
-            tweet = None if line is None else _reparse(line)
-            if tweet is None or tweet.id != want.id or tweet.day != want.day:
-                raise _changed_error(path, name, want.record)
-            yield tweet
-
-
-def _changed_error(path, name, record: int) -> PipelineError:
-    """The error for a corpus whose record `record` differs in pass 2."""
-    try:
-        for pos, (lineno, _) in enumerate(_text_lines(path, name)):
-            if pos == record:
-                return PipelineError(f"{name}:{lineno}: corpus changed during ingest")
-    except PipelineError:
-        pass
-    return PipelineError(f"{name}: corpus changed during ingest")
+    records = text_lines(path, name)  # numbered as pass 1 numbered them
+    done = 0
+    for want in kept:
+        lineno, line = next(islice(records, want.record - done, None), (None, None))
+        done = want.record + 1
+        tweet = None if line is None else _reparse(line)
+        if tweet is None or tweet.id != want.id or tweet.day != want.day:
+            where = name if lineno is None else f"{name}:{lineno}"
+            raise PipelineError(f"{where}: corpus changed during ingest")
+        yield tweet
 
 
 def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
@@ -447,6 +400,4 @@ def merge_shards(shards: Sequence[Sequence[RawTweet]]) -> list[RawTweet]:
 
 
 def write_corpus(path, tweets: Iterable[RawTweet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tweets:
-            fh.write(json.dumps(tweet_to_obj(t), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(tweet_to_obj, tweets))

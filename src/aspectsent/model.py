@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, files
 from .corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
 from .errors import PipelineError
 from .features import HashedFeatureConfig, HashedProvider, SparseRows
@@ -444,9 +444,7 @@ def save_params(path, bundle: ModelBundle) -> None:
             "b_y": _tensor_to_obj(bundle.params.b_y),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, doc)
 
 
 def load_params(path) -> ModelBundle:

@@ -10,7 +10,6 @@ distribution realized through a native regularized incomplete beta
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -18,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import PipelineError
 
 
@@ -445,37 +445,32 @@ def group_compare(
 
 def write_series_csv(path, series: DailySeries) -> None:
     """CSV `date,value` with an empty cell for missing days."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "value"])
-        for day, value in series.items():
-            writer.writerow([day.isoformat(), "" if value is None else repr(value)])
+    files.write_csv(path, ["date", "value"], (
+        [day.isoformat(), "" if value is None else repr(value)] for day, value in series.items()
+    ))
 
 
 def read_series_csv(path) -> DailySeries:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["date", "value"]:
-            raise PipelineError(f"{path}: expected a 'date,value' series CSV")
-        days: list[date] = []
-        values: list[float | None] = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            try:
-                days.append(date.fromisoformat(row[0]))
-            except ValueError:
-                raise PipelineError(f"{where}: bad date {row[0]!r}, expected YYYY-MM-DD") from None
-            cell = row[1] if len(row) > 1 else ""
-            try:
-                value = float(cell) if cell != "" else None
-            except ValueError:
-                raise PipelineError(f"{where}: non-numeric value {cell!r}") from None
-            if value is not None and not math.isfinite(value):
-                raise PipelineError(f"{where}: non-finite value {cell!r}")
-            values.append(value)
+    rows = files.csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header is None or [h.strip() for h in header[:2]] != ["date", "value"]:
+        raise PipelineError(f"{path}: expected a 'date,value' series CSV")
+    days: list[date] = []
+    values: list[float | None] = []
+    for lineno, row in rows:
+        where = f"{path}:{lineno}"
+        try:
+            days.append(date.fromisoformat(row[0]))
+        except ValueError:
+            raise PipelineError(f"{where}: bad date {row[0]!r}, expected YYYY-MM-DD") from None
+        cell = row[1] if len(row) > 1 else ""
+        try:
+            value = float(cell) if cell != "" else None
+        except ValueError:
+            raise PipelineError(f"{where}: non-numeric value {cell!r}") from None
+        if value is not None and not math.isfinite(value):
+            raise PipelineError(f"{where}: non-finite value {cell!r}")
+        values.append(value)
     if not days:
         raise PipelineError(f"{path}: series file has no rows")
     for prev, nxt in zip(days, days[1:]):

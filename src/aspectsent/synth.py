@@ -7,11 +7,11 @@ generation is a pure function of the seed.
 
 from __future__ import annotations
 
-import json
 import random
 from datetime import date, timedelta
 
 from .corpus import Aspect, CONTENT_ASPECTS, Sentiment
+from .files import write_jsonl  # noqa: F401  (re-exported: writes the records made here)
 
 ASPECT_TOKENS: dict[Aspect, list[str]] = {
     Aspect.POLITICS: ["government", "policy", "leadership", "censorship", "officials"],
@@ -172,8 +172,3 @@ def make_annotation_records(n: int, seed: int, disagree_fraction: float = 0.3) -
             )
     return records
 
-
-def write_jsonl(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aspectsent import cli, corpus, features, ingest, model, stats, synth
+from aspectsent import cli, corpus, features, files, ingest, model, stats, synth
 from aspectsent.cli import emit_figure_data, main, read_prediction_rows
 from aspectsent.errors import PipelineError
 from aspectsent.features import provider_from_config
@@ -965,35 +966,69 @@ def _report_config(**section):
     return json.dumps({"report": {"predictions": "{d}/pred.jsonl", **section}})
 
 
-class TestDomainErrors:
-    """Bad settings and bad input files exit 1 with a message, never a traceback."""
+_ADJUDICATE = ["adjudicate", "--annotations", "{d}/ann.jsonl", "--out", "{d}/adj.jsonl"]
+_STATS = ["stats-dataset", "--dataset", "{d}/train.jsonl", "--out", "{d}/t1.csv"]
+_GRANGER = ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--out", "{d}/g.csv"]
 
-    @pytest.mark.parametrize("file_name, content, argv", [
-        ("config.json", "{not json", _REPORT),
+
+class TestDomainErrors:
+    """Bad settings and bad input files exit 1 with a message, never a traceback.
+
+    `where`, when set, is what the message must name: `<path>:<line>` for a
+    bad line, the path for an input that cannot be read as a file.
+    """
+
+    @pytest.mark.parametrize("file_name, content, argv, where", [
+        ("config.json", "{not json", _REPORT, None),
         ("config.json", '{"train": {"epochs": "x"}}', _TRAIN[:1] + ["-c", "{d}/config.json"]
-         + _TRAIN[1:]),
+         + _TRAIN[1:], None),
         ("config.json", '{"train": {"epochs": 2.5}}', _TRAIN[:1] + ["-c", "{d}/config.json"]
-         + _TRAIN[1:]),
-        (None, None, _TRAIN + ["--dim", "64"]),
-        (None, None, _TRAIN + ["--dim", "64", "--objective", "hinge"]),
-        ("params.json", _PARAMS_WITHOUT_TENSORS, _EVAL),
-        ("params.json", "not json", _EVAL),
-        (None, None, _SERIES + ["--smooth-window", "2"]),
-        ("config.json", _report_config(smoothing_window=2), _REPORT),
-        ("config.json", _report_config(lag="x"), _REPORT),
-        ("config.json", _report_config(lag=0, media_predictions="{d}/pred.jsonl"), _REPORT),
-        (None, None, ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--lag", "0",
-                      "--out", "{d}/g.csv"]),
+         + _TRAIN[1:], None),
+        (None, None, _TRAIN + ["--dim", "64"], None),
+        (None, None, _TRAIN + ["--dim", "64", "--objective", "hinge"], None),
+        ("params.json", _PARAMS_WITHOUT_TENSORS, _EVAL, None),
+        ("params.json", "not json", _EVAL, None),
+        (None, None, _SERIES + ["--smooth-window", "2"], None),
+        ("config.json", _report_config(smoothing_window=2), _REPORT, None),
+        ("config.json", _report_config(lag="x"), _REPORT, None),
+        ("config.json", _report_config(lag=0, media_predictions="{d}/pred.jsonl"), _REPORT,
+         None),
+        (None, None, _GRANGER + ["--lag", "0"], None),
         ("config.json", '{"split": {"seed": "x"}}',
-         ["split", "-c", "{d}/config.json", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/s"]),
+         ["split", "-c", "{d}/config.json", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/s"],
+         None),
         ("config.json", '{"augment": {"cap": "x"}}',
          ["augment-candidates", "-c", "{d}/config.json", "--params", "{d}/params.json",
-          "--pool", "{d}/train.jsonl", "--out", "{d}/c.jsonl"]),
+          "--pool", "{d}/train.jsonl", "--out", "{d}/c.jsonl"], None),
+        ("config.json", _report_config(series_input="smooth", media_predictions="{d}/pred.jsonl"),
+         _REPORT, None),
+        (None, None, _STATS[:2] + ["{d}/dir"] + _STATS[3:], "{d}/dir"),
+        (None, None, ["series", "--predictions", "{d}/dir", "--out", "{d}/s.csv"], "{d}/dir"),
+        (None, None, _EVAL[:2] + ["{d}/dir"] + _EVAL[3:], "{d}/dir"),
+        ("config.json", _report_config(predictions="{d}/dir"), _REPORT, "{d}/dir"),
+        ("ann.jsonl", "\n[1]\n", _ADJUDICATE, "{d}/ann.jsonl:2"),
+        ("ann.jsonl", '\n{"tweet_id": "t", "annotator_id": "a", "labels": ["Politics"]}\n',
+         _ADJUDICATE, "{d}/ann.jsonl:2"),
+        ("ann.jsonl", b'\n{"tweet_id": "\xff"}\n', _ADJUDICATE, "{d}/ann.jsonl:2"),
+        ("train.jsonl", "\n[1]\n", _STATS, "{d}/train.jsonl:2"),
+        ("train.jsonl", '\n{"tweet_id": "t", "labels": 5}\n', _STATS, "{d}/train.jsonl:2"),
+        ("train.jsonl", b'\n{"tweet_id": "\xff"}\n', _STATS, "{d}/train.jsonl:2"),
+        ("pred.jsonl", "\n[1]\n", _SERIES, "{d}/pred.jsonl:2"),
+        ("pred.jsonl", '\n{"id": "p", "date": "2020-03-01", "detected": 5}\n', _SERIES,
+         "{d}/pred.jsonl:2"),
+        ("pred.jsonl", b'\n{"id": "\xff"}\n', _SERIES, "{d}/pred.jsonl:2"),
+        ("s.csv", b"date,value\n2020-03-01,1.0\n2020-03-02,\xff\n", _GRANGER, "{d}/s.csv:3"),
     ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
             "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
             "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
-            "split-seed-string", "augment-cap-string"])
-    def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv):
+            "split-seed-string", "augment-cap-string", "report-series-input-typo",
+            "dataset-is-dir", "predictions-is-dir", "params-is-dir", "report-input-is-dir",
+            "annotations-array-line", "annotations-wrong-type", "annotations-not-utf8",
+            "dataset-array-line", "dataset-wrong-type", "dataset-not-utf8",
+            "predictions-array-line", "predictions-wrong-type", "predictions-not-utf8",
+            "series-csv-not-utf8"])
+    def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv,
+                                         where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
         stats.write_series_csv(tmp_path / "s.csv", DailySeries(D0, [float(i % 3) for i in range(9)]))
@@ -1001,13 +1036,125 @@ class TestDomainErrors:
         model.save_params(tmp_path / "params.json", model.ModelBundle(
             model.HeadParams(np.zeros((k, dim)), np.zeros(k), np.zeros((k, dim)), np.zeros(k)),
             {"kind": "native-hashed", "dim": dim}))
-        if file_name:  # replaces a valid input by a bad one
+        (tmp_path / "dir").mkdir()
+        if isinstance(content, bytes):  # an input that is not UTF-8
+            (tmp_path / file_name).write_bytes(content)
+        elif file_name:  # replaces a valid input by a bad one
             (tmp_path / file_name).write_text(content.replace("{d}", str(tmp_path)),
                                               encoding="utf-8")
         assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if where is not None:
+            assert f"{where.replace('{d}', str(tmp_path))}:" in err
+
+
+class _FailingFile:
+    """An output file that takes its first write, flushes it, then fails like a full disk."""
+
+    def __init__(self, fh, failed: list):
+        self._fh, self._failed = fh, failed
+
+    def write(self, text):
+        self._fh.write(text)
+        self._fh.flush()
+        self._failed.append(Path(self._fh.name))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self._fh.name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+# stage -> (argv, the first file it writes); {d} is the test directory, {out} that file
+_STAGE_OUTPUTS = {
+    "ingest": (["ingest", "--corpus", "{d}/corpus.jsonl", "--keywords", "{d}/keywords.txt",
+                "--date-start", "2020-01-22", "--date-end", "2020-05-21", "--out", "{out}"],
+               "out.jsonl"),
+    "adjudicate": (["adjudicate", "--annotations", "{d}/ann.jsonl", "--out", "{out}"],
+                   "adj.jsonl"),
+    "stats-dataset": (["stats-dataset", "--dataset", "{d}/labels.jsonl", "--out", "{out}"],
+                      "t1.csv"),
+    "split": (["split", "--dataset", "{d}/labels.jsonl", "--out-dir", "{d}/parts"],
+              "parts/train.jsonl"),
+    "train": (["train", "--train", "{d}/splits/train.jsonl", "--epochs", "1", "--dim", "1024",
+               "--params-out", "{out}"], "p.json"),
+    "eval": (["eval", "--params", "{d}/params.json", "--dataset", "{d}/splits/test.jsonl",
+              "--out", "{out}"], "eval.csv"),
+    "infer": (["infer", "--params", "{d}/params.json", "--corpus", "{d}/corpus.jsonl",
+               "--out", "{out}"], "pred_out.jsonl"),
+    "augment-candidates": (["augment-candidates", "--params", "{d}/params.json",
+                            "--pool", "{d}/corpus.jsonl", "--threshold", "0.001",
+                            "--out", "{out}"], "cand.jsonl"),
+    "series": (["series", "--predictions", "{d}/pred.jsonl", "--out", "{out}"], "series.csv"),
+    "granger": (["granger", "--x", "{d}/x.csv", "--y", "{d}/y.csv", "--out", "{out}"],
+                "granger.csv"),
+    "compare-groups": (["compare-groups", "--predictions", "{d}/pred.jsonl", "--group-a", "bots",
+                        "--group-b", "users", "--mode", "aspect-proportion", "--out", "{out}"],
+                       "compare.csv"),
+    "report": (["report", "-c", "{d}/report.json", "--out-dir", "{d}/r"],
+               "r/fig2_daily_counts.csv"),
+}
+
+
+def _fail_writes(monkeypatch) -> list:
+    """Make each file opened for writing fail after its first write; the
+    returned list collects the paths that failed."""
+    failed = []
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FailingFile(fh, failed) if "w" in mode else fh
+
+    monkeypatch.setattr(files, "open", fake_open, raising=False)
+    return failed
+
+
+class TestAtomicOutputs:
+    """A writer that fails after its first row leaves the previous output as it
+    was and no temp file."""
+
+    PREVIOUS = b"previous output\r\n\xff"
+
+    @pytest.mark.parametrize("stage", list(_STAGE_OUTPUTS))
+    def test_stage_keeps_previous_output(self, tmp_path, small_corpus, trained_params,
+                                         monkeypatch, capsys, stage):
+        synth.write_jsonl(tmp_path / "ann.jsonl", synth.make_annotation_records(20, seed=3))
+        _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
+        for name, values in (("x.csv", [i % 3 for i in range(12)]),
+                             ("y.csv", [i * 7 % 5 for i in range(12)])):
+            stats.write_series_csv(tmp_path / name, DailySeries(D0, [float(v) for v in values]))
+        (tmp_path / "report.json").write_text(
+            json.dumps({"report": {"predictions": str(tmp_path / "pred.jsonl")}}), encoding="utf-8")
+        argv, out_name = _STAGE_OUTPUTS[stage]
+        out = tmp_path / out_name
+        argv = [a.replace("{d}", str(tmp_path)).replace("{out}", str(out)) for a in argv]
+        assert main(argv) == 0  # the stage works as set up
+        out.parent.mkdir(exist_ok=True)
+        out.write_bytes(self.PREVIOUS)
+        capsys.readouterr()
+
+        failed = _fail_writes(monkeypatch)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: No space left on device")
+        assert "Traceback" not in err
+        assert failed == [out.with_name(f".{out.name}.{os.getpid()}.tmp")]
+        assert out.read_bytes() == self.PREVIOUS
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    def test_meta_keeps_previous_output(self, tmp_path, monkeypatch):
+        meta = tmp_path / "out.csv.meta.json"
+        meta.write_bytes(self.PREVIOUS)
+        failed = _fail_writes(monkeypatch)
+        with pytest.raises(OSError):
+            cli._write_meta(tmp_path / "out.csv", {"a": 1})
+        assert failed == [tmp_path / f".{meta.name}.{os.getpid()}.tmp"]
+        assert meta.read_bytes() == self.PREVIOUS
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestConfigPrecedence:
