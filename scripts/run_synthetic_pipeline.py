@@ -107,7 +107,7 @@ def main() -> int:
         "predictions": str(out / "predictions.jsonl"),
         "media_predictions": str(out / "media_predictions.jsonl"),
         "group_a": "bots", "group_b": "users",
-        "lag": 1, "smoothing_window": 7, "series_input": "raw",
+        "lag": 1, "smoothing_window": 7,
     }}, indent=2) + "\n", encoding="utf-8")
     run(["report", "-c", str(report_config), "--out-dir", str(out / "report")])
 

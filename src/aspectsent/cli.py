@@ -50,9 +50,12 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return files.json_object(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or JSON, or not an object
-        raise PipelineError(f"config file {path} is not a JSON object: {exc}") from None
+        cfg = files.read_json(path)
+        for section in cfg:  # each section is an object of settings
+            files.field(cfg, section, dict, optional=True)
+    except (ValueError, PipelineError) as exc:  # not UTF-8, not a JSON object
+        raise PipelineError(f"bad config file {path}: {exc}") from None
+    return cfg
 
 
 def _resolve(defaults: dict, file_section: dict, flag_values: dict) -> dict:
@@ -106,6 +109,8 @@ def _require_paths(*pairs: tuple[str, str | None]) -> None:
     for label, value in pairs:
         if value is None:
             raise PipelineError(f"missing required input: --{label}")
+        if not isinstance(value, str):  # from a config file
+            raise PipelineError(f"bad {label} path {value!r}")
         if not Path(value).exists():
             raise PipelineError(f"{label} path does not exist: {value}")
 
@@ -121,7 +126,7 @@ def _setting(convert, value, what: str):
     """`convert(value)`, with a bad value as a PipelineError naming `what`."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge number
         raise PipelineError(f"bad {what} {value!r}") from None
 
 
@@ -193,7 +198,7 @@ def _resolve_train(args, file_cfg: dict, provider_kind: str) -> model.TrainConfi
         cfg["learning_rate"] = 0.01 if provider_kind == "remote" else 0.1
     try:
         return model.TrainConfig(**cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PipelineError(f"bad train settings: {exc}") from None
 
 
@@ -201,7 +206,7 @@ def _providers(cfg: dict):
     """`providers_from_config`, with a bad setting as a PipelineError."""
     try:
         return providers_from_config(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PipelineError(f"bad provider settings: {type(exc).__name__}: {exc}") from None
 
 
@@ -231,18 +236,24 @@ def _prediction_to_obj(tweet: ingest.RawTweet, pred: model.Prediction) -> dict:
     }
 
 
+_ASPECT_NAMES = tuple(a.value for a in corpus.A_USED)
+_LABELS = tuple(s.value for s in corpus.BinarySentiment)
+
+
 def _prediction_row(obj: dict) -> PredictionRow:
-    detected = frozenset(obj["detected"])
-    negatives = frozenset(
-        a for a, s in (obj.get("sentiment") or {}).items() if s.get("label") == "Negative"
-    )
+    detected = frozenset(files.field(obj, "detected", [_ASPECT_NAMES]))
+    sentiment = files.field(obj, "sentiment", dict, optional=True) or {}
+    negatives = frozenset([  # an aspect outside `detected` is ignored, so its name is not checked
+        a for a in sentiment
+        if files.field(files.field(sentiment, a, dict), "label", _LABELS) == "Negative"
+    ])
     return PredictionRow(
-        id=obj["id"],
-        day=date.fromisoformat(obj["date"]),
+        id=files.field(obj, "id", str),
+        day=_parse_date(files.field(obj, "date", str)),
         detected=detected,
         negatives=negatives & detected,
-        group_tags=frozenset(obj.get("group_tags") or ()),
-        bot_flag=obj.get("bot_flag"),
+        group_tags=frozenset(files.field(obj, "group_tags", [str], optional=True) or ()),
+        bot_flag=files.field(obj, "bot_flag", bool, optional=True),
     )
 
 
@@ -257,7 +268,7 @@ def _group_selector(spec: str):
         return lambda r: r.bot_flag is True
     if spec == "users":
         return lambda r: r.bot_flag is False
-    if spec.startswith("tag:"):
+    if isinstance(spec, str) and spec.startswith("tag:"):
         tag = spec[4:]
         return lambda r: tag in r.group_tags
     raise PipelineError(f"unknown group selector {spec!r} (use all, bots, users, or tag:<name>)")
@@ -289,11 +300,10 @@ def _parse_select(spec: str) -> tuple[str, str | None]:
         ("negative:", "negative-proportion"),
         ("nonnegative:", "nonnegative-proportion"),
     ):
-        if spec.startswith(prefix):
+        if spec.startswith(prefix) and spec[len(prefix):] in _ASPECT_NAMES:
             return mode, spec[len(prefix):]
-    raise PipelineError(
-        f"bad --select {spec!r} (use count, aspect:<A>, negative:<A>, or nonnegative:<A>)"
-    )
+    raise PipelineError(f"bad --select {spec!r} (use count, aspect:<A>, negative:<A>, or "
+                        f"nonnegative:<A>, where <A> is one of {', '.join(_ASPECT_NAMES)})")
 
 
 # --- subcommand handlers ---
@@ -336,7 +346,7 @@ def _cmd_ingest(args, file_cfg):
             sample_rate=float(section["sample_rate"]),
             seed=int(section["seed"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PipelineError(f"bad ingest settings: {exc}") from None
     with _rereadable(args.corpus, args.out) as corpus_path:
         counts = ingest.ingest_file(corpus_path, spec, args.out, name=args.corpus)
@@ -532,7 +542,6 @@ def _cmd_augment_candidates(args, file_cfg):
 
 def _cmd_series(args, file_cfg):
     _require_paths(("predictions", args.predictions))
-    rows = read_prediction_rows(args.predictions)
     section = _resolve(
         {"start": None, "end": None, "smooth_window": 1},
         file_cfg.get("series", {}),
@@ -542,8 +551,8 @@ def _cmd_series(args, file_cfg):
     end = _parse_date(str(section["end"])) if section["end"] else None
     window = _parse_window(section["smooth_window"])
     selects = args.select or ["count"]
-    series_map = _series_map(rows, {spec: _parse_select(spec) for spec in selects}, window,
-                             start, end)
+    columns = {spec: _parse_select(spec) for spec in selects}
+    series_map = _series_map(read_prediction_rows(args.predictions), columns, window, start, end)
     if len(series_map) == 1:
         stats.write_series_csv(args.out, next(iter(series_map.values())))
     else:
@@ -613,12 +622,11 @@ _GRANGER_TABLES = (
     ("table6_granger_sentiments.csv", ["aspect", "sentiment"],
      {("negative",): "negative-proportion", ("nonnegative",): "nonnegative-proportion"}),
 )
-_FIGURE_ASPECTS = [a.value for a in corpus.CONTENT_ASPECTS + (corpus.Aspect.OVERALL,)]
 _FIGURES = {
     "fig2_daily_counts.csv": {"daily_count": ("count", None)},
-    "fig3_aspect_proportions.csv": {a: ("aspect-proportion", a) for a in _FIGURE_ASPECTS},
+    "fig3_aspect_proportions.csv": {a: ("aspect-proportion", a) for a in _ASPECT_NAMES},
     "fig5_sentiment_proportions.csv": {
-        f"{a}_negative": ("negative-proportion", a) for a in _FIGURE_ASPECTS
+        f"{a}_negative": ("negative-proportion", a) for a in _ASPECT_NAMES
     },
 }
 
@@ -631,9 +639,8 @@ def _cmd_report(args, file_cfg):
     out_dir.mkdir(parents=True, exist_ok=True)
     lag = _parse_lag(section.get("lag", 1))
     window = _parse_window(section.get("smoothing_window", 7))
-    series_input = section.get("series_input", "raw")
-    if series_input not in ("raw", "smoothed"):
-        raise PipelineError(f"bad series_input {series_input!r} (use raw or smoothed)")
+    if section.get("series_input", "raw") != "raw":
+        raise PipelineError("report: series_input was removed; Granger tables use raw series")
     emitted = []
 
     if section.get("dataset"):
@@ -646,8 +653,10 @@ def _cmd_report(args, file_cfg):
 
     rows = media_rows = None
     if section.get("predictions"):
+        _require_paths(("predictions", section["predictions"]))
         rows = read_prediction_rows(section["predictions"])
     if section.get("media_predictions"):
+        _require_paths(("media_predictions", section["media_predictions"]))
         media_rows = read_prediction_rows(section["media_predictions"])
 
     if rows:
@@ -657,14 +666,13 @@ def _cmd_report(args, file_cfg):
             emitted.append(name)
 
     if rows and media_rows:
-        # both sources over the union of their days; a pair too short or
-        # degenerate for the test is a row with blank cells
+        # raw series of both sources over the union of their days; a pair too
+        # short or degenerate for the test is a row with blank cells
         days = {r.day for r in rows} | {r.day for r in media_rows}
-        granger_window = window if series_input == "smoothed" else 1
         for name, key_columns, modes in _GRANGER_TABLES:
             columns = {(a.value, *key): (mode, a.value)
                        for a in corpus.A_USED for key, mode in modes.items()}
-            media, public = (_series_map(source, columns, granger_window, min(days), max(days))
+            media, public = (_series_map(source, columns, 1, min(days), max(days))
                              for source in (media_rows, rows))
             table = []
             for key in columns:

@@ -59,17 +59,8 @@ CONTENT_ASPECTS: tuple[Aspect, ...] = A_USED[:-1]
 DROPPED_ASPECTS: tuple[Aspect, ...] = (Aspect.ECONOMY, Aspect.CULTURE)
 ASPECT_INDEX: dict[Aspect, int] = {a: i for i, a in enumerate(A_USED)}
 
-# Presentation order of the dataset-statistics table.
-TABLE_ASPECTS: tuple[Aspect, ...] = (
-    Aspect.POLITICS,
-    Aspect.ECONOMY,
-    Aspect.FOREIGN,
-    Aspect.CULTURE,
-    Aspect.SITUATION,
-    Aspect.MEASURES,
-    Aspect.RACISM,
-    Aspect.OVERALL,
-)
+# Presentation order of the dataset-statistics table: the order `Aspect` declares.
+TABLE_ASPECTS: tuple[Aspect, ...] = tuple(Aspect)
 
 
 def merge_sentiment(s: Sentiment) -> BinarySentiment:
@@ -87,8 +78,16 @@ class InputError(PipelineError):
     """Malformed annotation or dataset input."""
 
 
+class _Labeled:
+    """Holds `labels` and `overall`; Overall relevance is never inside `labels`."""
+
+    def __post_init__(self):
+        if Aspect.OVERALL in self.labels:
+            raise InputError("Overall must be annotated via the overall field, not labels")
+
+
 @dataclass(frozen=True)
-class Annotation:
+class Annotation(_Labeled):
     """One annotator's labels for one tweet.
 
     `labels` maps content aspects to sentiments (an absent aspect means "not
@@ -101,13 +100,9 @@ class Annotation:
     labels: Mapping[Aspect, Sentiment] = field(default_factory=dict)
     overall: Sentiment | None = None
 
-    def __post_init__(self):
-        if Aspect.OVERALL in self.labels:
-            raise InputError("Overall must be annotated via the overall field, not labels")
-
 
 @dataclass
-class AdjudicatedExample:
+class AdjudicatedExample(_Labeled):
     """Final labels after 2-of-3 agreement. `tweet` may be attached later."""
 
     tweet_id: str
@@ -157,21 +152,17 @@ def adjudicate(
     return AdjudicatedExample(tweet_id, labels, overall, "phase-2", tweet)
 
 
-def group_annotations(annotations: Iterable[Annotation]) -> dict[str, list[Annotation]]:
-    grouped: dict[str, list[Annotation]] = {}
-    for ann in annotations:
-        grouped.setdefault(ann.tweet_id, []).append(ann)
-    return grouped
-
-
 def adjudicate_corpus(
     annotations: Iterable[Annotation],
     tweets_by_id: Mapping[str, RawTweet] | None = None,
 ) -> tuple[list[AdjudicatedExample], int]:
     """Adjudicate per tweet; returns (accepted examples, discard count)."""
+    grouped: dict[str, list[Annotation]] = {}
+    for ann in annotations:
+        grouped.setdefault(ann.tweet_id, []).append(ann)
     accepted: list[AdjudicatedExample] = []
     discarded = 0
-    for tweet_id, anns in group_annotations(annotations).items():
+    for tweet_id, anns in grouped.items():
         if not 2 <= len(anns) <= 3:
             raise InputError(f"tweet {tweet_id}: expected 2 or 3 annotations, got {len(anns)}")
         tweet = tweets_by_id.get(tweet_id) if tweets_by_id else None
@@ -337,34 +328,15 @@ def select_confident(
     return {aspect: hits for aspect, hits in best.items() if hits}
 
 
-def _parse_aspect(name: str) -> Aspect:
-    try:
-        return Aspect(name)
-    except ValueError:
-        raise InputError(f"unknown aspect {name!r}") from None
-
-
-def _parse_sentiment(name: str) -> Sentiment:
-    try:
-        return Sentiment(name)
-    except ValueError:
-        raise InputError(f"unknown sentiment {name!r}") from None
-
-
 def _labels_from_obj(obj: dict) -> tuple[dict[Aspect, Sentiment], Sentiment | None]:
     """The `labels` and `overall` fields of an annotation or dataset record."""
-    labels = {
-        _parse_aspect(a): _parse_sentiment(s) for a, s in (obj.get("labels") or {}).items()
-    }
-    if Aspect.OVERALL in labels:
-        raise InputError("Overall must not appear inside labels")
-    overall = obj.get("overall")
-    return labels, None if overall is None else _parse_sentiment(overall)
+    return (files.field(obj, "labels", {Aspect: Sentiment}, optional=True) or {},
+            files.field(obj, "overall", Sentiment, optional=True))
 
 
 def _annotation_from_obj(obj: dict) -> Annotation:
-    labels, overall = _labels_from_obj(obj)
-    return Annotation(obj["tweet_id"], obj["annotator_id"], labels, overall)
+    return Annotation(files.field(obj, "tweet_id", str), files.field(obj, "annotator_id", str),
+                      *_labels_from_obj(obj))
 
 
 def read_annotations(path) -> list[Annotation]:
@@ -387,9 +359,9 @@ def example_to_obj(example: AdjudicatedExample) -> dict:
 
 def example_from_obj(obj: dict) -> AdjudicatedExample:
     labels, overall = _labels_from_obj(obj)
-    tweet = obj.get("tweet")
+    tweet = files.field(obj, "tweet", dict, optional=True)
     return AdjudicatedExample(
-        tweet_id=obj["tweet_id"],
+        tweet_id=files.field(obj, "tweet_id", str),
         labels=labels,
         overall=overall,
         provenance=obj.get("provenance", "phase-1"),

@@ -36,6 +36,8 @@ from .hashing import stable_hash64
 
 T = TypeVar("T")
 
+MAX_DIM = 2**20  # the widest embedding a provider may declare: the two heads then take 96 MiB
+
 # Texts embedded per call when a corpus is streamed. A multiple of the default
 # remote batch size (64), so streaming issues the same HTTP batches as one call.
 EMBED_CHUNK_ROWS = 1024
@@ -181,8 +183,8 @@ class HashedFeatureConfig:
     def __post_init__(self):
         if not 1 <= self.ngram_max <= 3:
             raise ValueError("ngram_max must be in 1..3")
-        if self.dim < 1024 or self.dim & (self.dim - 1):
-            raise ValueError("dim must be a power of two >= 1024")
+        if not 1024 <= self.dim <= MAX_DIM or self.dim & (self.dim - 1):
+            raise ValueError(f"dim must be a power of two in 1024..{MAX_DIM}")
 
 
 def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
@@ -199,22 +201,6 @@ def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
     return out
 
 
-def embed_hashed(tokens: Sequence[str], config: HashedFeatureConfig) -> np.ndarray:
-    """Dense reference encoder: count each n-gram into its bucket.
-
-    With normalize=True the vector is scaled to unit Euclidean norm (the zero
-    vector stays zero). `HashedProvider.embed` stores the same values sparsely.
-    """
-    vec = np.zeros(config.dim)
-    for b in _buckets(tokens, config):
-        vec[b] += 1.0
-    if config.normalize:
-        norm = math.sqrt(float(vec @ vec))
-        if norm > 0.0:
-            vec /= norm
-    return vec
-
-
 @dataclass(frozen=True)
 class EmbeddingProviderSpec:
     """Where embeddings come from: `native-hashed` or a `remote` service."""
@@ -228,10 +214,12 @@ class EmbeddingProviderSpec:
     def __post_init__(self):
         if self.kind not in ("native-hashed", "remote"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.kind == "remote" and not self.endpoint:
+        if self.kind == "remote" and not (self.endpoint and isinstance(self.endpoint, str)):
             raise ValueError("remote provider requires an endpoint")
-        if self.dim <= 0 or self.batch_size <= 0:
-            raise ValueError("dim and batch_size must be positive")
+        if not 0 < self.dim <= MAX_DIM or self.batch_size <= 0:
+            raise ValueError(f"dim must be in 1..{MAX_DIM} and batch_size positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive number of seconds")
 
 
 def _post_embed(endpoint: str, texts: list[str], timeout: float) -> dict:
@@ -296,13 +284,12 @@ class HashedProvider:
         self.config = config or HashedFeatureConfig()
         self.dim = self.config.dim
 
-    @property
-    def fingerprint(self) -> str:
-        c = self.config
-        return f"hashed:ngram{c.ngram_max}:dim{c.dim}:seed{c.hash_seed}:norm{int(c.normalize)}"
-
     def embed(self, texts: Sequence[str]) -> SparseRows:
-        """The `embed_hashed` vector of each text, as sparse rows."""
+        """Each text's n-gram counts per bucket, as sparse rows.
+
+        With normalize=True each row is scaled to unit Euclidean norm (an
+        empty row stays empty).
+        """
         c = self.config
         buckets: list[int] = []
         lengths = []
@@ -318,7 +305,8 @@ class HashedProvider:
         row_of, indices = np.divmod(keys, c.dim)
         data = counts.astype(float)
         if c.normalize:
-            # integer sums of squares are exact, so this matches embed_hashed bit for bit
+            # integer sums of squares are exact, so this matches dividing a dense
+            # count vector by its norm, bit for bit
             data /= np.sqrt(np.bincount(row_of, weights=data * data, minlength=n))[row_of]
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
@@ -331,10 +319,6 @@ class RemoteProvider:
             raise ValueError("RemoteProvider requires kind='remote'")
         self.spec = spec
         self.dim = spec.dim
-
-    @property
-    def fingerprint(self) -> str:
-        return f"remote:{self.spec.endpoint}:dim{self.spec.dim}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         return embed_remote(texts, self.spec)

@@ -3,6 +3,8 @@
 Readers see the non-blank lines of a UTF-8 file, numbered as text mode splits
 them, and report a line they cannot read (not UTF-8, not a JSON object, a
 missing or wrong-typed field) as a `PipelineError` saying `<path>:<line>: …`.
+`json_object` is the one JSON decode of a pipeline file, and `field` the one
+typed check of a record's field.
 Writers write a temp file in the output's directory and rename it over the
 output only once it is complete, so a failure leaves any previous output as it
 was and no partial file. CSV files use the excel dialect (`\r\n` line ends).
@@ -14,7 +16,9 @@ import csv
 import json
 import os
 import re
+import reprlib
 from contextlib import contextmanager
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -53,15 +57,70 @@ def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
     return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
 
 
-def json_object(line: str) -> dict:
-    """The JSON object on one line; ValueError if the line holds anything else."""
+def json_object(text: str) -> dict:
+    """The JSON object that is `text`; a JSONDecodeError if it does not decode, else
+    a ValueError if it is not an object."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(text)
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
     return obj
+
+
+def read_json(path) -> dict:
+    """The JSON object that is the UTF-8 file `path`; ValueError if it is anything else."""
+    with open(path, encoding="utf-8") as fh:
+        return json_object(fh.read())
+
+
+def field(obj: dict, name: str, kind, optional: bool = False):
+    """`obj[name]` checked against `kind`, or a PipelineError naming `name`.
+
+    `kind` is a type, an Enum (its member is returned), a tuple of allowed
+    values, `[kind]` (a list) or `{key kind: value kind}` (an object). With
+    `optional`, a missing or null field is None.
+    """
+    value = obj.get(name)
+    if type(value) is kind:  # most fields of most records: no further call
+        return value
+    if value is None:
+        if optional:
+            return None
+        raise PipelineError(f"{name}: {'null' if name in obj else 'missing'}, expected a value")
+    try:
+        return _checked(value, kind)
+    except ValueError as exc:
+        raise PipelineError(f"{name}: {exc}") from None
+
+
+def _checked(value, kind):
+    if type(value) is kind:
+        return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        expected = "one of " + ", ".join(map(str, kind))
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return [_checked(v, kind[0]) for v in value]
+        expected = "a list"
+    elif isinstance(kind, dict):
+        if isinstance(value, dict):
+            [(key_kind, value_kind)] = kind.items()
+            return {_checked(k, key_kind): _checked(v, value_kind) for k, v in value.items()}
+        expected = "an object"
+    elif issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            expected = "one of " + ", ".join(m.value for m in kind)
+    elif isinstance(value, kind):
+        return value
+    else:
+        expected = kind.__name__
+    raise ValueError(f"expected {expected}, got {reprlib.repr(value)}")
 
 
 def read_jsonl(path, convert: Callable[[dict], T], what: str,
@@ -83,7 +142,10 @@ def read_jsonl(path, convert: Callable[[dict], T], what: str,
 def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) for each non-blank line of a one-line-per-row CSV file."""
     for lineno, line in text_lines(path):
-        yield lineno, next(csv.reader((line,)))
+        try:
+            yield lineno, next(csv.reader((line,)))
+        except csv.Error as exc:  # a cell over the csv module's size limit
+            raise PipelineError(f"{path}:{lineno}: {exc}") from None
 
 
 @contextmanager

@@ -5,10 +5,6 @@ Input records are one JSON object per line with fields `id`, `created_at`
 `group_tags` (array of strings) and `bot_flag` (boolean). Timestamps are
 normalized to UTC and all date bucketing uses the UTC calendar day.
 
-Parsing and filtering are pure; shards processed in parallel elsewhere can
-be combined with `merge_shards`, which restores the canonical
-(created_at, id) order.
-
 `ingest_file` filters a corpus file in two passes, so its memory does not
 hold the tweets that pass the filters. Pass 1 is `apply_filters` over
 `iter_corpus`: it parses and schema-checks every record and keeps, for each
@@ -105,6 +101,8 @@ class FilterSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.lang, str):
+            raise TypeError("lang must be a string")
         if self.date_start > self.date_end:
             raise ValueError("date_start must be <= date_end")
         if not 0.0 <= self.sample_rate <= 1.0:
@@ -120,11 +118,11 @@ def _parse_instant(value) -> datetime:
     text = value[:-1] + "+00:00" if value.endswith("Z") else value
     try:
         dt = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:  # OverflowError: off the UTC calendar
         raise SchemaError("created_at", f"unparsable timestamp {value!r} in") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
 
 
 def tweet_from_obj(obj: dict) -> RawTweet:
@@ -178,14 +176,12 @@ def parse_record(line: str) -> RawTweet:
     JSON and SchemaError (naming the field) for structural violations.
     """
     try:
-        obj = json.loads(line)
+        obj = json_object(line)
     except json.JSONDecodeError as exc:
         offset = len(line[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON: {exc.msg}", offset) from exc
-    except RecursionError:
-        raise ParseError("JSON nested too deeply", 0) from None
-    if not isinstance(obj, dict):
-        raise SchemaError("record", "expected a JSON object, not")
+    except ValueError as exc:  # valid JSON, but not an object
+        raise SchemaError("record", str(exc)) from None
     return tweet_from_obj(obj)
 
 
@@ -390,13 +386,6 @@ def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     kept = apply_filters(iter_corpus(path, name), spec, entry, counts)
     write_corpus(out_path, _rebuild(path, kept, name))
     return counts
-
-
-def merge_shards(shards: Sequence[Sequence[RawTweet]]) -> list[RawTweet]:
-    """Deterministic merge of shard outputs in (created_at, id) order."""
-    merged = [t for shard in shards for t in shard]
-    merged.sort(key=lambda t: (t.created_at, t.id))
-    return merged
 
 
 def write_corpus(path, tweets: Iterable[RawTweet]) -> None:

@@ -58,7 +58,7 @@ class HeadParams:
                 raise ModelError(f"non-finite entries in {name}")
             setattr(self, name, arr)
         k = len(A_USED)
-        if self.W_a.shape != (k, self.dim) or self.W_y.shape != (k, self.dim):
+        if self.W_a.ndim != 2 or not self.W_a.shape == self.W_y.shape == (k, self.dim):
             raise ModelError("weight matrices must be |A_used| x d")
         if self.b_a.shape != (k,) or self.b_y.shape != (k,):
             raise ModelError("bias vectors must have length |A_used|")
@@ -90,14 +90,16 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be >= 0 and finite")
         for t in (self.aspect_threshold, self.sentiment_threshold):
             if not 0.0 < t < 1.0:
                 raise ValueError("thresholds must be in (0, 1)")
@@ -349,12 +351,6 @@ def predict_batch(
     return [_prediction_from_probs(p_a[i], p_y[i], config) for i in range(len(texts))]
 
 
-def predict(
-    text: str, provider, params: HeadParams, config: TrainConfig | ModelBundle, provider_y=None
-) -> Prediction:
-    return predict_batch([text], provider, params, config, provider_y)[0]
-
-
 def train_svm_baseline(
     train_set: Sequence[ModelExample],
     config: TrainConfig,
@@ -450,27 +446,19 @@ def save_params(path, bundle: ModelBundle) -> None:
 def load_params(path) -> ModelBundle:
     """Read a `save_params` file; a malformed one is a `ModelError` naming `path`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        version = doc.get("format_version")
-        if version != PARAMS_FORMAT_VERSION:
-            raise ModelError(f"unsupported parameter file version {version!r}")
+        doc = files.read_json(path)
+        files.field(doc, "format_version", (PARAMS_FORMAT_VERSION,))
         if doc.get("aspects") != [a.value for a in A_USED]:
-            raise ModelError("parameter file was trained with a different aspect set")
-        tensors = doc["tensors"]
-        params = HeadParams(
-            W_a=_tensor_from_obj(tensors["W_a"]),
-            b_a=_tensor_from_obj(tensors["b_a"]),
-            W_y=_tensor_from_obj(tensors["W_y"]),
-            b_y=_tensor_from_obj(tensors["b_y"]),
-        )
+            raise ModelError("trained with a different aspect set")
+        tensors = files.field(doc, "tensors", dict)
         return ModelBundle(
-            params=params,
-            provider_config=dict(doc["provider"]),
-            aspect_threshold=float(doc["aspect_threshold"]),
-            sentiment_threshold=float(doc["sentiment_threshold"]),
-            objective=doc.get("objective", "bce"),
+            params=HeadParams(*(_tensor_from_obj(files.field(tensors, name, dict))
+                                for name in ("W_a", "b_a", "W_y", "b_y"))),
+            provider_config=files.field(doc, "provider", dict),
+            aspect_threshold=files.field(doc, "aspect_threshold", float),
+            sentiment_threshold=files.field(doc, "sentiment_threshold", float),
+            objective=files.field(doc, "objective", ("bce", "hinge"), optional=True) or "bce",
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # ValueError covers invalid JSON, UTF-8 and base64, and bad tensor shapes
-        raise ModelError(f"bad parameter file {path}: {type(exc).__name__}: {exc}") from None
+    except (PipelineError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError: bad JSON, UTF-8, base64 or tensor shape; OverflowError: a huge shape
+        raise ModelError(f"bad parameter file {path}: {exc}") from None

@@ -55,10 +55,6 @@ class DailySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self.values) - 1)
-
     def date_at(self, i: int) -> date:
         return self.start_date + timedelta(days=i)
 

@@ -469,7 +469,8 @@ class TestStreamingInfer:
                                    sentiment_threshold=bundle.sentiment_threshold)
         expected = [
             json.dumps(cli._prediction_to_obj(
-                t, model.predict(t.text, provider, bundle.params, config)), ensure_ascii=False)
+                t, model.predict_batch([t.text], provider, bundle.params, config)[0]),
+                ensure_ascii=False)
             for t in ingest.iter_corpus(corpus_path)
         ]
         assert out.read_text(encoding="utf-8").splitlines() == expected
@@ -781,7 +782,7 @@ class TestReport:
 
     DIRECTIONS = ("media->public", "public->media")
 
-    @pytest.mark.parametrize("series_input", ["raw", "smoothed"])
+    @pytest.mark.parametrize("series_input", ["raw"])  # the one value left, written out
     @pytest.mark.parametrize("media_span", ["every-third-row", "first-two-days"])
     def test_tables_equal_the_stage_outputs(self, tmp_path, trained_params, series_input,
                                             media_span):
@@ -823,8 +824,8 @@ class TestReport:
         def expected(mode, aspect, direction):
             series = []
             for source in (media_rows, public_rows):
-                s = stats.daily_series(source, mode, aspect=aspect, start=min(days), end=max(days))
-                series.append(stats.smooth_ma(s, window) if series_input == "smoothed" else s)
+                series.append(stats.daily_series(source, mode, aspect=aspect, start=min(days),
+                                                 end=max(days)))
             cause, effect = series if direction == "media->public" else series[::-1]
             try:
                 r = stats.granger_test(cause, effect, lag=1)
@@ -966,6 +967,13 @@ def _report_config(**section):
     return json.dumps({"report": {"predictions": "{d}/pred.jsonl", **section}})
 
 
+def _prediction_line(**fields):
+    """A blank line, then a prediction record with `fields` over valid defaults."""
+    return "\n" + json.dumps({"id": "p", "date": "2020-03-01", "detected": ["Politics"],
+                              **fields}) + "\n"
+
+
+_BAD_PREDICTION = "{d}/pred.jsonl:2: bad prediction record: "
 _ADJUDICATE = ["adjudicate", "--annotations", "{d}/ann.jsonl", "--out", "{d}/adj.jsonl"]
 _STATS = ["stats-dataset", "--dataset", "{d}/train.jsonl", "--out", "{d}/t1.csv"]
 _GRANGER = ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--out", "{d}/g.csv"]
@@ -975,7 +983,8 @@ class TestDomainErrors:
     """Bad settings and bad input files exit 1 with a message, never a traceback.
 
     `where`, when set, is what the message must name: `<path>:<line>` for a
-    bad line, the path for an input that cannot be read as a file.
+    bad line (then the field, for a wrong-typed one), the path for an input
+    that cannot be read as a file.
     """
 
     @pytest.mark.parametrize("file_name, content, argv, where", [
@@ -1018,6 +1027,26 @@ class TestDomainErrors:
          "{d}/pred.jsonl:2"),
         ("pred.jsonl", b'\n{"id": "\xff"}\n', _SERIES, "{d}/pred.jsonl:2"),
         ("s.csv", b"date,value\n2020-03-01,1.0\n2020-03-02,\xff\n", _GRANGER, "{d}/s.csv:3"),
+        ("pred.jsonl", _prediction_line(detected="Politics"), _SERIES,
+         _BAD_PREDICTION + "detected"),
+        ("pred.jsonl", _prediction_line(detected=["politics"]), _SERIES,
+         _BAD_PREDICTION + "detected"),
+        ("pred.jsonl", _prediction_line(detected=["Economy"]), _SERIES,
+         _BAD_PREDICTION + "detected"),
+        ("pred.jsonl", _prediction_line(sentiment={"Politics": {"label": "Positive"}}), _SERIES,
+         _BAD_PREDICTION + "label"),
+        ("pred.jsonl", _prediction_line(group_tags="us_media"), _SERIES,
+         _BAD_PREDICTION + "group_tags"),
+        ("pred.jsonl", _prediction_line(bot_flag="yes"), _SERIES, _BAD_PREDICTION + "bot_flag"),
+        ("pred.jsonl", _prediction_line(bot_flag=1), _SERIES, _BAD_PREDICTION + "bot_flag"),
+        ("pred.jsonl", _prediction_line(id=5), _SERIES, _BAD_PREDICTION + "id"),
+        ("ann.jsonl", '\n{"tweet_id": 5, "annotator_id": "a", "overall": "Negative"}\n',
+         _ADJUDICATE, "{d}/ann.jsonl:2: bad annotation record: tweet_id"),
+        (None, None, _SERIES + ["--select", "aspect:Economy"], None),
+        (None, None, _SERIES + ["--select", "negative:politics"], None),
+        (None, None, _TRAIN + ["--dim", str(2**50)], None),
+        ("config.json", _report_config(series_input="smoothed",
+                                       media_predictions="{d}/pred.jsonl"), _REPORT, None),
     ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
             "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
             "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
@@ -1026,7 +1055,12 @@ class TestDomainErrors:
             "annotations-array-line", "annotations-wrong-type", "annotations-not-utf8",
             "dataset-array-line", "dataset-wrong-type", "dataset-not-utf8",
             "predictions-array-line", "predictions-wrong-type", "predictions-not-utf8",
-            "series-csv-not-utf8"])
+            "series-csv-not-utf8", "predictions-detected-string",
+            "predictions-detected-lowercase", "predictions-detected-not-modeled",
+            "predictions-label-positive", "predictions-group-tags-string",
+            "predictions-bot-flag-yes", "predictions-bot-flag-one", "predictions-integer-id",
+            "annotations-integer-tweet-id", "series-select-not-modeled",
+            "series-select-lowercase", "train-dim-2-pow-50", "report-series-input-smoothed"])
     def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv,
                                          where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))

