@@ -4,8 +4,11 @@
 Generates a corpus, a media corpus, annotator labels and a labeled dataset,
 then drives the CLI through every subcommand: ingest, adjudicate,
 stats-dataset, split, train (BCE and the hinge baseline), eval, infer,
-augment-candidates, series, granger, compare-groups and report. All
-artifacts, including the report config, are left in the output directory.
+augment-candidates, series, granger, compare-groups and report. The run
+settings are one config file, `config.json`, that sets every config section
+and is passed to every subcommand; the hinge baseline overrides some `train`
+settings by flags. All artifacts, including the config, are left in the
+output directory.
 Useful as a live smoke test, as a template for running on real data, and
 for diffing every output before and after a change.
 
@@ -21,13 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aspectsent import synth
 from aspectsent.cli import main as cli
-
-
-def run(argv: list[str]) -> None:
-    print("+ aspectsent " + " ".join(argv))
-    code = cli(argv)
-    if code != 0:
-        raise SystemExit(code)
 
 
 def main() -> int:
@@ -53,24 +49,46 @@ def main() -> int:
                                                             offtopic_fraction=0.0,
                                                             non_english_fraction=0.0))
 
+    config = out / "config.json"
+    config.write_text(json.dumps({
+        "ingest": {"lang": "en", "date_start": "2020-01-22", "date_end": "2020-03-21",
+                   "sample_rate": 0.4, "seed": args.seed},
+        "split": {"seed": args.seed},
+        "train": {"epochs": 60, "learning_rate": 0.5, "seed": args.seed},
+        "provider": {"dim": 2048},
+        "augment": {"threshold": 0.6, "cap": 25},
+        "series": {"smooth_window": 1},
+        "granger": {"lag": 1},
+        "report": {
+            "dataset": str(dataset_path),
+            "params": str(out / "params.json"),
+            "test": str(out / "splits" / "test.jsonl"),
+            "predictions": str(out / "predictions.jsonl"),
+            "media_predictions": str(out / "media_predictions.jsonl"),
+            "group_a": "bots", "group_b": "users",
+            "lag": 1, "smoothing_window": 7,
+        },
+    }, indent=2) + "\n", encoding="utf-8")
+
+    def run(argv: list[str]) -> None:
+        argv = [argv[0], "-c", str(config), *argv[1:]]
+        print("+ aspectsent " + " ".join(argv))
+        code = cli(argv)
+        if code != 0:
+            raise SystemExit(code)
+
     run(["ingest", "--corpus", str(corpus_path), "--keywords", str(keywords_path),
-         "--out", str(out / "filtered.jsonl"), "--lang", "en",
-         "--date-start", "2020-01-22", "--date-end", "2020-03-21",
-         "--sample-rate", "0.4", "--seed", str(args.seed)])
+         "--out", str(out / "filtered.jsonl")])
     run(["adjudicate", "--annotations", str(annotations_path),
          "--out", str(out / "adjudicated.jsonl")])
     run(["stats-dataset", "--dataset", str(dataset_path), "--out", str(out / "table1.csv")])
-    run(["split", "--dataset", str(dataset_path), "--out-dir", str(out / "splits"),
-         "--seed", str(args.seed)])
+    run(["split", "--dataset", str(dataset_path), "--out-dir", str(out / "splits")])
     run(["train", "--train", str(out / "splits" / "train.jsonl"),
          "--dev", str(out / "splits" / "dev.jsonl"),
-         "--params-out", str(out / "params.json"),
-         "--epochs", "60", "--lr", "0.5", "--dim", "2048",
-         "--train-seed", str(args.seed)])
+         "--params-out", str(out / "params.json")])
     run(["train", "--objective", "hinge", "--train", str(out / "splits" / "train.jsonl"),
          "--params-out", str(out / "params_hinge.json"),
-         "--epochs", "30", "--lr", "0.5", "--batch-size", "24", "--weight-decay", "0.001",
-         "--dim", "2048", "--train-seed", str(args.seed)])
+         "--epochs", "30", "--batch-size", "24", "--weight-decay", "0.001"])
     run(["eval", "--params", str(out / "params.json"),
          "--dataset", str(out / "splits" / "test.jsonl"),
          "--out", str(out / "eval_report.csv")])
@@ -84,8 +102,7 @@ def main() -> int:
          "--corpus", str(media_path),
          "--out", str(out / "media_predictions.jsonl")])
     run(["augment-candidates", "--params", str(out / "params.json"),
-         "--pool", str(corpus_path), "--threshold", "0.6", "--cap", "25",
-         "--out", str(out / "candidates.jsonl")])
+         "--pool", str(corpus_path), "--out", str(out / "candidates.jsonl")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),
          "--select", "count", "--out", str(out / "daily_count.csv")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),
@@ -93,23 +110,11 @@ def main() -> int:
     run(["series", "--predictions", str(out / "predictions.jsonl"),
          "--select", "aspect:Measures", "--out", str(out / "measures_prop.csv")])
     run(["granger", "--x", str(out / "politics_prop.csv"),
-         "--y", str(out / "measures_prop.csv"), "--lag", "1",
-         "--out", str(out / "granger.csv")])
+         "--y", str(out / "measures_prop.csv"), "--out", str(out / "granger.csv")])
     run(["compare-groups", "--predictions", str(out / "predictions.jsonl"),
          "--group-a", "bots", "--group-b", "users", "--mode", "aspect-proportion",
          "--out", str(out / "bots_vs_users.csv")])
-
-    report_config = out / "report.json"
-    report_config.write_text(json.dumps({"report": {
-        "dataset": str(dataset_path),
-        "params": str(out / "params.json"),
-        "test": str(out / "splits" / "test.jsonl"),
-        "predictions": str(out / "predictions.jsonl"),
-        "media_predictions": str(out / "media_predictions.jsonl"),
-        "group_a": "bots", "group_b": "users",
-        "lag": 1, "smoothing_window": 7,
-    }}, indent=2) + "\n", encoding="utf-8")
-    run(["report", "-c", str(report_config), "--out-dir", str(out / "report")])
+    run(["report", "--out-dir", str(out / "report")])
 
     print(f"pipeline artifacts in {out}")
     return 0

@@ -1,8 +1,9 @@
 """Subcommand CLI tying the pipeline together.
 
 Configuration precedence is flags > config file > defaults; the config file
-is JSON with one section per subcommand plus shared `provider` and `train`
-sections. Every output file gets a sibling `<name>.meta.json` recording the
+is JSON with the sections and keys of `SETTINGS`, and an unknown section or
+key, or a value not of its key's type, is a domain error when the file is
+loaded. Every output file gets a sibling `<name>.meta.json` recording the
 tool version, a hash of the effective configuration, and the seed, so runs
 are auditable; all non-metadata outputs are byte-reproducible given
 identical inputs, configuration, and seeds.
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -27,43 +27,60 @@ import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import iter_chunks, provider_to_config, providers_from_config
+from .features import PROVIDER_SETTINGS, iter_chunks, provider_to_config, providers_from_config
 from .stats import DailySeries, PredictionRow
 
-PROVIDER_DEFAULTS = {
-    "kind": "native-hashed",
-    "ngram_max": 1,
-    "dim": 4096,
-    "hash_seed": 0,
-    "normalize": True,
-    "endpoint": None,
-    "sentiment_endpoint": None,
-    "timeout": 10.0,
-    "batch_size": 64,
+# Every setting, by config-file section: key -> (kind, default). A flag sets
+# the setting its argparse dest names, `<section>.<key>`. A setting whose
+# default is None is optional; range checks stay with the code that uses it.
+SETTINGS = {
+    "ingest": {"lang": (str, "en"), "date_start": (str, None), "date_end": (str, None),
+               "sample_rate": (float, 1.0), "seed": (int, 0), "accounts": (str, None)},
+    "split": {"seed": (int, 0)},
+    # a learning_rate of None is 0.1 for the hashed provider and 0.01 for a remote one
+    "train": {"learning_rate": (float, None), "epochs": (int, 20), "batch_size": (int, 32),
+              "weight_decay": (float, 0.0), "seed": (int, 0),
+              "aspect_threshold": (float, 0.5), "sentiment_threshold": (float, 0.5)},
+    "provider": PROVIDER_SETTINGS,
+    "augment": {"threshold": (float, 0.90), "cap": (int, 300)},
+    "series": {"start": (str, None), "end": (str, None), "smooth_window": (int, 1)},
+    "granger": {"lag": (int, 1)},
+    # series_input has one value: Granger tables always use raw series
+    "report": {"dataset": (str, None), "params": (str, None), "test": (str, None),
+               "predictions": (str, None), "media_predictions": (str, None),
+               "group_a": (str, None), "group_b": (str, None), "lag": (int, 1),
+               "smoothing_window": (int, 7), "series_input": (("raw",), "raw")},
 }
-
-# TrainConfig's defaults; learning_rate is resolved per provider kind (0.1 hashed, 0.01 remote)
-TRAIN_DEFAULTS = {**dataclasses.asdict(model.TrainConfig()), "learning_rate": None}
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The sections of config file `path`, each checked against SETTINGS and
+    completed with its defaults."""
     if not path:
         return {}
     try:
         cfg = files.read_json(path)
-        for section in cfg:  # each section is an object of settings
-            files.field(cfg, section, dict, optional=True)
-    except (ValueError, PipelineError) as exc:  # not UTF-8, not a JSON object
+        for section in cfg:
+            if section not in SETTINGS:
+                raise PipelineError(f"{section}: unknown section, expected one of "
+                                    f"{', '.join(SETTINGS)}")
+        return {section: files.settings(files.field(cfg, section, dict, optional=True) or {},
+                                        SETTINGS[section], section) for section in cfg}
+    except (ValueError, PipelineError) as exc:  # not UTF-8, not a JSON object, a bad setting
         raise PipelineError(f"bad config file {path}: {exc}") from None
-    return cfg
 
 
-def _resolve(defaults: dict, file_section: dict, flag_values: dict) -> dict:
-    """Flags > config file > defaults; a flag participates only when set."""
-    out = dict(defaults)
-    out.update({k: v for k, v in (file_section or {}).items() if k in defaults})
-    out.update({k: v for k, v in flag_values.items() if v is not None})
-    return out
+def _flags(args, section: str) -> dict:
+    """The settings of `section` that flags set."""
+    prefix = f"{section}."
+    return {name[len(prefix):]: value for name, value in vars(args).items()
+            if name.startswith(prefix) and value is not None}
+
+
+def _settings(section: str, args, file_cfg: dict) -> dict:
+    """Every setting of `section`: flags > config file > defaults."""
+    values = file_cfg.get(section) or files.settings({}, SETTINGS[section], section)
+    return {**values, **_flags(args, section)}
 
 
 def _config_hash(effective: dict) -> str:
@@ -71,16 +88,16 @@ def _config_hash(effective: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_meta(out_path, effective_config: dict, seed=None, counts=None) -> None:
+def _write_meta(out_path, effective_config: dict, seed=None, **extra) -> None:
+    """`<out_path>.meta.json`: tool, version, time, config hash and seed, plus `extra`."""
     meta = {
         "tool": "aspectsent",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config_hash": _config_hash(effective_config),
         "seed": seed,
+        **extra,
     }
-    if counts is not None:
-        meta["counts"] = counts
     files.write_json(f"{out_path}.meta.json", meta, indent=2)
 
 
@@ -109,8 +126,6 @@ def _require_paths(*pairs: tuple[str, str | None]) -> None:
     for label, value in pairs:
         if value is None:
             raise PipelineError(f"missing required input: --{label}")
-        if not isinstance(value, str):  # from a config file
-            raise PipelineError(f"bad {label} path {value!r}")
         if not Path(value).exists():
             raise PipelineError(f"{label} path does not exist: {value}")
 
@@ -122,23 +137,13 @@ def _parse_date(value: str) -> date:
         raise PipelineError(f"bad date {value!r}, expected YYYY-MM-DD") from None
 
 
-def _setting(convert, value, what: str):
-    """`convert(value)`, with a bad value as a PipelineError naming `what`."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge number
-        raise PipelineError(f"bad {what} {value!r}") from None
-
-
-def _parse_lag(value) -> int:
-    lag = _setting(int, value, "lag")
+def _check_lag(lag: int) -> int:
     if lag < 1:
         raise PipelineError(f"lag must be >= 1, got {lag}")
     return lag
 
 
-def _parse_window(value) -> int:
-    window = _setting(int, value, "smoothing window")
+def _check_window(window: int) -> int:
     if window < 1 or window % 2 == 0:
         raise PipelineError(f"smoothing window must be odd and >= 1, got {window}")
     return window
@@ -156,49 +161,27 @@ def _series_map(rows, columns: dict, window: int, start=None, end=None) -> dict:
 # --- provider / train config plumbing ---
 
 
-def _endpoint_flags(args) -> dict:
-    """The provider settings that `--endpoint/--timeout/--embed-batch-size` set."""
-    return {"endpoint": args.endpoint, "timeout": args.timeout, "batch_size": args.embed_batch_size}
-
-
 def _resolve_provider(args, file_cfg: dict) -> dict:
-    flags = {
-        "kind": args.provider,
-        "ngram_max": args.ngram_max,
-        "dim": args.dim,
-        "hash_seed": args.hash_seed,
-        "sentiment_endpoint": args.sentiment_endpoint,
-        **_endpoint_flags(args),
-    }
-    cfg = _resolve(PROVIDER_DEFAULTS, file_cfg.get("provider", {}), flags)
-    if cfg["kind"] == "remote" and not cfg.get("endpoint"):
+    cfg = _settings("provider", args, file_cfg)
+    if cfg["kind"] == "remote" and not cfg["endpoint"]:
         raise PipelineError("remote provider requires --endpoint")
     if cfg["kind"] == "native-hashed":
         cfg.pop("endpoint", None)
         cfg.pop("sentiment_endpoint", None)
         cfg.pop("timeout", None)
         cfg.pop("batch_size", None)
-    elif not cfg.get("sentiment_endpoint"):
+    elif not cfg["sentiment_endpoint"]:
         cfg.pop("sentiment_endpoint", None)
     return cfg
 
 
 def _resolve_train(args, file_cfg: dict, provider_kind: str) -> model.TrainConfig:
-    flags = {
-        "learning_rate": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "weight_decay": args.weight_decay,
-        "seed": args.train_seed,
-        "aspect_threshold": args.aspect_threshold,
-        "sentiment_threshold": args.sentiment_threshold,
-    }
-    cfg = _resolve(TRAIN_DEFAULTS, file_cfg.get("train", {}), flags)
+    cfg = _settings("train", args, file_cfg)
     if cfg["learning_rate"] is None:
         cfg["learning_rate"] = 0.01 if provider_kind == "remote" else 0.1
     try:
         return model.TrainConfig(**cfg)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise PipelineError(f"bad train settings: {exc}") from None
 
 
@@ -206,8 +189,8 @@ def _providers(cfg: dict):
     """`providers_from_config`, with a bad setting as a PipelineError."""
     try:
         return providers_from_config(cfg)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PipelineError(f"bad provider settings: {type(exc).__name__}: {exc}") from None
+    except ValueError as exc:
+        raise PipelineError(f"bad provider settings: {exc}") from None
 
 
 # --- predictions JSONL (infer output; series/compare-groups input) ---
@@ -311,25 +294,7 @@ def _parse_select(spec: str) -> tuple[str, str | None]:
 
 def _cmd_ingest(args, file_cfg):
     _require_paths(("corpus", args.corpus), ("keywords", args.keywords))
-    section = _resolve(
-        {
-            "lang": "en",
-            "date_start": None,
-            "date_end": None,
-            "sample_rate": 1.0,
-            "seed": 0,
-            "accounts": None,
-        },
-        file_cfg.get("ingest", {}),
-        {
-            "lang": args.lang,
-            "date_start": args.date_start,
-            "date_end": args.date_end,
-            "sample_rate": args.sample_rate,
-            "seed": args.seed,
-            "accounts": args.accounts,
-        },
-    )
+    section = _settings("ingest", args, file_cfg)
     if not section["date_start"] or not section["date_end"]:
         raise PipelineError("ingest requires --date-start and --date-end")
     accounts = None
@@ -340,13 +305,13 @@ def _cmd_ingest(args, file_cfg):
         spec = ingest.FilterSpec(
             lang=section["lang"],
             keywords=ingest.load_keywords(args.keywords),
-            date_start=_parse_date(str(section["date_start"])),
-            date_end=_parse_date(str(section["date_end"])),
+            date_start=_parse_date(section["date_start"]),
+            date_end=_parse_date(section["date_end"]),
             accounts=accounts,
-            sample_rate=float(section["sample_rate"]),
-            seed=int(section["seed"]),
+            sample_rate=section["sample_rate"],
+            seed=section["seed"],
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise PipelineError(f"bad ingest settings: {exc}") from None
     with _rereadable(args.corpus, args.out) as corpus_path:
         counts = ingest.ingest_file(corpus_path, spec, args.out, name=args.corpus)
@@ -398,8 +363,7 @@ def _cmd_stats_dataset(args, file_cfg):
 def _cmd_split(args, file_cfg):
     _require_paths(("dataset", args.dataset))
     dataset = corpus.read_dataset(args.dataset)
-    seed = _resolve({"seed": 0}, file_cfg.get("split", {}), {"seed": args.seed})["seed"]
-    seed = _setting(int, seed, "split seed")
+    seed = _settings("split", args, file_cfg)["seed"]
     train_part, dev_part, test_part = corpus.split(dataset, seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,6 +393,7 @@ def _cmd_train(args, file_cfg):
     provider_cfg = _resolve_provider(args, file_cfg)
     train_cfg = _resolve_train(args, file_cfg, provider_cfg["kind"])
 
+    train_loss = None  # the BCE objective's full training loss after each epoch
     if args.objective == "hinge":
         if provider_cfg["kind"] != "native-hashed":
             raise PipelineError("the hinge baseline uses native hashed unigram features")
@@ -438,8 +403,10 @@ def _cmd_train(args, file_cfg):
         provider_cfg = provider_to_config(provider)
     else:
         provider, provider_y = _providers(provider_cfg)
+        train_loss = []
         params = model.train(train_examples, dev_examples, provider, train_cfg,
-                             provider_y=provider_y)
+                             provider_y=provider_y,
+                             epoch_callback=lambda epoch, loss: train_loss.append(loss))
 
     bundle = model.ModelBundle(
         params=params,
@@ -450,18 +417,17 @@ def _cmd_train(args, file_cfg):
     )
     model.save_params(args.params_out, bundle)
     effective = {"provider": provider_cfg, "train": train_cfg.__dict__, "objective": args.objective}
-    _write_meta(args.params_out, effective, seed=train_cfg.seed)
+    _write_meta(args.params_out, effective, seed=train_cfg.seed, train_loss=train_loss)
     print(f"train: {len(train_examples)} examples, objective={args.objective} -> {args.params_out}")
     return 0
 
 
 def _load_bundle_and_provider(params_path, flags: dict):
-    """Load a params file and its providers; the set values of `flags`
-    (see `_endpoint_flags`) override the file's provider config."""
+    """Load a params file and its providers; `flags` (provider settings)
+    override the file's provider config."""
     _require_paths(("params", params_path))
     bundle = model.load_params(params_path)
-    overrides = {k: v for k, v in flags.items() if v is not None}
-    provider, provider_y = _providers({**bundle.provider_config, **overrides})
+    provider, provider_y = _providers({**bundle.provider_config, **flags})
     return bundle, provider, provider_y
 
 
@@ -493,12 +459,12 @@ def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
 
 
 def _cmd_eval(args, file_cfg):
-    _write_eval(args.params, args.dataset, args.out, _endpoint_flags(args))
+    _write_eval(args.params, args.dataset, args.out, _flags(args, "provider"))
     return 0
 
 
 def _cmd_infer(args, file_cfg):
-    bundle, provider, provider_y = _load_bundle_and_provider(args.params, _endpoint_flags(args))
+    bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     _require_paths(("corpus", args.corpus))
 
     def predictions():
@@ -514,15 +480,10 @@ def _cmd_infer(args, file_cfg):
 
 
 def _cmd_augment_candidates(args, file_cfg):
-    bundle, provider, _ = _load_bundle_and_provider(args.params, _endpoint_flags(args))
+    bundle, provider, _ = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     _require_paths(("pool", args.pool))
-    section = _resolve(
-        {"threshold": 0.90, "cap": 300},
-        file_cfg.get("augment", {}),
-        {"threshold": args.threshold, "cap": args.cap},
-    )
-    threshold = _setting(float, section["threshold"], "augment threshold")
-    cap = _setting(int, section["cap"], "augment cap")
+    section = _settings("augment", args, file_cfg)
+    threshold, cap = section["threshold"], section["cap"]
     if not 0.0 < threshold < 1.0 or cap < 1:
         raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     pool = ((t.id, t.text) for t in ingest.iter_corpus(args.pool))
@@ -542,14 +503,10 @@ def _cmd_augment_candidates(args, file_cfg):
 
 def _cmd_series(args, file_cfg):
     _require_paths(("predictions", args.predictions))
-    section = _resolve(
-        {"start": None, "end": None, "smooth_window": 1},
-        file_cfg.get("series", {}),
-        {"start": args.start, "end": args.end, "smooth_window": args.smooth_window},
-    )
-    start = _parse_date(str(section["start"])) if section["start"] else None
-    end = _parse_date(str(section["end"])) if section["end"] else None
-    window = _parse_window(section["smooth_window"])
+    section = _settings("series", args, file_cfg)
+    start = _parse_date(section["start"]) if section["start"] else None
+    end = _parse_date(section["end"]) if section["end"] else None
+    window = _check_window(section["smooth_window"])
     selects = args.select or ["count"]
     columns = {spec: _parse_select(spec) for spec in selects}
     series_map = _series_map(read_prediction_rows(args.predictions), columns, window, start, end)
@@ -572,7 +529,7 @@ def _cmd_granger(args, file_cfg):
     y = stats.read_series_csv(args.y)
     x_name = args.x_name or Path(args.x).stem
     y_name = args.y_name or Path(args.y).stem
-    lag = _parse_lag(_resolve({"lag": 1}, file_cfg.get("granger", {}), {"lag": args.lag})["lag"])
+    lag = _check_lag(_settings("granger", args, file_cfg)["lag"])
     results = [
         stats.granger_test(x, y, lag=lag, names=(x_name, y_name)),
         stats.granger_test(y, x, lag=lag, names=(y_name, x_name)),
@@ -632,30 +589,28 @@ _FIGURES = {
 
 
 def _cmd_report(args, file_cfg):
-    section = file_cfg.get("report", {})
-    if not section:
+    if "report" not in file_cfg:
         raise PipelineError("report requires a config file with a 'report' section")
+    section = file_cfg["report"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lag = _parse_lag(section.get("lag", 1))
-    window = _parse_window(section.get("smoothing_window", 7))
-    if section.get("series_input", "raw") != "raw":
-        raise PipelineError("report: series_input was removed; Granger tables use raw series")
+    lag = _check_lag(section["lag"])
+    window = _check_window(section["smoothing_window"])
     emitted = []
 
-    if section.get("dataset"):
+    if section["dataset"]:
         _write_dataset_stats(section["dataset"], out_dir / "table1_dataset_stats.csv")
         emitted.append("table1_dataset_stats.csv")
-    if section.get("params") and section.get("test"):
+    if section["params"] and section["test"]:
         _write_eval(section["params"], section["test"],
                     out_dir / "table2_model_performance.csv", {})
         emitted.append("table2_model_performance.csv")
 
     rows = media_rows = None
-    if section.get("predictions"):
+    if section["predictions"]:
         _require_paths(("predictions", section["predictions"]))
         rows = read_prediction_rows(section["predictions"])
-    if section.get("media_predictions"):
+    if section["media_predictions"]:
         _require_paths(("media_predictions", section["media_predictions"]))
         media_rows = read_prediction_rows(section["media_predictions"])
 
@@ -689,7 +644,7 @@ def _cmd_report(args, file_cfg):
             _write_meta(out_dir / name, section)
             emitted.append(name)
 
-    if rows and section.get("group_a") and section.get("group_b"):
+    if rows and section["group_a"] and section["group_b"]:
         for mode, name in (
             ("aspect-proportion", "table7_group_aspects.csv"),
             ("sentiment-mean", "table8_group_sentiments.csv"),
@@ -707,18 +662,21 @@ def _cmd_report(args, file_cfg):
 # --- parser ---
 
 
+# a flag whose dest is `<section>.<key>` sets that setting (see SETTINGS)
+
+
 def _add_endpoint_flags(sub):
-    sub.add_argument("--endpoint")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--embed-batch-size", type=int, dest="embed_batch_size")
+    sub.add_argument("--endpoint", dest="provider.endpoint")
+    sub.add_argument("--timeout", type=float, dest="provider.timeout")
+    sub.add_argument("--embed-batch-size", type=int, dest="provider.batch_size")
 
 
 def _add_provider_flags(sub):
-    sub.add_argument("--provider", choices=["native-hashed", "remote"])
-    sub.add_argument("--ngram-max", type=int, dest="ngram_max")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--hash-seed", type=int, dest="hash_seed")
-    sub.add_argument("--sentiment-endpoint", dest="sentiment_endpoint",
+    sub.add_argument("--provider", choices=PROVIDER_SETTINGS["kind"][0], dest="provider.kind")
+    sub.add_argument("--ngram-max", type=int, dest="provider.ngram_max")
+    sub.add_argument("--dim", type=int, dest="provider.dim")
+    sub.add_argument("--hash-seed", type=int, dest="provider.hash_seed")
+    sub.add_argument("--sentiment-endpoint", dest="provider.sentiment_endpoint",
                      help="second remote endpoint for distinct sentiment-stage embeddings")
     _add_endpoint_flags(sub)
 
@@ -741,12 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--keywords", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--lang")
-    sub.add_argument("--date-start", dest="date_start")
-    sub.add_argument("--date-end", dest="date_end")
-    sub.add_argument("--accounts")
-    sub.add_argument("--sample-rate", type=float, dest="sample_rate")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--lang", dest="ingest.lang")
+    sub.add_argument("--date-start", dest="ingest.date_start")
+    sub.add_argument("--date-end", dest="ingest.date_end")
+    sub.add_argument("--accounts", dest="ingest.accounts")
+    sub.add_argument("--sample-rate", type=float, dest="ingest.sample_rate")
+    sub.add_argument("--seed", type=int, dest="ingest.seed")
 
     sub = add("adjudicate", _cmd_adjudicate, "resolve multi-annotator labels into a dataset")
     sub.add_argument("--annotations", required=True)
@@ -760,20 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("split", _cmd_split, "deterministic 8:1:1 train/dev/test split")
     sub.add_argument("--dataset", required=True)
     sub.add_argument("--out-dir", dest="out_dir", required=True)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, dest="split.seed")
 
     sub = add("train", _cmd_train, "train the two-stage model (or the SVM baseline)")
     sub.add_argument("--train", required=True)
     sub.add_argument("--dev")
     sub.add_argument("--params-out", dest="params_out", required=True)
     sub.add_argument("--objective", choices=["bce", "hinge"], default="bce")
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--weight-decay", type=float, dest="weight_decay")
-    sub.add_argument("--train-seed", type=int, dest="train_seed")
-    sub.add_argument("--aspect-threshold", type=float, dest="aspect_threshold")
-    sub.add_argument("--sentiment-threshold", type=float, dest="sentiment_threshold")
+    sub.add_argument("--lr", type=float, dest="train.learning_rate")
+    sub.add_argument("--epochs", type=int, dest="train.epochs")
+    sub.add_argument("--batch-size", type=int, dest="train.batch_size")
+    sub.add_argument("--weight-decay", type=float, dest="train.weight_decay")
+    sub.add_argument("--train-seed", type=int, dest="train.seed")
+    sub.add_argument("--aspect-threshold", type=float, dest="train.aspect_threshold")
+    sub.add_argument("--sentiment-threshold", type=float, dest="train.sentiment_threshold")
     _add_provider_flags(sub)
 
     sub = add("eval", _cmd_eval, "Table-2-style per-aspect macro/micro F1 report")
@@ -793,23 +751,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--params", required=True)
     sub.add_argument("--pool", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--threshold", type=float)
-    sub.add_argument("--cap", type=int)
+    sub.add_argument("--threshold", type=float, dest="augment.threshold")
+    sub.add_argument("--cap", type=int, dest="augment.cap")
     _add_endpoint_flags(sub)
 
     sub = add("series", _cmd_series, "daily series (counts/proportions) from predictions")
     sub.add_argument("--predictions", required=True)
     sub.add_argument("--select", action="append",
                      help="count, aspect:<A>, negative:<A>, nonnegative:<A>; repeatable")
-    sub.add_argument("--start")
-    sub.add_argument("--end")
-    sub.add_argument("--smooth-window", type=int, dest="smooth_window")
+    sub.add_argument("--start", dest="series.start")
+    sub.add_argument("--end", dest="series.end")
+    sub.add_argument("--smooth-window", type=int, dest="series.smooth_window")
     sub.add_argument("--out", required=True)
 
     sub = add("granger", _cmd_granger, "Granger causality between two series, both directions")
     sub.add_argument("--x", required=True)
     sub.add_argument("--y", required=True)
-    sub.add_argument("--lag", type=int)
+    sub.add_argument("--lag", type=int, dest="granger.lag")
     sub.add_argument("--x-name", dest="x_name")
     sub.add_argument("--y-name", dest="y_name")
     sub.add_argument("--out", required=True)

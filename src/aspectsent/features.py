@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from . import files
 from .errors import PipelineError
 from .hashing import stable_hash64
 
@@ -324,6 +325,21 @@ class RemoteProvider:
         return embed_remote(texts, self.spec)
 
 
+# the settings of a provider config (a config file's or a params file's
+# `provider` object): key -> (kind, default)
+PROVIDER_SETTINGS = {
+    "kind": (("native-hashed", "remote"), "native-hashed"),
+    "ngram_max": (int, 1),
+    "dim": (int, 4096),
+    "hash_seed": (int, 0),
+    "normalize": (bool, True),
+    "endpoint": (str, None),
+    "sentiment_endpoint": (str, None),
+    "timeout": (float, 10.0),
+    "batch_size": (int, 64),
+}
+
+
 def providers_from_config(cfg: dict):
     """Build (provider, sentiment_provider_or_None) from a plain config dict.
 
@@ -332,40 +348,26 @@ def providers_from_config(cfg: dict):
     and sentiment-stage representations. With a single provider both stages
     share one embedding.
     """
+    cfg = files.settings(cfg, PROVIDER_SETTINGS, "provider")
     provider = provider_from_config(cfg)
-    sentiment_endpoint = cfg.get("sentiment_endpoint")
-    if not sentiment_endpoint:
+    if not cfg["sentiment_endpoint"]:
         return provider, None
-    if cfg.get("kind") != "remote":
+    if cfg["kind"] != "remote":
         raise ValueError("sentiment_endpoint requires a remote provider")
-    second = dict(cfg, endpoint=sentiment_endpoint)
-    second.pop("sentiment_endpoint", None)
-    return provider, provider_from_config(second)
+    return provider, provider_from_config(dict(cfg, endpoint=cfg["sentiment_endpoint"]))
 
 
 def provider_from_config(cfg: dict):
-    """Build a provider from a plain config dict (the params-file format)."""
-    kind = cfg.get("kind", "native-hashed")
-    if kind == "native-hashed":
-        return HashedProvider(
-            HashedFeatureConfig(
-                ngram_max=int(cfg.get("ngram_max", 1)),
-                dim=int(cfg.get("dim", 4096)),
-                hash_seed=int(cfg.get("hash_seed", 0)),
-                normalize=bool(cfg.get("normalize", True)),
-            )
-        )
-    if kind == "remote":
-        return RemoteProvider(
-            EmbeddingProviderSpec(
-                kind="remote",
-                dim=int(cfg["dim"]),
-                endpoint=cfg["endpoint"],
-                timeout=float(cfg.get("timeout", 10.0)),
-                batch_size=int(cfg.get("batch_size", 64)),
-            )
-        )
-    raise ValueError(f"unknown provider kind {kind!r}")
+    """Build a provider from a plain config dict (the params-file format),
+    checked against `PROVIDER_SETTINGS`."""
+    cfg = files.settings(cfg, PROVIDER_SETTINGS, "provider")
+    if cfg["kind"] == "native-hashed":
+        return HashedProvider(HashedFeatureConfig(
+            ngram_max=cfg["ngram_max"], dim=cfg["dim"], hash_seed=cfg["hash_seed"],
+            normalize=cfg["normalize"]))
+    return RemoteProvider(EmbeddingProviderSpec(
+        kind="remote", dim=cfg["dim"], endpoint=cfg["endpoint"], timeout=cfg["timeout"],
+        batch_size=cfg["batch_size"]))
 
 
 def provider_to_config(provider) -> dict:

@@ -17,6 +17,7 @@ import json
 import os
 import re
 import reprlib
+import sys
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -80,7 +81,9 @@ def field(obj: dict, name: str, kind, optional: bool = False):
 
     `kind` is a type, an Enum (its member is returned), a tuple of allowed
     values, `[kind]` (a list) or `{key kind: value kind}` (an object). With
-    `optional`, a missing or null field is None.
+    `optional`, a missing or null field is None. JSON has one number type:
+    `float` takes an integer too (returned as a float), and `true` or `false`
+    is not a number, for `int`, `float` or a tuple of numbers.
     """
     value = obj.get(name)
     if type(value) is kind:  # most fields of most records: no further call
@@ -95,11 +98,14 @@ def field(obj: dict, name: str, kind, optional: bool = False):
         raise PipelineError(f"{name}: {exc}") from None
 
 
+_MAX_FLOAT_INT = int(sys.float_info.max)  # the largest integer a float kind takes
+
+
 def _checked(value, kind):
     if type(value) is kind:
         return value
     if isinstance(kind, tuple):
-        if value in kind:
+        if value in kind and not isinstance(value, bool):  # True == 1
             return value
         expected = "one of " + ", ".join(map(str, kind))
     elif isinstance(kind, list):
@@ -116,11 +122,31 @@ def _checked(value, kind):
             return kind(value)
         except ValueError:
             expected = "one of " + ", ".join(m.value for m in kind)
-    elif isinstance(value, kind):
+    elif kind is float and type(value) is int and abs(value) <= _MAX_FLOAT_INT:
+        return float(value)
+    elif isinstance(value, kind) and not isinstance(value, bool):  # a bool is an int
         return value
     else:
         expected = kind.__name__
     raise ValueError(f"expected {expected}, got {reprlib.repr(value)}")
+
+
+def settings(obj: dict, declared: dict, section: str) -> dict:
+    """Every setting of `declared` (key -> (kind, default)), from `obj` or its default.
+
+    A key of `obj` that is not declared, or a value not of its key's kind, is
+    a PipelineError saying `<section>.<key>: …`. A setting whose default is
+    None may be null.
+    """
+    for key in obj:
+        if key not in declared:
+            raise PipelineError(f"{section}.{key}: unknown setting, expected one of "
+                                f"{', '.join(declared)}")
+    try:
+        return {key: field(obj, key, kind, optional=default is None) if key in obj else default
+                for key, (kind, default) in declared.items()}
+    except PipelineError as exc:  # `field` names the key
+        raise PipelineError(f"{section}.{exc}") from None
 
 
 def read_jsonl(path, convert: Callable[[dict], T], what: str,

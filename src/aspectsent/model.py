@@ -27,7 +27,7 @@ import numpy as np
 from . import evaluation, files
 from .corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
 from .errors import PipelineError
-from .features import HashedFeatureConfig, HashedProvider, SparseRows
+from .features import PROVIDER_SETTINGS, HashedFeatureConfig, HashedProvider, SparseRows
 
 LOSS_CLAMP_EPS = 1e-12
 
@@ -451,10 +451,12 @@ def load_params(path) -> ModelBundle:
         if doc.get("aspects") != [a.value for a in A_USED]:
             raise ModelError("trained with a different aspect set")
         tensors = files.field(doc, "tensors", dict)
+        provider_config = files.field(doc, "provider", dict)
+        files.settings(provider_config, PROVIDER_SETTINGS, "provider")  # a bad one names `path`
         return ModelBundle(
             params=HeadParams(*(_tensor_from_obj(files.field(tensors, name, dict))
                                 for name in ("W_a", "b_a", "W_y", "b_y"))),
-            provider_config=files.field(doc, "provider", dict),
+            provider_config=provider_config,
             aspect_threshold=files.field(doc, "aspect_threshold", float),
             sentiment_threshold=files.field(doc, "sentiment_threshold", float),
             objective=files.field(doc, "objective", ("bce", "hinge"), optional=True) or "bce",

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -416,6 +417,20 @@ class TestTrainEvalInfer:
             detected = {a for a, p in obj["aspect_probs"].items() if p >= bundle.aspect_threshold}
             assert set(obj["detected"]) == detected
             assert set(obj["sentiment"]) == detected
+
+    def test_train_meta_records_the_loss_curve(self, tmp_path, trained_params, monkeypatch):
+        _, splits = trained_params
+        argv = ["train", "--train", str(splits / "train.jsonl"), "--dev", str(splits / "dev.jsonl"),
+                "--epochs", "4", "--dim", "1024", "--train-seed", "4", "--params-out"]
+        assert main(argv + [str(tmp_path / "a.json")]) == 0
+        loss = json.loads((tmp_path / "a.json.meta.json").read_text())["train_loss"]
+        assert len(loss) == 4 and all(isinstance(x, float) and x > 0 for x in loss)
+        # observing the epochs changes nothing the run writes besides its meta
+        unobserved = model.train
+        monkeypatch.setattr(model, "train",
+                            lambda *a, epoch_callback=None, **kw: unobserved(*a, **kw))
+        assert main(argv + [str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_svm_objective_trains(self, tmp_path, trained_params):
         _, splits = trained_params
@@ -977,6 +992,17 @@ _BAD_PREDICTION = "{d}/pred.jsonl:2: bad prediction record: "
 _ADJUDICATE = ["adjudicate", "--annotations", "{d}/ann.jsonl", "--out", "{d}/adj.jsonl"]
 _STATS = ["stats-dataset", "--dataset", "{d}/train.jsonl", "--out", "{d}/t1.csv"]
 _GRANGER = ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--out", "{d}/g.csv"]
+_INGEST = ["ingest", "--corpus", "{d}/train.jsonl", "--keywords", "{d}/s.csv",
+           "--out", "{d}/kept.jsonl"]
+
+
+def _with_config(argv):
+    return argv[:1] + ["-c", "{d}/config.json"] + argv[1:]
+
+
+def _bad_setting(section_key: str) -> str:
+    """What the error for a bad setting names: the config file, then `<section>.<key>`."""
+    return "{d}/config.json: " + section_key
 
 
 class TestDomainErrors:
@@ -1047,6 +1073,25 @@ class TestDomainErrors:
         (None, None, _TRAIN + ["--dim", str(2**50)], None),
         ("config.json", _report_config(series_input="smoothed",
                                        media_predictions="{d}/pred.jsonl"), _REPORT, None),
+        ("config.json", '{"granger": {"lag": 2.5}}', _with_config(_GRANGER),
+         _bad_setting("granger.lag")),
+        ("config.json", '{"granger": {"lag": "2"}}', _with_config(_GRANGER),
+         _bad_setting("granger.lag")),
+        ("config.json", '{"granger": {"lag": true}}', _with_config(_GRANGER),
+         _bad_setting("granger.lag")),
+        ("config.json", '{"granger": {"lags": 3}}', _with_config(_GRANGER),
+         _bad_setting("granger.lags")),
+        ("config.json", '{"provider": {"normalize": "false"}}', _with_config(_TRAIN),
+         _bad_setting("provider.normalize")),
+        ("config.json", '{"provider": {"dim": "1024"}}', _with_config(_TRAIN),
+         _bad_setting("provider.dim")),
+        ("config.json", '{"train": {"epochs": true}}', _with_config(_TRAIN),
+         _bad_setting("train.epochs")),
+        ("config.json", '{"ingest": {"sample_rate": true}}', _with_config(_INGEST),
+         _bad_setting("ingest.sample_rate")),
+        ("config.json", '{"ingest": {"date_start": 20200101}}', _with_config(_INGEST),
+         _bad_setting("ingest.date_start")),
+        ("config.json", '{"grangr": {"lag": 2}}', _with_config(_GRANGER), _bad_setting("grangr")),
     ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
             "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
             "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
@@ -1060,7 +1105,11 @@ class TestDomainErrors:
             "predictions-label-positive", "predictions-group-tags-string",
             "predictions-bot-flag-yes", "predictions-bot-flag-one", "predictions-integer-id",
             "annotations-integer-tweet-id", "series-select-not-modeled",
-            "series-select-lowercase", "train-dim-2-pow-50", "report-series-input-smoothed"])
+            "series-select-lowercase", "train-dim-2-pow-50", "report-series-input-smoothed",
+            "granger-lag-fraction", "granger-lag-string", "granger-lag-true",
+            "granger-lags-misspelt", "provider-normalize-string", "provider-dim-string",
+            "train-epochs-true", "ingest-sample-rate-true", "ingest-date-start-number",
+            "unknown-section"])
     def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv,
                                          where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
@@ -1082,6 +1131,19 @@ class TestDomainErrors:
         assert "Traceback" not in err
         if where is not None:
             assert f"{where.replace('{d}', str(tmp_path))}:" in err
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, declared in cli.SETTINGS.items() for key in declared])
+    def test_wrong_typed_setting_is_named(self, tmp_path, capsys, section, key):
+        kind = cli.SETTINGS[section][key][0]
+        wrong = 1 if kind is str or isinstance(kind, tuple) else "1"  # a JSON number or string
+        (tmp_path / "config.json").write_text(json.dumps({section: {key: wrong}}),
+                                              encoding="utf-8")
+        argv = _with_config(_GRANGER)
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config file {tmp_path}/config.json: {section}.{key}: ")
+        assert "Traceback" not in err
 
 
 class _FailingFile:
@@ -1224,6 +1286,40 @@ class TestConfigPrecedence:
                      "--params-out", str(tmp_path / "p.json"),
                      "--objective", "hinge", "--epochs", "1"])
         assert code == 1
+
+    def test_integer_for_a_float_setting(self, tmp_path, small_corpus, trained_params):
+        # JSON has one number type: `"sample_rate": 1` and `"learning_rate": 1` are floats
+        corpus_path, keywords = small_corpus
+        _, splits = trained_params
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "ingest": {"date_start": "2020-01-22", "date_end": "2020-05-21", "sample_rate": 1},
+            "train": {"learning_rate": 1, "epochs": 1},
+            "provider": {"dim": 1024},
+        }), encoding="utf-8")
+        assert main(["ingest", "-c", str(cfg_path), "--corpus", str(corpus_path),
+                     "--keywords", str(keywords), "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert main(["train", "-c", str(cfg_path), "--train", str(splits / "train.jsonl"),
+                     "--params-out", str(tmp_path / "p.json")]) == 0
+
+    def test_each_flag_sets_its_setting(self):
+        args = cli.build_parser().parse_args([
+            "train", "--train", "t.jsonl", "--params-out", "p.json",
+            "--batch-size", "7", "--embed-batch-size", "9", "--lr", "0.3"])
+        file_cfg = {"train": files.settings({"batch_size": 5, "epochs": 3},
+                                            cli.SETTINGS["train"], "train")}
+        train = cli._settings("train", args, file_cfg)
+        assert (train["batch_size"], train["epochs"], train["learning_rate"], train["seed"]) == (
+            7, 3, 0.3, 0)  # flag, file, flag, default
+        assert cli._settings("provider", args, file_cfg)["batch_size"] == 9
+
+    def test_every_setting_flag_names_a_declared_setting(self):
+        parser = cli.build_parser()
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
+        for dest in (d for d in dests if "." in d):
+            section, key = dest.split(".")
+            assert key in cli.SETTINGS[section], dest
 
 
 class TestReproducibility:

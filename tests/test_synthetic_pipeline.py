@@ -7,7 +7,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
 # what the script writes itself, before it calls the CLI
 INPUTS = {"corpus.jsonl", "dataset.jsonl", "keywords.txt", "annotations.jsonl",
-          "media_corpus.jsonl", "report.json"}
+          "media_corpus.jsonl", "config.json"}
 
 
 def _run(out_dir: Path) -> dict[Path, bytes]:
@@ -26,7 +26,7 @@ def test_every_output_has_meta_and_repeats_byte_for_byte(tmp_path):
     assert outputs
     for p in outputs:
         assert p.with_name(f"{p.name}.meta.json") in first, p
-    # report.json names the output directory; everything else must repeat
+    # config.json names the output directory; everything else must repeat
     for p in first:
-        if not p.name.endswith(".meta.json") and p.name != "report.json":
+        if not p.name.endswith(".meta.json") and p.name != "config.json":
             assert first[p] == second[p], p
