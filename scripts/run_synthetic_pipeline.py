@@ -3,11 +3,11 @@
 
 Generates a corpus, a media corpus, annotator labels and a labeled dataset,
 then drives the CLI through every subcommand: ingest, adjudicate,
-stats-dataset, split, train (BCE and the hinge baseline), eval, infer,
-augment-candidates, series, granger, compare-groups and report. The run
-settings are one config file, `config.json`, that sets every config section
-and is passed to every subcommand; the hinge baseline overrides some `train`
-settings by flags. All artifacts, including the config, are left in the
+stats-dataset, split, train (BCE and the hinge baseline), eval and infer
+(each with both params files), augment-candidates, series, granger,
+compare-groups and report. The run settings are one config file,
+`config.json`, that sets every config section and is passed to every
+subcommand; the hinge baseline overrides some `train` settings by flags. All artifacts, including the config, are left in the
 output directory.
 Useful as a live smoke test, as a template for running on real data, and
 for diffing every output before and after a change.
@@ -101,6 +101,9 @@ def main() -> int:
     run(["infer", "--params", str(out / "params.json"),
          "--corpus", str(media_path),
          "--out", str(out / "media_predictions.jsonl")])
+    run(["infer", "--params", str(out / "params_hinge.json"),
+         "--corpus", str(out / "filtered.jsonl"),
+         "--out", str(out / "predictions_hinge.jsonl")])
     run(["augment-candidates", "--params", str(out / "params.json"),
          "--pool", str(corpus_path), "--out", str(out / "candidates.jsonl")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),

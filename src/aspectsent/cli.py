@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, iter_chunks, provider_to_config, providers_from_config
+from .features import PROVIDER_SETTINGS, iter_chunks, providers_from_config
 from .stats import DailySeries, PredictionRow
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
@@ -196,31 +196,25 @@ def _providers(cfg: dict):
 # --- predictions JSONL (infer output; series/compare-groups input) ---
 
 
-def _prediction_to_obj(tweet: ingest.RawTweet, pred: model.Prediction) -> dict:
-    detected = [a.value for a in corpus.A_USED if a in pred.detected]
-    sentiment = {
-        a.value: {
-            "label": pred.sentiment[a].label.value,
-            "p_negative": pred.sentiment[a].p_negative,
-        }
-        for a in corpus.A_USED
-        if a in pred.sentiment
-    }
+_ASPECT_NAMES = tuple(a.value for a in corpus.A_USED)
+_LABELS = tuple(s.value for s in corpus.BinarySentiment)
+
+
+def _prediction_to_obj(tweet: ingest.RawTweet, p_a, p_y, detected, negative) -> dict:
+    """The prediction record of `tweet` from its row of each `model.predict_batch`
+    array, as lists; sentiment is written for the detected aspects only."""
     return {
         "id": tweet.id,
         "date": tweet.day.isoformat(),
-        "aspect_probs": {
-            a.value: float(pred.aspect_probs[i]) for i, a in enumerate(corpus.A_USED)
+        "aspect_probs": dict(zip(_ASPECT_NAMES, p_a)),
+        "detected": [a for a, hit in zip(_ASPECT_NAMES, detected) if hit],
+        "sentiment": {
+            a: {"label": "Negative" if neg else "NonNegative", "p_negative": p}
+            for a, hit, p, neg in zip(_ASPECT_NAMES, detected, p_y, negative) if hit
         },
-        "detected": detected,
-        "sentiment": sentiment,
         "group_tags": sorted(tweet.group_tags),
         "bot_flag": tweet.bot_flag,
     }
-
-
-_ASPECT_NAMES = tuple(a.value for a in corpus.A_USED)
-_LABELS = tuple(s.value for s in corpus.BinarySentiment)
 
 
 def _prediction_row(obj: dict) -> PredictionRow:
@@ -397,10 +391,8 @@ def _cmd_train(args, file_cfg):
     if args.objective == "hinge":
         if provider_cfg["kind"] != "native-hashed":
             raise PipelineError("the hinge baseline uses native hashed unigram features")
-        # the baseline is defined over unigrams
-        unigrams, _ = _providers(dict(provider_cfg, ngram_max=1))
-        params, provider = model.train_svm_baseline(train_examples, train_cfg, unigrams.config)
-        provider_cfg = provider_to_config(provider)
+        provider_cfg = dict(provider_cfg, ngram_max=1)  # the baseline is defined over unigrams
+        params = model.train_svm_baseline(train_examples, train_cfg, _providers(provider_cfg)[0])
     else:
         provider, provider_y = _providers(provider_cfg)
         train_loss = []
@@ -438,12 +430,10 @@ def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
     examples = _dataset_to_examples(dataset_path)
     if not examples:
         raise PipelineError("evaluation dataset is empty")
-    p_a, p_y = model.predict_probs([e.text for e in examples], provider, bundle.params,
-                                   provider_y)
+    _, _, pred_a, pred_y = model.predict_batch([e.text for e in examples], provider,
+                                               bundle.params, bundle, provider_y)
     gold_a = np.stack([e.aspect_targets for e in examples])
     gold_y = np.stack([e.sentiment_targets for e in examples])
-    pred_a = p_a >= bundle.aspect_threshold
-    pred_y = p_y >= bundle.sentiment_threshold
     reports = {
         "aspect": evaluation.evaluate(pred_a, gold_a, stage="aspect"),
         "sentiment": evaluation.evaluate(
@@ -467,14 +457,18 @@ def _cmd_infer(args, file_cfg):
     bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     _require_paths(("corpus", args.corpus))
 
+    detected = np.zeros(len(_ASPECT_NAMES), dtype=np.int64)  # rows per detected aspect
+
     def predictions():
         for tweets in iter_chunks(ingest.iter_corpus(args.corpus)):
-            preds = model.predict_batch([t.text for t in tweets], provider, bundle.params,
-                                        bundle, provider_y=provider_y)
-            yield from map(_prediction_to_obj, tweets, preds)
+            arrays = model.predict_batch([t.text for t in tweets], provider, bundle.params,
+                                         bundle, provider_y)
+            detected[:] += arrays[2].sum(axis=0)
+            yield from map(_prediction_to_obj, tweets, *(a.tolist() for a in arrays))
 
     count = files.write_jsonl(args.out, predictions())
-    _write_meta(args.out, {"params": args.params, "corpus": args.corpus})
+    _write_meta(args.out, {"params": args.params, "corpus": args.corpus},
+                counts={"rows": count, "detected": dict(zip(_ASPECT_NAMES, detected.tolist()))})
     print(f"infer: {count} tweets -> {args.out}")
     return 0
 

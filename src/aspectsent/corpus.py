@@ -225,6 +225,8 @@ def split(dataset: Sequence, seed: int, ratios: Sequence[int] = (8, 1, 1)) -> tu
     n = len(dataset)
     if n < 10:
         raise InputError(f"dataset too small to split: {n} < 10")
+    if seed < 0:  # random.Random(-s) is random.Random(s)
+        raise InputError(f"split seed must be >= 0, got {seed}")
     total = sum(ratios)
     rng = random.Random(seed)
     order = list(range(n))

@@ -186,6 +186,8 @@ class HashedFeatureConfig:
             raise ValueError("ngram_max must be in 1..3")
         if not 1024 <= self.dim <= MAX_DIM or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two in 1024..{MAX_DIM}")
+        if not 0 <= self.hash_seed < 2**64:  # the hash folds a seed mod 2**64
+            raise ValueError("hash_seed must be in 0..2**64-1")
 
 
 def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
@@ -341,7 +343,9 @@ PROVIDER_SETTINGS = {
 
 
 def providers_from_config(cfg: dict):
-    """Build (provider, sentiment_provider_or_None) from a plain config dict.
+    """Build (provider, sentiment_provider_or_None) from a provider config (a
+    config file's or a params file's `provider` object), checked against
+    `PROVIDER_SETTINGS`.
 
     A second provider exists only when `sentiment_endpoint` is configured on
     a remote provider: that is the switch for learning distinct aspect-stage
@@ -349,44 +353,17 @@ def providers_from_config(cfg: dict):
     share one embedding.
     """
     cfg = files.settings(cfg, PROVIDER_SETTINGS, "provider")
-    provider = provider_from_config(cfg)
-    if not cfg["sentiment_endpoint"]:
-        return provider, None
-    if cfg["kind"] != "remote":
-        raise ValueError("sentiment_endpoint requires a remote provider")
-    return provider, provider_from_config(dict(cfg, endpoint=cfg["sentiment_endpoint"]))
-
-
-def provider_from_config(cfg: dict):
-    """Build a provider from a plain config dict (the params-file format),
-    checked against `PROVIDER_SETTINGS`."""
-    cfg = files.settings(cfg, PROVIDER_SETTINGS, "provider")
     if cfg["kind"] == "native-hashed":
+        if cfg["sentiment_endpoint"]:
+            raise ValueError("sentiment_endpoint requires a remote provider")
         return HashedProvider(HashedFeatureConfig(
             ngram_max=cfg["ngram_max"], dim=cfg["dim"], hash_seed=cfg["hash_seed"],
-            normalize=cfg["normalize"]))
-    return RemoteProvider(EmbeddingProviderSpec(
-        kind="remote", dim=cfg["dim"], endpoint=cfg["endpoint"], timeout=cfg["timeout"],
-        batch_size=cfg["batch_size"]))
+            normalize=cfg["normalize"])), None
 
+    def remote(endpoint):
+        return RemoteProvider(EmbeddingProviderSpec(
+            kind="remote", dim=cfg["dim"], endpoint=endpoint, timeout=cfg["timeout"],
+            batch_size=cfg["batch_size"]))
 
-def provider_to_config(provider) -> dict:
-    if isinstance(provider, HashedProvider):
-        c = provider.config
-        return {
-            "kind": "native-hashed",
-            "ngram_max": c.ngram_max,
-            "dim": c.dim,
-            "hash_seed": c.hash_seed,
-            "normalize": c.normalize,
-        }
-    if isinstance(provider, RemoteProvider):
-        s = provider.spec
-        return {
-            "kind": "remote",
-            "dim": s.dim,
-            "endpoint": s.endpoint,
-            "timeout": s.timeout,
-            "batch_size": s.batch_size,
-        }
-    raise ValueError(f"unknown provider type {type(provider).__name__}")
+    sentiment_endpoint = cfg["sentiment_endpoint"]
+    return remote(cfg["endpoint"]), (remote(sentiment_endpoint) if sentiment_endpoint else None)

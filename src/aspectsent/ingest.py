@@ -107,6 +107,8 @@ class FilterSpec:
             raise ValueError("date_start must be <= date_end")
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
+        if not 0 <= self.seed < 2**64:  # the hash folds a seed mod 2**64
+            raise ValueError("seed must be in 0..2**64-1")
 
 
 _STR_FIELDS = ("id", "created_at", "text", "lang")

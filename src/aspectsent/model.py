@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, files
-from .corpus import A_USED, ASPECT_INDEX, Aspect, BinarySentiment, ModelExample
+from .corpus import A_USED, ModelExample
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, HashedFeatureConfig, HashedProvider, SparseRows
+from .features import PROVIDER_SETTINGS, SparseRows
 
 LOSS_CLAMP_EPS = 1e-12
 
@@ -297,78 +297,42 @@ def train(
     return best_params if h_dev is not None and config.epochs > 0 else params
 
 
-@dataclass(frozen=True)
-class SentimentCall:
-    label: BinarySentiment
-    p_negative: float
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Stage-1 probabilities plus stage-2 sentiment for the detected aspects."""
-
-    aspect_probs: np.ndarray
-    detected: frozenset[Aspect]
-    sentiment: dict[Aspect, SentimentCall]
-
-
-def _prediction_from_probs(p_a, p_y, config: TrainConfig | ModelBundle) -> Prediction:
-    detected = frozenset(a for a in A_USED if p_a[ASPECT_INDEX[a]] >= config.aspect_threshold)
-    sentiment = {}
-    for a in A_USED:
-        if a not in detected:
-            continue
-        pn = float(p_y[ASPECT_INDEX[a]])
-        label = (
-            BinarySentiment.NEGATIVE
-            if pn >= config.sentiment_threshold
-            else BinarySentiment.NON_NEGATIVE
-        )
-        sentiment[a] = SentimentCall(label, pn)
-    return Prediction(aspect_probs=np.asarray(p_a, dtype=float), detected=detected, sentiment=sentiment)
-
-
-def predict_probs(
-    texts: Sequence[str], provider, params: HeadParams, provider_y=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embed `texts` and run both heads: (aspect probs, P(Negative)), each n x |A_used|."""
-    h = provider.embed(list(texts))
-    h_y = provider_y.embed(list(texts)) if provider_y is not None else h
-    return forward_aspect(h, params), forward_sentiment(h_y, params)
-
-
 def predict_batch(
     texts: Sequence[str],
     provider,
     params: HeadParams,
-    config: TrainConfig | ModelBundle,
+    thresholds: TrainConfig | ModelBundle,
     provider_y=None,
-) -> list[Prediction]:
-    """Two-stage inference: threshold aspects, then sentiment for detected ones."""
-    if not texts:
-        return []
-    p_a, p_y = predict_probs(texts, provider, params, provider_y)
-    return [_prediction_from_probs(p_a[i], p_y[i], config) for i in range(len(texts))]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-stage inference: embed `texts`, run both heads, threshold both.
+
+    Returns `(p_a, p_y, detected, negative)`, each n x |A_used|: the aspect
+    probabilities, the P(Negative) probabilities, `p_a >= aspect_threshold`
+    and `p_y >= sentiment_threshold`. `negative` is not masked: a sentiment
+    call counts only where its aspect is detected (or, in evaluation, gold).
+    """
+    texts = list(texts)
+    h = provider.embed(texts)
+    h_y = provider_y.embed(texts) if provider_y is not None else h
+    p_a, p_y = forward_aspect(h, params), forward_sentiment(h_y, params)
+    return p_a, p_y, p_a >= thresholds.aspect_threshold, p_y >= thresholds.sentiment_threshold
 
 
 def train_svm_baseline(
-    train_set: Sequence[ModelExample],
-    config: TrainConfig,
-    feature_config: HashedFeatureConfig | None = None,
-) -> tuple[HeadParams, HashedProvider]:
-    """Linear one-vs-rest hinge-loss baseline over hashed unigram features.
+    train_set: Sequence[ModelExample], config: TrainConfig, provider
+) -> HeadParams:
+    """Linear one-vs-rest hinge-loss baseline over `provider`'s features
+    (the CLI passes hashed unigrams).
 
     Subgradient descent on hinge loss with L2 regularization, one detector
     per aspect and one Negative-vs-NonNegative classifier per aspect
     (sentiment slots masked as in the main model), by the same `_sgd_epoch`
-    loop as `train` from zero weights. Returns parameters plus the unigram
-    provider; `predict` then works unchanged, since the margins pass through
-    the logistic and margin >= 0 lands at probability >= 0.5.
+    loop as `train` from zero weights. `predict_batch` then works unchanged,
+    since the margins pass through the logistic and margin >= 0 lands at
+    probability >= 0.5.
     """
     if not train_set:
         raise ModelError("empty training set")
-    fc = feature_config or HashedFeatureConfig(ngram_max=1)
-    provider = HashedProvider(fc)
     h = provider.embed([e.text for e in train_set])
     t_a, t_y, mask = _stack_examples(train_set)
     s_a = 2.0 * t_a - 1.0
@@ -390,7 +354,7 @@ def train_svm_baseline(
         _sgd_epoch(params, rng.permutation(len(train_set)), config, margin_grads)
     if not params.is_finite():
         raise TrainingError("hinge baseline training diverged")
-    return params, provider
+    return params
 
 
 @dataclass

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aspectsent import cli, corpus, features, files, ingest, model, stats, synth
+from aspectsent import cli, corpus, evaluation, features, files, ingest, model, stats, synth
 from aspectsent.cli import emit_figure_data, main, read_prediction_rows
 from aspectsent.errors import PipelineError
-from aspectsent.features import provider_from_config
+from aspectsent.features import providers_from_config
 from aspectsent.stats import DailySeries
 
 from conftest import corpus_line
@@ -405,7 +405,7 @@ class TestTrainEvalInfer:
         assert main(["infer", "--params", str(params_path), "--corpus", str(fixture),
                      "--out", str(out)]) == 0
         bundle = model.load_params(params_path)
-        provider = provider_from_config(bundle.provider_config)
+        provider = providers_from_config(bundle.provider_config)[0]
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [o["id"] for o in lines] == ["a", "b", "c"]
         texts = ["china government policy awful", "china lockdown masks effective",
@@ -461,6 +461,75 @@ class TestTrainEvalInfer:
             assert probs == sorted(probs, reverse=True)
 
 
+def _zero_bundle(**provider) -> model.ModelBundle:
+    """Zero heads over a 1024-wide hashed provider with `provider` settings on top."""
+    k, dim = len(corpus.A_USED), 1024
+    return model.ModelBundle(
+        model.HeadParams(np.zeros((k, dim)), np.zeros(k), np.zeros((k, dim)), np.zeros(k)),
+        {"kind": "native-hashed", "dim": dim, **provider})
+
+
+def _as_corpus(dataset_path, corpus_path):
+    """The tweets of a labeled dataset file, as a corpus file in the same order."""
+    lines = Path(dataset_path).read_text(encoding="utf-8").splitlines()
+    synth.write_jsonl(corpus_path, [json.loads(line)["tweet"] for line in lines])
+
+
+class TestOneThresholdRule:
+    """`eval` and `infer` label a probability by the same `>=` comparison."""
+
+    def test_probability_at_threshold_is_detected_and_negative(self, tmp_path):
+        # zero heads give p = 0.5 exactly, on the 0.5 thresholds
+        params, dataset, corpus_path = (tmp_path / n for n in ("p.json", "d.jsonl", "c.jsonl"))
+        model.save_params(params, _zero_bundle())
+        synth.write_jsonl(dataset, synth.make_dataset_records(30, seed=3))
+        _as_corpus(dataset, corpus_path)
+        out = tmp_path / "pred.jsonl"
+        assert main(["infer", "--params", str(params), "--corpus", str(corpus_path),
+                     "--out", str(out)]) == 0
+        names = [a.value for a in corpus.A_USED]
+        for line in out.read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            assert obj["aspect_probs"] == dict.fromkeys(names, 0.5)
+            assert obj["detected"] == names
+            assert obj["sentiment"] == {a: {"label": "Negative", "p_negative": 0.5}
+                                        for a in names}
+        assert main(["eval", "--params", str(params), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "eval.csv")]) == 0
+        examples = [corpus.to_model_example(e) for e in corpus.read_dataset(dataset)]
+        gold_a = np.stack([e.aspect_targets for e in examples])
+        gold_y = np.stack([e.sentiment_targets for e in examples])
+        everything = np.ones(gold_a.shape, dtype=bool)
+        evaluation.write_report_csv(tmp_path / "expected.csv", {
+            "aspect": evaluation.evaluate(everything, gold_a, stage="aspect"),
+            "sentiment": evaluation.evaluate(everything, gold_y, stage="sentiment",
+                                             gold_aspects=gold_a),
+        })
+        assert (tmp_path / "eval.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_infer_detections_score_as_eval_does(self, tmp_path, trained_params):
+        params, splits = trained_params
+        test_split, corpus_path = splits / "test.jsonl", tmp_path / "test_corpus.jsonl"
+        _as_corpus(test_split, corpus_path)
+        out = tmp_path / "pred.jsonl"
+        assert main(["infer", "--params", str(params), "--corpus", str(corpus_path),
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--params", str(params), "--dataset", str(test_split),
+                     "--out", str(tmp_path / "eval.csv")]) == 0
+        pred = np.array([[a.value in json.loads(line)["detected"] for a in corpus.A_USED]
+                         for line in out.read_text(encoding="utf-8").splitlines()])
+        gold = np.stack([corpus.to_model_example(e).aspect_targets
+                         for e in corpus.read_dataset(test_split)])
+        assert pred.any() and not pred.all()
+        report = evaluation.evaluate(pred, gold, stage="aspect")
+        rows = list(csv.DictReader((tmp_path / "eval.csv").open(encoding="utf-8")))
+        assert [r["aspect"] for r in rows] == list(report)
+        for r in rows:
+            m = report[r["aspect"]]
+            assert (r["aspect_macro_f1"], r["aspect_micro_f1"]) == (f"{m.macro_f1:.4f}",
+                                                                    f"{m.micro_f1:.4f}")
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 4)
@@ -479,16 +548,37 @@ class TestStreamingInfer:
         assert main(["infer", "--params", str(params_path), "--corpus", str(corpus_path),
                      "--out", str(out)]) == 0
         bundle = model.load_params(params_path)
-        provider = provider_from_config(bundle.provider_config)
+        provider = providers_from_config(bundle.provider_config)[0]
         config = model.TrainConfig(aspect_threshold=bundle.aspect_threshold,
                                    sentiment_threshold=bundle.sentiment_threshold)
         expected = [
             json.dumps(cli._prediction_to_obj(
-                t, model.predict_batch([t.text], provider, bundle.params, config)[0]),
+                t, *(a.tolist()[0] for a in model.predict_batch([t.text], provider,
+                                                               bundle.params, config))),
                 ensure_ascii=False)
             for t in ingest.iter_corpus(corpus_path)
         ]
         assert out.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_meta_counts_equal_the_predictions_file(self, tmp_path, trained_params,
+                                                    monkeypatch):
+        params_path, _ = trained_params
+        corpus_path = tmp_path / "corpus.jsonl"
+        synth.write_jsonl(corpus_path, synth.make_corpus_records(30, seed=5))
+        runs = []
+        for chunk in (1024, 4):  # counts summed over one chunk, then over eight
+            monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", chunk)
+            out = tmp_path / f"pred{chunk}.jsonl"
+            assert main(["infer", "--params", str(params_path), "--corpus", str(corpus_path),
+                         "--out", str(out)]) == 0
+            counts = json.loads((tmp_path / f"pred{chunk}.jsonl.meta.json").read_text())["counts"]
+            runs.append((out.read_bytes(), counts))
+        records = [json.loads(line) for line in runs[0][0].decode().splitlines()]
+        expected = {"rows": len(records), "detected": {
+            a.value: sum(a.value in r["detected"] for r in records) for a in corpus.A_USED}}
+        assert expected["rows"] == 30 and sum(expected["detected"].values()) > 0
+        assert runs[0] == runs[1]
+        assert runs[0][1] == expected
 
     def test_peak_memory_flat_in_corpus_size(self, tmp_path, trained_params, monkeypatch):
         # Holding every row of 4x the chunk as a dense 1024-wide matrix would
@@ -994,6 +1084,9 @@ _STATS = ["stats-dataset", "--dataset", "{d}/train.jsonl", "--out", "{d}/t1.csv"
 _GRANGER = ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--out", "{d}/g.csv"]
 _INGEST = ["ingest", "--corpus", "{d}/train.jsonl", "--keywords", "{d}/s.csv",
            "--out", "{d}/kept.jsonl"]
+_INGEST_DATED = _INGEST + ["--date-start", "2020-01-01", "--date-end", "2020-12-31"]
+_INFER = ["infer", "--params", "{d}/params.json", "--corpus", "{d}/train.jsonl",
+          "--out", "{d}/pred_out.jsonl"]
 
 
 def _with_config(argv):
@@ -1010,7 +1103,8 @@ class TestDomainErrors:
 
     `where`, when set, is what the message must name: `<path>:<line>` for a
     bad line (then the field, for a wrong-typed one), the path for an input
-    that cannot be read as a file.
+    that cannot be read as a file, or the settings group a value is out of
+    range for. `content` is a params file's bundle, a text or bytes.
     """
 
     @pytest.mark.parametrize("file_name, content, argv, where", [
@@ -1092,6 +1186,14 @@ class TestDomainErrors:
         ("config.json", '{"ingest": {"date_start": 20200101}}', _with_config(_INGEST),
          _bad_setting("ingest.date_start")),
         ("config.json", '{"grangr": {"lag": 2}}', _with_config(_GRANGER), _bad_setting("grangr")),
+        # the sampling and feature hashes fold a seed mod 2**64, so seeds outside
+        # 0..2**64-1 would alias others; random.Random(-s) is random.Random(s)
+        (None, None, _INGEST_DATED + ["--seed", "-1"], "bad ingest settings"),
+        (None, None, _INGEST_DATED + ["--seed", str(2**64)], "bad ingest settings"),
+        (None, None, _TRAIN + ["--hash-seed", "-1"], "bad provider settings"),
+        (None, None, ["split", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/s",
+                      "--seed", "-1"], None),
+        ("params.json", _zero_bundle(hash_seed=-1), _INFER, "bad provider settings"),
     ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
             "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
             "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
@@ -1109,18 +1211,18 @@ class TestDomainErrors:
             "granger-lag-fraction", "granger-lag-string", "granger-lag-true",
             "granger-lags-misspelt", "provider-normalize-string", "provider-dim-string",
             "train-epochs-true", "ingest-sample-rate-true", "ingest-date-start-number",
-            "unknown-section"])
+            "unknown-section", "ingest-seed-negative", "ingest-seed-2-pow-64",
+            "train-hash-seed-negative", "split-seed-negative", "params-hash-seed-negative"])
     def test_exits_one_without_traceback(self, tmp_path, capsys, file_name, content, argv,
                                          where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
         stats.write_series_csv(tmp_path / "s.csv", DailySeries(D0, [float(i % 3) for i in range(9)]))
-        k, dim = len(corpus.A_USED), 1024
-        model.save_params(tmp_path / "params.json", model.ModelBundle(
-            model.HeadParams(np.zeros((k, dim)), np.zeros(k), np.zeros((k, dim)), np.zeros(k)),
-            {"kind": "native-hashed", "dim": dim}))
+        model.save_params(tmp_path / "params.json", _zero_bundle())
         (tmp_path / "dir").mkdir()
-        if isinstance(content, bytes):  # an input that is not UTF-8
+        if isinstance(content, model.ModelBundle):  # a params file with a bad setting
+            model.save_params(tmp_path / file_name, content)
+        elif isinstance(content, bytes):  # an input that is not UTF-8
             (tmp_path / file_name).write_bytes(content)
         elif file_name:  # replaces a valid input by a bad one
             (tmp_path / file_name).write_text(content.replace("{d}", str(tmp_path)),

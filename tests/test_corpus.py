@@ -210,6 +210,11 @@ class TestSplit:
         with pytest.raises(InputError):
             split(list(range(9)), seed=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-7) shuffles as random.Random(7) does
+        with pytest.raises(InputError):
+            split(list(range(100)), seed=-7)
+
     @given(n=st.integers(min_value=10, max_value=500), seed=st.integers(0, 2**32))
     def test_disjoint_and_exhaustive(self, n, seed):
         data = list(range(n))

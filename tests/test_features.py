@@ -17,8 +17,7 @@ from aspectsent.features import (
     SparseRows,
     _buckets,
     embed_remote,
-    provider_from_config,
-    provider_to_config,
+    providers_from_config,
     tokenize,
 )
 from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME
@@ -117,6 +116,10 @@ class TestEmbedHashed:
             HashedFeatureConfig(dim=512)  # below 2**10
         with pytest.raises(ValueError):
             HashedFeatureConfig(ngram_max=4)
+        for seed in (-1, 2**64):  # the hash would fold either onto another seed
+            with pytest.raises(ValueError):
+                HashedFeatureConfig(hash_seed=seed)
+        assert HashedFeatureConfig(hash_seed=2**64 - 1).hash_seed == 2**64 - 1
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -249,17 +252,24 @@ class TestProviders:
         assert out.shape == (2, 1024)
         assert provider.embed([]).shape == (0, 1024)
 
-    def test_remote_provider_roundtrip_config(self, stub_server):
-        provider = RemoteProvider(_spec(stub_server))
-        cfg = provider_to_config(provider)
-        again = provider_from_config(cfg)
-        assert isinstance(again, RemoteProvider)
-        assert again.spec == provider.spec
+    def test_remote_config_builds_the_declared_spec(self, stub_server):
+        provider, provider_y = providers_from_config({
+            "kind": "remote", "dim": 8, "endpoint": stub_server, "timeout": 5.0,
+            "batch_size": 64,
+        })
+        assert isinstance(provider, RemoteProvider)
+        assert provider.spec == _spec(stub_server)
+        assert provider_y is None
 
-    def test_hashed_provider_roundtrip_config(self):
-        provider = HashedProvider(HashedFeatureConfig(ngram_max=2, dim=2048))
-        again = provider_from_config(provider_to_config(provider))
-        assert again.config == provider.config
+    def test_hashed_config_builds_the_declared_config(self):
+        provider, provider_y = providers_from_config({
+            "kind": "native-hashed", "ngram_max": 2, "dim": 2048, "hash_seed": 5,
+            "normalize": False,
+        })
+        assert isinstance(provider, HashedProvider)
+        assert provider.config == HashedFeatureConfig(ngram_max=2, dim=2048, hash_seed=5,
+                                                      normalize=False)
+        assert provider_y is None
 
 
 _GRAMS = ["china", "news", "#china", "@who", "http://t.co/x", "a", "b", "covid-19", "数据", "é"]
@@ -338,16 +348,12 @@ class TestSparseRows:
 
 class TestDualRepresentation:
     def test_single_provider_by_default(self):
-        from aspectsent.features import providers_from_config
-
         provider, provider_y = providers_from_config(
             {"kind": "native-hashed", "dim": 1024}
         )
         assert provider_y is None
 
     def test_two_remote_providers(self, stub_server):
-        from aspectsent.features import providers_from_config
-
         provider, provider_y = providers_from_config({
             "kind": "remote", "dim": 8, "endpoint": stub_server,
             "sentiment_endpoint": stub_server, "timeout": 5.0, "batch_size": 64,
@@ -357,8 +363,6 @@ class TestDualRepresentation:
         assert provider_y.spec.endpoint == stub_server
 
     def test_sentiment_endpoint_requires_remote(self):
-        from aspectsent.features import providers_from_config
-
         with pytest.raises(ValueError):
             providers_from_config({
                 "kind": "native-hashed", "dim": 1024, "sentiment_endpoint": "http://x",

@@ -337,6 +337,10 @@ def test_filterspec_validation():
         )
     with pytest.raises(ValueError):
         _spec(rate=1.5)
+    for seed in (-1, 2**64):  # the sampling hash would fold either onto another seed
+        with pytest.raises(ValueError):
+            _spec(seed=seed)
+    assert _spec(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_write_then_reread_roundtrip(tmp_path):

@@ -9,7 +9,6 @@ from aspectsent.corpus import (
     A_USED,
     ASPECT_INDEX,
     Aspect,
-    BinarySentiment,
     ModelExample,
     example_from_obj,
     to_model_example,
@@ -39,8 +38,8 @@ K = len(A_USED)
 
 
 def predict(text, provider, params, config, provider_y=None):
-    """The prediction for one text."""
-    return predict_batch([text], provider, params, config, provider_y)[0]
+    """Row 0 of each `predict_batch` array for one text: (p_a, p_y, detected, negative)."""
+    return tuple(a[0] for a in predict_batch([text], provider, params, config, provider_y))
 
 
 def zero_params(d=4):
@@ -371,9 +370,9 @@ class TestPredict:
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         params = zero_params(provider.dim)
         params.b_a[:] = -3.0  # p ~ 0.047 everywhere
-        got = predict("china news", provider, params, TrainConfig())
-        assert got.detected == frozenset()
-        assert got.sentiment == {}
+        _, _, detected, negative = predict("china news", provider, params, TrainConfig())
+        assert not detected.any()
+        assert not (detected & negative).any()  # no sentiment is read
 
     def test_fixture_detection_and_negative_call(self):
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
@@ -382,19 +381,18 @@ class TestPredict:
         i = ASPECT_INDEX[Aspect.POLITICS]
         params.b_a[i] = math.log(0.9 / 0.1)
         params.b_y[i] = math.log(0.99 / 0.01)
-        got = predict("anything", provider, params, TrainConfig())
-        assert got.detected == frozenset({Aspect.POLITICS})
-        call = got.sentiment[Aspect.POLITICS]
-        assert call.label is BinarySentiment.NEGATIVE
-        assert call.p_negative == pytest.approx(0.99, abs=1e-9)
-        assert got.aspect_probs[i] == pytest.approx(0.9, abs=1e-9)
+        p_a, p_y, detected, negative = predict("anything", provider, params, TrainConfig())
+        assert detected.tolist() == [j == i for j in range(K)]
+        assert negative[i]
+        assert p_y[i] == pytest.approx(0.99, abs=1e-9)
+        assert p_a[i] == pytest.approx(0.9, abs=1e-9)
 
     def test_threshold_semantics(self):
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         params = zero_params(provider.dim)
         params.b_a[:] = math.log(0.6 / 0.4)  # p = 0.6 everywhere
-        got = predict("x", provider, params, TrainConfig(aspect_threshold=0.7))
-        assert got.detected == frozenset()
+        _, _, detected, _ = predict("x", provider, params, TrainConfig(aspect_threshold=0.7))
+        assert not detected.any()
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20)
@@ -402,8 +400,19 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         params = random_params(provider.dim, rng)
-        got = predict("china policy news", provider, params, TrainConfig())
-        assert set(got.sentiment) == set(got.detected)
+        p_a, p_y, detected, negative = predict_batch(["china policy news"], provider, params,
+                                                     TrainConfig())
+        h = provider.embed(["china policy news"])
+        assert np.array_equal(p_a, forward_aspect(h, params))
+        assert np.array_equal(p_y, forward_sentiment(h, params))
+        assert all(a.shape == (1, K) for a in (p_a, p_y, detected, negative))
+        assert np.array_equal(detected, p_a >= 0.5)
+        assert np.array_equal(negative, p_y >= 0.5)
+
+    def test_no_texts_give_empty_arrays(self):
+        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        arrays = predict_batch([], provider, zero_params(provider.dim), TrainConfig())
+        assert [a.shape for a in arrays] == [(0, K)] * 4
 
 
 class TestSparseRowsInModel:
@@ -452,9 +461,9 @@ class TestSvmBaseline:
     def test_separable_training_accuracy(self):
         examples = separable_examples()
         cfg = TrainConfig(learning_rate=0.5, epochs=100, batch_size=20, seed=2)
-        params, provider = train_svm_baseline(examples, cfg)
-        h = provider.embed([e.text for e in examples])
-        pred = forward_aspect(h, params) >= 0.5
+        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        params = train_svm_baseline(examples, cfg, provider)
+        _, _, pred, _ = predict_batch([e.text for e in examples], provider, params, TrainConfig())
         gold = np.stack([e.aspect_targets for e in examples]).astype(bool)
         assert np.array_equal(pred, gold)
 
@@ -466,16 +475,18 @@ class TestSvmBaseline:
             t_y = t_a.copy()  # always negative
             examples.append(ModelExample(f"text {i}", t_a, t_y, t_a.copy()))
         cfg = TrainConfig(learning_rate=0.5, epochs=50, seed=0)
-        params, provider = train_svm_baseline(examples, cfg)
-        got = predict("text 3", provider, params, TrainConfig())
-        assert Aspect.RACISM in got.detected
-        assert got.sentiment[Aspect.RACISM].label is BinarySentiment.NEGATIVE
+        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        params = train_svm_baseline(examples, cfg, provider)
+        _, _, detected, negative = predict("text 3", provider, params, TrainConfig())
+        assert detected[ASPECT_INDEX[Aspect.RACISM]]
+        assert negative[ASPECT_INDEX[Aspect.RACISM]]
 
     def test_deterministic_under_seed(self):
         examples = separable_examples()
         cfg = TrainConfig(epochs=5, seed=4)
-        p1, _ = train_svm_baseline(examples, cfg)
-        p2, _ = train_svm_baseline(examples, cfg)
+        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        p1 = train_svm_baseline(examples, cfg, provider)
+        p2 = train_svm_baseline(examples, cfg, provider)
         assert np.array_equal(p1.W_a, p2.W_a)
         assert np.array_equal(p1.W_y, p2.W_y)
 
@@ -521,7 +532,7 @@ class TestSvmBaseline:
         cfg = TrainConfig(learning_rate=0.3, epochs=6, batch_size=batch_size,
                           weight_decay=0.01, seed=8)
         fc = HashedFeatureConfig(ngram_max=1, dim=1024)
-        params, _ = train_svm_baseline(examples, cfg, fc)
+        params = train_svm_baseline(examples, cfg, HashedProvider(fc))
         expected = self.reference_hinge(examples, cfg, HashedProvider(fc))
         got = (params.W_a, params.b_a, params.W_y, params.b_y)
         for name, g, e in zip(("W_a", "b_a", "W_y", "b_y"), got, expected):
