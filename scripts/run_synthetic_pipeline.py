@@ -112,11 +112,20 @@ def main() -> int:
          "--select", "aspect:Politics", "--out", str(out / "politics_prop.csv")])
     run(["series", "--predictions", str(out / "predictions.jsonl"),
          "--select", "aspect:Measures", "--out", str(out / "measures_prop.csv")])
+    run(["series", "--predictions", str(out / "predictions.jsonl"),
+         "--select", "count", "--select", "negative:Politics", "--select", "nonnegative:Politics",
+         "--out", str(out / "politics_wide.csv")])
+    run(["series", "--predictions", str(out / "predictions.jsonl"),
+         "--select", "negative:Measures", "--start", "2020-01-15", "--end", "2020-03-31",
+         "--out", str(out / "measures_negative_padded.csv")])
     run(["granger", "--x", str(out / "politics_prop.csv"),
          "--y", str(out / "measures_prop.csv"), "--out", str(out / "granger.csv")])
     run(["compare-groups", "--predictions", str(out / "predictions.jsonl"),
          "--group-a", "bots", "--group-b", "users", "--mode", "aspect-proportion",
          "--out", str(out / "bots_vs_users.csv")])
+    run(["compare-groups", "--predictions", str(out / "media_predictions.jsonl"),
+         "--group-a", "tag:us_media", "--group-b", "all", "--mode", "sentiment-mean",
+         "--out", str(out / "us_media_vs_all.csv")])
     run(["report", "--out-dir", str(out / "report")])
 
     print(f"pipeline artifacts in {out}")

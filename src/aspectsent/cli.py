@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
 from .features import PROVIDER_SETTINGS, iter_chunks, providers_from_config
-from .stats import DailySeries, PredictionRow
+from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
 # the setting its argparse dest names, `<section>.<key>`. A setting whose
@@ -149,11 +149,11 @@ def _check_window(window: int) -> int:
     return window
 
 
-def _series_map(rows, columns: dict, window: int, start=None, end=None) -> dict:
+def _series_map(table, columns: dict, window: int, start=None, end=None) -> dict:
     """Column name -> the daily series of its (mode, aspect), smoothed when window > 1."""
     out = {}
     for name, (mode, aspect) in columns.items():
-        s = stats.daily_series(rows, mode, aspect=aspect, start=start, end=end)
+        s = stats.daily_series(table, mode, aspect=aspect, start=start, end=end)
         out[name] = stats.smooth_ma(s, window) if window > 1 else s
     return out
 
@@ -217,38 +217,38 @@ def _prediction_to_obj(tweet: ingest.RawTweet, p_a, p_y, detected, negative) -> 
     }
 
 
-def _prediction_row(obj: dict) -> PredictionRow:
-    detected = frozenset(files.field(obj, "detected", [_ASPECT_NAMES]))
-    sentiment = files.field(obj, "sentiment", dict, optional=True) or {}
-    negatives = frozenset([  # an aspect outside `detected` is ignored, so its name is not checked
-        a for a in sentiment
-        if files.field(files.field(sentiment, a, dict), "label", _LABELS) == "Negative"
-    ])
-    return PredictionRow(
-        id=files.field(obj, "id", str),
-        day=_parse_date(files.field(obj, "date", str)),
-        detected=detected,
-        negatives=negatives & detected,
-        group_tags=frozenset(files.field(obj, "group_tags", [str], optional=True) or ()),
-        bot_flag=files.field(obj, "bot_flag", bool, optional=True),
-    )
+def read_prediction_rows(path) -> stats.Predictions:
+    """The predictions file `path` as a table, read in one pass."""
+    groups: dict[tuple, int] = {}  # (group_tags, bot_flag) -> its index in the table
+
+    def row(obj: dict) -> tuple[int, int, int, int]:
+        detected = negative = 0
+        for a in files.field(obj, "detected", [_ASPECT_NAMES]):
+            detected |= stats.ASPECT_BITS[a]
+        sentiment = files.field(obj, "sentiment", dict, optional=True) or {}
+        for a in sentiment:  # an aspect outside `detected` is ignored, so its name is not checked
+            if files.field(files.field(sentiment, a, dict), "label", _LABELS) == "Negative":
+                negative |= stats.ASPECT_BITS.get(a, 0)
+        files.field(obj, "id", str)
+        day = _parse_date(files.field(obj, "date", str)).toordinal()
+        group = (tuple(files.field(obj, "group_tags", [str], optional=True) or ()),
+                 files.field(obj, "bot_flag", bool, optional=True))
+        return day, detected, negative & detected, groups.setdefault(group, len(groups))
+
+    rows = np.fromiter(files.read_jsonl(path, row, "prediction"), stats.PREDICTION_COLUMNS)
+    return stats.Predictions(rows, list(groups))
 
 
-def read_prediction_rows(path) -> list[PredictionRow]:
-    return list(files.read_jsonl(path, _prediction_row, "prediction"))
-
-
-def _group_selector(spec: str):
-    if spec == "all":
-        return lambda r: True
-    if spec == "bots":
-        return lambda r: r.bot_flag is True
-    if spec == "users":
-        return lambda r: r.bot_flag is False
-    if isinstance(spec, str) and spec.startswith("tag:"):
-        tag = spec[4:]
-        return lambda r: tag in r.group_tags
-    raise PipelineError(f"unknown group selector {spec!r} (use all, bots, users, or tag:<name>)")
+def _group_mask(table: stats.Predictions, spec: str) -> np.ndarray:
+    """The rows of `table` in group `spec`; each distinct group is tested once."""
+    if spec.startswith("tag:"):
+        members = [spec[4:] in tags for tags, _ in table.groups]
+    elif spec in ("all", "bots", "users"):
+        members = [spec == "all" or bot is (spec == "bots") for _, bot in table.groups]
+    else:
+        raise PipelineError(f"unknown group selector {spec!r} "
+                            "(use all, bots, users, or tag:<name>)")
+    return np.isin(table.rows["group"], np.flatnonzero(members))
 
 
 # --- figure data ---
@@ -503,17 +503,16 @@ def _cmd_series(args, file_cfg):
     window = _check_window(section["smooth_window"])
     selects = args.select or ["count"]
     columns = {spec: _parse_select(spec) for spec in selects}
-    series_map = _series_map(read_prediction_rows(args.predictions), columns, window, start, end)
-    if len(series_map) == 1:
-        stats.write_series_csv(args.out, next(iter(series_map.values())))
-    else:
-        emit_figure_data(series_map, args.out)
+    if len(columns) == 1:  # one series: a `date,value` CSV, as `granger` reads
+        columns = {"value": next(iter(columns.values()))}
+    emit_figure_data(_series_map(read_prediction_rows(args.predictions), columns, window,
+                                 start, end), args.out)
     _write_meta(
         args.out,
         {"predictions": args.predictions, "select": selects, "smooth_window": window,
          "start": section["start"], "end": section["end"]},
     )
-    print(f"series: {len(series_map)} series -> {args.out}")
+    print(f"series: {len(columns)} series -> {args.out}")
     return 0
 
 
@@ -538,9 +537,10 @@ def _cmd_granger(args, file_cfg):
     return 0
 
 
-def _write_group_compare(path, rows, group_a: str, group_b: str, mode: str) -> dict:
+def _write_group_compare(path, table, group_a: str, group_b: str, mode: str) -> dict:
     """Tables 7-8: per-aspect Welch t-tests between two group selectors."""
-    results = stats.group_compare(rows, _group_selector(group_a), _group_selector(group_b), mode)
+    results = stats.group_compare(table, _group_mask(table, group_a), _group_mask(table, group_b),
+                                  mode)
     files.write_csv(
         path, ["aspect", "group_a_mean", "group_b_mean", "difference", "t", "df", "p", "stars"],
         ([aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
@@ -617,7 +617,7 @@ def _cmd_report(args, file_cfg):
     if rows and media_rows:
         # raw series of both sources over the union of their days; a pair too
         # short or degenerate for the test is a row with blank cells
-        days = {r.day for r in rows} | {r.day for r in media_rows}
+        days = rows.span() + media_rows.span()
         for name, key_columns, modes in _GRANGER_TABLES:
             columns = {(a.value, *key): (mode, a.value)
                        for a in corpus.A_USED for key, mode in modes.items()}

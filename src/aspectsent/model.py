@@ -369,7 +369,12 @@ class ModelBundle:
 
     @property
     def fingerprint(self) -> str:
-        return json.dumps(self.provider_config, sort_keys=True)
+        return provider_fingerprint(self.provider_config)
+
+
+def provider_fingerprint(provider_config: dict) -> str:
+    """The provider object as sorted-key JSON, as a params file records it."""
+    return json.dumps(provider_config, sort_keys=True)
 
 
 def _tensor_to_obj(arr: np.ndarray) -> dict:
@@ -417,6 +422,8 @@ def load_params(path) -> ModelBundle:
         tensors = files.field(doc, "tensors", dict)
         provider_config = files.field(doc, "provider", dict)
         files.settings(provider_config, PROVIDER_SETTINGS, "provider")  # a bad one names `path`
+        if files.field(doc, "provider_fingerprint", str) != provider_fingerprint(provider_config):
+            raise ModelError("provider_fingerprint does not match the provider object")
         return ModelBundle(
             params=HeadParams(*(_tensor_from_obj(files.field(tensors, name, dict))
                                 for name in ("W_a", "b_a", "W_y", "b_y"))),

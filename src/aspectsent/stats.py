@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import files
+from .corpus import A_USED, CONTENT_ASPECTS
 from .errors import PipelineError
 
 
@@ -58,32 +59,36 @@ class DailySeries:
     def date_at(self, i: int) -> date:
         return self.start_date + timedelta(days=i)
 
-    def items(self) -> Iterator[tuple[date, float | None]]:
-        for i, v in enumerate(self.values):
-            yield self.date_at(i), v
+
+# One row per prediction record, in file order: the day as a date ordinal, the
+# detected and negative aspects as bitmasks over ASPECT_BITS (negative inside
+# detected), and the index of the record's (group_tags, bot_flag) pair.
+PREDICTION_COLUMNS = np.dtype([("day", "<i4"), ("detected", "u1"), ("negative", "u1"),
+                               ("group", "<i4")])
+ASPECT_BITS = {a.value: 1 << i for i, a in enumerate(A_USED)}
 
 
 @dataclass(frozen=True)
-class PredictionRow:
-    """A dated model prediction, the unit all series and group stats consume."""
+class Predictions:
+    """A predictions file as a table, the unit all series and group stats consume."""
 
-    id: str
-    day: date
-    detected: frozenset[str]
-    negatives: frozenset[str]
-    group_tags: frozenset[str] = frozenset()
-    bot_flag: bool | None = None
+    rows: np.ndarray  # PREDICTION_COLUMNS
+    groups: list[tuple[tuple[str, ...], bool | None]]  # (group_tags, bot_flag) by index
 
-    def __post_init__(self):
-        if not self.negatives <= self.detected:
-            raise ValueError("negative aspects must be a subset of detected aspects")
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def span(self) -> tuple[date, date]:
+        """The first and the last day of the rows."""
+        day = self.rows["day"]
+        return date.fromordinal(int(day.min())), date.fromordinal(int(day.max()))
 
 
 SERIES_MODES = ("count", "aspect-proportion", "negative-proportion", "nonnegative-proportion")
 
 
 def daily_series(
-    rows: Sequence[PredictionRow],
+    table: Predictions,
     mode: str,
     aspect: str | None = None,
     start: date | None = None,
@@ -97,39 +102,35 @@ def daily_series(
     """
     if mode not in SERIES_MODES:
         raise ValueError(f"unknown series mode {mode!r}")
-    if mode != "count" and aspect is None:
-        raise ValueError(f"mode {mode!r} requires an aspect")
+    if mode != "count" and aspect not in ASPECT_BITS:
+        raise ValueError(f"mode {mode!r} requires an aspect of A_USED")
     if start is None or end is None:
-        if not rows:
+        if not len(table):
             raise PipelineError("empty date range: no rows and no explicit start/end")
-        days = [r.day for r in rows]
-        start = start or min(days)
-        end = end or max(days)
+        first, last = table.span()
+        start = start or first
+        end = end or last
     if start > end:
         raise PipelineError("empty date range: start is after end")
 
     n_days = (end - start).days + 1
-    buckets: list[list[PredictionRow]] = [[] for _ in range(n_days)]
-    for r in rows:
-        offset = (r.day - start).days
-        if 0 <= offset < n_days:
-            buckets[offset].append(r)
+    offset = table.rows["day"] - start.toordinal()
+    in_range = (offset >= 0) & (offset < n_days)
 
-    values: list[float | None] = []
-    for bucket in buckets:
-        if mode == "count":
-            values.append(float(len(bucket)))
-            continue
-        if mode == "aspect-proportion":
-            denom = len(bucket)
-            num = sum(1 for r in bucket if aspect in r.detected)
-        else:
-            mentions = [r for r in bucket if aspect in r.detected]
-            denom = len(mentions)
-            neg = sum(1 for r in mentions if aspect in r.negatives)
-            num = neg if mode == "negative-proportion" else denom - neg
-        values.append(num / denom if denom else None)
-    return DailySeries(start, values)
+    def per_day(rows: np.ndarray) -> list[int]:
+        return np.bincount(offset[rows], minlength=n_days).tolist()
+
+    if mode == "count":
+        return DailySeries(start, [float(n) for n in per_day(in_range)])
+    bit = ASPECT_BITS[aspect]
+    mentions = in_range & (table.rows["detected"] & bit != 0)
+    if mode == "aspect-proportion":
+        num, denom = per_day(mentions), per_day(in_range)
+    else:
+        denom = per_day(mentions)
+        neg = per_day(mentions & (table.rows["negative"] & bit != 0))
+        num = neg if mode == "negative-proportion" else [d - k for d, k in zip(denom, neg)]
+    return DailySeries(start, [k / d if d else None for k, d in zip(num, denom)])
 
 
 def smooth_ma(series: DailySeries, window: int = 7) -> DailySeries:
@@ -399,51 +400,33 @@ GROUP_COMPARE_MODES = ("aspect-proportion", "sentiment-mean")
 
 
 def group_compare(
-    rows: Sequence[PredictionRow],
-    in_group_a: Callable[[PredictionRow], bool],
-    in_group_b: Callable[[PredictionRow], bool],
-    mode: str,
-    aspects: Sequence[str] | None = None,
+    table: Predictions, in_a: np.ndarray, in_b: np.ndarray, mode: str
 ) -> dict[str, TTestResult]:
-    """Per-aspect Welch t-tests between two tweet groups.
+    """Per-aspect Welch t-tests between two groups of rows, given as row masks.
 
-    Mode "aspect-proportion" compares per-tweet binary aspect indicators;
-    mode "sentiment-mean" encodes negative=1 / non-negative=2 over the tweets
-    mentioning the aspect. Aspects with fewer than two usable samples on
-    either side are skipped. By default the proportion mode covers the five
-    content aspects and the sentiment mode additionally includes Overall.
+    Mode "aspect-proportion" compares per-tweet binary aspect indicators over
+    the five content aspects; mode "sentiment-mean" encodes negative=1 /
+    non-negative=2 over the tweets mentioning the aspect, for Overall too.
+    Each sample is in file order. Aspects with fewer than two usable samples
+    on either side are skipped.
     """
     if mode not in GROUP_COMPARE_MODES:
         raise ValueError(f"unknown comparison mode {mode!r}")
-    group_a = [r for r in rows if in_group_a(r)]
-    group_b = [r for r in rows if in_group_b(r)]
-    if not group_a or not group_b:
+    if not in_a.any() or not in_b.any():
         raise PipelineError("both comparison groups must be non-empty")
-    if aspects is None:
-        from .corpus import A_USED, CONTENT_ASPECTS
-
-        pool = CONTENT_ASPECTS if mode == "aspect-proportion" else A_USED
-        aspects = [a.value for a in pool]
-
+    detected, negative = table.rows["detected"], table.rows["negative"]
     out: dict[str, TTestResult] = {}
-    for aspect in aspects:
+    for aspect in CONTENT_ASPECTS if mode == "aspect-proportion" else A_USED:
+        bit = ASPECT_BITS[aspect.value]
+        mentions = detected & bit != 0
         if mode == "aspect-proportion":
-            xa = [1.0 if aspect in r.detected else 0.0 for r in group_a]
-            xb = [1.0 if aspect in r.detected else 0.0 for r in group_b]
+            xa, xb = (mentions[rows].astype(float) for rows in (in_a, in_b))
         else:
-            xa = [1.0 if aspect in r.negatives else 2.0 for r in group_a if aspect in r.detected]
-            xb = [1.0 if aspect in r.negatives else 2.0 for r in group_b if aspect in r.detected]
+            xa, xb = (np.where(negative[rows & mentions] & bit, 1.0, 2.0) for rows in (in_a, in_b))
         if len(xa) < 2 or len(xb) < 2:
             continue
-        out[aspect] = welch_ttest(xa, xb)
+        out[aspect.value] = welch_ttest(xa, xb)
     return out
-
-
-def write_series_csv(path, series: DailySeries) -> None:
-    """CSV `date,value` with an empty cell for missing days."""
-    files.write_csv(path, ["date", "value"], (
-        [day.isoformat(), "" if value is None else repr(value)] for day, value in series.items()
-    ))
 
 
 def read_series_csv(path) -> DailySeries:

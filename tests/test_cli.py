@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -475,6 +476,24 @@ def _as_corpus(dataset_path, corpus_path):
     synth.write_jsonl(corpus_path, [json.loads(line)["tweet"] for line in lines])
 
 
+def test_infer_rejects_an_edited_provider_object(tmp_path, trained_params, capsys):
+    # the provider object no longer matches the provider_fingerprint written with it
+    params, _ = trained_params
+    doc = json.loads(params.read_text(encoding="utf-8"))
+    assert doc["provider"]["hash_seed"] == 0
+    doc["provider"]["hash_seed"] = 99
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    corpus_path, out_dir = tmp_path / "corpus.jsonl", tmp_path / "out"
+    synth.write_jsonl(corpus_path, synth.make_corpus_records(10, seed=5))
+    out_dir.mkdir()
+    assert main(["infer", "--params", str(params), "--corpus", str(corpus_path),
+                 "--out", str(out_dir / "pred.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"bad parameter file {params}: provider_fingerprint" in err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []  # no output, no temp file
+
+
 class TestOneThresholdRule:
     """`eval` and `infer` label a probability by the same `>=` comparison."""
 
@@ -654,6 +673,17 @@ class TestStreamingInfer:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class Row(NamedTuple):
+    """A prediction, as `_write_predictions` writes it."""
+
+    id: str
+    day: date
+    detected: frozenset
+    negatives: frozenset
+    group_tags: frozenset = frozenset()
+    bot_flag: bool | None = None
+
+
 def _write_predictions(path, rows):
     objs = []
     for r in rows:
@@ -675,7 +705,7 @@ def _prediction_rows():
         day = date(2020, 3, 1 + i % 10)
         detected = {"Politics"} if i % 2 == 0 else {"Measures"}
         negatives = {"Politics"} if i % 4 == 0 else set()
-        rows.append(stats.PredictionRow(
+        rows.append(Row(
             id=f"p{i}", day=day, detected=frozenset(detected),
             negatives=frozenset(negatives & detected),
             group_tags=frozenset({"us_media"} if i % 5 == 0 else set()),
@@ -726,8 +756,8 @@ class TestSeriesAndGranger:
         x_vals = list(rng.normal(0, 1, size=60))
         y_vals = [0.0] + [0.8 * x_vals[i - 1] + float(rng.normal(0, 0.2)) for i in range(1, 60)]
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-        stats.write_series_csv(x_path, DailySeries(D0, x_vals))
-        stats.write_series_csv(y_path, DailySeries(D0, y_vals))
+        emit_figure_data({"value": DailySeries(D0, x_vals)}, x_path)
+        emit_figure_data({"value": DailySeries(D0, y_vals)}, y_path)
         out = tmp_path / "granger.csv"
         assert main(["granger", "--x", str(x_path), "--y", str(y_path), "--lag", "1",
                      "--out", str(out)]) == 0
@@ -749,7 +779,7 @@ class TestSeriesAndGranger:
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
         x_path.write_text(f"date,value\n2020-03-01,1.0\n{row}\n2020-03-03,2.0\n",
                           encoding="utf-8")
-        stats.write_series_csv(y_path, DailySeries(D0, [1.0, 2.0, 3.0]))
+        emit_figure_data({"value": DailySeries(D0, [1.0, 2.0, 3.0])}, y_path)
         assert main(["granger", "--x", str(x_path), "--y", str(y_path),
                      "--out", str(tmp_path / "granger.csv")]) == 1
         err = capsys.readouterr().err
@@ -767,10 +797,10 @@ class TestSeriesAndGranger:
         assert [r["aspect"] for r in rows] == [
             "Politics", "Foreign", "Situation", "Measures", "Racism",
         ]
-        loaded = read_prediction_rows(pred_path)
+        loaded, written = read_prediction_rows(pred_path), _prediction_rows()
         expected = stats.group_compare(
-            loaded, lambda r: r.bot_flag is True, lambda r: r.bot_flag is False,
-            "aspect-proportion",
+            loaded, np.array([r.bot_flag is True for r in written]),
+            np.array([r.bot_flag is False for r in written]), "aspect-proportion",
         )
         got_politics = next(r for r in rows if r["aspect"] == "Politics")
         assert float(got_politics["t"]) == pytest.approx(expected["Politics"].t_stat, rel=1e-12)
@@ -782,6 +812,58 @@ class TestSeriesAndGranger:
         assert main(["compare-groups", "--predictions", str(pred_path),
                      "--group-a", "tag:us_media", "--group-b", "all",
                      "--mode", "sentiment-mean", "--out", str(out)]) == 0
+
+
+def _many_predictions(path, n):
+    """n prediction records over the same 60 days and the same six groups."""
+    _write_predictions(path, [
+        Row(id=f"p{i}", day=D0 + timedelta(days=i % 60),
+            detected=frozenset({"Politics", "Overall"} if i % 2 else {"Measures"}),
+            negatives=frozenset({"Politics"} if i % 4 == 1 else ()),
+            group_tags=frozenset({"us_media"} if i % 5 == 0 else ()),
+            bot_flag=(True, False, None)[i % 3])
+        for i in range(n)])
+
+
+class TestStatsMemory:
+    """The stats stages hold a predictions file as columns, so going from N to
+    4N rows grows the peak by tens of bytes a row; one object per record took
+    about a kilobyte."""
+
+    N = 3000
+
+    def _growth(self, tmp_path, run) -> float:
+        """Peak traced memory of `run(predictions path)`, per row added from N to 4N."""
+        def peak(n):
+            path = tmp_path / f"pred{n}.jsonl"
+            _many_predictions(path, n)
+            tracemalloc.start()
+            try:
+                run(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(self.N)  # warm lazy imports and caches
+        return (peak(4 * self.N) - peak(self.N)) / (3 * self.N)
+
+    def test_read_prediction_rows(self, tmp_path):
+        assert self._growth(tmp_path, read_prediction_rows) <= 32
+
+    def test_series_with_two_selections(self, tmp_path):
+        def series(path):
+            assert main(["series", "--predictions", str(path), "--select", "count",
+                         "--select", "negative:Politics", "--out", str(tmp_path / "s.csv")]) == 0
+
+        assert self._growth(tmp_path, series) <= 64
+
+    def test_compare_groups_sentiment_mean(self, tmp_path):
+        def compare(path):
+            assert main(["compare-groups", "--predictions", str(path), "--group-a", "users",
+                         "--group-b", "all", "--mode", "sentiment-mean",
+                         "--out", str(tmp_path / "c.csv")]) == 0
+
+        assert self._growth(tmp_path, compare) <= 64
 
 
 class TestEmitFigureData:
@@ -824,7 +906,7 @@ def _report_rows():
                 detected.add(aspect)
                 if rng.random() < 0.5:
                     negatives.add(aspect)
-        rows.append(stats.PredictionRow(
+        rows.append(Row(
             id=f"m{i}", day=day, detected=frozenset(detected),
             negatives=frozenset(negatives),
             bot_flag=bool(rng.random() < 0.3),
@@ -924,7 +1006,7 @@ class TestReport:
             assert (out_dir / name).read_bytes() == compared.read_bytes()
 
         public_rows, media_rows = read_prediction_rows(public), read_prediction_rows(media)
-        days = [r.day for r in public_rows + media_rows]
+        days = public_rows.span() + media_rows.span()
 
         def expected(mode, aspect, direction):
             series = []
@@ -1217,7 +1299,8 @@ class TestDomainErrors:
                                          where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
-        stats.write_series_csv(tmp_path / "s.csv", DailySeries(D0, [float(i % 3) for i in range(9)]))
+        emit_figure_data({"value": DailySeries(D0, [float(i % 3) for i in range(9)])},
+                         tmp_path / "s.csv")
         model.save_params(tmp_path / "params.json", _zero_bundle())
         (tmp_path / "dir").mkdir()
         if isinstance(content, model.ModelBundle):  # a params file with a bad setting
@@ -1324,7 +1407,8 @@ class TestAtomicOutputs:
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
         for name, values in (("x.csv", [i % 3 for i in range(12)]),
                              ("y.csv", [i * 7 % 5 for i in range(12)])):
-            stats.write_series_csv(tmp_path / name, DailySeries(D0, [float(v) for v in values]))
+            emit_figure_data({"value": DailySeries(D0, [float(v) for v in values])},
+                             tmp_path / name)
         (tmp_path / "report.json").write_text(
             json.dumps({"report": {"predictions": str(tmp_path / "pred.jsonl")}}), encoding="utf-8")
         argv, out_name = _STAGE_OUTPUTS[stage]

@@ -1,4 +1,8 @@
+import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +566,37 @@ class TestParamsIO:
         second = tmp_path / "params2.json"
         save_params(second, again)
         assert path.read_bytes() == second.read_bytes()
+
+    @given(st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["native-hashed", "remote"]), "ngram_max": st.integers(),
+        "dim": st.integers(), "hash_seed": st.integers(0, 2**64 - 1), "normalize": st.booleans(),
+        "endpoint": st.none() | st.text(), "sentiment_endpoint": st.none() | st.text(),
+        "timeout": st.floats() | st.integers(-2**53, 2**53), "batch_size": st.integers()}))
+    @settings(max_examples=60)
+    def test_every_saved_provider_object_loads(self, provider):
+        bundle = ModelBundle(random_params(2, np.random.default_rng(0)), provider)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.json"
+            save_params(path, bundle)
+            assert load_params(path).fingerprint == bundle.fingerprint
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["provider"].update(hash_seed=99),
+        lambda doc: doc["provider"].pop("ngram_max"),
+        lambda doc: doc.pop("provider_fingerprint"),
+        lambda doc: doc.update(provider_fingerprint=doc["provider"]),
+    ], ids=["provider-edited", "provider-key-dropped", "fingerprint-missing",
+            "fingerprint-not-a-string"])
+    def test_fingerprint_must_match_the_provider_object(self, tmp_path, edit):
+        path = tmp_path / "params.json"
+        save_params(path, ModelBundle(random_params(2, np.random.default_rng(0)), {
+            "kind": "native-hashed", "ngram_max": 2, "dim": 2, "hash_seed": 0}))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: "
+                                                       "provider_fingerprint")):
+            load_params(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "params.json"

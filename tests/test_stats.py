@@ -1,15 +1,21 @@
 import math
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aspectsent import cli, files
+from aspectsent.cli import emit_figure_data, read_prediction_rows
+from aspectsent.corpus import A_USED, CONTENT_ASPECTS
 from aspectsent.errors import PipelineError
 from aspectsent.stats import (
+    GROUP_COMPARE_MODES,
+    SERIES_MODES,
     DailySeries,
     InsufficientDataError,
-    PredictionRow,
     SingularMatrixError,
     betainc_reg,
     daily_series,
@@ -22,17 +28,29 @@ from aspectsent.stats import (
     stars_for,
     t_pvalue_two_sided,
     welch_ttest,
-    write_series_csv,
 )
 
 D0 = date(2020, 3, 1)
 
 
 def row(i, day, detected=(), negatives=(), tags=(), bot=None):
-    return PredictionRow(
-        id=f"p{i}", day=day, detected=frozenset(detected),
-        negatives=frozenset(negatives), group_tags=frozenset(tags), bot_flag=bot,
-    )
+    """A prediction record, as `infer` writes it."""
+    return {"id": f"p{i}", "date": day.isoformat(), "detected": sorted(detected),
+            "sentiment": {a: {"label": "Negative" if a in negatives else "NonNegative"}
+                          for a in sorted(detected)},
+            "group_tags": sorted(tags), "bot_flag": bot}
+
+
+def table(rows):
+    """`rows` read back from a predictions file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files.write_jsonl(Path(tmp) / "pred.jsonl", rows)
+        return read_prediction_rows(Path(tmp) / "pred.jsonl")
+
+
+def mask(rows, member):
+    """The rows for which `member(record)` holds, as a row mask."""
+    return np.array([bool(member(r)) for r in rows])
 
 
 class TestDailySeries:
@@ -42,18 +60,18 @@ class TestDailySeries:
             row(1, D0),
             row(2, D0),
         ]
-        s = daily_series(rows, "aspect-proportion", aspect="Politics")
+        s = daily_series(table(rows), "aspect-proportion", aspect="Politics")
         assert s.values == [pytest.approx(1 / 3)]
 
     def test_zero_tweet_day_is_missing(self):
         rows = [row(0, D0, detected=("Politics",)), row(1, date(2020, 3, 3))]
-        s = daily_series(rows, "aspect-proportion", aspect="Politics")
+        s = daily_series(table(rows), "aspect-proportion", aspect="Politics")
         assert len(s) == 3
         assert s.values[1] is None
 
     def test_count_on_empty_day_is_zero(self):
         rows = [row(0, D0), row(1, date(2020, 3, 3))]
-        s = daily_series(rows, "count")
+        s = daily_series(table(rows), "count")
         assert s.values == [1.0, 0.0, 1.0]
 
     def test_five_day_fixture_matches_enumeration(self):
@@ -67,16 +85,16 @@ class TestDailySeries:
                 neg = ("Politics",) if (j < politics[offset] and j % 2 == 0) else ()
                 rows.append(row(idx, date(2020, 3, 1 + offset), detected, neg))
                 idx += 1
-        counts = daily_series(rows, "count", start=D0, end=date(2020, 3, 5))
+        counts = daily_series(table(rows), "count", start=D0, end=date(2020, 3, 5))
         assert counts.values == [4.0, 0.0, 2.0, 5.0, 1.0]
-        props = daily_series(rows, "aspect-proportion", aspect="Politics",
+        props = daily_series(table(rows), "aspect-proportion", aspect="Politics",
                              start=D0, end=date(2020, 3, 5))
         assert props.values[0] == pytest.approx(2 / 4)
         assert props.values[1] is None
         assert props.values[2] == pytest.approx(1 / 2)
         assert props.values[3] == 0.0
         assert props.values[4] == 1.0
-        negs = daily_series(rows, "negative-proportion", aspect="Politics",
+        negs = daily_series(table(rows), "negative-proportion", aspect="Politics",
                             start=D0, end=date(2020, 3, 5))
         # day0: 2 mentions, 1 negative; day3: no mentions -> missing
         assert negs.values[0] == pytest.approx(1 / 2)
@@ -88,21 +106,21 @@ class TestDailySeries:
             row(1, D0, detected=("Racism",)),
             row(2, D0, detected=("Racism",)),
         ]
-        neg = daily_series(rows, "negative-proportion", aspect="Racism")
-        non = daily_series(rows, "nonnegative-proportion", aspect="Racism")
+        neg = daily_series(table(rows), "negative-proportion", aspect="Racism")
+        non = daily_series(table(rows), "nonnegative-proportion", aspect="Racism")
         assert neg.values[0] + non.values[0] == pytest.approx(1.0)
 
     def test_empty_input_without_range_is_error(self):
         with pytest.raises(PipelineError):
-            daily_series([], "count")
+            daily_series(table([]), "count")
 
     def test_explicit_range_with_no_rows(self):
-        s = daily_series([], "count", start=D0, end=date(2020, 3, 3))
+        s = daily_series(table([]), "count", start=D0, end=date(2020, 3, 3))
         assert s.values == [0.0, 0.0, 0.0]
 
     def test_requires_aspect_for_proportions(self):
         with pytest.raises(ValueError):
-            daily_series([row(0, D0)], "aspect-proportion")
+            daily_series(table([row(0, D0)]), "aspect-proportion")
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +473,8 @@ class TestGroupCompare:
 
     def test_identical_groups_no_stars(self):
         rows = [row(i, D0, detected=("Racism",) if i % 2 else (), bot=None) for i in range(20)]
-        got = group_compare(rows, lambda r: True, lambda r: True, "aspect-proportion")
+        got = group_compare(table(rows), mask(rows, lambda r: True), mask(rows, lambda r: True),
+                            "aspect-proportion")
         for result in got.values():
             assert result.difference == 0.0
             assert result.stars == ""
@@ -464,7 +483,8 @@ class TestGroupCompare:
         rows = [row(i, D0, detected=("Politics",), bot=True) for i in range(10)]
         rows += [row(10 + i, D0, detected=(), bot=False) for i in range(10)]
         got = group_compare(
-            rows, lambda r: r.bot_flag is True, lambda r: r.bot_flag is False,
+            table(rows), mask(rows, lambda r: r["bot_flag"] is True),
+            mask(rows, lambda r: r["bot_flag"] is False),
             "aspect-proportion",
         )
         assert got["Politics"].difference == pytest.approx(1.0)
@@ -473,7 +493,8 @@ class TestGroupCompare:
     def test_sentiment_mean_bounds(self):
         rows = self._rows()
         got = group_compare(
-            rows, lambda r: r.bot_flag is True, lambda r: r.bot_flag is False,
+            table(rows), mask(rows, lambda r: r["bot_flag"] is True),
+            mask(rows, lambda r: r["bot_flag"] is False),
             "sentiment-mean",
         )
         for result in got.values():
@@ -483,22 +504,172 @@ class TestGroupCompare:
     def test_empty_group_rejected(self):
         rows = self._rows()
         with pytest.raises(PipelineError):
-            group_compare(rows, lambda r: False, lambda r: True, "aspect-proportion")
+            group_compare(table(rows), mask(rows, lambda r: False), mask(rows, lambda r: True),
+                          "aspect-proportion")
 
     def test_default_aspect_sets(self):
         rows = self._rows()
         props = group_compare(
-            rows, lambda r: r.bot_flag is True, lambda r: r.bot_flag is False,
+            table(rows), mask(rows, lambda r: r["bot_flag"] is True),
+            mask(rows, lambda r: r["bot_flag"] is False),
             "aspect-proportion",
         )
         assert "Overall" not in props  # Table-7 shape: content aspects only
+
+
+ASPECTS = [a.value for a in A_USED]
+SERIES = [("count", None)] + [(mode, a) for mode in SERIES_MODES[1:] for a in ASPECTS]
+TAGS = [f"tag{i}" for i in range(70)]
+SELECTORS = ["all", "bots", "users"] + [f"tag:{t}" for t in TAGS[:3]]
+
+
+def is_negative(record, aspect):
+    return (aspect in record["detected"]
+            and record["sentiment"].get(aspect, {}).get("label") == "Negative")
+
+
+def in_group(record, spec):
+    if spec == "all":
+        return True
+    if spec == "bots":
+        return record["bot_flag"] is True
+    if spec == "users":
+        return record["bot_flag"] is False
+    return spec[4:] in record["group_tags"]
+
+
+def enumerated_series(records, mode, aspect, start, end):
+    """`daily_series`, by enumerating the records of each day."""
+    days = [date.fromisoformat(r["date"]) for r in records]
+    if start is None or end is None:
+        if not records:
+            raise PipelineError("no rows")
+        start, end = start or min(days), end or max(days)
+    if start > end:
+        raise PipelineError("start after end")
+    values = []
+    for i in range((end - start).days + 1):
+        on_day = [r for r, d in zip(records, days) if d == start + timedelta(days=i)]
+        mentions = [r for r in on_day if aspect in r["detected"]]
+        negative = sum(is_negative(r, aspect) for r in mentions)
+        if mode == "count":
+            values.append(float(len(on_day)))
+        elif mode == "aspect-proportion":
+            values.append(len(mentions) / len(on_day) if on_day else None)
+        else:
+            num = negative if mode == "negative-proportion" else len(mentions) - negative
+            values.append(num / len(mentions) if mentions else None)
+    return DailySeries(start, values)
+
+
+def enumerated_compare(records, spec_a, spec_b, mode):
+    """`group_compare`, as `welch_ttest` on per-record lists."""
+    group_a = [r for r in records if in_group(r, spec_a)]
+    group_b = [r for r in records if in_group(r, spec_b)]
+    if not group_a or not group_b:
+        raise PipelineError("empty group")
+    out = {}
+    for aspect in (a.value for a in (CONTENT_ASPECTS if mode == "aspect-proportion" else A_USED)):
+        if mode == "aspect-proportion":
+            xa, xb = ([1.0 if aspect in r["detected"] else 0.0 for r in group]
+                      for group in (group_a, group_b))
+        else:
+            xa, xb = ([1.0 if is_negative(r, aspect) else 2.0 for r in group
+                       if aspect in r["detected"]] for group in (group_a, group_b))
+        if len(xa) >= 2 and len(xb) >= 2:
+            out[aspect] = welch_ttest(xa, xb)
+    return out
+
+
+def outcome(fn):
+    """fn(), or PipelineError if it raises one."""
+    try:
+        return fn()
+    except PipelineError:
+        return PipelineError
+
+
+def assert_matches_enumeration(records, start=None, end=None, selectors=SELECTORS):
+    t = table(records)
+    for mode, aspect in SERIES:
+        assert outcome(lambda: daily_series(t, mode, aspect, start, end)) == outcome(
+            lambda: enumerated_series(records, mode, aspect, start, end)), (mode, aspect)
+    for spec_a in selectors:
+        for spec_b in selectors:
+            for mode in GROUP_COMPARE_MODES:
+                got = outcome(lambda: group_compare(t, cli._group_mask(t, spec_a),
+                                                    cli._group_mask(t, spec_b), mode))
+                assert got == outcome(lambda: enumerated_compare(records, spec_a, spec_b, mode))
+
+
+_RECORDS = st.lists(st.fixed_dictionaries({
+    "id": st.just("p"),
+    "date": st.integers(0, 20).map(lambda k: (D0 + timedelta(days=k)).isoformat()),
+    "detected": st.lists(st.sampled_from(ASPECTS), max_size=4),
+    "sentiment": st.dictionaries(st.sampled_from(ASPECTS + ["Economy", "no such aspect"]),
+                                 st.sampled_from([{"label": "Negative"}, {"label": "NonNegative"}]),
+                                 max_size=4),
+    "group_tags": st.lists(st.sampled_from(TAGS[:3]), max_size=2),
+    "bot_flag": st.sampled_from([True, False, None]),
+}), max_size=40)
+_DAY = st.one_of(st.none(), st.integers(-5, 25).map(lambda k: D0 + timedelta(days=k)))
+
+
+class TestPredictionsTable:
+    """The columnar table gives what a per-record enumeration of the file gives."""
+
+    @given(_RECORDS, _DAY, _DAY)
+    def test_series_equal_the_enumeration(self, records, start, end):
+        # windows narrower than, wider than and disjoint from days 0..20
+        assert_matches_enumeration(records, start, end, selectors=[])
+
+    @given(_RECORDS, st.sampled_from(SELECTORS), st.sampled_from(SELECTORS))
+    def test_group_compare_equals_welch_on_record_lists(self, records, spec_a, spec_b):
+        assert_matches_enumeration(records, selectors=[spec_a, spec_b])
+
+    def test_duplicate_detected_name_counts_once(self):
+        records = [row(0, D0, ["Politics", "Politics"], ["Politics"], bot=True),
+                   row(1, D0, ["Politics"], bot=False), row(2, D0, bot=True), row(3, D0, bot=False)]
+        assert records[0]["detected"] == ["Politics", "Politics"]
+        # adding the Politics bit twice would set the Foreign bit
+        assert daily_series(table(records), "aspect-proportion", "Foreign").values == [0.0]
+        assert daily_series(table(records), "aspect-proportion", "Politics").values == [0.5]
+        assert_matches_enumeration(records)
+
+    def test_sentiment_for_an_undetected_aspect_is_ignored_and_not_checked(self):
+        records = [dict(row(i, D0, ["Politics"], bot=i % 2 == 0),
+                        sentiment={"Politics": {"label": "NonNegative"},
+                                   "Racism": {"label": "Negative"},
+                                   "no such aspect": {"label": "Negative"}})
+                   for i in range(4)]
+        t = table(records)
+        assert daily_series(t, "negative-proportion", "Racism").values == [None]
+        assert daily_series(t, "negative-proportion", "Politics").values == [0.0]
+        assert_matches_enumeration(records)
+
+    def test_null_bot_flag_is_neither_bot_nor_user(self):
+        records = [row(i, D0, bot=bot) for i, bot in enumerate([None, True, False, None, True])]
+        t = table(records)
+        assert cli._group_mask(t, "bots").tolist() == [False, True, False, False, True]
+        assert cli._group_mask(t, "users").tolist() == [False, False, True, False, False]
+        assert_matches_enumeration(records)
+
+    def test_seventy_distinct_tags(self):
+        records = [row(i, D0 + timedelta(days=i % 9), ASPECTS[i % 3:i % 5 + 1],
+                       ASPECTS[i % 3:i % 4], tags=[TAGS[i % 70], TAGS[7 * i % 70]],
+                       bot=i % 2 == 0) for i in range(140)]
+        t = table(records)
+        for tag in TAGS:
+            assert cli._group_mask(t, f"tag:{tag}").tolist() == [
+                tag in r["group_tags"] for r in records]
+        assert_matches_enumeration(records, selectors=["all", "tag:tag0", "tag:tag69"])
 
 
 class TestSeriesCsv:
     def test_roundtrip_with_missing(self, tmp_path):
         s = DailySeries(D0, [1.0, None, 0.25])
         path = tmp_path / "series.csv"
-        write_series_csv(path, s)
+        emit_figure_data({"value": s}, path)
         again = read_series_csv(path)
         assert again.start_date == s.start_date
         assert again.values == s.values
