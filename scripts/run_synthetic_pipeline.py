@@ -120,6 +120,14 @@ def main() -> int:
          "--out", str(out / "measures_negative_padded.csv")])
     run(["granger", "--x", str(out / "politics_prop.csv"),
          "--y", str(out / "measures_prop.csv"), "--out", str(out / "granger.csv")])
+    # padded windows put missing days inside the lag-3 design rows
+    for aspect in ("Politics", "Measures"):
+        run(["series", "--predictions", str(out / "predictions.jsonl"),
+             "--select", f"aspect:{aspect}", "--start", "2020-01-15", "--end", "2020-03-31",
+             "--out", str(out / f"{aspect.lower()}_prop_padded.csv")])
+    run(["granger", "--x", str(out / "politics_prop_padded.csv"),
+         "--y", str(out / "measures_prop_padded.csv"), "--lag", "3",
+         "--out", str(out / "granger_lag3.csv")])
     run(["compare-groups", "--predictions", str(out / "predictions.jsonl"),
          "--group-a", "bots", "--group-b", "users", "--mode", "aspect-proportion",
          "--out", str(out / "bots_vs_users.csv")])

@@ -112,22 +112,15 @@ def _rereadable(path, out):
     out = Path(out)
     copy = out.with_name(f".{out.name}.{os.getpid()}.corpus.tmp")
     try:
-        try:
-            with open(path, "rb") as src, open(copy, "wb") as dst:
-                shutil.copyfileobj(src, dst)
-        except OSError as exc:  # a directory, an unreadable device, a full disk
-            raise PipelineError(f"copying the corpus: {exc.filename}: {exc.strerror}") from None
+        with open(path, "rb") as src:  # a missing corpus or a directory is main's OSError
+            try:
+                with open(copy, "wb") as dst:
+                    shutil.copyfileobj(src, dst)
+            except OSError as exc:  # an unreadable device, a full disk
+                raise PipelineError(f"copying the corpus: {exc.filename}: {exc.strerror}") from None
         yield copy
     finally:
         copy.unlink(missing_ok=True)
-
-
-def _require_paths(*pairs: tuple[str, str | None]) -> None:
-    for label, value in pairs:
-        if value is None:
-            raise PipelineError(f"missing required input: --{label}")
-        if not Path(value).exists():
-            raise PipelineError(f"{label} path does not exist: {value}")
 
 
 def _parse_date(value: str) -> date:
@@ -262,10 +255,11 @@ def emit_figure_data(series_map: dict[str, DailySeries], path) -> None:
     for name, s in series_map.items():
         if s.start_date != first.start_date or len(s) != len(first):
             raise PipelineError(f"series {name!r} is misaligned with the others")
+    # from Python floats, so a cell is a float's repr; NaN (a missing day) is an empty cell
+    columns = [s.values.tolist() for s in series_map.values()]
     files.write_csv(path, ["date"] + list(series_map), (
-        [first.date_at(i).isoformat()]
-        + ["" if s.values[i] is None else repr(s.values[i]) for s in series_map.values()]
-        for i in range(len(first))
+        [first.date_at(i).isoformat()] + ["" if v != v else repr(v) for v in row]
+        for i, row in enumerate(zip(*columns))
     ))
 
 
@@ -287,27 +281,23 @@ def _parse_select(spec: str) -> tuple[str, str | None]:
 
 
 def _cmd_ingest(args, file_cfg):
-    _require_paths(("corpus", args.corpus), ("keywords", args.keywords))
     section = _settings("ingest", args, file_cfg)
     if not section["date_start"] or not section["date_end"]:
         raise PipelineError("ingest requires --date-start and --date-end")
-    accounts = None
-    if section["accounts"]:
-        _require_paths(("accounts", section["accounts"]))
-        accounts = ingest.load_accounts(section["accounts"])
-    try:
-        spec = ingest.FilterSpec(
-            lang=section["lang"],
-            keywords=ingest.load_keywords(args.keywords),
-            date_start=_parse_date(section["date_start"]),
-            date_end=_parse_date(section["date_end"]),
-            accounts=accounts,
-            sample_rate=section["sample_rate"],
-            seed=section["seed"],
-        )
-    except ValueError as exc:
-        raise PipelineError(f"bad ingest settings: {exc}") from None
+    # a missing corpus is reported before a missing keyword or account file
     with _rereadable(args.corpus, args.out) as corpus_path:
+        try:
+            spec = ingest.FilterSpec(
+                lang=section["lang"],
+                keywords=ingest.load_keywords(args.keywords),
+                date_start=_parse_date(section["date_start"]),
+                date_end=_parse_date(section["date_end"]),
+                accounts=ingest.load_accounts(section["accounts"]) if section["accounts"] else None,
+                sample_rate=section["sample_rate"],
+                seed=section["seed"],
+            )
+        except ValueError as exc:
+            raise PipelineError(f"bad ingest settings: {exc}") from None
         counts = ingest.ingest_file(corpus_path, spec, args.out, name=args.corpus)
     _write_meta(args.out, section, seed=spec.seed, counts=counts)
     print(f"ingest: kept {counts['kept']} tweets -> {args.out}")
@@ -315,12 +305,16 @@ def _cmd_ingest(args, file_cfg):
 
 
 def _cmd_adjudicate(args, file_cfg):
-    _require_paths(("annotations", args.annotations))
+    annotations = corpus.read_annotations(args.annotations)
     tweets_by_id = None
     if args.tweets:
-        _require_paths(("tweets", args.tweets))
-        tweets_by_id = {t.id: t for t in ingest.iter_corpus(args.tweets)}
-    annotations = corpus.read_annotations(args.annotations)
+        tweets_by_id = {}
+        for t in ingest.iter_corpus(args.tweets):
+            if tweets_by_id.setdefault(t.id, t) is not t:
+                raise PipelineError(f"{args.tweets}: tweet id {t.id!r} appears twice")
+        for ann in annotations:
+            if ann.tweet_id not in tweets_by_id:
+                raise PipelineError(f"{args.tweets}: no tweet with annotated id {ann.tweet_id!r}")
     examples, discarded = corpus.adjudicate_corpus(annotations, tweets_by_id)
     corpus.write_dataset(args.out, examples)
     _write_meta(args.out, {"annotations": args.annotations, "tweets": args.tweets})
@@ -330,7 +324,6 @@ def _cmd_adjudicate(args, file_cfg):
 
 def _write_dataset_stats(dataset_path, out) -> None:
     """Table 1: per-aspect and per-sentiment counts of a labeled dataset."""
-    _require_paths(("dataset", dataset_path))
     table = corpus.dataset_stats(corpus.read_dataset(dataset_path))
     files.write_csv(
         out,
@@ -355,7 +348,6 @@ def _cmd_stats_dataset(args, file_cfg):
 
 
 def _cmd_split(args, file_cfg):
-    _require_paths(("dataset", args.dataset))
     dataset = corpus.read_dataset(args.dataset)
     seed = _settings("split", args, file_cfg)["seed"]
     train_part, dev_part, test_part = corpus.split(dataset, seed=seed)
@@ -371,18 +363,9 @@ def _cmd_split(args, file_cfg):
     return 0
 
 
-def _dataset_to_examples(path):
-    data = corpus.read_dataset(path)
-    return [corpus.to_model_example(e) for e in data]
-
-
 def _cmd_train(args, file_cfg):
-    _require_paths(("train", args.train))
-    train_examples = _dataset_to_examples(args.train)
-    dev_examples = []
-    if args.dev:
-        _require_paths(("dev", args.dev))
-        dev_examples = _dataset_to_examples(args.dev)
+    train_set = corpus.labeled_set(corpus.read_dataset(args.train))
+    dev_set = corpus.labeled_set(corpus.read_dataset(args.dev)) if args.dev else None
 
     provider_cfg = _resolve_provider(args, file_cfg)
     train_cfg = _resolve_train(args, file_cfg, provider_cfg["kind"])
@@ -392,11 +375,11 @@ def _cmd_train(args, file_cfg):
         if provider_cfg["kind"] != "native-hashed":
             raise PipelineError("the hinge baseline uses native hashed unigram features")
         provider_cfg = dict(provider_cfg, ngram_max=1)  # the baseline is defined over unigrams
-        params = model.train_svm_baseline(train_examples, train_cfg, _providers(provider_cfg)[0])
+        params = model.train_svm_baseline(train_set, train_cfg, _providers(provider_cfg)[0])
     else:
         provider, provider_y = _providers(provider_cfg)
         train_loss = []
-        params = model.train(train_examples, dev_examples, provider, train_cfg,
+        params = model.train(train_set, dev_set, provider, train_cfg,
                              provider_y=provider_y,
                              epoch_callback=lambda epoch, loss: train_loss.append(loss))
 
@@ -410,14 +393,13 @@ def _cmd_train(args, file_cfg):
     model.save_params(args.params_out, bundle)
     effective = {"provider": provider_cfg, "train": train_cfg.__dict__, "objective": args.objective}
     _write_meta(args.params_out, effective, seed=train_cfg.seed, train_loss=train_loss)
-    print(f"train: {len(train_examples)} examples, objective={args.objective} -> {args.params_out}")
+    print(f"train: {len(train_set)} examples, objective={args.objective} -> {args.params_out}")
     return 0
 
 
 def _load_bundle_and_provider(params_path, flags: dict):
     """Load a params file and its providers; `flags` (provider settings)
     override the file's provider config."""
-    _require_paths(("params", params_path))
     bundle = model.load_params(params_path)
     provider, provider_y = _providers({**bundle.provider_config, **flags})
     return bundle, provider, provider_y
@@ -426,19 +408,15 @@ def _load_bundle_and_provider(params_path, flags: dict):
 def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
     """Table 2: per-aspect macro/micro F1 of a params file on a labeled dataset."""
     bundle, provider, provider_y = _load_bundle_and_provider(params_path, flags)
-    _require_paths(("dataset", dataset_path))
-    examples = _dataset_to_examples(dataset_path)
-    if not examples:
+    gold = corpus.labeled_set(corpus.read_dataset(dataset_path))
+    if not gold:
         raise PipelineError("evaluation dataset is empty")
-    _, _, pred_a, pred_y = model.predict_batch([e.text for e in examples], provider,
-                                               bundle.params, bundle, provider_y)
-    gold_a = np.stack([e.aspect_targets for e in examples])
-    gold_y = np.stack([e.sentiment_targets for e in examples])
+    _, _, pred_a, pred_y = model.predict_batch(gold.texts, provider, bundle.params, bundle,
+                                               provider_y)
     reports = {
-        "aspect": evaluation.evaluate(pred_a, gold_a, stage="aspect"),
-        "sentiment": evaluation.evaluate(
-            pred_y, gold_y, stage="sentiment", gold_aspects=gold_a
-        ),
+        "aspect": evaluation.evaluate(pred_a, gold.aspects, stage="aspect"),
+        "sentiment": evaluation.evaluate(pred_y, gold.negative, stage="sentiment",
+                                         gold_aspects=gold.aspects),
     }
     evaluation.write_report_csv(out, reports)
     _write_meta(out, {"params": params_path, "dataset": dataset_path})
@@ -455,7 +433,6 @@ def _cmd_eval(args, file_cfg):
 
 def _cmd_infer(args, file_cfg):
     bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
-    _require_paths(("corpus", args.corpus))
 
     detected = np.zeros(len(_ASPECT_NAMES), dtype=np.int64)  # rows per detected aspect
 
@@ -475,7 +452,6 @@ def _cmd_infer(args, file_cfg):
 
 def _cmd_augment_candidates(args, file_cfg):
     bundle, provider, _ = _load_bundle_and_provider(args.params, _flags(args, "provider"))
-    _require_paths(("pool", args.pool))
     section = _settings("augment", args, file_cfg)
     threshold, cap = section["threshold"], section["cap"]
     if not 0.0 < threshold < 1.0 or cap < 1:
@@ -496,7 +472,6 @@ def _cmd_augment_candidates(args, file_cfg):
 
 
 def _cmd_series(args, file_cfg):
-    _require_paths(("predictions", args.predictions))
     section = _settings("series", args, file_cfg)
     start = _parse_date(section["start"]) if section["start"] else None
     end = _parse_date(section["end"]) if section["end"] else None
@@ -517,7 +492,6 @@ def _cmd_series(args, file_cfg):
 
 
 def _cmd_granger(args, file_cfg):
-    _require_paths(("x", args.x), ("y", args.y))
     x = stats.read_series_csv(args.x)
     y = stats.read_series_csv(args.y)
     x_name = args.x_name or Path(args.x).stem
@@ -551,7 +525,6 @@ def _write_group_compare(path, table, group_a: str, group_b: str, mode: str) -> 
 
 
 def _cmd_compare_groups(args, file_cfg):
-    _require_paths(("predictions", args.predictions))
     rows = read_prediction_rows(args.predictions)
     results = _write_group_compare(args.out, rows, args.group_a, args.group_b, args.mode)
     _write_meta(
@@ -602,10 +575,8 @@ def _cmd_report(args, file_cfg):
 
     rows = media_rows = None
     if section["predictions"]:
-        _require_paths(("predictions", section["predictions"]))
         rows = read_prediction_rows(section["predictions"])
     if section["media_predictions"]:
-        _require_paths(("media_predictions", section["media_predictions"]))
         media_rows = read_prediction_rows(section["media_predictions"])
 
     if rows:

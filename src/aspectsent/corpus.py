@@ -174,46 +174,40 @@ def adjudicate_corpus(
     return accepted, discarded
 
 
-@dataclass
-class ModelExample:
-    """One training/evaluation example over `A_USED`-indexed binary vectors.
+@dataclass(frozen=True)
+class LabeledSet:
+    """Labeled examples as model-facing arrays over `A_USED`, one row each.
 
-    `aspect_targets[i]` marks aspect presence, `sentiment_targets[i]` marks a
-    Negative sentiment (only meaningful where the mask is set), and
-    `sentiment_mask` equals `aspect_targets` by construction.
+    `aspects[i, j]` marks aspect j on example i and is also the mask of the
+    sentiment slots; `negative[i, j]` marks a Negative sentiment there.
     """
 
-    text: str
-    aspect_targets: np.ndarray
-    sentiment_targets: np.ndarray
-    sentiment_mask: np.ndarray
+    texts: list[str]
+    aspects: np.ndarray  # float64, n x |A_USED|
+    negative: np.ndarray  # float64, n x |A_USED|, 0 wherever `aspects` is 0
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
-def to_model_example(example: AdjudicatedExample) -> ModelExample:
+def labeled_set(examples: Sequence[AdjudicatedExample]) -> LabeledSet:
     """Apply preprocessing: drop Economy/Culture, binarize, fold Overall in."""
-    if example.tweet is None:
-        raise InputError(f"example {example.tweet_id} has no attached tweet text")
-    n = len(A_USED)
-    t_a = np.zeros(n)
-    t_y = np.zeros(n)
-    for aspect, sentiment in example.labels.items():
-        if aspect in DROPPED_ASPECTS:
-            continue
-        i = ASPECT_INDEX[aspect]
-        t_a[i] = 1.0
-        if merge_sentiment(sentiment) is BinarySentiment.NEGATIVE:
-            t_y[i] = 1.0
-    if example.overall is not None:
-        i = ASPECT_INDEX[Aspect.OVERALL]
-        t_a[i] = 1.0
-        if merge_sentiment(example.overall) is BinarySentiment.NEGATIVE:
-            t_y[i] = 1.0
-    return ModelExample(
-        text=example.tweet.text,
-        aspect_targets=t_a,
-        sentiment_targets=t_y,
-        sentiment_mask=t_a.copy(),
-    )
+    aspects = np.zeros((len(examples), len(A_USED)))
+    negative = np.zeros_like(aspects)
+    texts = []
+    for i, example in enumerate(examples):
+        if example.tweet is None:
+            raise InputError(f"example {example.tweet_id} has no attached tweet text")
+        texts.append(example.tweet.text)
+        labels = example.labels.items()
+        if example.overall is not None:
+            labels = [*labels, (Aspect.OVERALL, example.overall)]
+        for aspect, sentiment in labels:
+            if aspect not in DROPPED_ASPECTS:
+                aspects[i, ASPECT_INDEX[aspect]] = 1.0
+                if merge_sentiment(sentiment) is BinarySentiment.NEGATIVE:
+                    negative[i, ASPECT_INDEX[aspect]] = 1.0
+    return LabeledSet(texts, aspects, negative)
 
 
 def split(dataset: Sequence, seed: int, ratios: Sequence[int] = (8, 1, 1)) -> tuple[list, ...]:

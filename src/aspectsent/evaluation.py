@@ -21,62 +21,18 @@ from .corpus import A_USED
 
 
 @dataclass(frozen=True)
-class BinaryCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @classmethod
-    def from_arrays(cls, pred: np.ndarray, gold: np.ndarray) -> "BinaryCounts":
-        pred = np.asarray(pred, dtype=bool).ravel()
-        gold = np.asarray(gold, dtype=bool).ravel()
-        if pred.shape != gold.shape:
-            raise ValueError(f"prediction length {pred.size} != gold length {gold.size}")
-        return cls(
-            tp=int(np.sum(pred & gold)),
-            fp=int(np.sum(pred & ~gold)),
-            fn=int(np.sum(~pred & gold)),
-            tn=int(np.sum(~pred & ~gold)),
-        )
-
-    def __add__(self, other: "BinaryCounts") -> "BinaryCounts":
-        return BinaryCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def f1(counts: BinaryCounts, positive_class: int = 1) -> float:
-    """F1 of the chosen class; 0 whenever the denominator is 0."""
-    if positive_class == 1:
-        tp, fp, fn = counts.tp, counts.fp, counts.fn
-    else:
-        tp, fp, fn = counts.tn, counts.fn, counts.fp
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return 0.0
-    return 2 * tp / denom
-
-
-def macro_f1(counts: BinaryCounts) -> float:
-    return (f1(counts, 1) + f1(counts, 0)) / 2.0
-
-
-def micro_f1(counts: BinaryCounts) -> float:
-    """Micro-averaged F1 over both classes; equals accuracy for a binary slot."""
-    if counts.total == 0:
-        return 0.0
-    return (counts.tp + counts.tn) / counts.total
-
-
-@dataclass(frozen=True)
 class Metrics:
     macro_f1: float
     micro_f1: float
+
+
+def metrics(tp: int, fp: int, fn: int, tn: int) -> Metrics:
+    """Macro and micro F1 of one binary count; a class F1 with a zero
+    denominator is 0, and micro F1 over both classes is accuracy."""
+    f1_positive = 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+    f1_negative = 2 * tn / (2 * tn + fn + fp) if tn + fn + fp else 0.0
+    total = tp + fp + fn + tn
+    return Metrics((f1_positive + f1_negative) / 2.0, (tp + tn) / total if total else 0.0)
 
 
 def evaluate(
@@ -111,18 +67,13 @@ def evaluate(
     if pred.ndim != 2 or pred.shape[1] != len(names):
         raise ValueError(f"expected (n, {len(names)}) matrices, got {pred.shape}")
 
-    report: dict[str, Metrics] = {}
-    pooled = BinaryCounts(0, 0, 0, 0)
-    for j, name in enumerate(names):
-        if stage == "sentiment":
-            keep = gold_aspects[:, j]
-            counts = BinaryCounts.from_arrays(pred[keep, j], gold[keep, j])
-        else:
-            counts = BinaryCounts.from_arrays(pred[:, j], gold[:, j])
-        pooled = pooled + counts
-        if name != "Overall":
-            report[name] = Metrics(macro_f1(counts), micro_f1(counts))
-    report["Overall"] = Metrics(macro_f1(pooled), micro_f1(pooled))
+    keep = gold_aspects if stage == "sentiment" else np.ones_like(gold)
+    # one row per slot: tp, fp, fn, tn over the kept examples
+    counts = np.stack([(p & g & keep).sum(axis=0)
+                       for p, g in ((pred, gold), (pred, ~gold), (~pred, gold), (~pred, ~gold))],
+                      axis=1)
+    report = {name: metrics(*row) for name, row in zip(names, counts.tolist()) if name != "Overall"}
+    report["Overall"] = metrics(*counts.sum(axis=0).tolist())
     return report
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, files
-from .corpus import A_USED, ModelExample
+from .corpus import A_USED, LabeledSet
 from .errors import PipelineError
 from .features import PROVIDER_SETTINGS, SparseRows
 
@@ -209,13 +209,6 @@ def init_params(dim: int, seed: int) -> HeadParams:
     return _init_from_rng(np.random.default_rng(seed), dim)
 
 
-def _stack_examples(examples: Sequence[ModelExample]):
-    t_a = np.stack([e.aspect_targets for e in examples]).astype(float)
-    t_y = np.stack([e.sentiment_targets for e in examples]).astype(float)
-    mask = np.stack([e.sentiment_mask for e in examples]).astype(float)
-    return t_a, t_y, mask
-
-
 def _dev_aspect_macro_f1(h_dev, t_a_dev, params, threshold) -> float:
     pred = (forward_aspect(h_dev, params) >= threshold).astype(float)
     report = evaluation.evaluate(pred, t_a_dev, stage="aspect")
@@ -248,8 +241,8 @@ def _sgd_epoch(params: HeadParams, order: np.ndarray, config: TrainConfig, batch
 
 
 def train(
-    train_set: Sequence[ModelExample],
-    dev_set: Sequence[ModelExample],
+    train_set: LabeledSet,
+    dev_set: LabeledSet | None,
     provider,
     config: TrainConfig,
     provider_y=None,
@@ -259,15 +252,14 @@ def train(
 
     Deterministic under `config.seed`. Returns the parameters with the best
     dev-set aspect-stage macro F1 (pooled over all slots) seen at any epoch
-    end; with an empty dev set, the final epoch wins.
+    end; with no or an empty dev set, the final epoch wins.
     `epoch_callback(epoch, full_train_loss)`, when given, observes each epoch.
     """
     if not train_set:
         raise ModelError("empty training set")
-    texts = [e.text for e in train_set]
-    h = provider.embed(texts)
-    h_y = provider_y.embed(texts) if provider_y is not None else h
-    t_a, t_y, mask = _stack_examples(train_set)
+    h = provider.embed(train_set.texts)
+    h_y = provider_y.embed(train_set.texts) if provider_y is not None else h
+    t_a, t_y, mask = train_set.aspects, train_set.negative, train_set.aspects
     n = len(train_set)
 
     rng = np.random.default_rng(config.seed)
@@ -275,8 +267,8 @@ def train(
 
     h_dev = t_a_dev = None
     if dev_set:
-        h_dev = provider.embed([e.text for e in dev_set])
-        t_a_dev = _stack_examples(dev_set)[0]
+        h_dev = provider.embed(dev_set.texts)
+        t_a_dev = dev_set.aspects
 
     best_score = -math.inf
     best_params = params.copy()
@@ -318,9 +310,7 @@ def predict_batch(
     return p_a, p_y, p_a >= thresholds.aspect_threshold, p_y >= thresholds.sentiment_threshold
 
 
-def train_svm_baseline(
-    train_set: Sequence[ModelExample], config: TrainConfig, provider
-) -> HeadParams:
+def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> HeadParams:
     """Linear one-vs-rest hinge-loss baseline over `provider`'s features
     (the CLI passes hashed unigrams).
 
@@ -333,10 +323,10 @@ def train_svm_baseline(
     """
     if not train_set:
         raise ModelError("empty training set")
-    h = provider.embed([e.text for e in train_set])
-    t_a, t_y, mask = _stack_examples(train_set)
-    s_a = 2.0 * t_a - 1.0
-    s_y = 2.0 * t_y - 1.0
+    h = provider.embed(train_set.texts)
+    mask = train_set.aspects
+    s_a = 2.0 * train_set.aspects - 1.0
+    s_y = 2.0 * train_set.negative - 1.0
     k = len(A_USED)
 
     def margin_grads(idx, p):

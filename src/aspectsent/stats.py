@@ -1,8 +1,8 @@
 """Daily series, smoothing, Granger-causality tests, and Welch t-tests.
 
-Series are date-indexed with missing values (None) standing for
-zero-denominator days such as collection outages; every operation here
-tolerates them. The Granger test compares nested OLS models fit by normal
+Series are date-indexed float arrays with NaN standing for a missing
+value, a zero-denominator day such as a collection outage; every operation
+here tolerates them. The Granger test compares nested OLS models fit by normal
 equations with partial pivoting, and its p-values come from the F
 distribution realized through a native regularized incomplete beta
 (continued fraction), accurate to well below 1e-10 absolute.
@@ -32,26 +32,17 @@ class InsufficientDataError(PipelineError):
 
 @dataclass
 class DailySeries:
-    """One value per consecutive UTC day from `start_date`; None = missing."""
+    """One value per consecutive UTC day from `start_date`; NaN = missing."""
 
     start_date: date
-    values: list[float | None]
+    values: np.ndarray  # float64
 
     def __post_init__(self):
-        if not self.values:
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 1 or not len(self.values):
             raise ValueError("series must cover at least one day")
-        cleaned: list[float | None] = []
-        for v in self.values:
-            if v is None:
-                cleaned.append(None)
-                continue
-            v = float(v)
-            if math.isnan(v):
-                raise ValueError("NaN is not allowed; encode missing days as None")
-            if math.isinf(v):
-                raise ValueError("infinite values are not allowed")
-            cleaned.append(v)
-        self.values = cleaned
+        if np.isinf(self.values).any():
+            raise ValueError("infinite values are not allowed")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -96,7 +87,7 @@ def daily_series(
 ) -> DailySeries:
     """Build one value per day: tweet counts or within-day proportions.
 
-    Proportions on a zero-denominator day are missing (None), never 0/0;
+    Proportions on a zero-denominator day are missing (NaN), never 0/0;
     counts on an empty day are 0. The date range defaults to the span of the
     input rows and may be widened or narrowed explicitly.
     """
@@ -117,11 +108,11 @@ def daily_series(
     offset = table.rows["day"] - start.toordinal()
     in_range = (offset >= 0) & (offset < n_days)
 
-    def per_day(rows: np.ndarray) -> list[int]:
-        return np.bincount(offset[rows], minlength=n_days).tolist()
+    def per_day(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(offset[rows], minlength=n_days)
 
     if mode == "count":
-        return DailySeries(start, [float(n) for n in per_day(in_range)])
+        return DailySeries(start, per_day(in_range).astype(np.float64))
     bit = ASPECT_BITS[aspect]
     mentions = in_range & (table.rows["detected"] & bit != 0)
     if mode == "aspect-proportion":
@@ -129,8 +120,10 @@ def daily_series(
     else:
         denom = per_day(mentions)
         neg = per_day(mentions & (table.rows["negative"] & bit != 0))
-        num = neg if mode == "negative-proportion" else [d - k for d, k in zip(denom, neg)]
-    return DailySeries(start, [k / d if d else None for k, d in zip(num, denom)])
+        num = neg if mode == "negative-proportion" else denom - neg
+    # counts below 2**53 convert to float64 exactly, so each quotient is
+    # correctly rounded, as a division of Python ints is
+    return DailySeries(start, np.divide(num, denom, out=np.full(n_days, np.nan), where=denom > 0))
 
 
 def smooth_ma(series: DailySeries, window: int = 7) -> DailySeries:
@@ -142,15 +135,13 @@ def smooth_ma(series: DailySeries, window: int = 7) -> DailySeries:
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
     half = (window - 1) // 2
-    n = len(series.values)
-    out: list[float | None] = []
-    for i in range(n):
-        vals = [
-            v
-            for v in series.values[max(0, i - half) : min(n, i + half + 1)]
-            if v is not None
-        ]
-        out.append(math.fsum(vals) / len(vals) if vals else None)
+    values = series.values
+    out = np.full(len(values), np.nan)
+    for i in range(len(values)):
+        window_values = values[max(0, i - half) : i + half + 1]
+        present = window_values[~np.isnan(window_values)]
+        if len(present):
+            out[i] = math.fsum(present) / len(present)
     return DailySeries(series.start_date, out)
 
 
@@ -296,38 +287,32 @@ def granger_test(
 
     Unrestricted model: y_t on an intercept, lags of y, and lags of x; the
     restricted model drops the x lags. Rows whose lag window touches a
-    missing day are dropped pairwise, and the raw (unsmoothed) series should
-    be supplied, since pre-smoothing induces autocorrelation that inflates F.
+    missing (NaN) day are dropped pairwise, and the raw (unsmoothed) series
+    should be supplied, since pre-smoothing induces autocorrelation that
+    inflates F.
     """
     if lag < 1:
         raise ValueError("lag must be a positive integer")
     if len(x) != len(y) or x.start_date != y.start_date:
         raise PipelineError("series are not aligned on the same dates")
-    xs, ys = x.values, y.values
-    rows_y: list[float] = []
-    design_u: list[list[float]] = []
-    design_r: list[list[float]] = []
-    for t in range(lag, len(ys)):
-        window = [ys[t]] + [ys[t - j] for j in range(1, lag + 1)] + [
-            xs[t - j] for j in range(1, lag + 1)
-        ]
-        if any(v is None for v in window):
-            continue
-        rows_y.append(ys[t])
-        y_lags = [ys[t - j] for j in range(1, lag + 1)]
-        x_lags = [xs[t - j] for j in range(1, lag + 1)]
-        design_u.append([1.0] + y_lags + x_lags)
-        design_r.append([1.0] + y_lags)
+    # row t - lag holds an intercept, y_{t-1..t-lag} and x_{t-1..t-lag}; its target is y_t
+    rows = max(len(y) - lag, 0)
+    ys = y.values[lag:]
+    design = np.column_stack([np.ones(rows)] + [s.values[lag - j : lag - j + rows]
+                                                for s in (y, x) for j in range(1, lag + 1)])
+    complete = ~(np.isnan(ys) | np.isnan(design).any(axis=1))
+    # C-contiguous designs: `ols` must see the layout the published F and p came from
+    yy, design_u = ys[complete], design[complete]
+    design_r = np.ascontiguousarray(design_u[:, : lag + 1])
 
-    n_used = len(rows_y)
+    n_used = len(yy)
     k = 2 * lag + 1
     if n_used < lag + 4 or n_used <= k:
         raise InsufficientDataError(
             f"granger test needs at least {max(lag + 4, k + 1)} complete aligned days, got {n_used}"
         )
-    yy = np.asarray(rows_y)
-    _, rss_u = ols(np.asarray(design_u), yy)
-    _, rss_r = ols(np.asarray(design_r), yy)
+    _, rss_u = ols(design_u, yy)
+    _, rss_r = ols(design_r, yy)
     if rss_u <= 0.0:
         raise PipelineError("degenerate series: unrestricted model fits exactly")
     f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
@@ -435,19 +420,19 @@ def read_series_csv(path) -> DailySeries:
     if header is None or [h.strip() for h in header[:2]] != ["date", "value"]:
         raise PipelineError(f"{path}: expected a 'date,value' series CSV")
     days: list[date] = []
-    values: list[float | None] = []
+    values: list[float] = []
     for lineno, row in rows:
         where = f"{path}:{lineno}"
         try:
             days.append(date.fromisoformat(row[0]))
         except ValueError:
             raise PipelineError(f"{where}: bad date {row[0]!r}, expected YYYY-MM-DD") from None
-        cell = row[1] if len(row) > 1 else ""
+        cell = row[1] if len(row) > 1 else ""  # empty: a missing day
         try:
-            value = float(cell) if cell != "" else None
+            value = float(cell) if cell != "" else math.nan
         except ValueError:
             raise PipelineError(f"{where}: non-numeric value {cell!r}") from None
-        if value is not None and not math.isfinite(value):
+        if cell != "" and not math.isfinite(value):
             raise PipelineError(f"{where}: non-finite value {cell!r}")
         values.append(value)
     if not days:

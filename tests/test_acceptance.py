@@ -117,13 +117,13 @@ def test_criterion_3_training_sanity():
     losses = []
     cfg = model.TrainConfig(learning_rate=0.05, epochs=300, batch_size=len(examples), seed=3)
     params = model.train(
-        examples, [], provider, cfg,
+        examples, None, provider, cfg,
         epoch_callback=lambda epoch, loss: losses.append(loss),
     )
     monotone = all(a > b for a, b in zip(losses, losses[1:]))
 
-    h = provider.embed([e.text for e in examples])
-    gold = np.stack([e.aspect_targets for e in examples])
+    h = provider.embed(examples.texts)
+    gold = examples.aspects
     pred = model.forward_aspect(h, params) >= 0.5
     micro = evaluation.evaluate(pred, gold, stage="aspect")["Overall"].micro_f1
     elapsed = time.perf_counter() - started
@@ -133,16 +133,12 @@ def test_criterion_3_training_sanity():
 
 def _split_model_examples(examples, seed):
     train_part, dev_part, test_part = corpus.split(examples, seed=seed)
-    return (
-        [corpus.to_model_example(e) for e in train_part],
-        [corpus.to_model_example(e) for e in dev_part],
-        [corpus.to_model_example(e) for e in test_part],
-    )
+    return tuple(map(corpus.labeled_set, (train_part, dev_part, test_part)))
 
 
 def _aspect_overall_micro(provider, params, test_set, threshold=0.5):
-    h = provider.embed([e.text for e in test_set])
-    gold = np.stack([e.aspect_targets for e in test_set])
+    h = provider.embed(test_set.texts)
+    gold = test_set.aspects
     pred = model.forward_aspect(h, params) >= threshold
     return evaluation.evaluate(pred, gold, stage="aspect")["Overall"].micro_f1
 

@@ -515,9 +515,8 @@ class TestOneThresholdRule:
                                         for a in names}
         assert main(["eval", "--params", str(params), "--dataset", str(dataset),
                      "--out", str(tmp_path / "eval.csv")]) == 0
-        examples = [corpus.to_model_example(e) for e in corpus.read_dataset(dataset)]
-        gold_a = np.stack([e.aspect_targets for e in examples])
-        gold_y = np.stack([e.sentiment_targets for e in examples])
+        gold = corpus.labeled_set(corpus.read_dataset(dataset))
+        gold_a, gold_y = gold.aspects, gold.negative
         everything = np.ones(gold_a.shape, dtype=bool)
         evaluation.write_report_csv(tmp_path / "expected.csv", {
             "aspect": evaluation.evaluate(everything, gold_a, stage="aspect"),
@@ -537,8 +536,7 @@ class TestOneThresholdRule:
                      "--out", str(tmp_path / "eval.csv")]) == 0
         pred = np.array([[a.value in json.loads(line)["detected"] for a in corpus.A_USED]
                          for line in out.read_text(encoding="utf-8").splitlines()])
-        gold = np.stack([corpus.to_model_example(e).aspect_targets
-                         for e in corpus.read_dataset(test_split)])
+        gold = corpus.labeled_set(corpus.read_dataset(test_split)).aspects
         assert pred.any() and not pred.all()
         report = evaluation.evaluate(pred, gold, stage="aspect")
         rows = list(csv.DictReader((tmp_path / "eval.csv").open(encoding="utf-8")))
@@ -1317,6 +1315,53 @@ class TestDomainErrors:
         if where is not None:
             assert f"{where.replace('{d}', str(tmp_path))}:" in err
 
+    @pytest.mark.parametrize("tweet_ids, message", [
+        (["1", "2", "1"], "tweet id '1' appears twice"),
+        (["1"], "no tweet with annotated id '2'"),
+    ], ids=["duplicate-tweet-id", "annotated-id-not-in-tweets"])
+    def test_adjudicate_tweets_cover_the_annotations_once(self, tmp_path, capsys, tweet_ids,
+                                                          message):
+        tweets, ann = tmp_path / "tweets.jsonl", tmp_path / "ann.jsonl"
+        write_lines(tweets, [corpus_line(tweet_id=i, text=f"china {n}")
+                             for n, i in enumerate(tweet_ids)])
+        synth.write_jsonl(ann, [{"tweet_id": t, "annotator_id": a, "overall": "Negative"}
+                                for t in ("1", "2") for a in ("a1", "a2")])
+        assert main(["adjudicate", "--annotations", str(ann), "--tweets", str(tweets),
+                     "--out", str(tmp_path / "adj.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {tweets}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "tweets.jsonl"]
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("ingest", "--corpus"), ("ingest", "--keywords"), ("ingest", "--accounts"),
+        ("adjudicate", "--annotations"), ("adjudicate", "--tweets"),
+        ("stats-dataset", "--dataset"), ("split", "--dataset"), ("train", "--train"),
+        ("train", "--dev"), ("eval", "--params"), ("eval", "--dataset"), ("infer", "--params"),
+        ("infer", "--corpus"), ("augment-candidates", "--params"),
+        ("augment-candidates", "--pool"), ("series", "--predictions"), ("granger", "--x"),
+        ("granger", "--y"), ("compare-groups", "--predictions"), ("report", "-c"),
+        ("report", "predictions"), ("report", "media_predictions"),
+    ])
+    def test_missing_input_exits_one_naming_it(self, tmp_path, small_corpus, trained_params,
+                                               capsys, stage, flag):
+        _write_stage_inputs(tmp_path)
+        missing = str(tmp_path / "no-such-input")
+        argv, out_name = _STAGE_OUTPUTS[stage]
+        argv = [a.replace("{d}", str(tmp_path)).replace("{out}", str(tmp_path / out_name))
+                for a in argv]
+        if flag in argv:  # a required input
+            argv[argv.index(flag) + 1] = missing
+        elif flag.startswith("--"):  # an optional one
+            argv += [flag, missing]
+        else:  # a report config key
+            (tmp_path / "report.json").write_text(json.dumps({"report": {
+                "predictions": str(tmp_path / "pred.jsonl"), flag: missing}}), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+        # no output and no temp file; `report` may leave its output directory, empty
+        assert [p for p in sorted(tmp_path.rglob("*")) if p not in before] in (
+            [], [tmp_path / "r"])
+
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, declared in cli.SETTINGS.items() for key in declared])
     def test_wrong_typed_setting_is_named(self, tmp_path, capsys, section, key):
@@ -1381,6 +1426,18 @@ _STAGE_OUTPUTS = {
 }
 
 
+def _write_stage_inputs(d) -> None:
+    """The inputs of `_STAGE_OUTPUTS` beside the `small_corpus` and
+    `trained_params` fixtures in directory `d`."""
+    synth.write_jsonl(d / "ann.jsonl", synth.make_annotation_records(20, seed=3))
+    _write_predictions(d / "pred.jsonl", _prediction_rows())
+    for name, values in (("x.csv", [i % 3 for i in range(12)]),
+                         ("y.csv", [i * 7 % 5 for i in range(12)])):
+        emit_figure_data({"value": DailySeries(D0, [float(v) for v in values])}, d / name)
+    (d / "report.json").write_text(
+        json.dumps({"report": {"predictions": str(d / "pred.jsonl")}}), encoding="utf-8")
+
+
 def _fail_writes(monkeypatch) -> list:
     """Make each file opened for writing fail after its first write; the
     returned list collects the paths that failed."""
@@ -1403,14 +1460,7 @@ class TestAtomicOutputs:
     @pytest.mark.parametrize("stage", list(_STAGE_OUTPUTS))
     def test_stage_keeps_previous_output(self, tmp_path, small_corpus, trained_params,
                                          monkeypatch, capsys, stage):
-        synth.write_jsonl(tmp_path / "ann.jsonl", synth.make_annotation_records(20, seed=3))
-        _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
-        for name, values in (("x.csv", [i % 3 for i in range(12)]),
-                             ("y.csv", [i * 7 % 5 for i in range(12)])):
-            emit_figure_data({"value": DailySeries(D0, [float(v) for v in values])},
-                             tmp_path / name)
-        (tmp_path / "report.json").write_text(
-            json.dumps({"report": {"predictions": str(tmp_path / "pred.jsonl")}}), encoding="utf-8")
+        _write_stage_inputs(tmp_path)
         argv, out_name = _STAGE_OUTPUTS[stage]
         out = tmp_path / out_name
         argv = [a.replace("{d}", str(tmp_path)).replace("{out}", str(out)) for a in argv]

@@ -16,8 +16,8 @@ from aspectsent.corpus import (
     adjudicate,
     dataset_stats,
     merge_sentiment,
+    labeled_set,
     split,
-    to_model_example,
 )
 
 from conftest import make_tweet
@@ -135,7 +135,16 @@ def test_every_retained_pair_has_two_votes(l1, l2, l3, o1, o2, o3):
     assert overall_votes >= 2
 
 
+def one_row(example):
+    """The `labeled_set` row of one example: (text, aspects, negative)."""
+    got = labeled_set([example])
+    assert len(got) == 1
+    return got.texts[0], got.aspects[0], got.negative[0]
+
+
 class TestToModelExample:
+    """`labeled_set` rows: the model-facing preprocessing of one example."""
+
     def _example(self, labels, overall):
         return AdjudicatedExample(
             tweet_id="t1", labels=labels, overall=overall,
@@ -143,43 +152,73 @@ class TestToModelExample:
         )
 
     def test_dropped_aspect_leaves_only_overall(self):
-        got = to_model_example(self._example({Aspect.ECONOMY: NEU}, NEU))
-        assert got.aspect_targets.tolist() == [0, 0, 0, 0, 0, 1]
-        assert got.sentiment_targets.tolist() == [0, 0, 0, 0, 0, 0]
+        _, aspects, negative = one_row(self._example({Aspect.ECONOMY: NEU}, NEU))
+        assert aspects.tolist() == [0, 0, 0, 0, 0, 1]
+        assert negative.tolist() == [0, 0, 0, 0, 0, 0]
 
     def test_positive_merges_to_nonnegative(self):
-        got = to_model_example(self._example({Aspect.RACISM: POS}, POS))
+        _, aspects, negative = one_row(self._example({Aspect.RACISM: POS}, POS))
         racism = corpus.ASPECT_INDEX[Aspect.RACISM]
-        assert got.aspect_targets[racism] == 1
-        assert got.sentiment_targets[racism] == 0
+        assert aspects[racism] == 1
+        assert negative[racism] == 0
 
     def test_direct_mapping(self):
-        got = to_model_example(
+        _, aspects, negative = one_row(
             self._example({Aspect.POLITICS: NEG, Aspect.SITUATION: NEU}, NEG)
         )
         idx = corpus.ASPECT_INDEX
-        assert got.aspect_targets.tolist() == [1, 0, 1, 0, 0, 1]
-        assert got.sentiment_targets[idx[Aspect.POLITICS]] == 1
-        assert got.sentiment_targets[idx[Aspect.SITUATION]] == 0
-        assert got.sentiment_targets[idx[Aspect.OVERALL]] == 1
+        assert aspects.tolist() == [1, 0, 1, 0, 0, 1]
+        assert negative[idx[Aspect.POLITICS]] == 1
+        assert negative[idx[Aspect.SITUATION]] == 0
+        assert negative[idx[Aspect.OVERALL]] == 1
 
     def test_mask_equals_targets_and_bounds(self):
-        got = to_model_example(self._example({Aspect.FOREIGN: NEG}, None))
-        assert np.array_equal(got.sentiment_mask, got.aspect_targets)
-        assert np.all(got.sentiment_targets <= got.sentiment_mask)
+        # `aspects` is also the sentiment mask, so a negative slot lies inside it
+        _, aspects, negative = one_row(self._example({Aspect.FOREIGN: NEG}, None))
+        assert aspects.tolist() == [0, 1, 0, 0, 0, 0]
+        assert np.all(negative <= aspects)
 
     def test_requires_attached_tweet(self):
         bad = AdjudicatedExample("t1", {}, None, "phase-1", tweet=None)
         with pytest.raises(InputError):
-            to_model_example(bad)
+            labeled_set([bad])
 
 
 @given(labels=labels_strategy, overall=overall_strategy)
 def test_aspect_count_preserved(labels, overall):
     example = AdjudicatedExample("t1", labels, overall, "phase-1", make_tweet())
-    got = to_model_example(example)
+    _, aspects, _ = one_row(example)
     kept = sum(1 for a in labels if a not in corpus.DROPPED_ASPECTS)
-    assert int(got.aspect_targets.sum()) == kept + (overall is not None)
+    assert int(aspects.sum()) == kept + (overall is not None)
+
+
+def reference_row(example):
+    """One example's (aspects, negative) rows, one label at a time: Economy and
+    Culture dropped, Overall folded in, Neutral and Positive NonNegative."""
+    aspects, negative = [0.0] * len(corpus.A_USED), [0.0] * len(corpus.A_USED)
+    labels = dict(example.labels)
+    if example.overall is not None:
+        labels[Aspect.OVERALL] = example.overall
+    for aspect, sentiment in labels.items():
+        if aspect in (Aspect.ECONOMY, Aspect.CULTURE):
+            continue
+        i = list(corpus.A_USED).index(aspect)
+        aspects[i] = 1.0
+        negative[i] = 1.0 if sentiment is Sentiment.NEGATIVE else 0.0
+    return aspects, negative
+
+
+@given(st.lists(st.tuples(labels_strategy, overall_strategy), max_size=6))
+def test_labeled_set_rows_equal_the_per_example_reference(examples):
+    examples = [AdjudicatedExample(f"t{i}", labels, overall, "phase-1",
+                                   make_tweet(tweet_id=f"t{i}", text=f"text {i}"))
+                for i, (labels, overall) in enumerate(examples)]
+    got = labeled_set(examples)
+    assert got.texts == [f"text {i}" for i in range(len(examples))]
+    assert got.aspects.shape == got.negative.shape == (len(examples), len(corpus.A_USED))
+    assert got.aspects.dtype == got.negative.dtype == np.float64
+    for i, example in enumerate(examples):
+        assert (got.aspects[i].tolist(), got.negative[i].tolist()) == reference_row(example)
 
 
 def merge_table():

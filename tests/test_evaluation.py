@@ -3,36 +3,35 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aspectsent.evaluation import (
-    BinaryCounts,
-    Metrics,
-    evaluate,
-    f1,
-    macro_f1,
-    micro_f1,
-    write_report_csv,
-)
+from aspectsent.evaluation import Metrics, evaluate, metrics, write_report_csv
 
 K = 6  # |A_USED|
 
 
+def class_f1s(tp, fp, fn, tn):
+    """The F1 of the positive and of the negative class, each 0 on a zero denominator."""
+    return tuple(2 * t / (2 * t + fp + fn) if 2 * t + fp + fn else 0.0 for t in (tp, tn))
+
+
 class TestF1:
+    # macro F1 is the mean of the two class F1s, so a class F1 is read off a
+    # count whose other class F1 is known
     def test_perfect(self):
-        assert f1(BinaryCounts(tp=5, fp=0, fn=0, tn=0)) == 1.0
+        assert metrics(tp=5, fp=0, fn=0, tn=0).macro_f1 == (1.0 + 0.0) / 2
 
     def test_zero_denominator_rule(self):
-        assert f1(BinaryCounts(tp=0, fp=0, fn=0, tn=10)) == 0.0
+        assert metrics(tp=0, fp=0, fn=0, tn=10).macro_f1 == (0.0 + 1.0) / 2
 
     def test_hand_arithmetic(self):
-        # P = 3/4, R = 3/5, F1 = 2*0.45/1.35
-        counts = BinaryCounts(tp=3, fp=1, fn=2, tn=0)
-        assert f1(counts) == pytest.approx(2 * 0.45 / 1.35, abs=1e-12)
-        assert f1(counts) == pytest.approx(0.666667, abs=1e-6)
+        # P = 3/4, R = 3/5, F1 = 2*0.45/1.35; the negative class has tn = 0, F1 0
+        got = metrics(tp=3, fp=1, fn=2, tn=0).macro_f1 * 2
+        assert got == pytest.approx(2 * 0.45 / 1.35, abs=1e-12)
+        assert got == pytest.approx(0.666667, abs=1e-6)
 
     def test_negative_class_view(self):
-        counts = BinaryCounts(tp=3, fp=1, fn=2, tn=4)
-        flipped = BinaryCounts(tp=4, fp=2, fn=1, tn=3)
-        assert f1(counts, positive_class=0) == f1(flipped, positive_class=1)
+        # swapping the classes swaps tp with tn and fp with fn
+        assert metrics(tp=3, fp=1, fn=2, tn=4) == metrics(tp=4, fp=2, fn=1, tn=3)
+        assert class_f1s(3, 1, 2, 4)[1] == class_f1s(4, 2, 1, 3)[0]
 
 
 def _full(n, k, value):
@@ -111,18 +110,25 @@ def test_micro_f1_equals_accuracy(pred, gold):
     assert report["Overall"].micro_f1 == pytest.approx(accuracy, abs=1e-12)
 
 
+def slot_counts(pred, gold):
+    """tp, fp, fn, tn of one slot, one example at a time."""
+    counts = [0, 0, 0, 0]
+    for p, g in zip(pred.astype(bool).ravel().tolist(), gold.astype(bool).ravel().tolist()):
+        counts[(not p) * 2 + (not g)] += 1
+    return counts
+
+
 @given(pred=binary_matrix, gold=binary_matrix)
 def test_macro_f1_between_class_f1s(pred, gold):
-    counts = BinaryCounts.from_arrays(pred, gold)
-    lo = min(f1(counts, 1), f1(counts, 0))
-    hi = max(f1(counts, 1), f1(counts, 0))
-    assert lo - 1e-12 <= macro_f1(counts) <= hi + 1e-12
+    counts = slot_counts(pred, gold)
+    lo, hi = sorted(class_f1s(*counts))
+    assert lo - 1e-12 <= metrics(*counts).macro_f1 <= hi + 1e-12
 
 
 def test_counts_total_invariant():
-    counts = BinaryCounts.from_arrays(np.array([1, 0, 1, 1]), np.array([1, 1, 0, 1]))
-    assert counts.total == 4
-    assert micro_f1(counts) == pytest.approx(0.5)
+    counts = slot_counts(np.array([1, 0, 1, 1]), np.array([1, 1, 0, 1]))
+    assert sum(counts) == 4
+    assert metrics(*counts).micro_f1 == pytest.approx(0.5)
 
 
 def test_report_csv_layout(tmp_path):
@@ -136,3 +142,52 @@ def test_report_csv_layout(tmp_path):
     assert lines[0] == "aspect,aspect_macro_f1,aspect_micro_f1,sentiment_macro_f1,sentiment_micro_f1"
     assert lines[1] == "Politics,0.5000,0.7500,1.0000,1.0000"
     assert lines[2] == "Overall,0.2500,0.5000,0.0000,0.0000"
+
+
+def reference_report(pred, gold, keep):
+    """`evaluate` by enumeration: each slot's counts over its kept examples, one
+    at a time, pooled over every slot, scored by the class-F1 definitions."""
+    def scored(tp, fp, fn, tn):
+        total = tp + fp + fn + tn
+        return Metrics(sum(class_f1s(tp, fp, fn, tn)) / 2.0, (tp + tn) / total if total else 0.0)
+
+    names = ["Politics", "Foreign", "Situation", "Measures", "Racism", "Overall"]
+    report, pooled = {}, [0, 0, 0, 0]
+    for j, name in enumerate(names):
+        kept = [i for i in range(len(pred)) if keep[i][j]]
+        counts = slot_counts(pred[kept, j], gold[kept, j])
+        pooled = [a + b for a, b in zip(pooled, counts)]
+        if name != "Overall":
+            report[name] = scored(*counts)
+    report["Overall"] = scored(*pooled)
+    return report
+
+
+@st.composite
+def stage_inputs(draw):
+    n = draw(st.integers(0, 9))
+    matrix = arrays(np.int8, (n, K), elements=st.integers(0, 1))
+    return draw(matrix), draw(matrix), draw(matrix)
+
+
+class TestEvaluateEqualsEnumeration:
+    @given(stage_inputs())
+    def test_both_stages(self, inputs):
+        pred, gold, gold_aspects = inputs
+        assert evaluate(pred, gold, stage="aspect") == reference_report(
+            pred, gold, np.ones_like(gold))
+        assert evaluate(pred, gold, stage="sentiment", gold_aspects=gold_aspects) == (
+            reference_report(pred, gold, gold_aspects))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty_slots_and_all_zero_gold(self, n):
+        rng = np.random.default_rng(n)
+        pred = rng.integers(0, 2, size=(n, K))
+        gold = np.zeros((n, K), dtype=int)
+        gold_aspects = np.zeros((n, K), dtype=int)
+        gold_aspects[:, 0] = 1  # every other slot is empty in the sentiment stage
+        assert evaluate(pred, gold, stage="aspect") == reference_report(
+            pred, gold, np.ones_like(gold))
+        report = evaluate(pred, gold, stage="sentiment", gold_aspects=gold_aspects)
+        assert report == reference_report(pred, gold, gold_aspects)
+        assert report["Foreign"] == Metrics(0.0, 0.0)

@@ -13,9 +13,9 @@ from aspectsent.corpus import (
     A_USED,
     ASPECT_INDEX,
     Aspect,
-    ModelExample,
+    LabeledSet,
     example_from_obj,
-    to_model_example,
+    labeled_set,
 )
 from aspectsent.features import HashedFeatureConfig, HashedProvider
 from aspectsent.model import (
@@ -276,7 +276,9 @@ class TestGradients:
 
 def separable_examples(n=20):
     """Two aspects with disjoint vocabularies; linearly separable."""
-    examples = []
+    texts = []
+    t_a = np.zeros((n, K))
+    t_y = np.zeros((n, K))
     for i in range(n):
         if i % 2 == 0:
             text = f"alpha apple anchor item{i % 4}"
@@ -286,16 +288,15 @@ def separable_examples(n=20):
             text = f"beta banana borough item{i % 4}"
             aspect = Aspect.FOREIGN
             negative = False
-        t_a = np.zeros(K)
-        t_y = np.zeros(K)
-        t_a[ASPECT_INDEX[aspect]] = 1.0
+        texts.append(text)
+        t_a[i, ASPECT_INDEX[aspect]] = 1.0
         if negative:
-            t_y[ASPECT_INDEX[aspect]] = 1.0
-        examples.append(
-            ModelExample(text=text, aspect_targets=t_a, sentiment_targets=t_y,
-                         sentiment_mask=t_a.copy())
-        )
-    return examples
+            t_y[i, ASPECT_INDEX[aspect]] = 1.0
+    return LabeledSet(texts, t_a, t_y)
+
+
+def first(examples: LabeledSet, k: int) -> LabeledSet:
+    return LabeledSet(examples.texts[:k], examples.aspects[:k], examples.negative[:k])
 
 
 class TestTrain:
@@ -303,7 +304,7 @@ class TestTrain:
         examples = separable_examples()
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         cfg = TrainConfig(epochs=0, seed=9)
-        got = train(examples, [], provider, cfg)
+        got = train(examples, None, provider, cfg)
         expected = init_params(provider.dim, seed=9)
         assert np.array_equal(got.W_a, expected.W_a)
         assert np.array_equal(got.W_y, expected.W_y)
@@ -313,8 +314,8 @@ class TestTrain:
         examples = separable_examples()
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         cfg = TrainConfig(epochs=3, seed=5, batch_size=4)
-        a = train(examples, examples[:4], provider, cfg)
-        b = train(examples, examples[:4], provider, cfg)
+        a = train(examples, first(examples, 4), provider, cfg)
+        b = train(examples, first(examples, 4), provider, cfg)
         assert np.array_equal(a.W_a, b.W_a)
         assert np.array_equal(a.W_y, b.W_y)
 
@@ -326,20 +327,20 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e200, weight_decay=1.0, epochs=3,
                           batch_size=5, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as exc:
-            train(examples, [], provider, cfg)
+            train(examples, None, provider, cfg)
         assert "epoch" in str(exc.value)
 
     def test_empty_train_set_rejected(self):
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         with pytest.raises(ModelError):
-            train([], [], provider, TrainConfig())
+            train(labeled_set([]), None, provider, TrainConfig())
 
     def test_provider_swap_is_invisible_to_training(self):
         # training consumes only (vector, dim): a stub replaying the hashed
         # matrix must produce identical parameters
         examples = separable_examples()
         hashed = HashedProvider(HashedFeatureConfig(dim=1024))
-        matrix = hashed.embed([e.text for e in examples])
+        matrix = hashed.embed(examples.texts)
 
         class Replay:
             dim = 1024
@@ -350,8 +351,8 @@ class TestTrain:
                 return matrix.copy()
 
         cfg = TrainConfig(epochs=4, seed=6, batch_size=8)
-        a = train(examples, [], hashed, cfg)
-        b = train(examples, [], Replay(), cfg)
+        a = train(examples, None, hashed, cfg)
+        b = train(examples, None, Replay(), cfg)
         assert np.array_equal(a.W_a, b.W_a)
         assert np.array_equal(a.W_y, b.W_y)
 
@@ -361,10 +362,10 @@ class TestTrain:
         examples = separable_examples()
         provider = HashedProvider(HashedFeatureConfig(dim=1024))
         cfg = TrainConfig(learning_rate=0.5, epochs=200, batch_size=20, seed=1)
-        params = train(examples, [], provider, cfg)
-        h = provider.embed([e.text for e in examples])
+        params = train(examples, None, provider, cfg)
+        h = provider.embed(examples.texts)
         pred = forward_aspect(h, params) >= 0.5
-        gold = np.stack([e.aspect_targets for e in examples])
+        gold = examples.aspects
         report = evaluation.evaluate(pred, gold, stage="aspect")
         assert report["Overall"].micro_f1 == 1.0
 
@@ -467,17 +468,15 @@ class TestSvmBaseline:
         cfg = TrainConfig(learning_rate=0.5, epochs=100, batch_size=20, seed=2)
         provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
         params = train_svm_baseline(examples, cfg, provider)
-        _, _, pred, _ = predict_batch([e.text for e in examples], provider, params, TrainConfig())
-        gold = np.stack([e.aspect_targets for e in examples]).astype(bool)
+        _, _, pred, _ = predict_batch(examples.texts, provider, params, TrainConfig())
+        gold = examples.aspects.astype(bool)
         assert np.array_equal(pred, gold)
 
     def test_all_one_class_predicts_that_class(self):
-        examples = []
-        for i in range(10):
-            t_a = np.zeros(K)
-            t_a[ASPECT_INDEX[Aspect.RACISM]] = 1.0
-            t_y = t_a.copy()  # always negative
-            examples.append(ModelExample(f"text {i}", t_a, t_y, t_a.copy()))
+        t_a = np.zeros((10, K))
+        t_a[:, ASPECT_INDEX[Aspect.RACISM]] = 1.0
+        t_y = t_a.copy()  # always negative
+        examples = LabeledSet([f"text {i}" for i in range(10)], t_a, t_y)
         cfg = TrainConfig(learning_rate=0.5, epochs=50, seed=0)
         provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
         params = train_svm_baseline(examples, cfg, provider)
@@ -497,10 +496,10 @@ class TestSvmBaseline:
     @staticmethod
     def reference_hinge(examples, config, provider):
         """The baseline's subgradient loop written out on its own, as the oracle."""
-        h = provider.embed([e.text for e in examples])
-        t_a = np.stack([e.aspect_targets for e in examples]).astype(float)
-        t_y = np.stack([e.sentiment_targets for e in examples]).astype(float)
-        mask = np.stack([e.sentiment_mask for e in examples]).astype(float)
+        h = provider.embed(examples.texts)
+        t_a = examples.aspects
+        t_y = examples.negative
+        mask = examples.aspects.copy()
         s_a = 2.0 * t_a - 1.0
         s_y = 2.0 * t_y - 1.0
         n = len(examples)
@@ -532,7 +531,7 @@ class TestSvmBaseline:
     @pytest.mark.parametrize("batch_size", [7, 32])
     def test_matches_reference_loop_with_decay_and_ragged_batches(self, batch_size):
         records = synth.make_dataset_records(45, seed=3)  # 45 = 6*7 + 3 = 32 + 13
-        examples = [to_model_example(example_from_obj(r)) for r in records]
+        examples = labeled_set([example_from_obj(r) for r in records])
         cfg = TrainConfig(learning_rate=0.3, epochs=6, batch_size=batch_size,
                           weight_decay=0.01, seed=8)
         fc = HashedFeatureConfig(ngram_max=1, dim=1024)

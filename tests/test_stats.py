@@ -15,6 +15,7 @@ from aspectsent.stats import (
     GROUP_COMPARE_MODES,
     SERIES_MODES,
     DailySeries,
+    GrangerResult,
     InsufficientDataError,
     SingularMatrixError,
     betainc_reg,
@@ -67,12 +68,12 @@ class TestDailySeries:
         rows = [row(0, D0, detected=("Politics",)), row(1, date(2020, 3, 3))]
         s = daily_series(table(rows), "aspect-proportion", aspect="Politics")
         assert len(s) == 3
-        assert s.values[1] is None
+        assert np.isnan(s.values[1])
 
     def test_count_on_empty_day_is_zero(self):
         rows = [row(0, D0), row(1, date(2020, 3, 3))]
         s = daily_series(table(rows), "count")
-        assert s.values == [1.0, 0.0, 1.0]
+        assert s.values.tolist() == [1.0, 0.0, 1.0]
 
     def test_five_day_fixture_matches_enumeration(self):
         rows = []
@@ -86,11 +87,11 @@ class TestDailySeries:
                 rows.append(row(idx, date(2020, 3, 1 + offset), detected, neg))
                 idx += 1
         counts = daily_series(table(rows), "count", start=D0, end=date(2020, 3, 5))
-        assert counts.values == [4.0, 0.0, 2.0, 5.0, 1.0]
+        assert counts.values.tolist() == [4.0, 0.0, 2.0, 5.0, 1.0]
         props = daily_series(table(rows), "aspect-proportion", aspect="Politics",
                              start=D0, end=date(2020, 3, 5))
         assert props.values[0] == pytest.approx(2 / 4)
-        assert props.values[1] is None
+        assert np.isnan(props.values[1])
         assert props.values[2] == pytest.approx(1 / 2)
         assert props.values[3] == 0.0
         assert props.values[4] == 1.0
@@ -98,7 +99,7 @@ class TestDailySeries:
                             start=D0, end=date(2020, 3, 5))
         # day0: 2 mentions, 1 negative; day3: no mentions -> missing
         assert negs.values[0] == pytest.approx(1 / 2)
-        assert negs.values[3] is None
+        assert np.isnan(negs.values[3])
 
     def test_nonnegative_complements_negative(self):
         rows = [
@@ -116,15 +117,11 @@ class TestDailySeries:
 
     def test_explicit_range_with_no_rows(self):
         s = daily_series(table([]), "count", start=D0, end=date(2020, 3, 3))
-        assert s.values == [0.0, 0.0, 0.0]
+        assert s.values.tolist() == [0.0, 0.0, 0.0]
 
     def test_requires_aspect_for_proportions(self):
         with pytest.raises(ValueError):
             daily_series(table([row(0, D0)]), "aspect-proportion")
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            DailySeries(D0, [1.0, float("nan")])
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_infinity_rejected(self, value):
@@ -135,11 +132,11 @@ class TestDailySeries:
 class TestSmoothMa:
     def test_constant_series(self):
         s = DailySeries(D0, [3.0] * 10)
-        assert smooth_ma(s, 7).values == [3.0] * 10
+        assert smooth_ma(s, 7).values.tolist() == [3.0] * 10
 
     def test_window_one_is_identity(self):
-        s = DailySeries(D0, [1.0, None, 2.0])
-        assert smooth_ma(s, 1).values == s.values
+        s = DailySeries(D0, [1.0, math.nan, 2.0])
+        assert np.array_equal(smooth_ma(s, 1).values, s.values, equal_nan=True)
 
     def test_center_of_seven(self):
         s = DailySeries(D0, [1.0, 2, 3, 4, 5, 6, 7])
@@ -152,11 +149,11 @@ class TestSmoothMa:
         assert got.values[-1] == pytest.approx(np.mean([4, 5, 6, 7]))
 
     def test_missing_only_when_window_empty(self):
-        s = DailySeries(D0, [None, None, None, None, 10.0])
+        s = DailySeries(D0, [math.nan, math.nan, math.nan, math.nan, 10.0])
         got = smooth_ma(s, 3)
-        assert got.values[0] is None
-        assert got.values[1] is None
-        assert got.values[2] is None
+        assert np.isnan(got.values[0])
+        assert np.isnan(got.values[1])
+        assert np.isnan(got.values[2])
         assert got.values[3] == 10.0
         assert got.values[4] == 10.0
 
@@ -166,7 +163,8 @@ class TestSmoothMa:
 
     @given(
         values=st.lists(
-            st.one_of(st.none(), st.floats(-100, 100, allow_nan=False)), min_size=1, max_size=30
+            st.one_of(st.just(math.nan), st.floats(-100, 100, allow_nan=False)), min_size=1,
+            max_size=30
         ),
         window=st.sampled_from([1, 3, 5, 7]),
     )
@@ -176,10 +174,10 @@ class TestSmoothMa:
         half = (window - 1) // 2
         for i, v in enumerate(got.values):
             window_vals = [
-                x for x in values[max(0, i - half): i + half + 1] if x is not None
+                x for x in values[max(0, i - half): i + half + 1] if not math.isnan(x)
             ]
             if not window_vals:
-                assert v is None
+                assert np.isnan(v)
             else:
                 assert min(window_vals) - 1e-9 <= v <= max(window_vals) + 1e-9
 
@@ -420,8 +418,8 @@ class TestGranger:
 
     def test_missing_days_dropped_pairwise(self):
         x, y = _series_pair(seed=3, causal=True)
-        x.values[50] = None
-        y.values[120] = None
+        x.values[50] = np.nan
+        y.values[120] = np.nan
         got = granger_test(x, y)
         # x[50] is only ever a lag (row t=51); y[120] is a value (t=120) and a lag (t=121)
         assert got.n_used == 199 - 3
@@ -459,6 +457,75 @@ class TestGranger:
         expected_f = ((rss_r - rss_u) / 1) / (rss_u / (n_used - 3))
         got = granger_test(x, y)
         assert got.f_stat == pytest.approx(expected_f, rel=1e-9)
+
+
+def reference_granger(x, y, lag):
+    """`granger_test` with its designs built one row at a time, as lists."""
+    xs = [None if math.isnan(v) else v for v in x.values.tolist()]
+    ys = [None if math.isnan(v) else v for v in y.values.tolist()]
+    rows_y, design_u, design_r = [], [], []
+    for t in range(lag, len(ys)):
+        y_lags = [ys[t - j] for j in range(1, lag + 1)]
+        x_lags = [xs[t - j] for j in range(1, lag + 1)]
+        if any(v is None for v in [ys[t]] + y_lags + x_lags):
+            continue
+        rows_y.append(ys[t])
+        design_u.append([1.0] + y_lags + x_lags)
+        design_r.append([1.0] + y_lags)
+    n_used, k = len(rows_y), 2 * lag + 1
+    if n_used < lag + 4 or n_used <= k:
+        raise InsufficientDataError("too few complete rows")
+    yy = np.asarray(rows_y)
+    _, rss_u = ols(np.asarray(design_u), yy)
+    _, rss_r = ols(np.asarray(design_r), yy)
+    if rss_u <= 0.0:
+        raise PipelineError("degenerate")
+    f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
+    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), lag, n_used, ("x", "y"))
+
+
+def granger_outcome(x, y, lag, test):
+    """The result's fields, floats as hex so that == is bit for bit, or the error type."""
+    try:
+        r = test(x, y, lag)
+    except PipelineError as exc:
+        return type(exc)
+    return r.f_stat.hex(), r.p_value.hex(), r.lag, r.n_used, r.direction
+
+
+@st.composite
+def gappy_pairs(draw):
+    """Two aligned series with NaN gaps, from dense to too sparse, and a lag of 1-7."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.normal(0, 1, size=n), rng.normal(0, 1, size=n)
+    y[1:] += draw(st.sampled_from([0.0, 0.8])) * x[:-1]
+    for values in (x, y):
+        values[draw(st.lists(st.integers(0, n - 1), max_size=n // draw(st.integers(1, 12))))] = np.nan
+    return DailySeries(D0, x), DailySeries(D0, y), draw(st.integers(1, 7))
+
+
+class TestGrangerEqualsRowReference:
+    @given(gappy_pairs())
+    def test_bit_for_bit(self, pair):
+        x, y, lag = pair
+        assert granger_outcome(x, y, lag, granger_test) == granger_outcome(
+            x, y, lag, reference_granger)
+
+    def test_every_lag_with_gaps_and_too_sparse(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(0, 1, size=90), rng.normal(0, 1, size=90)
+        y[1:] += 0.8 * x[:-1]
+        x[::23], y[4::29] = np.nan, np.nan
+        sparse = x.copy()
+        sparse[::2] = np.nan
+        for lag in range(1, 8):
+            for cause in (x, sparse):
+                got = granger_outcome(DailySeries(D0, cause), DailySeries(D0, y), lag, granger_test)
+                assert got == granger_outcome(DailySeries(D0, cause), DailySeries(D0, y), lag,
+                                              reference_granger)
+                # every second day missing leaves no complete row once lag >= 2
+                assert (got is InsufficientDataError) == (cause is sparse and lag >= 2)
 
 
 class TestGroupCompare:
@@ -555,10 +622,10 @@ def enumerated_series(records, mode, aspect, start, end):
         if mode == "count":
             values.append(float(len(on_day)))
         elif mode == "aspect-proportion":
-            values.append(len(mentions) / len(on_day) if on_day else None)
+            values.append(len(mentions) / len(on_day) if on_day else math.nan)
         else:
             num = negative if mode == "negative-proportion" else len(mentions) - negative
-            values.append(num / len(mentions) if mentions else None)
+            values.append(num / len(mentions) if mentions else math.nan)
     return DailySeries(start, values)
 
 
@@ -582,11 +649,15 @@ def enumerated_compare(records, spec_a, spec_b, mode):
 
 
 def outcome(fn):
-    """fn(), or PipelineError if it raises one."""
+    """fn(), or PipelineError if it raises one; a series as its start and its
+    values in a list, with None for NaN, so that == compares it."""
     try:
-        return fn()
+        result = fn()
     except PipelineError:
         return PipelineError
+    if isinstance(result, DailySeries):
+        return result.start_date, [None if math.isnan(v) else v for v in result.values.tolist()]
+    return result
 
 
 def assert_matches_enumeration(records, start=None, end=None, selectors=SELECTORS):
@@ -632,8 +703,9 @@ class TestPredictionsTable:
                    row(1, D0, ["Politics"], bot=False), row(2, D0, bot=True), row(3, D0, bot=False)]
         assert records[0]["detected"] == ["Politics", "Politics"]
         # adding the Politics bit twice would set the Foreign bit
-        assert daily_series(table(records), "aspect-proportion", "Foreign").values == [0.0]
-        assert daily_series(table(records), "aspect-proportion", "Politics").values == [0.5]
+        for aspect, expected in (("Foreign", [0.0]), ("Politics", [0.5])):
+            got = daily_series(table(records), "aspect-proportion", aspect)
+            assert got.values.tolist() == expected
         assert_matches_enumeration(records)
 
     def test_sentiment_for_an_undetected_aspect_is_ignored_and_not_checked(self):
@@ -643,8 +715,9 @@ class TestPredictionsTable:
                                    "no such aspect": {"label": "Negative"}})
                    for i in range(4)]
         t = table(records)
-        assert daily_series(t, "negative-proportion", "Racism").values == [None]
-        assert daily_series(t, "negative-proportion", "Politics").values == [0.0]
+        racism = daily_series(t, "negative-proportion", "Racism")
+        assert len(racism) == 1 and np.isnan(racism.values[0])
+        assert daily_series(t, "negative-proportion", "Politics").values.tolist() == [0.0]
         assert_matches_enumeration(records)
 
     def test_null_bot_flag_is_neither_bot_nor_user(self):
@@ -667,12 +740,13 @@ class TestPredictionsTable:
 
 class TestSeriesCsv:
     def test_roundtrip_with_missing(self, tmp_path):
-        s = DailySeries(D0, [1.0, None, 0.25])
+        s = DailySeries(D0, [1.0, math.nan, 0.25])
         path = tmp_path / "series.csv"
         emit_figure_data({"value": s}, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2] == "2020-03-02,"
         again = read_series_csv(path)
         assert again.start_date == s.start_date
-        assert again.values == s.values
+        assert np.array_equal(again.values, s.values, equal_nan=True)
 
     def test_non_consecutive_dates_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
