@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, iter_chunks, providers_from_config
+from .features import PROVIDER_SETTINGS, iter_chunks, provider_config, providers_from_config
 from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
@@ -154,20 +154,6 @@ def _series_map(table, columns: dict, window: int, start=None, end=None) -> dict
 # --- provider / train config plumbing ---
 
 
-def _resolve_provider(args, file_cfg: dict) -> dict:
-    cfg = _settings("provider", args, file_cfg)
-    if cfg["kind"] == "remote" and not cfg["endpoint"]:
-        raise PipelineError("remote provider requires --endpoint")
-    if cfg["kind"] == "native-hashed":
-        cfg.pop("endpoint", None)
-        cfg.pop("sentiment_endpoint", None)
-        cfg.pop("timeout", None)
-        cfg.pop("batch_size", None)
-    elif not cfg["sentiment_endpoint"]:
-        cfg.pop("sentiment_endpoint", None)
-    return cfg
-
-
 def _resolve_train(args, file_cfg: dict, provider_kind: str) -> model.TrainConfig:
     cfg = _settings("train", args, file_cfg)
     if cfg["learning_rate"] is None:
@@ -178,10 +164,12 @@ def _resolve_train(args, file_cfg: dict, provider_kind: str) -> model.TrainConfi
         raise PipelineError(f"bad train settings: {exc}") from None
 
 
-def _providers(cfg: dict):
-    """`providers_from_config`, with a bad setting as a PipelineError."""
+def _providers(settings: dict):
+    """The provider object a params file records for provider `settings`, and
+    its providers; a bad setting is a PipelineError."""
     try:
-        return providers_from_config(cfg)
+        cfg = provider_config(settings)
+        return (cfg, *providers_from_config(cfg))
     except ValueError as exc:
         raise PipelineError(f"bad provider settings: {exc}") from None
 
@@ -367,17 +355,18 @@ def _cmd_train(args, file_cfg):
     train_set = corpus.labeled_set(corpus.read_dataset(args.train))
     dev_set = corpus.labeled_set(corpus.read_dataset(args.dev)) if args.dev else None
 
-    provider_cfg = _resolve_provider(args, file_cfg)
+    provider_cfg = _settings("provider", args, file_cfg)
+    if args.objective == "hinge":
+        if provider_cfg["kind"] != "native-hashed":
+            raise PipelineError("the hinge baseline uses native hashed unigram features")
+        provider_cfg["ngram_max"] = 1  # the baseline is defined over unigrams
+    provider_cfg, provider, provider_y = _providers(provider_cfg)
     train_cfg = _resolve_train(args, file_cfg, provider_cfg["kind"])
 
     train_loss = None  # the BCE objective's full training loss after each epoch
     if args.objective == "hinge":
-        if provider_cfg["kind"] != "native-hashed":
-            raise PipelineError("the hinge baseline uses native hashed unigram features")
-        provider_cfg = dict(provider_cfg, ngram_max=1)  # the baseline is defined over unigrams
-        params = model.train_svm_baseline(train_set, train_cfg, _providers(provider_cfg)[0])
+        params = model.train_svm_baseline(train_set, train_cfg, provider)
     else:
-        provider, provider_y = _providers(provider_cfg)
         train_loss = []
         params = model.train(train_set, dev_set, provider, train_cfg,
                              provider_y=provider_y,
@@ -398,10 +387,13 @@ def _cmd_train(args, file_cfg):
 
 
 def _load_bundle_and_provider(params_path, flags: dict):
-    """Load a params file and its providers; `flags` (provider settings)
-    override the file's provider config."""
+    """Load a params file and its providers; `flags` (endpoint settings)
+    override the file's provider object, whose `dim` must be the tensors'."""
     bundle = model.load_params(params_path)
-    provider, provider_y = _providers({**bundle.provider_config, **flags})
+    _, provider, provider_y = _providers({**bundle.provider_config, **flags})
+    if provider.dim != bundle.params.dim:
+        raise model.ModelError(f"bad parameter file {params_path}: provider dim {provider.dim} "
+                               f"!= tensor dim {bundle.params.dim}")
     return bundle, provider, provider_y
 
 
@@ -457,7 +449,7 @@ def _cmd_augment_candidates(args, file_cfg):
     if not 0.0 < threshold < 1.0 or cap < 1:
         raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     pool = ((t.id, t.text) for t in ingest.iter_corpus(args.pool))
-    candidates = corpus.select_confident(
+    candidates = model.select_confident(
         pool, provider, bundle.params, threshold=threshold, cap=cap
     )
     total = files.write_jsonl(args.out, (
@@ -559,6 +551,19 @@ def _cmd_report(args, file_cfg):
     if "report" not in file_cfg:
         raise PipelineError("report requires a config file with a 'report' section")
     section = file_cfg["report"]
+    # a key set without a key its tables need is an error; a table with no key set is skipped
+    for key, needed in (("params", "test"), ("test", "params"), ("group_a", "group_b"),
+                        ("group_b", "group_a"), ("group_a", "predictions"),
+                        ("media_predictions", "predictions")):
+        if section[key] and not section[needed]:
+            raise PipelineError(f"report.{key} needs report.{needed}, which is not set")
+    tables = {}  # each predictions file the section names must have rows
+    for key in ("predictions", "media_predictions"):
+        if section[key]:
+            tables[key] = read_prediction_rows(section[key])
+            if not tables[key]:
+                raise PipelineError(f"report.{key}: {section[key]} has no prediction rows")
+    rows, media_rows = tables.get("predictions"), tables.get("media_predictions")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lag = _check_lag(section["lag"])
@@ -568,16 +573,10 @@ def _cmd_report(args, file_cfg):
     if section["dataset"]:
         _write_dataset_stats(section["dataset"], out_dir / "table1_dataset_stats.csv")
         emitted.append("table1_dataset_stats.csv")
-    if section["params"] and section["test"]:
+    if section["params"]:
         _write_eval(section["params"], section["test"],
                     out_dir / "table2_model_performance.csv", {})
         emitted.append("table2_model_performance.csv")
-
-    rows = media_rows = None
-    if section["predictions"]:
-        rows = read_prediction_rows(section["predictions"])
-    if section["media_predictions"]:
-        media_rows = read_prediction_rows(section["media_predictions"])
 
     if rows:
         for name, columns in _FIGURES.items():
@@ -609,7 +608,7 @@ def _cmd_report(args, file_cfg):
             _write_meta(out_dir / name, section)
             emitted.append(name)
 
-    if rows and section["group_a"] and section["group_b"]:
+    if rows and section["group_a"]:
         for mode, name in (
             ("aspect-proportion", "table7_group_aspects.csv"),
             ("sentiment-mean", "table8_group_sentiments.csv"),

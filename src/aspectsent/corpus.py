@@ -20,7 +20,6 @@ import numpy as np
 
 from . import files
 from .errors import PipelineError
-from .features import iter_chunks
 from .ingest import RawTweet, tweet_from_obj, tweet_to_obj
 
 
@@ -280,48 +279,6 @@ def dataset_stats(dataset: Sequence[AdjudicatedExample]) -> DatasetStats:
         }
         rows.append(AspectStats(aspect.value, count, _pct(count, total), sentiments))
     return DatasetStats(total, tuple(rows))
-
-
-@dataclass(frozen=True)
-class ConfidentCandidate:
-    tweet_id: str
-    text: str
-    probability: float
-
-
-def select_confident(
-    pool: Iterable[tuple[str, str]],
-    provider,
-    params,
-    threshold: float = 0.90,
-    cap: int = 300,
-) -> dict[Aspect, list[ConfidentCandidate]]:
-    """Per aspect, up to `cap` pool texts with detection probability >= threshold.
-
-    `pool` is (tweet_id, text) pairs, embedded in `iter_chunks` blocks so a
-    pool of any size fits in memory; candidates are sorted by descending
-    probability with ties broken by tweet id, then by pool order. Aspects with
-    no candidate are omitted. The output is a candidate file for human labeling.
-    """
-    from .model import forward_aspect
-
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    best: dict[Aspect, list[ConfidentCandidate]] = {a: [] for a in A_USED}
-    for chunk in iter_chunks(pool):
-        probs = forward_aspect(provider.embed([text for _, text in chunk]), params)
-        for i, aspect in enumerate(A_USED):
-            hits = best[aspect] + [
-                ConfidentCandidate(tweet_id, text, float(p))
-                for (tweet_id, text), p in zip(chunk, probs[:, i])
-                if p >= threshold
-            ]
-            # a stable sort keeps earlier chunks first among ties, as one sort would
-            hits.sort(key=lambda c: (-c.probability, c.tweet_id))
-            best[aspect] = hits[:cap]
-    return {aspect: hits for aspect, hits in best.items() if hits}
 
 
 def _labels_from_obj(obj: dict) -> tuple[dict[Aspect, Sentiment], Sentiment | None]:

@@ -206,7 +206,7 @@ def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
 
 @dataclass(frozen=True)
 class EmbeddingProviderSpec:
-    """Where embeddings come from: `native-hashed` or a `remote` service."""
+    """A remote embedding service; `kind` is always `remote`."""
 
     kind: str
     dim: int
@@ -215,9 +215,9 @@ class EmbeddingProviderSpec:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.kind not in ("native-hashed", "remote"):
-            raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.kind == "remote" and not (self.endpoint and isinstance(self.endpoint, str)):
+        if self.kind != "remote":
+            raise ValueError(f"unknown provider kind {self.kind!r}, expected 'remote'")
+        if not (self.endpoint and isinstance(self.endpoint, str)):
             raise ValueError("remote provider requires an endpoint")
         if not 0 < self.dim <= MAX_DIM or self.batch_size <= 0:
             raise ValueError(f"dim must be in 1..{MAX_DIM} and batch_size positive")
@@ -248,8 +248,6 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
     Batches are issued sequentially in input order; callers wanting
     concurrency must preserve request order when reassembling.
     """
-    if spec.kind != "remote":
-        raise ValueError("embed_remote requires a remote provider spec")
     texts = list(texts)
     out = np.empty((len(texts), spec.dim))
     for start in range(0, len(texts), spec.batch_size):
@@ -318,8 +316,6 @@ class HashedProvider:
 
 class RemoteProvider:
     def __init__(self, spec: EmbeddingProviderSpec):
-        if spec.kind != "remote":
-            raise ValueError("RemoteProvider requires kind='remote'")
         self.spec = spec
         self.dim = spec.dim
 
@@ -342,20 +338,38 @@ PROVIDER_SETTINGS = {
 }
 
 
+def provider_config(settings: dict) -> dict:
+    """The provider object a params file records for provider `settings` (flags
+    and a config file, or a params file's object and endpoint flags), checked
+    against `PROVIDER_SETTINGS`. A hashed provider takes no endpoint and drops
+    the remote-only settings; a remote one requires an endpoint and keeps
+    `sentiment_endpoint` only when it is set. Applying it twice changes nothing.
+    """
+    cfg = files.settings(settings, PROVIDER_SETTINGS, "provider")
+    if cfg["kind"] == "native-hashed":
+        for key in ("endpoint", "sentiment_endpoint"):
+            if cfg[key]:
+                raise ValueError(f"{key} requires a remote provider")
+        return {key: value for key, value in cfg.items()
+                if key not in ("endpoint", "sentiment_endpoint", "timeout", "batch_size")}
+    if not cfg["endpoint"]:
+        raise ValueError("remote provider requires an endpoint")
+    if not cfg["sentiment_endpoint"]:
+        del cfg["sentiment_endpoint"]
+    return cfg
+
+
 def providers_from_config(cfg: dict):
-    """Build (provider, sentiment_provider_or_None) from a provider config (a
-    config file's or a params file's `provider` object), checked against
-    `PROVIDER_SETTINGS`.
+    """Build (provider, sentiment_provider_or_None) from provider settings, as
+    `provider_config` resolves them (a resolved object resolves to itself).
 
     A second provider exists only when `sentiment_endpoint` is configured on
     a remote provider: that is the switch for learning distinct aspect-stage
     and sentiment-stage representations. With a single provider both stages
     share one embedding.
     """
-    cfg = files.settings(cfg, PROVIDER_SETTINGS, "provider")
+    cfg = provider_config(cfg)
     if cfg["kind"] == "native-hashed":
-        if cfg["sentiment_endpoint"]:
-            raise ValueError("sentiment_endpoint requires a remote provider")
         return HashedProvider(HashedFeatureConfig(
             ngram_max=cfg["ngram_max"], dim=cfg["dim"], hash_seed=cfg["hash_seed"],
             normalize=cfg["normalize"])), None
@@ -365,5 +379,5 @@ def providers_from_config(cfg: dict):
             kind="remote", dim=cfg["dim"], endpoint=endpoint, timeout=cfg["timeout"],
             batch_size=cfg["batch_size"]))
 
-    sentiment_endpoint = cfg["sentiment_endpoint"]
+    sentiment_endpoint = cfg.get("sentiment_endpoint")
     return remote(cfg["endpoint"]), (remote(sentiment_endpoint) if sentiment_endpoint else None)

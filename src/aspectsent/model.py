@@ -20,14 +20,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import evaluation, files
-from .corpus import A_USED, LabeledSet
+from .corpus import A_USED, Aspect, LabeledSet
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, SparseRows
+from .features import PROVIDER_SETTINGS, SparseRows, iter_chunks
 
 LOSS_CLAMP_EPS = 1e-12
 
@@ -100,9 +100,14 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be >= 0 and finite")
-        for t in (self.aspect_threshold, self.sentiment_threshold):
-            if not 0.0 < t < 1.0:
-                raise ValueError("thresholds must be in (0, 1)")
+        _check_thresholds(self)
+
+
+def _check_thresholds(config: TrainConfig | ModelBundle) -> None:
+    """The threshold rule of training and of a loaded params file: both in (0, 1), not NaN."""
+    for name in ("aspect_threshold", "sentiment_threshold"):
+        if not 0.0 < getattr(config, name) < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {getattr(config, name)!r}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -347,6 +352,46 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
     return params
 
 
+@dataclass(frozen=True)
+class ConfidentCandidate:
+    tweet_id: str
+    text: str
+    probability: float
+
+
+def select_confident(
+    pool: Iterable[tuple[str, str]],
+    provider,
+    params,
+    threshold: float = 0.90,
+    cap: int = 300,
+) -> dict[Aspect, list[ConfidentCandidate]]:
+    """Per aspect, up to `cap` pool texts with detection probability >= threshold.
+
+    `pool` is (tweet_id, text) pairs, embedded in `iter_chunks` blocks so a
+    pool of any size fits in memory; candidates are sorted by descending
+    probability with ties broken by tweet id, then by pool order. Aspects with
+    no candidate are omitted. The output is a candidate file for human labeling.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    best: dict[Aspect, list[ConfidentCandidate]] = {a: [] for a in A_USED}
+    for chunk in iter_chunks(pool):
+        probs = forward_aspect(provider.embed([text for _, text in chunk]), params)
+        for i, aspect in enumerate(A_USED):
+            hits = best[aspect] + [
+                ConfidentCandidate(tweet_id, text, float(p))
+                for (tweet_id, text), p in zip(chunk, probs[:, i])
+                if p >= threshold
+            ]
+            # a stable sort keeps earlier chunks first among ties, as one sort would
+            hits.sort(key=lambda c: (-c.probability, c.tweet_id))
+            best[aspect] = hits[:cap]
+    return {aspect: hits for aspect, hits in best.items() if hits}
+
+
 @dataclass
 class ModelBundle:
     """Everything needed to run inference: tensors, provider config, thresholds."""
@@ -356,6 +401,9 @@ class ModelBundle:
     aspect_threshold: float = 0.5
     sentiment_threshold: float = 0.5
     objective: str = "bce"
+
+    def __post_init__(self):
+        _check_thresholds(self)
 
     @property
     def fingerprint(self) -> str:

@@ -44,6 +44,13 @@ class DailySeries:
         if np.isinf(self.values).any():
             raise ValueError("infinite values are not allowed")
 
+    def __eq__(self, other) -> bool:
+        """The same start day and values; a missing day (NaN) equals a missing day."""
+        if not isinstance(other, DailySeries):
+            return NotImplemented
+        return (self.start_date == other.start_date
+                and np.array_equal(self.values, other.values, equal_nan=True))
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -965,6 +965,43 @@ class TestReport:
         assert "table5_granger_aspects.csv" not in names  # no media predictions
         assert "table1_dataset_stats.csv" not in names  # no dataset
 
+    @pytest.mark.parametrize("section, message", [
+        ({"dataset": "{d}/train.jsonl", "params": "{d}/params.json"},
+         "report.params needs report.test, which is not set"),
+        ({"dataset": "{d}/train.jsonl", "test": "{d}/train.jsonl"},
+         "report.test needs report.params, which is not set"),
+        ({"dataset": "{d}/train.jsonl", "predictions": "{d}/pred.jsonl", "group_a": "bots"},
+         "report.group_a needs report.group_b, which is not set"),
+        ({"predictions": "{d}/pred.jsonl", "group_b": "users"},
+         "report.group_b needs report.group_a, which is not set"),
+        ({"dataset": "{d}/train.jsonl", "group_a": "bots", "group_b": "users"},
+         "report.group_a needs report.predictions, which is not set"),
+        ({"dataset": "{d}/train.jsonl", "media_predictions": "{d}/pred.jsonl"},
+         "report.media_predictions needs report.predictions, which is not set"),
+        # a predictions file with no rows would skip every table that reads it
+        ({"dataset": "{d}/train.jsonl", "predictions": "{d}/empty.jsonl", "group_a": "bots",
+          "group_b": "users"}, "report.predictions: {d}/empty.jsonl has no prediction rows"),
+        ({"dataset": "{d}/train.jsonl", "predictions": "{d}/pred.jsonl",
+          "media_predictions": "{d}/empty.jsonl"},
+         "report.media_predictions: {d}/empty.jsonl has no prediction rows"),
+    ], ids=["params-without-test", "test-without-params", "group-a-without-group-b",
+            "group-b-without-group-a", "groups-without-predictions",
+            "media-without-predictions", "empty-predictions", "empty-media-predictions"])
+    def test_half_set_pair_exits_one_naming_the_missing_key(self, tmp_path, capsys, section,
+                                                             message):
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        model.save_params(tmp_path / "params.json", _zero_bundle())
+        (tmp_path / "config.json").write_text(json.dumps({"report": section}).replace(
+            "{d}", str(tmp_path)), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["report", "-c", str(tmp_path / "config.json"),
+                     "--out-dir", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n".replace("{d}", str(tmp_path))
+        assert sorted(tmp_path.rglob("*")) == before  # not even the output directory
+
     DIRECTIONS = ("media->public", "public->media")
 
     @pytest.mark.parametrize("series_input", ["raw"])  # the one value left, written out
@@ -1168,6 +1205,10 @@ _INGEST_DATED = _INGEST + ["--date-start", "2020-01-01", "--date-end", "2020-12-
 _INFER = ["infer", "--params", "{d}/params.json", "--corpus", "{d}/train.jsonl",
           "--out", "{d}/pred_out.jsonl"]
 
+_AUGMENT = ["augment-candidates", "--params", "{d}/params.json", "--pool", "{d}/train.jsonl",
+            "--out", "{d}/c.jsonl"]
+_URL = "http://127.0.0.1:9"  # never contacted: each run fails before it embeds anything
+
 
 def _with_config(argv):
     return argv[:1] + ["-c", "{d}/config.json"] + argv[1:]
@@ -1314,6 +1355,53 @@ class TestDomainErrors:
         assert "Traceback" not in err
         if where is not None:
             assert f"{where.replace('{d}', str(tmp_path))}:" in err
+
+    @pytest.mark.parametrize("argv, threshold, message", [
+        (_TRAIN + ["--sentiment-endpoint", _URL], None,
+         "bad provider settings: sentiment_endpoint requires a remote provider"),
+        (_TRAIN + ["--endpoint", _URL], None,
+         "bad provider settings: endpoint requires a remote provider"),
+        (_EVAL + ["--endpoint", _URL], None,
+         "bad provider settings: endpoint requires a remote provider"),
+        (_INFER + ["--endpoint", _URL], None,
+         "bad provider settings: endpoint requires a remote provider"),
+        (_AUGMENT + ["--endpoint", _URL], None,
+         "bad provider settings: endpoint requires a remote provider"),
+        *[(argv, {key: value}, f"bad parameter file {{d}}/params.json: {key} must be in (0, 1)")
+          for argv, key in ((_INFER, "aspect_threshold"), (_EVAL, "sentiment_threshold"))
+          for value in (float("nan"), 0, 1, 2.0)],
+    ], ids=["train-sentiment-endpoint-hashed", "train-endpoint-hashed", "eval-endpoint-hashed",
+            "infer-endpoint-hashed", "augment-endpoint-hashed",
+            *[f"{key}-{value}" for key in ("aspect-threshold", "sentiment-threshold")
+              for value in ("nan", "0", "1", "2.0")]])
+    def test_model_setting_is_checked_before_any_output(self, tmp_path, capsys, argv, threshold,
+                                                        message):
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        model.save_params(tmp_path / "params.json", _zero_bundle())
+        if threshold:  # a params file with a threshold that no bundle can hold
+            doc = json.loads((tmp_path / "params.json").read_text(encoding="utf-8"))
+            (tmp_path / "params.json").write_text(json.dumps({**doc, **threshold}),
+                                                  encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.replace('{d}', str(tmp_path))}")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("provider, dims", [
+        ({"dim": 2048}, "provider dim 2048 != tensor dim 1024"),
+        # a remote provider fails at load, before any request to its (dead) endpoint
+        ({"kind": "remote", "endpoint": _URL, "dim": 8}, "provider dim 8 != tensor dim 1024"),
+    ], ids=["hashed", "remote"])
+    def test_provider_dim_must_be_the_tensors(self, tmp_path, capsys, provider, dims):
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        model.save_params(tmp_path / "params.json", _zero_bundle(**provider))
+        for argv in (_EVAL, _INFER, _AUGMENT):
+            assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad parameter file {tmp_path}/params.json: {dims}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "train.jsonl"]
 
     @pytest.mark.parametrize("tweet_ids, message", [
         (["1", "2", "1"], "tweet id '1' appears twice"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aspectsent import corpus
+from aspectsent import corpus, model
 from aspectsent.corpus import (
     A_USED,
     AdjudicatedExample,
@@ -347,7 +347,7 @@ class TestSelectConfident:
         from aspectsent.model import init_params
 
         provider = HashedProvider()
-        assert corpus.select_confident([], provider, init_params(provider.dim, 0)) == {}
+        assert model.select_confident([], provider, init_params(provider.dim, 0)) == {}
 
     def test_probability_fixture(self):
         # Zero weights, biases chosen so only Racism clears the threshold.
@@ -362,7 +362,7 @@ class TestSelectConfident:
         b_a[corpus.ASPECT_INDEX[Aspect.RACISM]] = math.log(0.95 / 0.05)
         params = HeadParams(np.zeros((k, d)), b_a, np.zeros((k, d)), np.zeros(k))
         pool = [("id2", "second text"), ("id1", "first text")]
-        got = corpus.select_confident(pool, provider, params, threshold=0.9)
+        got = model.select_confident(pool, provider, params, threshold=0.9)
         assert set(got) == {Aspect.RACISM}
         assert [c.tweet_id for c in got[Aspect.RACISM]] == ["id1", "id2"]  # tie -> id order
         for c in got[Aspect.RACISM]:
@@ -379,7 +379,7 @@ class TestSelectConfident:
         b_a = np.full(k, math.log(0.95 / 0.05))
         params = HeadParams(np.zeros((k, d)), b_a, np.zeros((k, d)), np.zeros(k))
         pool = [(f"id{i:04d}", f"text {i}") for i in range(500)]
-        got = corpus.select_confident(pool, provider, params, threshold=0.9, cap=300)
+        got = model.select_confident(pool, provider, params, threshold=0.9, cap=300)
         assert all(len(cands) == 300 for cands in got.values())
 
     def test_threshold_validation(self):
@@ -388,7 +388,7 @@ class TestSelectConfident:
 
         provider = HashedProvider()
         with pytest.raises(ValueError):
-            corpus.select_confident(
+            model.select_confident(
                 [("a", "t")], provider, init_params(provider.dim, 0), threshold=1.0
             )
 

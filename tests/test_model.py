@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aspectsent import synth
 from aspectsent.corpus import (
@@ -17,7 +17,7 @@ from aspectsent.corpus import (
     example_from_obj,
     labeled_set,
 )
-from aspectsent.features import HashedFeatureConfig, HashedProvider
+from aspectsent.features import HashedFeatureConfig, HashedProvider, provider_config
 from aspectsent.model import (
     HeadParams,
     ModelBundle,
@@ -574,6 +574,36 @@ class TestParamsIO:
     @settings(max_examples=60)
     def test_every_saved_provider_object_loads(self, provider):
         bundle = ModelBundle(random_params(2, np.random.default_rng(0)), provider)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.json"
+            save_params(path, bundle)
+            assert load_params(path).fingerprint == bundle.fingerprint
+
+    @given(st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["native-hashed", "remote"]), "ngram_max": st.integers(),
+        "dim": st.integers(), "hash_seed": st.integers(0, 2**64 - 1), "normalize": st.booleans(),
+        "endpoint": st.none() | st.text(), "sentiment_endpoint": st.none() | st.text(),
+        "timeout": st.floats() | st.integers(-2**53, 2**53), "batch_size": st.integers()}))
+    @example({"timeout": 5.0, "batch_size": 8})
+    @example({"kind": "remote", "endpoint": "http://e", "sentiment_endpoint": ""})
+    @example({"kind": "remote", "endpoint": "http://e", "sentiment_endpoint": "http://s"})
+    @settings(max_examples=60)
+    def test_provider_config_is_idempotent_and_round_trips(self, provider):
+        try:
+            cfg = provider_config(provider)
+        except ValueError as exc:  # only the endpoint rules reject well-typed settings
+            remote = provider.get("kind") == "remote"
+            assert not provider.get("endpoint") if remote else (
+                provider.get("endpoint") or provider.get("sentiment_endpoint"))
+            assert "endpoint" in str(exc)
+            return
+        assert provider_config(cfg) == cfg
+        remote_only = {"endpoint", "sentiment_endpoint", "timeout", "batch_size"}
+        if cfg["kind"] == "native-hashed":
+            assert not remote_only & cfg.keys()
+        else:
+            assert cfg["endpoint"] and cfg.get("sentiment_endpoint", "set")
+        bundle = ModelBundle(random_params(2, np.random.default_rng(0)), cfg)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "params.json"
             save_params(path, bundle)

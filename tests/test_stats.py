@@ -55,6 +55,14 @@ def mask(rows, member):
 
 
 class TestDailySeries:
+    def test_equality_with_a_missing_day(self):
+        s = DailySeries(D0, [0.5, float("nan"), 0.25])
+        assert s == DailySeries(D0, np.array([0.5, np.nan, 0.25]))
+        assert not s != DailySeries(D0, [0.5, float("nan"), 0.25])
+        assert s != DailySeries(D0, [0.5, 0.0, 0.25])  # a missing day is not a zero
+        assert s != DailySeries(D0 + timedelta(days=1), [0.5, float("nan"), 0.25])
+        assert s != [0.5, float("nan"), 0.25]
+
     def test_one_day_proportion(self):
         rows = [
             row(0, D0, detected=("Politics",)),
