@@ -295,11 +295,15 @@ def _cmd_ingest(args, file_cfg):
 def _cmd_adjudicate(args, file_cfg):
     annotations = corpus.read_annotations(args.annotations)
     tweets_by_id = None
-    if args.tweets:
-        tweets_by_id = {}
+    if args.tweets:  # every id is checked, but only the annotated tweets are kept
+        annotated = {ann.tweet_id for ann in annotations}
+        seen, tweets_by_id = set(), {}
         for t in ingest.iter_corpus(args.tweets):
-            if tweets_by_id.setdefault(t.id, t) is not t:
+            if t.id in seen:
                 raise PipelineError(f"{args.tweets}: tweet id {t.id!r} appears twice")
+            seen.add(t.id)
+            if t.id in annotated:
+                tweets_by_id[t.id] = t
         for ann in annotations:
             if ann.tweet_id not in tweets_by_id:
                 raise PipelineError(f"{args.tweets}: no tweet with annotated id {ann.tweet_id!r}")
@@ -388,8 +392,13 @@ def _cmd_train(args, file_cfg):
 
 def _load_bundle_and_provider(params_path, flags: dict):
     """Load a params file and its providers; `flags` (endpoint settings)
-    override the file's provider object, whose `dim` must be the tensors'."""
+    override the file's provider object, which must hold on its own and whose
+    `dim` must be the tensors'."""
     bundle = model.load_params(params_path)
+    try:
+        providers_from_config(bundle.provider_config)
+    except ValueError as exc:
+        raise model.ModelError(f"bad parameter file {params_path}: {exc}") from None
     _, provider, provider_y = _providers({**bundle.provider_config, **flags})
     if provider.dim != bundle.params.dim:
         raise model.ModelError(f"bad parameter file {params_path}: provider dim {provider.dim} "
@@ -484,11 +493,11 @@ def _cmd_series(args, file_cfg):
 
 
 def _cmd_granger(args, file_cfg):
+    lag = _check_lag(_settings("granger", args, file_cfg)["lag"])
     x = stats.read_series_csv(args.x)
     y = stats.read_series_csv(args.y)
     x_name = args.x_name or Path(args.x).stem
     y_name = args.y_name or Path(args.y).stem
-    lag = _check_lag(_settings("granger", args, file_cfg)["lag"])
     results = [
         stats.granger_test(x, y, lag=lag, names=(x_name, y_name)),
         stats.granger_test(y, x, lag=lag, names=(y_name, x_name)),
@@ -551,6 +560,8 @@ def _cmd_report(args, file_cfg):
     if "report" not in file_cfg:
         raise PipelineError("report requires a config file with a 'report' section")
     section = file_cfg["report"]
+    lag = _check_lag(section["lag"])
+    window = _check_window(section["smoothing_window"])
     # a key set without a key its tables need is an error; a table with no key set is skipped
     for key, needed in (("params", "test"), ("test", "params"), ("group_a", "group_b"),
                         ("group_b", "group_a"), ("group_a", "predictions"),
@@ -566,8 +577,6 @@ def _cmd_report(args, file_cfg):
     rows, media_rows = tables.get("predictions"), tables.get("media_predictions")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lag = _check_lag(section["lag"])
-    window = _check_window(section["smoothing_window"])
     emitted = []
 
     if section["dataset"]:

@@ -5,18 +5,19 @@ Input records are one JSON object per line with fields `id`, `created_at`
 `group_tags` (array of strings) and `bot_flag` (boolean). Timestamps are
 normalized to UTC and all date bucketing uses the UTC calendar day.
 
-`ingest_file` filters a corpus file in two passes, so its memory does not
-hold the tweets that pass the filters. Pass 1 is `apply_filters` over
-`iter_corpus`: it parses and schema-checks every record and keeps, for each
+`apply_filters` parses and schema-checks every record and keeps, for each
 one that passes the lang/date/keyword/account filters, only a `Survivor`
-entry (record number, UTC day, id). `sample_daily` picks the kept entries,
-and pass 2 re-reads the file, rebuilds just the kept records and streams
-them to the output. Pass 1 and sampling together hold about 230 bytes per
-survivor. The corpus must therefore be a regular file that does not change
-between the passes. Pass 2 checks only the id and UTC day of each kept
-record: a record that is missing or differs in either raises
-`PipelineError`, while other edits to it go unnoticed. The output is
-byte-identical to `write_corpus(path, apply_filters(iter_corpus(...), spec))`.
+entry (record number, UTC day, id), never the tweet; `sample_daily` then
+picks among the entries. `ingest_file` writes a corpus file's kept records
+in two passes: pass 1 is `apply_filters` over `iter_corpus`, and pass 2
+re-reads the file, rebuilds just the kept records and streams them to the
+output. Pass 1 and sampling together hold about 230 bytes per survivor.
+The corpus must therefore be a regular file that does not change between
+the passes. Pass 2 checks only the id and UTC day of each kept record: a
+record that is missing or differs in either raises `PipelineError`, while
+other edits to it go unnoticed. The output is byte-identical to writing
+`tweets[s.record]` for each entry `s` of `apply_filters(tweets, spec)`,
+where `tweets = list(iter_corpus(path))`.
 """
 
 from __future__ import annotations
@@ -310,24 +311,32 @@ INGEST_COUNTS = ("records_read", "rejected_lang", "rejected_date", "rejected_key
                  "rejected_account", "sampled_out", "kept")
 
 
+class Survivor(NamedTuple):
+    """What `apply_filters` holds of a tweet that passed the filters."""
+
+    record: int  # position in the input: for a file, index among its non-blank lines
+    day: date
+    id: str
+
+
 def apply_filters(tweets: Iterable[RawTweet], spec: FilterSpec,
-                  entry: Callable[[int, RawTweet], T] | None = None,
-                  counts: dict[str, int] | None = None) -> list:
+                  counts: dict[str, int] | None = None) -> list[Survivor]:
     """Language, date-range, keyword, and account filters, then daily sampling.
 
-    With `entry`, each tweet that passes is held, sampled and returned as
-    `entry(position in tweets, tweet)`, which needs only `.day` and `.id`,
-    instead of as the tweet itself. `counts`, when given, is filled with the
-    INGEST_COUNTS: each record read counts once among the other six, under
-    the first filter it fails.
+    Each tweet that passes is held, sampled and returned as a `Survivor`
+    entry, not as the tweet itself; the entries of one day share one `date`.
+    `counts`, when given, is filled with the INGEST_COUNTS: each record read
+    counts once among the other six, under the first filter it fails.
     """
     rejection = _rejection(spec)
     tally = dict.fromkeys(INGEST_COUNTS, 0)
+    days: dict[date, date] = {}
     survivors = []
     for pos, t in enumerate(tweets):
         failed = rejection(t)
         if failed is None:
-            survivors.append(t if entry is None else entry(pos, t))
+            day = t.day
+            survivors.append(Survivor(pos, days.setdefault(day, day), t.id))
         else:
             tally[f"rejected_{failed}"] += 1
     kept = sample_daily(survivors, spec.sample_rate, spec.seed)
@@ -335,14 +344,6 @@ def apply_filters(tweets: Iterable[RawTweet], spec: FilterSpec,
         counts.update(tally, records_read=sum(tally.values()) + len(survivors),
                       sampled_out=len(survivors) - len(kept), kept=len(kept))
     return kept
-
-
-class Survivor(NamedTuple):
-    """What pass 1 holds of a record that passed the filters."""
-
-    record: int  # index among the file's non-blank lines
-    day: date
-    id: str
 
 
 def _reparse(line: str) -> RawTweet | None:
@@ -371,21 +372,14 @@ def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
 def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     """Filter and sample the corpus file `path` into `out_path` in two passes.
 
-    Writes the same bytes as `write_corpus(out_path, apply_filters(
-    iter_corpus(path), spec))` while holding only a `Survivor` per record that
-    passes the filters. `path` must be a regular file that stays unchanged
-    until this returns; errors call it `name` (default: `path`). Returns the
-    INGEST_COUNTS of `apply_filters`.
+    Holds only the `Survivor` entries of `apply_filters`, then writes the
+    tweet of each from a second read. `path` must be a regular file that
+    stays unchanged until this returns; errors call it `name` (default:
+    `path`). Returns the INGEST_COUNTS of `apply_filters`.
     """
     name = path if name is None else name
-    days: dict[date, date] = {}  # one date object per day, shared by its entries
-
-    def entry(pos: int, t: RawTweet) -> Survivor:
-        day = t.day
-        return Survivor(pos, days.setdefault(day, day), t.id)
-
     counts: dict[str, int] = {}
-    kept = apply_filters(iter_corpus(path, name), spec, entry, counts)
+    kept = apply_filters(iter_corpus(path, name), spec, counts)
     write_corpus(out_path, _rebuild(path, kept, name))
     return counts
 

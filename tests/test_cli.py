@@ -89,11 +89,12 @@ def ingest_argv(corpus_path, keywords, out, *extra):
 
 
 def reference_ingest(corpus_path, keywords, out, rate, seed, accounts=None):
-    """The one-pass path: every filtered tweet in memory, then written."""
+    """The one-pass path: every tweet in memory, the kept ones written by index."""
     spec = ingest.FilterSpec(
         lang="en", keywords=ingest.load_keywords(keywords), date_start=date(2020, 1, 22),
         date_end=date(2020, 5, 21), accounts=accounts, sample_rate=rate, seed=seed)
-    ingest.write_corpus(out, ingest.apply_filters(ingest.iter_corpus(corpus_path), spec))
+    tweets = list(ingest.iter_corpus(corpus_path))
+    ingest.write_corpus(out, [tweets[s.record] for s in ingest.apply_filters(tweets, spec)])
 
 
 _RECORD = st.fixed_dictionaries({
@@ -353,6 +354,37 @@ class TestAdjudicateAndStats:
         examples = corpus.read_dataset(out)
         assert all(e.tweet is not None for e in examples)
         assert all(e.tweet.text for e in examples)
+
+    def test_tweets_memory_per_unannotated_tweet(self, tmp_path):
+        # Holding every --tweets record as a RawTweet grows the peak by about
+        # 700 B a tweet here; its id in the duplicate check takes about 135.
+        dataset_records = synth.make_dataset_records(50, seed=9)
+        ann_path = tmp_path / "annotations.jsonl"
+        synth.write_jsonl(ann_path, [
+            {"tweet_id": r["tweet_id"], "annotator_id": who,
+             "labels": r["labels"], "overall": r["overall"]}
+            for r in dataset_records for who in ("a1", "a2")
+        ])
+
+        def peak(n):
+            tweets_path = tmp_path / f"tweets{n}.jsonl"
+            write_lines(tweets_path, [json.dumps(r["tweet"]) for r in dataset_records] + [
+                corpus_line(tweet_id=f"{1220000000000000000 + i}",
+                            when=f"2020-02-{1 + i % 28:02d}T10:00:00Z",
+                            text=f"china lockdown policy update number {i}",
+                            user_name=f"user_{i % 97}")
+                for i in range(n)])
+            tracemalloc.start()
+            try:
+                assert main(["adjudicate", "--annotations", str(ann_path), "--tweets",
+                             str(tweets_path), "--out", str(tmp_path / "dataset.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2000
+        peak(n)  # warm lazy imports and caches
+        assert (peak(4 * n) - peak(n)) / (3 * n) <= 200
 
     def test_split_too_small_exits_one(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
@@ -984,9 +1016,15 @@ class TestReport:
         ({"dataset": "{d}/train.jsonl", "predictions": "{d}/pred.jsonl",
           "media_predictions": "{d}/empty.jsonl"},
          "report.media_predictions: {d}/empty.jsonl has no prediction rows"),
+        # range checks come before any input is read
+        ({"predictions": "{d}/pred.jsonl", "lag": 0}, "lag must be >= 1, got 0"),
+        ({"predictions": "{d}/pred.jsonl", "smoothing_window": 2},
+         "smoothing window must be odd and >= 1, got 2"),
+        ({"predictions": "{d}/missing.jsonl", "lag": 0}, "lag must be >= 1, got 0"),
     ], ids=["params-without-test", "test-without-params", "group-a-without-group-b",
             "group-b-without-group-a", "groups-without-predictions",
-            "media-without-predictions", "empty-predictions", "empty-media-predictions"])
+            "media-without-predictions", "empty-predictions", "empty-media-predictions",
+            "lag-zero", "even-window", "lag-zero-before-a-missing-input"])
     def test_half_set_pair_exits_one_naming_the_missing_key(self, tmp_path, capsys, section,
                                                              message):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
@@ -1314,7 +1352,7 @@ class TestDomainErrors:
         (None, None, _TRAIN + ["--hash-seed", "-1"], "bad provider settings"),
         (None, None, ["split", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/s",
                       "--seed", "-1"], None),
-        ("params.json", _zero_bundle(hash_seed=-1), _INFER, "bad provider settings"),
+        ("params.json", _zero_bundle(hash_seed=-1), _INFER, "bad parameter file {d}/params.json"),
     ], ids=["config-not-json", "train-epochs-string", "train-epochs-fraction", "dim-64",
             "hinge-dim-64", "params-without-tensors", "params-not-json", "series-even-window",
             "report-even-window", "report-lag-string", "report-lag-zero", "granger-lag-zero",
@@ -1402,6 +1440,27 @@ class TestDomainErrors:
             assert capsys.readouterr().err == (
                 f"error: bad parameter file {tmp_path}/params.json: {dims}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "train.jsonl"]
+
+    @pytest.mark.parametrize("flags", [[], ["--endpoint", _URL]], ids=["no-flag", "endpoint"])
+    @pytest.mark.parametrize("provider, message", [
+        ({"hash_seed": -1}, "hash_seed must be in 0..2**64-1"),
+        ({"dim": 64}, f"dim must be a power of two in 1024..{features.MAX_DIM}"),
+    ], ids=["hash-seed-negative", "dim-64"])
+    def test_params_file_provider_is_checked_before_the_flags(self, tmp_path, capsys, provider,
+                                                              message, flags):
+        # an endpoint flag on a hashed file is a bad flag, but the file is read first
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        model.save_params(tmp_path / "params.json", _zero_bundle(**provider))
+        for argv in (_EVAL, _INFER, _AUGMENT):
+            assert main([a.replace("{d}", str(tmp_path)) for a in argv] + flags) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad parameter file {tmp_path}/params.json: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "train.jsonl"]
+
+    def test_granger_checks_the_lag_before_reading_a_series(self, tmp_path, capsys):
+        assert main([a.replace("{d}", str(tmp_path)) for a in _GRANGER + ["--lag", "0"]]) == 1
+        assert capsys.readouterr().err == "error: lag must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tweet_ids, message", [
         (["1", "2", "1"], "tweet id '1' appears twice"),

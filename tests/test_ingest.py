@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -252,7 +253,8 @@ class TestApplyFilters:
 
     def test_single_match(self):
         t = make_tweet(text="china news")
-        assert apply_filters([t], _spec()) == [t]
+        tweets = [t]
+        assert [tweets[s.record] for s in apply_filters(tweets, _spec())] == [t]
 
     def test_language_stage_by_enumeration(self):
         tweets = [
@@ -281,8 +283,8 @@ class TestApplyFilters:
 
     def test_idempotent_at_rate_one(self):
         tweets = [make_tweet(tweet_id=str(i), lang=("en" if i % 2 else "es")) for i in range(8)]
-        once = apply_filters(tweets, _spec())
-        twice = apply_filters(once, _spec())
+        once = [tweets[s.record] for s in apply_filters(tweets, _spec())]
+        twice = [once[s.record] for s in apply_filters(once, _spec())]
         assert once == twice
 
     def test_every_survivor_satisfies_predicates(self):
@@ -292,7 +294,7 @@ class TestApplyFilters:
                        text=("china talk" if i % 2 else "offtopic"))
             for i in range(40)
         ]
-        for t in apply_filters(tweets, spec):
+        for t in (tweets[s.record] for s in apply_filters(tweets, spec)):
             assert ingest.lang_matches(t.lang, spec.lang)
             assert spec.date_start <= t.day <= spec.date_end
             assert matches_keywords(t.text, spec.keywords)
@@ -304,11 +306,38 @@ class TestApplyFilters:
         ]
         canonical = merge_shards([tweets])
         spec = _spec(rate=0.5, seed=4)
-        whole = apply_filters(canonical, spec)
+        whole = [canonical[s.record] for s in apply_filters(canonical, spec)]
         shard_a = [t for i, t in enumerate(tweets) if i % 2 == 0]
         shard_b = [t for i, t in enumerate(tweets) if i % 2 == 1]
-        sharded = merge_shards([apply_filters(shard_a, spec), apply_filters(shard_b, spec)])
+        sharded = merge_shards([[shard[s.record] for s in apply_filters(shard, spec)]
+                                for shard in (shard_a, shard_b)])
         assert merge_shards([whole]) == sharded
+
+    def test_memory_per_survivor(self, tmp_path):
+        # Holding each survivor as a RawTweet grows the peak by about 740 B a
+        # survivor here; its `Survivor` entry and the sampling take about 235.
+        spec = _spec(rate=0.4)
+
+        def peak(n):
+            path = tmp_path / f"corpus{n}.jsonl"
+            path.write_text("".join(
+                corpus_line(tweet_id=f"{1220000000000000000 + i}",
+                            when=f"2020-02-{1 + i % 28:02d}T10:00:00Z",
+                            text=f"china lockdown policy update number {i}",
+                            user_name=f"user_{i % 97}") + "\n"
+                for i in range(n)), encoding="utf-8")
+            counts = {}
+            tracemalloc.start()
+            try:
+                apply_filters(ingest.iter_corpus(path), spec, counts=counts)
+                assert counts["kept"] + counts["sampled_out"] == n  # every record survives
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2000
+        peak(n)  # warm lazy imports and caches
+        assert (peak(4 * n) - peak(n)) / (3 * n) <= 320
 
 
 @given(
