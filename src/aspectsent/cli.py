@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -128,18 +130,6 @@ def _parse_date(value: str) -> date:
         return date.fromisoformat(value)
     except ValueError:
         raise PipelineError(f"bad date {value!r}, expected YYYY-MM-DD") from None
-
-
-def _check_lag(lag: int) -> int:
-    if lag < 1:
-        raise PipelineError(f"lag must be >= 1, got {lag}")
-    return lag
-
-
-def _check_window(window: int) -> int:
-    if window < 1 or window % 2 == 0:
-        raise PipelineError(f"smoothing window must be odd and >= 1, got {window}")
-    return window
 
 
 def _series_map(table, columns: dict, window: int, start=None, end=None) -> dict:
@@ -294,9 +284,9 @@ def _cmd_ingest(args, file_cfg):
 
 def _cmd_adjudicate(args, file_cfg):
     annotations = corpus.read_annotations(args.annotations)
+    annotated = {ann.tweet_id for ann in annotations}
     tweets_by_id = None
     if args.tweets:  # every id is checked, but only the annotated tweets are kept
-        annotated = {ann.tweet_id for ann in annotations}
         seen, tweets_by_id = set(), {}
         for t in ingest.iter_corpus(args.tweets):
             if t.id in seen:
@@ -309,29 +299,39 @@ def _cmd_adjudicate(args, file_cfg):
                 raise PipelineError(f"{args.tweets}: no tweet with annotated id {ann.tweet_id!r}")
     examples, discarded = corpus.adjudicate_corpus(annotations, tweets_by_id)
     corpus.write_dataset(args.out, examples)
-    _write_meta(args.out, {"annotations": args.annotations, "tweets": args.tweets})
+    phases = Counter(e.provenance for e in examples)
+    _write_meta(args.out, {"annotations": args.annotations, "tweets": args.tweets},
+                counts={"tweets": len(annotated), "phase_1": phases["phase-1"],
+                        "phase_2": phases["phase-2"], "discarded": discarded})
     print(f"adjudicate: accepted {len(examples)}, discarded {discarded} -> {args.out}")
     return 0
 
 
+def _pct(count: int, total: int) -> str:
+    """`count` in percent of `total`, rounded half-up to one decimal, as text; 0.0 if no total."""
+    return f"{math.floor(count / total * 1000 + 0.5) / 10 if total else 0.0:.1f}"
+
+
 def _write_dataset_stats(dataset_path, out) -> None:
-    """Table 1: per-aspect and per-sentiment counts of a labeled dataset."""
-    table = corpus.dataset_stats(corpus.read_dataset(dataset_path))
+    """Table 1: per-aspect and per-sentiment counts of a labeled dataset, each
+    with its percent of the aspect's tweets, and each aspect's percent of the corpus."""
+    dataset = corpus.read_dataset(dataset_path)
+    rows = []  # (aspect, count, percent of corpus, [(sentiment, count, percent)])
+    for aspect, cells in zip(corpus.TABLE_ASPECTS, corpus.dataset_stats(dataset).tolist()):
+        n = sum(cells)
+        rows.append((aspect.value, n, _pct(n, len(dataset)),
+                     [(s.value, c, _pct(c, n)) for s, c in zip(corpus.Sentiment, cells)]))
     files.write_csv(
         out,
         ["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
          "count_aspect", "percent_of_corpus"],
-        ([row.aspect, sentiment, cell.count, f"{cell.percent:.1f}",
-          row.count, f"{row.percent_of_corpus:.1f}"]
-         for row in table.rows for sentiment, cell in row.sentiments.items()),
+        ([aspect, s, c, pct, n, n_pct] for aspect, n, n_pct, cells in rows for s, c, pct in cells),
     )
     _write_meta(out, {"dataset": dataset_path})
-    print(f"stats-dataset: {table.total} examples")
-    for row in table.rows:
-        breakdown = ", ".join(
-            f"{s} {cell.count} ({cell.percent:.1f}%)" for s, cell in row.sentiments.items()
-        )
-        print(f"  {row.aspect}: {row.count} ({row.percent_of_corpus:.1f}%) | {breakdown}")
+    print(f"stats-dataset: {len(dataset)} examples")
+    for aspect, n, n_pct, cells in rows:
+        breakdown = ", ".join(f"{s} {c} ({pct}%)" for s, c, pct in cells)
+        print(f"  {aspect}: {n} ({n_pct}%) | {breakdown}")
 
 
 def _cmd_stats_dataset(args, file_cfg):
@@ -476,7 +476,7 @@ def _cmd_series(args, file_cfg):
     section = _settings("series", args, file_cfg)
     start = _parse_date(section["start"]) if section["start"] else None
     end = _parse_date(section["end"]) if section["end"] else None
-    window = _check_window(section["smooth_window"])
+    window = stats.check_window(section["smooth_window"])
     selects = args.select or ["count"]
     columns = {spec: _parse_select(spec) for spec in selects}
     if len(columns) == 1:  # one series: a `date,value` CSV, as `granger` reads
@@ -493,22 +493,19 @@ def _cmd_series(args, file_cfg):
 
 
 def _cmd_granger(args, file_cfg):
-    lag = _check_lag(_settings("granger", args, file_cfg)["lag"])
+    lag = stats.check_lag(_settings("granger", args, file_cfg)["lag"])
     x = stats.read_series_csv(args.x)
     y = stats.read_series_csv(args.y)
-    x_name = args.x_name or Path(args.x).stem
-    y_name = args.y_name or Path(args.y).stem
-    results = [
-        stats.granger_test(x, y, lag=lag, names=(x_name, y_name)),
-        stats.granger_test(y, x, lag=lag, names=(y_name, x_name)),
-    ]
+    x_name, y_name = args.x_name or Path(args.x).stem, args.y_name or Path(args.y).stem
+    results = [(x_name, y_name, stats.granger_test(x, y, lag=lag)),
+               (y_name, x_name, stats.granger_test(y, x, lag=lag))]
     files.write_csv(args.out, ["cause", "effect", "lag", "n_used", "F", "p"], (
-        [r.direction[0], r.direction[1], r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-        for r in results
+        [cause, effect, r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
+        for cause, effect, r in results
     ))
     _write_meta(args.out, {"x": args.x, "y": args.y, "lag": lag})
-    for r in results:
-        print(f"granger: {r.direction[0]} -> {r.direction[1]}: F={r.f_stat:.4f} p={r.p_value:.4f}")
+    for cause, effect, r in results:
+        print(f"granger: {cause} -> {effect}: F={r.f_stat:.4f} p={r.p_value:.4f}")
     return 0
 
 
@@ -560,8 +557,8 @@ def _cmd_report(args, file_cfg):
     if "report" not in file_cfg:
         raise PipelineError("report requires a config file with a 'report' section")
     section = file_cfg["report"]
-    lag = _check_lag(section["lag"])
-    window = _check_window(section["smoothing_window"])
+    lag = stats.check_lag(section["lag"])
+    window = stats.check_window(section["smoothing_window"])
     # a key set without a key its tables need is an error; a table with no key set is skipped
     for key, needed in (("params", "test"), ("test", "params"), ("group_a", "group_b"),
                         ("group_b", "group_a"), ("group_a", "predictions"),
@@ -607,7 +604,7 @@ def _cmd_report(args, file_cfg):
                 for cause, effect, direction in ((media[key], public[key], "media->public"),
                                                  (public[key], media[key], "public->media")):
                     try:
-                        r = stats.granger_test(cause, effect, lag=lag, names=(direction, key[0]))
+                        r = stats.granger_test(cause, effect, lag=lag)
                         cells = [r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
                     except PipelineError:
                         cells = [lag, "", "", ""]

@@ -235,50 +235,13 @@ def split(dataset: Sequence, seed: int, ratios: Sequence[int] = (8, 1, 1)) -> tu
     return tuple(parts)
 
 
-def _pct(count: int, total: int) -> float:
-    """Percentage rounded half-up to one decimal; 0 on an empty denominator."""
-    if total == 0:
-        return 0.0
-    return math.floor(count / total * 1000 + 0.5) / 10
-
-
-@dataclass(frozen=True)
-class SentimentCell:
-    count: int
-    percent: float
-
-
-@dataclass(frozen=True)
-class AspectStats:
-    aspect: str
-    count: int
-    percent_of_corpus: float
-    sentiments: dict[str, SentimentCell]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    total: int
-    rows: tuple[AspectStats, ...]
-
-
-def dataset_stats(dataset: Sequence[AdjudicatedExample]) -> DatasetStats:
-    """Per-aspect tweet counts and sentiment breakdowns over the full corpus."""
-    total = len(dataset)
-    rows = []
-    for aspect in TABLE_ASPECTS:
-        if aspect is Aspect.OVERALL:
-            values = [e.overall for e in dataset if e.overall is not None]
-        else:
-            values = [e.labels[aspect] for e in dataset if aspect in e.labels]
-        count = len(values)
-        counts = Counter(values)
-        sentiments = {
-            s.value: SentimentCell(counts.get(s, 0), _pct(counts.get(s, 0), count))
-            for s in Sentiment
-        }
-        rows.append(AspectStats(aspect.value, count, _pct(count, total), sentiments))
-    return DatasetStats(total, tuple(rows))
+def dataset_stats(dataset: Sequence[AdjudicatedExample]) -> np.ndarray:
+    """Table 1's counts, int64: a row per `TABLE_ASPECTS` and a column per
+    `Sentiment`, of the examples that give the aspect that sentiment; the
+    Overall row counts the `overall` field."""
+    pairs = Counter((a, s) for e in dataset for a, s in e.labels.items())
+    pairs.update((Aspect.OVERALL, e.overall) for e in dataset if e.overall is not None)
+    return np.array([[pairs[a, s] for s in Sentiment] for a in TABLE_ASPECTS], dtype=np.int64)
 
 
 def _labels_from_obj(obj: dict) -> tuple[dict[Aspect, Sentiment], Sentiment | None]:

@@ -268,7 +268,7 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
             )
         try:
             block = np.asarray(embs, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float
             raise EmbeddingContractError(f"service returned non-numeric embeddings: {exc}") from None
         if block.shape != (len(batch), spec.dim):
             raise EmbeddingContractError(f"embedding batch has shape {block.shape}")

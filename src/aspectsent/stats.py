@@ -82,6 +82,20 @@ class Predictions:
         return date.fromordinal(int(day.min())), date.fromordinal(int(day.max()))
 
 
+def check_lag(lag: int) -> int:
+    """`lag` if it is a Granger lag, at least 1."""
+    if lag < 1:
+        raise PipelineError(f"lag must be >= 1, got {lag}")
+    return lag
+
+
+def check_window(window: int) -> int:
+    """`window` if it is a smoothing window, odd and at least 1."""
+    if window < 1 or window % 2 == 0:
+        raise PipelineError(f"smoothing window must be odd and >= 1, got {window}")
+    return window
+
+
 SERIES_MODES = ("count", "aspect-proportion", "negative-proportion", "nonnegative-proportion")
 
 
@@ -139,9 +153,7 @@ def smooth_ma(series: DailySeries, window: int = 7) -> DailySeries:
     A day is missing in the output iff no present value falls inside its
     window.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 1")
-    half = (window - 1) // 2
+    half = (check_window(window) - 1) // 2
     values = series.values
     out = np.full(len(values), np.nan)
     for i in range(len(values)):
@@ -281,15 +293,9 @@ class GrangerResult:
     p_value: float
     lag: int
     n_used: int
-    direction: tuple[str, str]  # (cause, effect)
 
 
-def granger_test(
-    x: DailySeries,
-    y: DailySeries,
-    lag: int = 1,
-    names: tuple[str, str] = ("x", "y"),
-) -> GrangerResult:
+def granger_test(x: DailySeries, y: DailySeries, lag: int = 1) -> GrangerResult:
     """Does x Granger-cause y? F-test of nested OLS models at the given lag.
 
     Unrestricted model: y_t on an intercept, lags of y, and lags of x; the
@@ -298,12 +304,15 @@ def granger_test(
     should be supplied, since pre-smoothing induces autocorrelation that
     inflates F.
     """
-    if lag < 1:
-        raise ValueError("lag must be a positive integer")
+    check_lag(lag)
     if len(x) != len(y) or x.start_date != y.start_date:
         raise PipelineError("series are not aligned on the same dates")
+    k = 2 * lag + 1
+    too_few = f"granger test needs at least {max(lag + 4, k + 1)} complete aligned days, got"
+    if len(y) <= lag:  # no row: fail before building 2 * lag columns of nothing
+        raise InsufficientDataError(f"{too_few} 0")
     # row t - lag holds an intercept, y_{t-1..t-lag} and x_{t-1..t-lag}; its target is y_t
-    rows = max(len(y) - lag, 0)
+    rows = len(y) - lag
     ys = y.values[lag:]
     design = np.column_stack([np.ones(rows)] + [s.values[lag - j : lag - j + rows]
                                                 for s in (y, x) for j in range(1, lag + 1)])
@@ -313,23 +322,14 @@ def granger_test(
     design_r = np.ascontiguousarray(design_u[:, : lag + 1])
 
     n_used = len(yy)
-    k = 2 * lag + 1
     if n_used < lag + 4 or n_used <= k:
-        raise InsufficientDataError(
-            f"granger test needs at least {max(lag + 4, k + 1)} complete aligned days, got {n_used}"
-        )
+        raise InsufficientDataError(f"{too_few} {n_used}")
     _, rss_u = ols(design_u, yy)
     _, rss_r = ols(design_r, yy)
     if rss_u <= 0.0:
         raise PipelineError("degenerate series: unrestricted model fits exactly")
     f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
-    return GrangerResult(
-        f_stat=f_stat,
-        p_value=f_pvalue(f_stat, lag, n_used - k),
-        lag=lag,
-        n_used=n_used,
-        direction=names,
-    )
+    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), lag, n_used)
 
 
 def stars_for(p: float) -> str:
@@ -351,15 +351,13 @@ class TTestResult:
     df: float
     p_value: float
     stars: str
-    degenerate: bool = False
 
 
 def welch_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
 
-    When both samples have zero variance the result is flagged degenerate:
-    equal means give (t=0, p=1); different means report p -> 0 with an
-    infinite statistic.
+    When both samples have zero variance, equal means give (t=0, p=1) and
+    different means an infinite statistic with p = 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -372,11 +370,9 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     vb = float(b.var(ddof=1))
     if va == 0.0 and vb == 0.0:
         if diff == 0.0:
-            return TTestResult(mean_a, mean_b, 0.0, 0.0, float(na + nb - 2), 1.0, "", True)
+            return TTestResult(mean_a, mean_b, 0.0, 0.0, float(na + nb - 2), 1.0, "")
         t_stat = math.copysign(math.inf, diff)
-        return TTestResult(
-            mean_a, mean_b, diff, t_stat, float(na + nb - 2), 0.0, "***", True
-        )
+        return TTestResult(mean_a, mean_b, diff, t_stat, float(na + nb - 2), 0.0, "***")
     sa, sb = va / na, vb / nb
     s = sa + sb
     t_stat = diff / math.sqrt(s)

@@ -328,6 +328,22 @@ class TestAdjudicateAndStats:
         expected = sum(1 for e in examples if corpus.Aspect.POLITICS in e.labels)
         assert all(int(r["count_aspect"]) == expected for r in politics_rows)
 
+    def test_adjudicate_meta_counts(self, tmp_path):
+        annotations = synth.make_annotation_records(60, seed=5) + [  # no overall majority
+            {"tweet_id": "split-vote", "annotator_id": who, "overall": overall}
+            for who, overall in (("a1", "Negative"), ("a2", "Neutral"), ("a3", None))]
+        ann_path, dataset = tmp_path / "annotations.jsonl", tmp_path / "dataset.jsonl"
+        synth.write_jsonl(ann_path, annotations)
+        assert main(["adjudicate", "--annotations", str(ann_path), "--out", str(dataset)]) == 0
+        counts = json.loads(Path(f"{dataset}.meta.json").read_text())["counts"]
+        lines = [json.loads(line) for line in dataset.read_text().splitlines()]
+        assert counts["tweets"] == len({a["tweet_id"] for a in annotations})
+        assert counts["phase_1"] + counts["phase_2"] + counts["discarded"] == counts["tweets"]
+        assert counts["phase_1"] + counts["phase_2"] == len(lines)
+        for phase in ("phase_1", "phase_2"):
+            assert counts[phase] == sum(r["provenance"] == phase.replace("_", "-") for r in lines)
+        assert min(counts.values()) > 0  # the fixture exercises every outcome
+
     def test_split_sizes(self, tmp_path):
         dataset = tmp_path / "dataset.jsonl"
         synth.write_jsonl(dataset, synth.make_dataset_records(50, seed=2))

@@ -1,10 +1,11 @@
+import csv
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aspectsent import corpus, model
+from aspectsent import cli, corpus, model
 from aspectsent.corpus import (
     A_USED,
     AdjudicatedExample,
@@ -299,46 +300,60 @@ def _stats_fixture():
     return examples
 
 
+def _table1(examples, tmp_path):
+    """The rows of `stats-dataset`'s CSV for `examples`, keyed by (aspect, sentiment)."""
+    dataset, table = tmp_path / "dataset.jsonl", tmp_path / "table1.csv"
+    corpus.write_dataset(dataset, examples)
+    assert cli.main(["stats-dataset", "--dataset", str(dataset), "--out", str(table)]) == 0
+    with open(table, newline="", encoding="utf-8") as f:
+        return {(r["aspect"], r["sentiment"]): r for r in csv.DictReader(f)}
+
+
 class TestDatasetStats:
     def test_hand_counts(self):
         table = dataset_stats(_stats_fixture())
-        rows = {r.aspect: r for r in table.rows}
-        assert table.total == 40
+        assert table.dtype == np.int64
+        assert table.shape == (len(corpus.TABLE_ASPECTS), len(Sentiment))
+        rows = dict(zip((a.value for a in corpus.TABLE_ASPECTS), table.tolist()))
+        # columns in `Sentiment` order: Negative, Neutral, Positive
+        assert rows["Politics"] == [4, 1, 1]
+        assert rows["Foreign"] == [4, 0, 0]
+        assert rows["Measures"] == [2, 5, 3]
+        assert rows["Overall"] == [15, 10, 5]
+        for aspect in ("Economy", "Culture", "Situation", "Racism"):
+            assert rows[aspect] == [0, 0, 0]
 
-        politics = rows["Politics"]
-        assert politics.count == 6
-        assert politics.percent_of_corpus == 15.0
-        assert politics.sentiments["Negative"].count == 4
-        assert politics.sentiments["Negative"].percent == 66.7
-        assert politics.sentiments["Neutral"].count == 1
-        assert politics.sentiments["Positive"].count == 1
-
-        overall = rows["Overall"]
-        assert overall.count == 30
-        assert overall.percent_of_corpus == 75.0
-        assert overall.sentiments["Negative"].count == 15
-        assert overall.sentiments["Neutral"].count == 10
-        assert overall.sentiments["Positive"].count == 5
-
-        assert rows["Economy"].count == 0
-        assert rows["Economy"].percent_of_corpus == 0.0
-
-    def test_empty_dataset_is_all_zero(self):
+    def test_empty_dataset_is_all_zero(self, tmp_path):
         table = dataset_stats([])
-        assert table.total == 0
-        for row in table.rows:
-            assert row.count == 0
-            assert row.percent_of_corpus == 0.0
-            for cell in row.sentiments.values():
-                assert cell.count == 0 and cell.percent == 0.0
+        assert table.shape == (len(corpus.TABLE_ASPECTS), len(Sentiment))
+        assert not table.any()
+        for row in _table1([], tmp_path).values():
+            assert row["count_aspect_sentiment"] == row["count_aspect"] == "0"
+            assert row["percent_within_aspect"] == row["percent_of_corpus"] == "0.0"
 
-    def test_sentiment_percentages_sum_to_100(self):
-        table = dataset_stats(_stats_fixture())
-        for row in table.rows:
-            if row.count == 0:
+    def test_sentiment_percentages_sum_to_100(self, tmp_path):
+        rows = _table1(_stats_fixture(), tmp_path)
+        for aspect in corpus.TABLE_ASPECTS:
+            cells = [rows[aspect.value, s.value] for s in Sentiment]
+            if cells[0]["count_aspect"] == "0":
                 continue
-            total = sum(cell.percent for cell in row.sentiments.values())
+            total = sum(float(r["percent_within_aspect"]) for r in cells)
             assert abs(total - 100.0) <= 0.1 + 1e-9
+
+    def test_table1_csv_percents(self, tmp_path):
+        rows = _table1(_stats_fixture(), tmp_path)
+        assert len(rows) == len(corpus.TABLE_ASPECTS) * len(Sentiment)
+        politics = rows["Politics", "Negative"]
+        assert (politics["count_aspect"], politics["percent_of_corpus"]) == ("6", "15.0")
+        assert (politics["count_aspect_sentiment"], politics["percent_within_aspect"]) == (
+            "4", "66.7")  # 4 / 6, rounded half-up
+        overall = rows["Overall", "Positive"]
+        assert (overall["count_aspect"], overall["percent_of_corpus"]) == ("30", "75.0")
+        assert (overall["count_aspect_sentiment"], overall["percent_within_aspect"]) == (
+            "5", "16.7")
+        economy = rows["Economy", "Neutral"]
+        assert (economy["count_aspect"], economy["percent_of_corpus"]) == ("0", "0.0")
+        assert economy["percent_within_aspect"] == "0.0"
 
 
 class TestSelectConfident:

@@ -146,6 +146,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"dim": self.dim, "embeddings": [["x"] * self.dim for _ in texts]}
         elif self.fail_mode == "not-object":
             payload = [[0.0] * self.dim for _ in texts]
+        elif self.fail_mode == "huge-int":  # a JSON integer too large for a float
+            vecs = [[10**400] + [0] * (self.dim - 1) for _ in texts]
+            payload = {"dim": self.dim, "embeddings": vecs}
         else:
             offset = sum(len(c) for c in type(self).calls[:-1])
             vecs = [
@@ -210,7 +213,7 @@ class TestEmbedRemote:
         with pytest.raises(EmbeddingContractError):
             embed_remote(["a", "b"], _spec(stub_server))
 
-    @pytest.mark.parametrize("mode", ["ragged", "not-numbers", "not-object"])
+    @pytest.mark.parametrize("mode", ["ragged", "not-numbers", "not-object", "huge-int"])
     def test_malformed_batch_is_contract_error(self, stub_server, mode):
         _StubHandler.fail_mode = mode
         with pytest.raises(EmbeddingContractError):
