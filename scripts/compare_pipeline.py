@@ -6,9 +6,10 @@ runs `scripts/run_synthetic_pipeline.py --seed 7` from that copy and from
 this working tree, and compares:
 
 * stdout, with each run's output directory replaced by `<out>`;
-* the `train_loss` that each `.meta.json` records;
-* the sha256 of every other file, except `*.meta.json` (timestamps) and
-  `config.json` (it names the output directory).
+* every field of each `.meta.json` except `created_utc` (a timestamp) and
+  `config_hash` (it hashes output paths);
+* the sha256 of every other file, except `config.json` (it names the output
+  directory).
 
 Prints a JSON verdict and exits 1 on any difference or failed run.
 
@@ -40,28 +41,30 @@ def digests(out_dir: Path) -> dict[str, str]:
             if p.is_file() and not p.name.endswith(".meta.json") and p.name != "config.json"}
 
 
-def train_losses(out_dir: Path) -> dict[str, object]:
-    """The `train_loss` of each `.meta.json` under `out_dir` that records one."""
+def metas(out_dir: Path) -> dict[str, dict]:
+    """Each `.meta.json` under `out_dir`, by relative path, without the fields
+    that differ between two runs of the same code (`created_utc`, `config_hash`)."""
     out = {}
     for p in sorted(out_dir.rglob("*.meta.json")):
         meta = json.loads(p.read_text(encoding="utf-8"))
-        if "train_loss" in meta:
-            out[p.relative_to(out_dir).as_posix()] = meta["train_loss"]
+        out[p.relative_to(out_dir).as_posix()] = {
+            k: v for k, v in meta.items() if k not in ("created_utc", "config_hash")}
     return out
 
 
 def compare(base_dir: Path, head_dir: Path) -> dict[str, list[str]]:
     """The relative paths that differ between two output directories: `changed`
     (both have it, sha256 differs), `missing` (only base has it), `added` (only
-    head has it) and `train_loss` (a meta file whose `train_loss` differs)."""
+    head has it) and `meta` (a meta file that differs in a compared field or
+    that only one side has)."""
     base, head = digests(base_dir), digests(head_dir)
-    base_loss, head_loss = train_losses(base_dir), train_losses(head_dir)
+    base_meta, head_meta = metas(base_dir), metas(head_dir)
     return {
         "changed": sorted(k for k in base.keys() & head.keys() if base[k] != head[k]),
         "missing": sorted(base.keys() - head.keys()),
         "added": sorted(head.keys() - base.keys()),
-        "train_loss": sorted(k for k in base_loss.keys() | head_loss.keys()
-                             if base_loss.get(k) != head_loss.get(k)),
+        "meta": sorted(k for k in base_meta.keys() | head_meta.keys()
+                       if base_meta.get(k) != head_meta.get(k)),
     }
 
 
@@ -105,7 +108,7 @@ def main() -> int:
             verdict["stdout_equal"] = runs["base"][1] == runs["head"][1]
             verdict["files"] = len(digests(tmp / "head_out"))
             verdict["equal"] = verdict["stdout_equal"] and not any(
-                verdict[k] for k in ("changed", "missing", "added", "train_loss"))
+                verdict[k] for k in ("changed", "missing", "added", "meta"))
     print(json.dumps(verdict, indent=2))
     return 0 if verdict["equal"] else 1
 

@@ -33,8 +33,9 @@ from .features import PROVIDER_SETTINGS, iter_chunks, provider_config, providers
 from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
-# the setting its argparse dest names, `<section>.<key>`. A setting whose
-# default is None is optional; range checks stay with the code that uses it.
+# the setting its argparse dest names, `<section>.<key>`, and is generated
+# from this table by `_add_setting_flags`. A setting whose default is None
+# is optional; range checks stay with the code that uses it.
 SETTINGS = {
     "ingest": {"lang": (str, "en"), "date_start": (str, None), "date_end": (str, None),
                "sample_rate": (float, 1.0), "seed": (int, 0), "accounts": (str, None)},
@@ -455,12 +456,8 @@ def _cmd_augment_candidates(args, file_cfg):
     bundle, provider, _ = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     section = _settings("augment", args, file_cfg)
     threshold, cap = section["threshold"], section["cap"]
-    if not 0.0 < threshold < 1.0 or cap < 1:
-        raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     pool = ((t.id, t.text) for t in ingest.iter_corpus(args.pool))
-    candidates = model.select_confident(
-        pool, provider, bundle.params, threshold=threshold, cap=cap
-    )
+    candidates = model.select_confident(pool, provider, bundle.params, threshold, cap)
     total = files.write_jsonl(args.out, (
         {"aspect": aspect.value, "id": cand.tweet_id, "text": cand.text,
          "probability": cand.probability}
@@ -632,23 +629,23 @@ def _cmd_report(args, file_cfg):
 # --- parser ---
 
 
-# a flag whose dest is `<section>.<key>` sets that setting (see SETTINGS)
+# the flag of a setting is `--<key>` with dashes, except these; a bool
+# setting has no flag, since argparse's type=bool reads "false" as True
+_FLAG_NAMES = {"train.learning_rate": "--lr", "train.seed": "--train-seed",
+               "provider.kind": "--provider", "provider.batch_size": "--embed-batch-size"}
+_ENDPOINT_KEYS = ("endpoint", "timeout", "batch_size")  # what eval, infer and augment take
 
 
-def _add_endpoint_flags(sub):
-    sub.add_argument("--endpoint", dest="provider.endpoint")
-    sub.add_argument("--timeout", type=float, dest="provider.timeout")
-    sub.add_argument("--embed-batch-size", type=int, dest="provider.batch_size")
-
-
-def _add_provider_flags(sub):
-    sub.add_argument("--provider", choices=PROVIDER_SETTINGS["kind"][0], dest="provider.kind")
-    sub.add_argument("--ngram-max", type=int, dest="provider.ngram_max")
-    sub.add_argument("--dim", type=int, dest="provider.dim")
-    sub.add_argument("--hash-seed", type=int, dest="provider.hash_seed")
-    sub.add_argument("--sentiment-endpoint", dest="provider.sentiment_endpoint",
-                     help="second remote endpoint for distinct sentiment-stage embeddings")
-    _add_endpoint_flags(sub)
+def _add_setting_flags(sub, section: str, keys=None) -> None:
+    """A flag for each setting of `section` (or its `keys`), with dest
+    `<section>.<key>` (see SETTINGS) and the setting's type or choices."""
+    for key in keys or SETTINGS[section]:
+        kind, dest = SETTINGS[section][key][0], f"{section}.{key}"
+        if kind is bool:
+            continue
+        checks = ({"choices": kind} if isinstance(kind, tuple)
+                  else {} if kind is str else {"type": kind})
+        sub.add_argument(_FLAG_NAMES.get(dest, "--" + key.replace("_", "-")), dest=dest, **checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,12 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--keywords", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--lang", dest="ingest.lang")
-    sub.add_argument("--date-start", dest="ingest.date_start")
-    sub.add_argument("--date-end", dest="ingest.date_end")
-    sub.add_argument("--accounts", dest="ingest.accounts")
-    sub.add_argument("--sample-rate", type=float, dest="ingest.sample_rate")
-    sub.add_argument("--seed", type=int, dest="ingest.seed")
+    _add_setting_flags(sub, "ingest")
 
     sub = add("adjudicate", _cmd_adjudicate, "resolve multi-annotator labels into a dataset")
     sub.add_argument("--annotations", required=True)
@@ -687,70 +679,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("split", _cmd_split, "deterministic 8:1:1 train/dev/test split")
     sub.add_argument("--dataset", required=True)
-    sub.add_argument("--out-dir", dest="out_dir", required=True)
-    sub.add_argument("--seed", type=int, dest="split.seed")
+    sub.add_argument("--out-dir", required=True)
+    _add_setting_flags(sub, "split")
 
     sub = add("train", _cmd_train, "train the two-stage model (or the SVM baseline)")
     sub.add_argument("--train", required=True)
     sub.add_argument("--dev")
-    sub.add_argument("--params-out", dest="params_out", required=True)
+    sub.add_argument("--params-out", required=True)
     sub.add_argument("--objective", choices=["bce", "hinge"], default="bce")
-    sub.add_argument("--lr", type=float, dest="train.learning_rate")
-    sub.add_argument("--epochs", type=int, dest="train.epochs")
-    sub.add_argument("--batch-size", type=int, dest="train.batch_size")
-    sub.add_argument("--weight-decay", type=float, dest="train.weight_decay")
-    sub.add_argument("--train-seed", type=int, dest="train.seed")
-    sub.add_argument("--aspect-threshold", type=float, dest="train.aspect_threshold")
-    sub.add_argument("--sentiment-threshold", type=float, dest="train.sentiment_threshold")
-    _add_provider_flags(sub)
+    _add_setting_flags(sub, "train")
+    _add_setting_flags(sub, "provider")
 
     sub = add("eval", _cmd_eval, "Table-2-style per-aspect macro/micro F1 report")
     sub.add_argument("--params", required=True)
     sub.add_argument("--dataset", required=True)
     sub.add_argument("--out", required=True)
-    _add_endpoint_flags(sub)
+    _add_setting_flags(sub, "provider", _ENDPOINT_KEYS)
 
     sub = add("infer", _cmd_infer, "two-stage predictions for a corpus")
     sub.add_argument("--params", required=True)
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--out", required=True)
-    _add_endpoint_flags(sub)
+    _add_setting_flags(sub, "provider", _ENDPOINT_KEYS)
 
     sub = add("augment-candidates", _cmd_augment_candidates,
               "high-confidence unlabeled texts per aspect, for human labeling")
     sub.add_argument("--params", required=True)
     sub.add_argument("--pool", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--threshold", type=float, dest="augment.threshold")
-    sub.add_argument("--cap", type=int, dest="augment.cap")
-    _add_endpoint_flags(sub)
+    _add_setting_flags(sub, "augment")
+    _add_setting_flags(sub, "provider", _ENDPOINT_KEYS)
 
     sub = add("series", _cmd_series, "daily series (counts/proportions) from predictions")
     sub.add_argument("--predictions", required=True)
     sub.add_argument("--select", action="append",
                      help="count, aspect:<A>, negative:<A>, nonnegative:<A>; repeatable")
-    sub.add_argument("--start", dest="series.start")
-    sub.add_argument("--end", dest="series.end")
-    sub.add_argument("--smooth-window", type=int, dest="series.smooth_window")
     sub.add_argument("--out", required=True)
+    _add_setting_flags(sub, "series")
 
     sub = add("granger", _cmd_granger, "Granger causality between two series, both directions")
     sub.add_argument("--x", required=True)
     sub.add_argument("--y", required=True)
-    sub.add_argument("--lag", type=int, dest="granger.lag")
-    sub.add_argument("--x-name", dest="x_name")
-    sub.add_argument("--y-name", dest="y_name")
+    sub.add_argument("--x-name")
+    sub.add_argument("--y-name")
     sub.add_argument("--out", required=True)
+    _add_setting_flags(sub, "granger")
 
     sub = add("compare-groups", _cmd_compare_groups, "per-aspect Welch t-tests between groups")
     sub.add_argument("--predictions", required=True)
-    sub.add_argument("--group-a", dest="group_a", required=True)
-    sub.add_argument("--group-b", dest="group_b", required=True)
+    sub.add_argument("--group-a", required=True)
+    sub.add_argument("--group-b", required=True)
     sub.add_argument("--mode", choices=list(stats.GROUP_COMPARE_MODES), required=True)
     sub.add_argument("--out", required=True)
 
     sub = add("report", _cmd_report, "bundle all table/figure CSVs into a directory")
-    sub.add_argument("--out-dir", dest="out_dir", required=True)
+    sub.add_argument("--out-dir", required=True)
 
     return parser
 

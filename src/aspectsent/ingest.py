@@ -144,9 +144,10 @@ def tweet_from_obj(obj: dict) -> RawTweet:
     for name in ("id", "screen_name"):
         if not isinstance(user.get(name), str):
             raise SchemaError(f"user.{name}")
-    tags = obj.get("group_tags") or ()
-    if tags and (not isinstance(tags, (list, tuple))
-                 or not all(isinstance(t, str) for t in tags)):
+    tags = obj.get("group_tags")  # absent or null is no tags; false, 0, "" and {} are errors
+    if tags is None:
+        tags = ()
+    elif not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise SchemaError("group_tags", "expected array of strings for")
     bot = obj.get("bot_flag")
     if bot is not None and not isinstance(bot, bool):
@@ -215,7 +216,10 @@ def load_keywords(path) -> KeywordSet:
 
 def load_accounts(path) -> frozenset[str]:
     """One screen_name per line; blank lines ignored."""
-    return frozenset(line.strip() for _, line in text_lines(path))
+    names = frozenset(line.strip() for _, line in text_lines(path))
+    if not names:
+        raise PipelineError(f"account file {path} contains no accounts")
+    return names
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+")

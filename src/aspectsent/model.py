@@ -373,10 +373,8 @@ def select_confident(
     probability with ties broken by tweet id, then by pool order. Aspects with
     no candidate are omitted. The output is a candidate file for human labeling.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if not 0.0 < threshold < 1.0 or cap < 1:
+        raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     best: dict[Aspect, list[ConfidentCandidate]] = {a: [] for a in A_USED}
     for chunk in iter_chunks(pool):
         probs = forward_aspect(provider.embed([text for _, text in chunk]), params)

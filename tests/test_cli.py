@@ -296,6 +296,34 @@ class TestTwoPassIngest:
         assert f"{keywords}:2: not valid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_group_tags_not_an_array_names_corpus_and_line(self, tmp_path, small_corpus, capsys):
+        corpus_path, keywords = small_corpus
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(corpus_line(tweet_id="6", when="2020-01-27T09:00:00Z",
+                                 group_tags=False) + "\n")
+        assert main(ingest_argv(corpus_path, keywords, tmp_path / "kept.jsonl")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}:6: expected array of strings for: 'group_tags'\n")
+        assert not (tmp_path / "kept.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--keywords", "keyword file {} contains no keywords"),
+        ("--accounts", "account file {} contains no accounts"),
+    ])
+    def test_empty_keyword_or_account_file_exits_one(self, tmp_path, small_corpus, capsys, flag,
+                                                       message):
+        corpus_path, keywords = small_corpus
+        empty, accounts = tmp_path / "empty.txt", tmp_path / "accounts.txt"
+        empty.write_text("\n  \n", encoding="utf-8")  # blank lines only
+        accounts.write_text("alice\n", encoding="utf-8")
+        inputs = {"--keywords": keywords, "--accounts": accounts, flag: empty}
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(ingest_argv(corpus_path, inputs["--keywords"], out_dir / "kept.jsonl",
+                                "--accounts", str(inputs["--accounts"]))) == 1
+        assert capsys.readouterr().err == f"error: {message.format(empty)}\n"
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("extra, message", [
         (["--sample-rate", "1.5"], "sample_rate"),
         (["--date-start", "2020-05-01", "--date-end", "2020-04-01"], "date_start"),
@@ -716,7 +744,18 @@ class TestStreamingInfer:
         synth.write_jsonl(pool, synth.make_corpus_records(3, seed=21))
         assert main(["augment-candidates", "--params", str(params_path), "--pool", str(pool),
                      "--out", str(tmp_path / "c.jsonl")] + flags) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: augment-candidates needs 0 < threshold < 1 and cap >= 1\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_augment_candidates_checks_settings_before_reading_the_pool(
+            self, tmp_path, trained_params, capsys):
+        params_path, _ = trained_params
+        assert main(["augment-candidates", "--params", str(params_path),
+                     "--pool", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "c.jsonl"),
+                     "--cap", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: augment-candidates needs 0 < threshold < 1 and cap >= 1\n"
 
 
 class Row(NamedTuple):
@@ -1713,12 +1752,61 @@ class TestConfigPrecedence:
         assert cli._settings("provider", args, file_cfg)["batch_size"] == 9
 
     def test_every_setting_flag_names_a_declared_setting(self):
-        parser = cli.build_parser()
-        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
+        dests = {a.dest for sub in _subparsers().values() for a in sub._actions}
         for dest in (d for d in dests if "." in d):
             section, key = dest.split(".")
             assert key in cli.SETTINGS[section], dest
+
+
+
+def _subparsers() -> dict:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_ENDPOINT_DESTS = {"provider.endpoint", "provider.timeout", "provider.batch_size"}
+# the settings each subcommand takes a flag for; a subcommand not named here takes none
+_SETTING_DESTS = {
+    "ingest": {"ingest.lang", "ingest.date_start", "ingest.date_end", "ingest.sample_rate",
+               "ingest.seed", "ingest.accounts"},
+    "split": {"split.seed"},
+    "train": {"train.learning_rate", "train.epochs", "train.batch_size", "train.weight_decay",
+              "train.seed", "train.aspect_threshold", "train.sentiment_threshold",
+              "provider.kind", "provider.ngram_max", "provider.dim", "provider.hash_seed",
+              "provider.sentiment_endpoint", *_ENDPOINT_DESTS},
+    "eval": _ENDPOINT_DESTS,
+    "infer": _ENDPOINT_DESTS,
+    "augment-candidates": {"augment.threshold", "augment.cap", *_ENDPOINT_DESTS},
+    "series": {"series.start", "series.end", "series.smooth_window"},
+    "granger": {"granger.lag"},
+}
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    def test_each_subcommand_takes_its_settings(self, command):
+        sub = _subparsers()[command]
+        assert {a.dest for a in sub._actions if "." in a.dest} == _SETTING_DESTS.get(command, set())
+
+    @pytest.mark.parametrize("command", sorted(_SETTING_DESTS))
+    def test_setting_flags_check_their_kind(self, command):
+        sub = _subparsers()[command]
+        required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "v")]
+        for action in (a for a in sub._actions if "." in a.dest):
+            section, key = action.dest.split(".")
+            kind = cli.SETTINGS[section][key][0]
+            if isinstance(kind, tuple):
+                good, bad = kind[0], "bogus"
+            elif kind in (int, float):
+                good, bad = "1", "x"
+            else:
+                continue
+            flag = action.option_strings[0]
+            args = cli.build_parser().parse_args([command, *required, flag, good])
+            assert getattr(args, action.dest) == (good if isinstance(kind, tuple) else kind(good))
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([command, *required, flag, bad])
+            assert exc.value.code == 2, flag
 
 
 class TestReproducibility:

@@ -11,7 +11,12 @@ _spec = importlib.util.spec_from_file_location("compare_pipeline", SCRIPT)
 compare_pipeline = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_pipeline)
 
-NO_DIFFERENCE = {"changed": [], "missing": [], "added": [], "train_loss": []}
+NO_DIFFERENCE = {"changed": [], "missing": [], "added": [], "meta": []}
+
+
+def _meta(created: str, config_hash: str, **fields) -> str:
+    return json.dumps({"created_utc": created, "config_hash": config_hash, "seed": 0,
+                       "train_loss": [3.5, 1.25], **fields})
 
 
 def _write_outputs(out_dir: Path, config: str = "{}", created: str = "t0") -> None:
@@ -19,8 +24,10 @@ def _write_outputs(out_dir: Path, config: str = "{}", created: str = "t0") -> No
     (out_dir / "table1.csv").write_bytes(b"aspect,count\r\nPolitics,3\r\n")
     (out_dir / "splits" / "train.jsonl").write_text('{"id": "1"}\n', encoding="utf-8")
     (out_dir / "params.json").write_text('{"dim": 2}\n', encoding="utf-8")
-    (out_dir / "params.json.meta.json").write_text(
-        json.dumps({"created_utc": created, "train_loss": [3.5, 1.25]}), encoding="utf-8")
+    (out_dir / "params.json.meta.json").write_text(_meta(created, f"hash-{created}"),
+                                                   encoding="utf-8")
+    (out_dir / "table1.csv.meta.json").write_text(
+        json.dumps({"created_utc": created, "counts": {"kept": 3}}), encoding="utf-8")
     (out_dir / "config.json").write_text(config, encoding="utf-8")
 
 
@@ -33,7 +40,8 @@ def dirs(tmp_path):
 
 
 def test_equal_outputs(dirs):
-    # metadata timestamps and config.json (which names the out dir) are not compared
+    # metadata timestamps and config hashes, and config.json (which names the out
+    # dir), are not compared
     assert compare_pipeline.compare(*dirs) == NO_DIFFERENCE
 
 
@@ -57,7 +65,22 @@ def test_one_file_missing(dirs):
 def test_train_loss_differs(dirs):
     base, head = dirs
     meta = head / "params.json.meta.json"
-    meta.write_text(json.dumps({"created_utc": "t1", "train_loss": [3.5, 1.2500000000000002]}),
+    meta.write_text(_meta("t1", "hash-t1", train_loss=[3.5, 1.2500000000000002]),
                     encoding="utf-8")
     assert compare_pipeline.compare(base, head) == {**NO_DIFFERENCE,
-                                                    "train_loss": ["params.json.meta.json"]}
+                                                    "meta": ["params.json.meta.json"]}
+
+
+def test_counts_differ(dirs):
+    base, head = dirs
+    (head / "table1.csv.meta.json").write_text(
+        json.dumps({"created_utc": "t1", "counts": {"kept": 4}}), encoding="utf-8")
+    assert compare_pipeline.compare(base, head) == {**NO_DIFFERENCE,
+                                                    "meta": ["table1.csv.meta.json"]}
+
+
+def test_one_meta_file_missing(dirs):
+    base, head = dirs
+    (head / "table1.csv.meta.json").unlink()
+    assert compare_pipeline.compare(base, head) == {**NO_DIFFERENCE,
+                                                    "meta": ["table1.csv.meta.json"]}

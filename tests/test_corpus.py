@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aspectsent import cli, corpus, model
+from aspectsent.errors import PipelineError
 from aspectsent.corpus import (
     A_USED,
     AdjudicatedExample,
@@ -402,10 +403,11 @@ class TestSelectConfident:
         from aspectsent.model import init_params
 
         provider = HashedProvider()
-        with pytest.raises(ValueError):
-            model.select_confident(
-                [("a", "t")], provider, init_params(provider.dim, 0), threshold=1.0
-            )
+        for threshold, cap in ((1.0, 300), (0.0, 300), (0.9, 0)):
+            with pytest.raises(PipelineError,
+                               match=r"^augment-candidates needs 0 < threshold < 1 and cap >= 1$"):
+                model.select_confident([("a", "t")], provider, init_params(provider.dim, 0),
+                                       threshold=threshold, cap=cap)
 
 
 def test_dataset_roundtrip(tmp_path):

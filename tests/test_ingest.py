@@ -55,6 +55,17 @@ class TestParseRecord:
         t = parse_record(corpus_line(group_tags=["us_media", "dem_senate"]))
         assert t.group_tags == frozenset({"us_media", "dem_senate"})
 
+    def test_null_group_tags_is_no_tags(self):
+        assert parse_record(corpus_line(group_tags=None)).group_tags == frozenset()
+
+    @pytest.mark.parametrize("tags", [False, 0, "", {}, "us_media", ["us_media", 1]],
+                             ids=["false", "zero", "empty-string", "object", "string",
+                                  "non-string-item"])
+    def test_group_tags_not_an_array_of_strings_is_schema_error(self, tags):
+        with pytest.raises(SchemaError, match="expected array of strings for") as exc:
+            parse_record(corpus_line(group_tags=tags))
+        assert exc.value.field == "group_tags"
+
     def test_malformed_json_reports_byte_offset(self):
         with pytest.raises(ParseError) as exc:
             parse_record('{"id": "1", "created_at}')
