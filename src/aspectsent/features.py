@@ -32,7 +32,7 @@ import numpy as np
 
 from . import files
 from .errors import PipelineError
-from .hashing import stable_hash64
+from .hashing import stable_hash64, stable_hash64_lines
 
 
 T = TypeVar("T")
@@ -152,24 +152,18 @@ class EmbeddingContractError(PipelineError):
     """The service answered but violated the declared contract."""
 
 
-_TOKEN_PATTERN = re.compile(
-    r"(?P<url>(?:https?://|www\.)\S+)|(?P<user>@\w+)|(?P<word>[^\W_]+)"
-)
+_TOKEN_PATTERN = re.compile(r"(?:https?://|www\.)\S+|@\w+|[^\W_]+")
+_URL_PREFIXES = ("http://", "https://", "www.")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase; URLs -> `<url>`, @-mentions -> `<user>`, '#' stripped,
-    remaining text split into maximal alphanumeric runs."""
-    out = []
-    for m in _TOKEN_PATTERN.finditer(text.lower()):
-        kind = m.lastgroup
-        if kind == "url":
-            out.append("<url>")
-        elif kind == "user":
-            out.append("<user>")
-        else:
-            out.append(m.group())
-    return out
+    remaining text split into maximal alphanumeric runs.
+
+    A word token holds none of `@ : / .`, so a token's prefix tells its kind.
+    """
+    return ["<user>" if tok[0] == "@" else "<url>" if tok.startswith(_URL_PREFIXES) else tok
+            for tok in _TOKEN_PATTERN.findall(text.lower())]
 
 
 @dataclass(frozen=True)
@@ -202,6 +196,28 @@ def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
             gram = tokens[i] if n == 1 else " ".join(tokens[i : i + n])
             out.append(stable_hash64(config.hash_seed, gram) & mask)
     return out
+
+
+def _gram_lines(texts: Sequence[str], ngram_max: int) -> tuple[bytes, list[int]]:
+    """Every n-gram (n <= ngram_max) of every text, one per line in UTF-8, and
+    each text's n-gram count; `_buckets` makes the same n-grams one at a time.
+
+    A text keeps only its joined line, not its token list: a chunk's lines
+    take far less memory than its lists of token strings. No token holds a
+    "\n", and UTF-8 encodes one as byte 0x0A alone, so the lines split back.
+    """
+    lines = []
+    counts = []
+    for text in texts:
+        tokens = tokenize(text)
+        grams = prev = tokens
+        for n in range(1, ngram_max):
+            prev = [p + " " + t for p, t in zip(prev, tokens[n:])]  # the (n+1)-grams
+            grams = grams + prev  # a new list: `tokens` stays the unigrams
+        if grams:
+            lines.append("\n".join(grams))
+        counts.append(len(grams))
+    return "\n".join(lines).encode("utf-8"), counts
 
 
 @dataclass(frozen=True)
@@ -289,20 +305,21 @@ class HashedProvider:
         """Each text's n-gram counts per bucket, as sparse rows.
 
         With normalize=True each row is scaled to unit Euclidean norm (an
-        empty row stays empty).
+        empty row stays empty). All n-grams of `texts` are hashed in one
+        vectorized pass, bit-identical to `stable_hash64` on each.
         """
         c = self.config
-        buckets: list[int] = []
-        lengths = []
-        for text in texts:
-            row = _buckets(tokenize(text), c)
-            buckets.extend(row)
-            lengths.append(len(row))
+        blob, lengths = _gram_lines(texts, c.ngram_max)
+        buckets = stable_hash64_lines(c.hash_seed, blob)
+        del blob  # each `del` frees a buffer before the next one is allocated
+        buckets &= np.uint64(c.dim - 1)  # dim is a power of two
         n = len(lengths)
-        row_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
+        keys = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys *= c.dim
+        keys += buckets.view(np.int64)  # a bucket < dim reads the same as int64
+        del buckets
         # sorted unique (row, bucket) keys give CSR order; their counts are the values
-        keys, counts = np.unique(row_of * c.dim + np.asarray(buckets, dtype=np.intp),
-                                 return_counts=True)
+        keys, counts = np.unique(keys, return_counts=True)
         row_of, indices = np.divmod(keys, c.dim)
         data = counts.astype(float)
         if c.normalize:

@@ -1,13 +1,18 @@
 import json
 import math
+import random
+import re
+import string
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aspectsent.features import (
+    EMBED_CHUNK_ROWS,
     EmbeddingContractError,
     EmbeddingProviderSpec,
     EmbeddingServiceError,
@@ -39,6 +44,30 @@ def embed_hashed(tokens, config: HashedFeatureConfig) -> np.ndarray:
     return vec
 
 
+_NAMED_GROUP_PATTERN = re.compile(
+    r"(?P<url>(?:https?://|www\.)\S+)|(?P<user>@\w+)|(?P<word>[^\W_]+)"
+)
+
+
+def _named_group_tokenize(text):
+    """Reference tokenizer: each match's group names its kind."""
+    out = []
+    for m in _NAMED_GROUP_PATTERN.finditer(text.lower()):
+        kind = m.lastgroup
+        if kind == "url":
+            out.append("<url>")
+        elif kind == "user":
+            out.append("<user>")
+        else:
+            out.append(m.group())
+    return out
+
+
+# fragments that build URL, mention and word edge cases when concatenated
+_TOKEN_PARTS = ["http", "https", "://", ":/", "www", ".", "/", "@", "#", "_", "x", "Y1",
+                " ", "\n", "\x85", "İ", "数据", "é"]
+
+
 class TestTokenize:
     def test_url_user_hashtag(self):
         assert tokenize("Check https://t.co/x @WHO #China!") == [
@@ -56,6 +85,17 @@ class TestTokenize:
 
     def test_www_url(self):
         assert tokenize("see www.example.com/page now") == ["see", "<url>", "now"]
+
+    @given(text=st.text() | st.lists(st.sampled_from(_TOKEN_PARTS)).map("".join))
+    @example(text="İstanbul")
+    @example(text="WWW.x.com")
+    @example(text="http:/x")
+    @example(text="@@x")
+    @example(text="x_y")
+    @example(text="#tag_1")
+    @example(text="china\nnews\x85@who\nhttps://t.co/x\x85www.x")
+    def test_matches_named_group_tokenizer(self, text):
+        assert tokenize(text) == _named_group_tokenize(text)
 
 
 class TestEmbedHashed:
@@ -288,7 +328,15 @@ def _dense(texts, cfg):
 
 class TestSparseRows:
     @given(texts=_texts, ngram_max=st.integers(1, 3), normalize=st.booleans(),
-           dim=st.sampled_from([1024, 4096]), seed=st.integers(0, 3))
+           dim=st.sampled_from([1024, 4096]), seed=st.integers(0, 3) | st.just(2**64 - 1))
+    @example(texts=["china\nnews today", "a\r\nb c", "x\x85y z", " ", "@who\nhttps://t.co/x"],
+             ngram_max=3, normalize=True, dim=1024, seed=0)
+    @example(texts=["china " + "w" * 5000 + " news"], ngram_max=3, normalize=False, dim=4096,
+             seed=1)
+    @example(texts=["", "!!!", "#", "", "_ ... @"], ngram_max=2, normalize=True, dim=1024, seed=0)
+    @example(texts=[], ngram_max=1, normalize=True, dim=1024, seed=0)
+    @example(texts=["china news", "", "數據 china"], ngram_max=3, normalize=False, dim=1024,
+             seed=2**64 - 1)
     def test_rows_equal_dense_reference(self, texts, ngram_max, normalize, dim, seed):
         cfg = HashedFeatureConfig(ngram_max=ngram_max, dim=dim, hash_seed=seed,
                                   normalize=normalize)
@@ -347,6 +395,47 @@ class TestSparseRows:
         rows = HashedProvider(HashedFeatureConfig(dim=4096)).embed(texts)
         assert rows.nbytes <= 100 * 4 * 16 + 101 * 8  # 4 nonzeros per row, 8-byte values and indices
         assert rows.copy().nbytes == rows.nbytes
+
+
+def _synthetic_tweets(n, seed=0):
+    """Tweet-like texts: 6 to 26 words of 2 to 10 letters from a 20,000-word
+    vocabulary, some with a mention, a hashtag or a URL."""
+    rng = random.Random(seed)
+    vocab = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 10)))
+             for _ in range(20_000)]
+    handle = string.ascii_lowercase + string.digits
+    tweets = []
+    for _ in range(n):
+        words = rng.choices(vocab, k=rng.randint(6, 26))
+        if rng.random() < 0.45:
+            words.append("@" + "".join(rng.choices(handle, k=8)))
+        if rng.random() < 0.3:
+            words.append("#" + rng.choice(vocab).capitalize() + str(rng.randrange(100)))
+        if rng.random() < 0.4:
+            words.append("https://t.co/" + "".join(rng.choices(handle, k=10)))
+        rng.shuffle(words)
+        tweets.append(" ".join(words))
+    return tweets
+
+
+# tracemalloc peak of the per-gram encoder (a Python list of every bucket) on
+# the texts below, measured with CPython 3.11.7 and numpy 2.4.6
+PER_GRAM_ENCODER_PEAK_BYTES = 1_520_801
+
+
+def test_embed_peak_memory_of_one_chunk():
+    # On these texts, holding the chunk's token lists while its n-grams are
+    # hashed peaks at about 2.06 MB; one joined line per text, at 0.88 MB.
+    texts = _synthetic_tweets(EMBED_CHUNK_ROWS)
+    provider = HashedProvider()
+    provider.embed(texts[:8])  # warm up the regex and the seed's cached state
+    tracemalloc.start()
+    try:
+        provider.embed(texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_GRAM_ENCODER_PEAK_BYTES
 
 
 class TestDualRepresentation:

@@ -1,6 +1,7 @@
-from hypothesis import given, strategies as st
+import numpy as np
+from hypothesis import example, given, strategies as st
 
-from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME, stable_hash64
+from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME, stable_hash64, stable_hash64_lines
 
 
 def fnv1a_reference(seed, payload):
@@ -24,3 +25,25 @@ def test_interleaved_seeds_stay_independent():
     assert got == [fnv1a_reference(s, "china") for s in seeds]
     assert got[0] == got[5] == got[6]  # 2**64 folds to 0
     assert got[2] == got[3]  # -1 folds to 2**64 - 1
+
+
+_LONG_LINE = (bytes(range(11, 256)) * 41)[:10_000]  # every byte value but 0..10, so no b"\n"
+_payloads = st.lists(
+    st.binary().map(lambda b: b.replace(b"\n", b""))
+    | st.text().map(lambda t: t.replace("\n", "").encode("utf-8")),
+    max_size=12,
+)
+
+
+@given(seed=st.integers(-(2**70), 2**70), payloads=_payloads)
+@example(seed=0, payloads=[])
+@example(seed=-1, payloads=[b""])
+@example(seed=2**64, payloads=[b"", "数据 é".encode("utf-8"), _LONG_LINE, b"", b"<url>"])
+def test_lines_match_docstring_loop(seed, payloads):
+    expected = [fnv1a_reference(seed, p) for p in payloads]
+    got = stable_hash64_lines(seed, b"".join(p + b"\n" for p in payloads))
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+    # as in a file, the last line may lack its b"\n"
+    if payloads and payloads[-1]:
+        assert stable_hash64_lines(seed, b"\n".join(payloads)).tolist() == expected
