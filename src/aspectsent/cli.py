@@ -489,20 +489,27 @@ def _cmd_series(args, file_cfg):
     return 0
 
 
+def _granger_cells(cause, effect, lag: int) -> list:
+    """The lag, n_used, F and p cells of one Granger direction; blank if it cannot be tested."""
+    try:
+        r = stats.granger_test(cause, effect, lag=lag)
+    except stats.UntestableError:
+        return [lag, "", "", ""]
+    return [lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
+
+
 def _cmd_granger(args, file_cfg):
     lag = stats.check_lag(_settings("granger", args, file_cfg)["lag"])
     x = stats.read_series_csv(args.x)
     y = stats.read_series_csv(args.y)
     x_name, y_name = args.x_name or Path(args.x).stem, args.y_name or Path(args.y).stem
-    results = [(x_name, y_name, stats.granger_test(x, y, lag=lag)),
-               (y_name, x_name, stats.granger_test(y, x, lag=lag))]
-    files.write_csv(args.out, ["cause", "effect", "lag", "n_used", "F", "p"], (
-        [cause, effect, r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-        for cause, effect, r in results
-    ))
+    rows = [[x_name, y_name, *_granger_cells(x, y, lag)],
+            [y_name, x_name, *_granger_cells(y, x, lag)]]
+    files.write_csv(args.out, ["cause", "effect", "lag", "n_used", "F", "p"], rows)
     _write_meta(args.out, {"x": args.x, "y": args.y, "lag": lag})
-    for cause, effect, r in results:
-        print(f"granger: {cause} -> {effect}: F={r.f_stat:.4f} p={r.p_value:.4f}")
+    for cause, effect, _, _, f_stat, p in rows:
+        tested = f"F={float(f_stat):.4f} p={float(p):.4f}" if f_stat else "not tested"
+        print(f"granger: {cause} -> {effect}: {tested}")
     return 0
 
 
@@ -588,24 +595,16 @@ def _cmd_report(args, file_cfg):
             emitted.append(name)
 
     if rows and media_rows:
-        # raw series of both sources over the union of their days; a pair too
-        # short or degenerate for the test is a row with blank cells
+        # raw series of both sources over the union of their days
         days = rows.span() + media_rows.span()
         for name, key_columns, modes in _GRANGER_TABLES:
             columns = {(a.value, *key): (mode, a.value)
                        for a in corpus.A_USED for key, mode in modes.items()}
             media, public = (_series_map(source, columns, 1, min(days), max(days))
                              for source in (media_rows, rows))
-            table = []
-            for key in columns:
-                for cause, effect, direction in ((media[key], public[key], "media->public"),
-                                                 (public[key], media[key], "public->media")):
-                    try:
-                        r = stats.granger_test(cause, effect, lag=lag)
-                        cells = [r.lag, r.n_used, repr(r.f_stat), repr(r.p_value)]
-                    except PipelineError:
-                        cells = [lag, "", "", ""]
-                    table.append([*key, direction, *cells])
+            table = [[*key, direction, *_granger_cells(cause, effect, lag)] for key in columns
+                     for cause, effect, direction in ((media[key], public[key], "media->public"),
+                                                      (public[key], media[key], "public->media"))]
             files.write_csv(out_dir / name, key_columns + ["direction", "lag", "n_used", "F", "p"],
                             table)
             _write_meta(out_dir / name, section)

@@ -22,11 +22,15 @@ from .corpus import A_USED, CONTENT_ASPECTS
 from .errors import PipelineError
 
 
-class SingularMatrixError(PipelineError):
+class UntestableError(PipelineError):
+    """An untestable Granger pair: too few complete days, a singular design or an exact fit."""
+
+
+class SingularMatrixError(UntestableError):
     """The regression design is rank deficient."""
 
 
-class InsufficientDataError(PipelineError):
+class InsufficientDataError(UntestableError):
     """Not enough complete aligned observations for the requested test."""
 
 
@@ -291,7 +295,6 @@ def t_pvalue_two_sided(t_stat: float, df: float) -> float:
 class GrangerResult:
     f_stat: float
     p_value: float
-    lag: int
     n_used: int
 
 
@@ -327,9 +330,9 @@ def granger_test(x: DailySeries, y: DailySeries, lag: int = 1) -> GrangerResult:
     _, rss_u = ols(design_u, yy)
     _, rss_r = ols(design_r, yy)
     if rss_u <= 0.0:
-        raise PipelineError("degenerate series: unrestricted model fits exactly")
+        raise UntestableError("degenerate series: unrestricted model fits exactly")
     f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
-    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), lag, n_used)
+    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), n_used)
 
 
 def stars_for(p: float) -> str:

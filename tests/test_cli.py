@@ -853,6 +853,49 @@ class TestSeriesAndGranger:
         assert float(rows[0]["p"]) == pytest.approx(expected.p_value, rel=1e-12)
         assert int(rows[0]["n_used"]) == expected.n_used
 
+    @pytest.mark.parametrize("x_vals, y_vals, tested", [
+        # x misses day 3, which leaves y -> x 4 complete days, one short of lag + 4
+        ([1.0, 3.0, 2.0, np.nan, 4.0, 1.0, 2.0], [2.0, 1.0, 3.5, 2.0, 1.5, 4.5, 1.0], "x"),
+        # y_t = 2 x_{t-1}: x -> y fits exactly
+        ([1.0, 3.0, 2.0, 5.0, 4.0, 1.0, 2.0, 6.0], [0.0, 2.0, 6.0, 4.0, 10.0, 8.0, 2.0, 4.0], "y"),
+        # a constant series makes both designs singular
+        ([1.0] * 8, [2.0, 1.0, 3.5, 2.0, 1.5, 4.5, 1.0, 3.0], None),
+    ], ids=["missing-day", "exact-fit", "constant"])
+    def test_granger_untestable_direction_is_a_blank_row(self, tmp_path, capsys, x_vals, y_vals,
+                                                         tested):
+        x, y = DailySeries(D0, x_vals), DailySeries(D0, y_vals)
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        emit_figure_data({"value": x}, x_path)
+        emit_figure_data({"value": y}, y_path)
+        out = tmp_path / "granger.csv"
+        assert main(["granger", "--x", str(x_path), "--y", str(y_path), "--lag", "1",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["cause"], r["effect"]) for r in rows] == [("x", "y"), ("y", "x")]
+        for row, cause, effect in zip(rows, (x, y), (y, x)):
+            cells = [row["lag"], row["n_used"], row["F"], row["p"]]
+            direction = f"granger: {row['cause']} -> {row['effect']}: "
+            if row["cause"] == tested:
+                r = stats.granger_test(cause, effect, lag=1)
+                assert cells == ["1", str(r.n_used), repr(r.f_stat), repr(r.p_value)]
+                assert f"{direction}F={r.f_stat:.4f} p={r.p_value:.4f}\n" in printed
+            else:
+                with pytest.raises(stats.UntestableError):
+                    stats.granger_test(cause, effect, lag=1)
+                assert cells == ["1", "", "", ""]
+                assert f"{direction}not tested\n" in printed
+
+    def test_granger_misaligned_series_exit_one_without_output(self, tmp_path, capsys):
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        emit_figure_data({"value": DailySeries(D0, [1.0, 3.0, 2.0, 5.0, 4.0, 1.0, 2.0])}, x_path)
+        emit_figure_data({"value": DailySeries(D0 + timedelta(days=1),
+                                               [2.0, 1.0, 3.5, 2.0, 1.5, 4.5, 1.0])}, y_path)
+        assert main(["granger", "--x", str(x_path), "--y", str(y_path),
+                     "--out", str(tmp_path / "granger.csv")]) == 1
+        assert "series are not aligned on the same dates" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]
+
     @pytest.mark.parametrize("row, message", [
         ("2020-03-02,abc", "non-numeric value 'abc'"),
         ("2020-03-02,inf", "non-finite value 'inf'"),
@@ -1144,9 +1187,9 @@ class TestReport:
             cause, effect = series if direction == "media->public" else series[::-1]
             try:
                 r = stats.granger_test(cause, effect, lag=1)
-            except PipelineError:
+            except stats.UntestableError:
                 return ["1", "", "", ""]
-            return [str(r.lag), str(r.n_used), repr(r.f_stat), repr(r.p_value)]
+            return ["1", str(r.n_used), repr(r.f_stat), repr(r.p_value)]
 
         def cells(row):
             return [row["lag"], row["n_used"], row["F"], row["p"]]

@@ -19,6 +19,7 @@ from aspectsent.stats import (
     GrangerResult,
     InsufficientDataError,
     SingularMatrixError,
+    UntestableError,
     betainc_reg,
     daily_series,
     f_pvalue,
@@ -441,8 +442,9 @@ class TestGranger:
 
     def test_lag_below_one_rejected(self):
         x, y = _series_pair(seed=2)
-        with pytest.raises(PipelineError, match="lag must be >= 1, got 0"):
+        with pytest.raises(PipelineError, match="lag must be >= 1, got 0") as exc:
             granger_test(x, y, lag=0)
+        assert not isinstance(exc.value, UntestableError)
 
     def test_oversized_lag_fails_in_constant_memory(self):
         # a lag beyond the series has no row; the design must not be built for it
@@ -459,8 +461,9 @@ class TestGranger:
     def test_misaligned_series_rejected(self):
         x = DailySeries(D0, [1.0] * 10)
         y = DailySeries(date(2020, 3, 2), [1.0] * 10)
-        with pytest.raises(PipelineError):
+        with pytest.raises(PipelineError, match="series are not aligned on the same dates") as exc:
             granger_test(x, y)
+        assert not isinstance(exc.value, UntestableError)
 
     def test_constant_series_is_degenerate(self):
         x = DailySeries(D0, [1.0] * 50)
@@ -504,9 +507,9 @@ def reference_granger(x, y, lag):
     _, rss_u = ols(np.asarray(design_u), yy)
     _, rss_r = ols(np.asarray(design_r), yy)
     if rss_u <= 0.0:
-        raise PipelineError("degenerate")
+        raise UntestableError("degenerate")
     f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
-    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), lag, n_used)
+    return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), n_used)
 
 
 def granger_outcome(x, y, lag, test):
@@ -515,7 +518,7 @@ def granger_outcome(x, y, lag, test):
         r = test(x, y, lag)
     except PipelineError as exc:
         return type(exc)
-    return r.f_stat.hex(), r.p_value.hex(), r.lag, r.n_used
+    return r.f_stat.hex(), r.p_value.hex(), r.n_used
 
 
 @st.composite
