@@ -211,23 +211,27 @@ def read_prediction_rows(path) -> stats.Predictions:
     return stats.Predictions(rows, list(groups))
 
 
-def _group_mask(table: stats.Predictions, spec: str) -> np.ndarray:
-    """The rows of `table` in group `spec`; each distinct group is tested once."""
+def _group_selector(spec: str):
+    """The test that group selector `spec` makes of a (group_tags, bot_flag) group."""
     if spec.startswith("tag:"):
-        members = [spec[4:] in tags for tags, _ in table.groups]
-    elif spec in ("all", "bots", "users"):
-        members = [spec == "all" or bot is (spec == "bots") for _, bot in table.groups]
-    else:
-        raise PipelineError(f"unknown group selector {spec!r} "
-                            "(use all, bots, users, or tag:<name>)")
+        return lambda tags, bot: spec[4:] in tags
+    if spec in ("all", "bots", "users"):
+        return lambda tags, bot: spec == "all" or bot is (spec == "bots")
+    raise PipelineError(f"unknown group selector {spec!r} "
+                        "(use all, bots, users, or tag:<name>)")
+
+
+def _group_mask(table: stats.Predictions, selector) -> np.ndarray:
+    """The rows of `table` in the groups `selector` passes; each distinct group is tested once."""
+    members = [selector(tags, bot) for tags, bot in table.groups]
     return np.isin(table.rows["group"], np.flatnonzero(members))
 
 
 # --- figure data ---
 
 
-def emit_figure_data(series_map: dict[str, DailySeries], path) -> None:
-    """Wide CSV: date column plus one column per named, date-aligned series."""
+def figure_table(series_map: dict[str, DailySeries]) -> tuple[list, list]:
+    """Wide table: date column plus one column per named, date-aligned series."""
     if not series_map:
         raise PipelineError("no series to emit")
     first = next(iter(series_map.values()))
@@ -236,10 +240,10 @@ def emit_figure_data(series_map: dict[str, DailySeries], path) -> None:
             raise PipelineError(f"series {name!r} is misaligned with the others")
     # from Python floats, so a cell is a float's repr; NaN (a missing day) is an empty cell
     columns = [s.values.tolist() for s in series_map.values()]
-    files.write_csv(path, ["date"] + list(series_map), (
+    return ["date", *series_map], [
         [first.date_at(i).isoformat()] + ["" if v != v else repr(v) for v in row]
         for i, row in enumerate(zip(*columns))
-    ))
+    ]
 
 
 def _parse_select(spec: str) -> tuple[str, str | None]:
@@ -313,30 +317,29 @@ def _pct(count: int, total: int) -> str:
     return f"{math.floor(count / total * 1000 + 0.5) / 10 if total else 0.0:.1f}"
 
 
-def _write_dataset_stats(dataset_path, out) -> None:
+def _dataset_stats_table(dataset_path) -> tuple[list, list]:
     """Table 1: per-aspect and per-sentiment counts of a labeled dataset, each
-    with its percent of the aspect's tweets, and each aspect's percent of the corpus."""
+    with its percent of the aspect's tweets, and each aspect's percent of the
+    corpus; prints its summary."""
     dataset = corpus.read_dataset(dataset_path)
-    rows = []  # (aspect, count, percent of corpus, [(sentiment, count, percent)])
+    aspects = []  # (aspect, count, percent of corpus, [(sentiment, count, percent)])
     for aspect, cells in zip(corpus.TABLE_ASPECTS, corpus.dataset_stats(dataset).tolist()):
         n = sum(cells)
-        rows.append((aspect.value, n, _pct(n, len(dataset)),
-                     [(s.value, c, _pct(c, n)) for s, c in zip(corpus.Sentiment, cells)]))
-    files.write_csv(
-        out,
-        ["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
-         "count_aspect", "percent_of_corpus"],
-        ([aspect, s, c, pct, n, n_pct] for aspect, n, n_pct, cells in rows for s, c, pct in cells),
-    )
-    _write_meta(out, {"dataset": dataset_path})
+        aspects.append((aspect.value, n, _pct(n, len(dataset)),
+                        [(s.value, c, _pct(c, n)) for s, c in zip(corpus.Sentiment, cells)]))
     print(f"stats-dataset: {len(dataset)} examples")
-    for aspect, n, n_pct, cells in rows:
+    for aspect, n, n_pct, cells in aspects:
         breakdown = ", ".join(f"{s} {c} ({pct}%)" for s, c, pct in cells)
         print(f"  {aspect}: {n} ({n_pct}%) | {breakdown}")
+    return (["aspect", "sentiment", "count_aspect_sentiment", "percent_within_aspect",
+             "count_aspect", "percent_of_corpus"],
+            [[aspect, s, c, pct, n, n_pct] for aspect, n, n_pct, cells in aspects
+             for s, c, pct in cells])
 
 
 def _cmd_stats_dataset(args, file_cfg):
-    _write_dataset_stats(args.dataset, args.out)
+    files.write_csv(args.out, *_dataset_stats_table(args.dataset))
+    _write_meta(args.out, {"dataset": args.dataset})
     return 0
 
 
@@ -407,7 +410,7 @@ def _load_bundle_and_provider(params_path, flags: dict):
     return bundle, provider, provider_y
 
 
-def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
+def _eval_table(params_path, dataset_path, flags: dict) -> tuple[list, list]:
     """Table 2: per-aspect macro/micro F1 of a params file on a labeled dataset."""
     bundle, provider, provider_y = _load_bundle_and_provider(params_path, flags)
     gold = corpus.labeled_set(corpus.read_dataset(dataset_path))
@@ -415,21 +418,23 @@ def _write_eval(params_path, dataset_path, out, flags: dict) -> None:
         raise PipelineError("evaluation dataset is empty")
     _, _, pred_a, pred_y = model.predict_batch(gold.texts, provider, bundle.params, bundle,
                                                provider_y)
-    reports = {
+    return evaluation.report_table({
         "aspect": evaluation.evaluate(pred_a, gold.aspects, stage="aspect"),
         "sentiment": evaluation.evaluate(pred_y, gold.negative, stage="sentiment",
                                          gold_aspects=gold.aspects),
-    }
-    evaluation.write_report_csv(out, reports)
-    _write_meta(out, {"params": params_path, "dataset": dataset_path})
-    overall = reports["aspect"]["Overall"]
-    print(
-        f"eval: aspect Overall macro={overall.macro_f1:.4f} micro={overall.micro_f1:.4f} -> {out}"
-    )
+    })
+
+
+def _print_eval(rows, out) -> None:
+    _, macro, micro, *_ = rows[-1]  # the pooled Overall row
+    print(f"eval: aspect Overall macro={macro} micro={micro} -> {out}")
 
 
 def _cmd_eval(args, file_cfg):
-    _write_eval(args.params, args.dataset, args.out, _flags(args, "provider"))
+    header, rows = _eval_table(args.params, args.dataset, _flags(args, "provider"))
+    files.write_csv(args.out, header, rows)
+    _write_meta(args.out, {"params": args.params, "dataset": args.dataset})
+    _print_eval(rows, args.out)
     return 0
 
 
@@ -478,8 +483,8 @@ def _cmd_series(args, file_cfg):
     columns = {spec: _parse_select(spec) for spec in selects}
     if len(columns) == 1:  # one series: a `date,value` CSV, as `granger` reads
         columns = {"value": next(iter(columns.values()))}
-    emit_figure_data(_series_map(read_prediction_rows(args.predictions), columns, window,
-                                 start, end), args.out)
+    files.write_csv(args.out, *figure_table(_series_map(read_prediction_rows(args.predictions),
+                                                        columns, window, start, end)))
     _write_meta(
         args.out,
         {"predictions": args.predictions, "select": selects, "smooth_window": window,
@@ -513,35 +518,31 @@ def _cmd_granger(args, file_cfg):
     return 0
 
 
-def _write_group_compare(path, table, group_a: str, group_b: str, mode: str) -> dict:
-    """Tables 7-8: per-aspect Welch t-tests between two group selectors."""
-    results = stats.group_compare(table, _group_mask(table, group_a), _group_mask(table, group_b),
-                                  mode)
-    files.write_csv(
-        path, ["aspect", "group_a_mean", "group_b_mean", "difference", "t", "df", "p", "stars"],
-        ([aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
-          repr(r.t_stat), repr(r.df), repr(r.p_value), r.stars]
-         for aspect, r in results.items()),
-    )
-    return results
+def _group_table(table, selector_a, selector_b, mode: str) -> tuple[list, list]:
+    """Tables 7-8: per-aspect Welch t-tests between two groups."""
+    results = stats.group_compare(table, _group_mask(table, selector_a),
+                                  _group_mask(table, selector_b), mode)
+    return (["aspect", "group_a_mean", "group_b_mean", "difference", "t", "df", "p", "stars"],
+            [[aspect, f"{r.mean_a:.3f}", f"{r.mean_b:.3f}", f"{r.difference:.3f}",
+              repr(r.t_stat), repr(r.df), repr(r.p_value), r.stars]
+             for aspect, r in results.items()])
 
 
 def _cmd_compare_groups(args, file_cfg):
-    rows = read_prediction_rows(args.predictions)
-    results = _write_group_compare(args.out, rows, args.group_a, args.group_b, args.mode)
+    selectors = _group_selector(args.group_a), _group_selector(args.group_b)
+    header, rows = _group_table(read_prediction_rows(args.predictions), *selectors, args.mode)
+    files.write_csv(args.out, header, rows)
     _write_meta(
         args.out,
         {"predictions": args.predictions, "group_a": args.group_a,
          "group_b": args.group_b, "mode": args.mode},
     )
-    for aspect, r in results.items():
-        print(
-            f"compare-groups[{aspect}]: {r.mean_a:.3f} vs {r.mean_b:.3f} "
-            f"diff={r.difference:.3f}{r.stars}"
-        )
+    for aspect, mean_a, mean_b, difference, *_, stars in rows:
+        print(f"compare-groups[{aspect}]: {mean_a} vs {mean_b} diff={difference}{stars}")
     return 0
 
 
+_TABLE2 = "table2_model_performance.csv"  # its `eval:` line prints once it is written
 # Granger tables: file, key columns, and the series mode of each key under an aspect
 _GRANGER_TABLES = (
     ("table5_granger_aspects.csv", ["aspect"], {(): "aspect-proportion"}),
@@ -569,30 +570,24 @@ def _cmd_report(args, file_cfg):
                         ("media_predictions", "predictions")):
         if section[key] and not section[needed]:
             raise PipelineError(f"report.{key} needs report.{needed}, which is not set")
-    tables = {}  # each predictions file the section names must have rows
+    selectors = [_group_selector(section[key]) for key in ("group_a", "group_b") if section[key]]
+    predictions = {}  # each predictions file the section names must have rows
     for key in ("predictions", "media_predictions"):
         if section[key]:
-            tables[key] = read_prediction_rows(section[key])
-            if not tables[key]:
+            predictions[key] = read_prediction_rows(section[key])
+            if not predictions[key]:
                 raise PipelineError(f"report.{key}: {section[key]} has no prediction rows")
-    rows, media_rows = tables.get("predictions"), tables.get("media_predictions")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emitted = []
+    rows, media_rows = predictions.get("predictions"), predictions.get("media_predictions")
 
+    tables = {}  # file name -> (header, rows); every table is built before any is written
     if section["dataset"]:
-        _write_dataset_stats(section["dataset"], out_dir / "table1_dataset_stats.csv")
-        emitted.append("table1_dataset_stats.csv")
+        tables["table1_dataset_stats.csv"] = _dataset_stats_table(section["dataset"])
     if section["params"]:
-        _write_eval(section["params"], section["test"],
-                    out_dir / "table2_model_performance.csv", {})
-        emitted.append("table2_model_performance.csv")
+        tables[_TABLE2] = _eval_table(section["params"], section["test"], {})
 
     if rows:
         for name, columns in _FIGURES.items():
-            emit_figure_data(_series_map(rows, columns, window), out_dir / name)
-            _write_meta(out_dir / name, section)
-            emitted.append(name)
+            tables[name] = figure_table(_series_map(rows, columns, window))
 
     if rows and media_rows:
         # raw series of both sources over the union of their days
@@ -602,26 +597,28 @@ def _cmd_report(args, file_cfg):
                        for a in corpus.A_USED for key, mode in modes.items()}
             media, public = (_series_map(source, columns, 1, min(days), max(days))
                              for source in (media_rows, rows))
-            table = [[*key, direction, *_granger_cells(cause, effect, lag)] for key in columns
-                     for cause, effect, direction in ((media[key], public[key], "media->public"),
-                                                      (public[key], media[key], "public->media"))]
-            files.write_csv(out_dir / name, key_columns + ["direction", "lag", "n_used", "F", "p"],
-                            table)
-            _write_meta(out_dir / name, section)
-            emitted.append(name)
+            tables[name] = (key_columns + ["direction", "lag", "n_used", "F", "p"], [
+                [*key, direction, *_granger_cells(cause, effect, lag)] for key in columns
+                for cause, effect, direction in ((media[key], public[key], "media->public"),
+                                                 (public[key], media[key], "public->media"))])
 
-    if rows and section["group_a"]:
+    if rows and selectors:
         for mode, name in (
             ("aspect-proportion", "table7_group_aspects.csv"),
             ("sentiment-mean", "table8_group_sentiments.csv"),
         ):
-            _write_group_compare(out_dir / name, rows, section["group_a"], section["group_b"], mode)
-            _write_meta(out_dir / name, section)
-            emitted.append(name)
+            tables[name] = _group_table(rows, *selectors, mode)
 
-    if not emitted:
+    if not tables:
         raise PipelineError("report config produced no outputs; check the 'report' section")
-    print(f"report: wrote {len(emitted)} files to {out_dir}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, table_rows) in tables.items():
+        files.write_csv(out_dir / name, header, table_rows)
+        _write_meta(out_dir / name, section)
+    if _TABLE2 in tables:
+        _print_eval(tables[_TABLE2][1], out_dir / _TABLE2)
+    print(f"report: wrote {len(tables)} files to {out_dir}")
     return 0
 
 

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import files
 from .corpus import A_USED
 
 
@@ -77,18 +76,12 @@ def evaluate(
     return report
 
 
-def write_report_csv(path, reports: Mapping[str, Mapping[str, Metrics]]) -> None:
-    """Rows = aspects (+ pooled Overall), columns = stage x metric."""
-    stages = list(reports)
-    rows = list(next(iter(reports.values())).keys())
-    header = ["aspect"]
-    for stage in stages:
-        header += [f"{stage}_macro_f1", f"{stage}_micro_f1"]
-    body = []
-    for name in rows:
-        row = [name]
-        for stage in stages:
-            m = reports[stage][name]
-            row += [f"{m.macro_f1:.4f}", f"{m.micro_f1:.4f}"]
-        body.append(row)
-    files.write_csv(path, header, body)
+def report_table(reports: Mapping[str, Mapping[str, Metrics]]) -> tuple[list, list]:
+    """The header and rows of a report: rows = aspects (+ pooled Overall),
+    columns = stage x metric."""
+    header = ["aspect"] + [f"{stage}_{metric}_f1" for stage in reports
+                           for metric in ("macro", "micro")]
+    rows = [[name] + [f"{v:.4f}" for stage in reports.values()
+                      for v in (stage[name].macro_f1, stage[name].micro_f1)]
+            for name in next(iter(reports.values()))]
+    return header, rows

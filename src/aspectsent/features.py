@@ -291,6 +291,7 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
         if not np.isfinite(block).all():
             raise EmbeddingContractError("service returned non-finite embedding values")
         out[start : start + len(batch)] = block
+        del body, embs, block  # free this batch's decoded JSON before the next is read
     return out
 
 

@@ -209,11 +209,6 @@ def _init_from_rng(rng: np.random.Generator, dim: int) -> HeadParams:
     )
 
 
-def init_params(dim: int, seed: int) -> HeadParams:
-    """W ~ uniform(-1/sqrt(d), 1/sqrt(d)) from the seeded generator; b = 0."""
-    return _init_from_rng(np.random.default_rng(seed), dim)
-
-
 def _dev_aspect_macro_f1(h_dev, t_a_dev, params, threshold) -> float:
     pred = (forward_aspect(h_dev, params) >= threshold).astype(float)
     report = evaluation.evaluate(pred, t_a_dev, stage="aspect")

@@ -1,9 +1,11 @@
 import json
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from aspectsent import model
 from aspectsent.ingest import RawTweet
 
 settings.register_profile(
@@ -33,6 +35,12 @@ def make_tweet(
         group_tags=frozenset(group_tags),
         bot_flag=bot_flag,
     )
+
+
+def init_params(dim: int, seed: int) -> model.HeadParams:
+    """The heads `model.train` starts from at `seed`: W ~ uniform(-1/sqrt(d),
+    1/sqrt(d)) from the seeded generator; b = 0."""
+    return model._init_from_rng(np.random.default_rng(seed), dim)
 
 
 def corpus_line(tweet_id="1", when="2020-03-01T00:00:00Z", text="china update",

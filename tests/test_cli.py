@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aspectsent import cli, corpus, evaluation, features, files, ingest, model, stats, synth
-from aspectsent.cli import emit_figure_data, main, read_prediction_rows
+from aspectsent.cli import figure_table, main, read_prediction_rows
 from aspectsent.errors import PipelineError
 from aspectsent.features import providers_from_config
 from aspectsent.stats import DailySeries
@@ -28,6 +28,11 @@ D0 = date(2020, 3, 1)
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_figure(series_map, path):
+    """The figure CSV of `series_map` at `path`, as `series` and `report` write it."""
+    files.write_csv(path, *figure_table(series_map))
 
 
 @pytest.fixture
@@ -594,11 +599,11 @@ class TestOneThresholdRule:
         gold = corpus.labeled_set(corpus.read_dataset(dataset))
         gold_a, gold_y = gold.aspects, gold.negative
         everything = np.ones(gold_a.shape, dtype=bool)
-        evaluation.write_report_csv(tmp_path / "expected.csv", {
+        files.write_csv(tmp_path / "expected.csv", *evaluation.report_table({
             "aspect": evaluation.evaluate(everything, gold_a, stage="aspect"),
             "sentiment": evaluation.evaluate(everything, gold_y, stage="sentiment",
                                              gold_aspects=gold_a),
-        })
+        }))
         assert (tmp_path / "eval.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_infer_detections_score_as_eval_does(self, tmp_path, trained_params):
@@ -841,8 +846,8 @@ class TestSeriesAndGranger:
         x_vals = list(rng.normal(0, 1, size=60))
         y_vals = [0.0] + [0.8 * x_vals[i - 1] + float(rng.normal(0, 0.2)) for i in range(1, 60)]
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-        emit_figure_data({"value": DailySeries(D0, x_vals)}, x_path)
-        emit_figure_data({"value": DailySeries(D0, y_vals)}, y_path)
+        write_figure({"value": DailySeries(D0, x_vals)}, x_path)
+        write_figure({"value": DailySeries(D0, y_vals)}, y_path)
         out = tmp_path / "granger.csv"
         assert main(["granger", "--x", str(x_path), "--y", str(y_path), "--lag", "1",
                      "--out", str(out)]) == 0
@@ -865,8 +870,8 @@ class TestSeriesAndGranger:
                                                          tested):
         x, y = DailySeries(D0, x_vals), DailySeries(D0, y_vals)
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-        emit_figure_data({"value": x}, x_path)
-        emit_figure_data({"value": y}, y_path)
+        write_figure({"value": x}, x_path)
+        write_figure({"value": y}, y_path)
         out = tmp_path / "granger.csv"
         assert main(["granger", "--x", str(x_path), "--y", str(y_path), "--lag", "1",
                      "--out", str(out)]) == 0
@@ -888,9 +893,9 @@ class TestSeriesAndGranger:
 
     def test_granger_misaligned_series_exit_one_without_output(self, tmp_path, capsys):
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-        emit_figure_data({"value": DailySeries(D0, [1.0, 3.0, 2.0, 5.0, 4.0, 1.0, 2.0])}, x_path)
-        emit_figure_data({"value": DailySeries(D0 + timedelta(days=1),
-                                               [2.0, 1.0, 3.5, 2.0, 1.5, 4.5, 1.0])}, y_path)
+        write_figure({"value": DailySeries(D0, [1.0, 3.0, 2.0, 5.0, 4.0, 1.0, 2.0])}, x_path)
+        write_figure({"value": DailySeries(D0 + timedelta(days=1),
+                                           [2.0, 1.0, 3.5, 2.0, 1.5, 4.5, 1.0])}, y_path)
         assert main(["granger", "--x", str(x_path), "--y", str(y_path),
                      "--out", str(tmp_path / "granger.csv")]) == 1
         assert "series are not aligned on the same dates" in capsys.readouterr().err
@@ -907,7 +912,7 @@ class TestSeriesAndGranger:
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
         x_path.write_text(f"date,value\n2020-03-01,1.0\n{row}\n2020-03-03,2.0\n",
                           encoding="utf-8")
-        emit_figure_data({"value": DailySeries(D0, [1.0, 2.0, 3.0])}, y_path)
+        write_figure({"value": DailySeries(D0, [1.0, 2.0, 3.0])}, y_path)
         assert main(["granger", "--x", str(x_path), "--y", str(y_path),
                      "--out", str(tmp_path / "granger.csv")]) == 1
         err = capsys.readouterr().err
@@ -940,6 +945,14 @@ class TestSeriesAndGranger:
         assert main(["compare-groups", "--predictions", str(pred_path),
                      "--group-a", "tag:us_media", "--group-b", "all",
                      "--mode", "sentiment-mean", "--out", str(out)]) == 0
+
+    def test_unknown_selector_is_named_before_the_predictions_are_read(self, tmp_path, capsys):
+        assert main(["compare-groups", "--predictions", str(tmp_path / "missing.jsonl"),
+                     "--group-a", "users", "--group-b", "bogus", "--mode", "aspect-proportion",
+                     "--out", str(tmp_path / "compare.csv")]) == 1
+        assert capsys.readouterr().err == ("error: unknown group selector 'bogus' "
+                                           "(use all, bots, users, or tag:<name>)\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _many_predictions(path, n):
@@ -997,7 +1010,7 @@ class TestStatsMemory:
 class TestEmitFigureData:
     def test_constant_series(self, tmp_path):
         out = tmp_path / "fig.csv"
-        emit_figure_data({"flat": DailySeries(D0, [2.0, 2.0, 2.0])}, out)
+        write_figure({"flat": DailySeries(D0, [2.0, 2.0, 2.0])}, out)
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["date", "flat"]
         assert [r[1] for r in rows[1:]] == ["2.0", "2.0", "2.0"]
@@ -1007,7 +1020,7 @@ class TestEmitFigureData:
             f"s{i}": DailySeries(D0, [float(i)] * 10) for i in range(5)
         }
         out = tmp_path / "fig.csv"
-        emit_figure_data(series, out)
+        write_figure(series, out)
         rows = list(csv.reader(out.open()))
         assert len(rows) == 11
         assert len(rows[0]) == 6
@@ -1018,7 +1031,7 @@ class TestEmitFigureData:
             "b": DailySeries(date(2020, 3, 2), [1.0, 2.0]),
         }
         with pytest.raises(PipelineError):
-            emit_figure_data(series, tmp_path / "fig.csv")
+            write_figure(series, tmp_path / "fig.csv")
 
 
 def _report_rows():
@@ -1119,10 +1132,13 @@ class TestReport:
         ({"predictions": "{d}/pred.jsonl", "smoothing_window": 2},
          "smoothing window must be odd and >= 1, got 2"),
         ({"predictions": "{d}/missing.jsonl", "lag": 0}, "lag must be >= 1, got 0"),
+        ({"predictions": "{d}/missing.jsonl", "group_a": "bogus", "group_b": "users"},
+         "unknown group selector 'bogus' (use all, bots, users, or tag:<name>)"),
     ], ids=["params-without-test", "test-without-params", "group-a-without-group-b",
             "group-b-without-group-a", "groups-without-predictions",
             "media-without-predictions", "empty-predictions", "empty-media-predictions",
-            "lag-zero", "even-window", "lag-zero-before-a-missing-input"])
+            "lag-zero", "even-window", "lag-zero-before-a-missing-input",
+            "unknown-selector-before-a-missing-input"])
     def test_half_set_pair_exits_one_naming_the_missing_key(self, tmp_path, capsys, section,
                                                              message):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
@@ -1136,6 +1152,33 @@ class TestReport:
                      "--out-dir", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n".replace("{d}", str(tmp_path))
+        assert sorted(tmp_path.rglob("*")) == before  # not even the output directory
+
+    @pytest.mark.parametrize("change, message", [
+        ({"group_a": "bogus"},
+         "unknown group selector 'bogus' (use all, bots, users, or tag:<name>)"),
+        ({"group_a": "tag:nobody"}, "both comparison groups must be non-empty"),
+        ({"params": "{d}/config.json"},
+         "bad parameter file {d}/config.json: format_version: missing, expected a value"),
+        ({"test": "{d}/missing.jsonl"}, "{d}/missing.jsonl: No such file or directory"),
+    ], ids=["unknown-selector", "empty-group", "not-a-params-file", "missing-test-file"])
+    def test_late_failure_writes_nothing(self, tmp_path, capsys, change, message):
+        # every table builds before any is written, so a failing last one leaves no file
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        model.save_params(tmp_path / "params.json", _zero_bundle())
+        rows = _report_rows()
+        _write_predictions(tmp_path / "public.jsonl", rows)
+        _write_predictions(tmp_path / "media.jsonl", rows[::3])
+        section = {"dataset": "{d}/train.jsonl", "params": "{d}/params.json",
+                   "test": "{d}/train.jsonl", "predictions": "{d}/public.jsonl",
+                   "media_predictions": "{d}/media.jsonl", "group_a": "bots",
+                   "group_b": "users", **change}
+        (tmp_path / "config.json").write_text(json.dumps({"report": section}).replace(
+            "{d}", str(tmp_path)), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["report", "-c", str(tmp_path / "config.json"),
+                     "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n".replace("{d}", str(tmp_path))
         assert sorted(tmp_path.rglob("*")) == before  # not even the output directory
 
     DIRECTIONS = ("media->public", "public->media")
@@ -1474,8 +1517,8 @@ class TestDomainErrors:
                                          where):
         synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
-        emit_figure_data({"value": DailySeries(D0, [float(i % 3) for i in range(9)])},
-                         tmp_path / "s.csv")
+        write_figure({"value": DailySeries(D0, [float(i % 3) for i in range(9)])},
+                     tmp_path / "s.csv")
         model.save_params(tmp_path / "params.json", _zero_bundle())
         (tmp_path / "dir").mkdir()
         if isinstance(content, model.ModelBundle):  # a params file with a bad setting
@@ -1603,9 +1646,7 @@ class TestDomainErrors:
         before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
-        # no output and no temp file; `report` may leave its output directory, empty
-        assert [p for p in sorted(tmp_path.rglob("*")) if p not in before] in (
-            [], [tmp_path / "r"])
+        assert sorted(tmp_path.rglob("*")) == before  # no output and no temp file
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, declared in cli.SETTINGS.items() for key in declared])
@@ -1678,7 +1719,7 @@ def _write_stage_inputs(d) -> None:
     _write_predictions(d / "pred.jsonl", _prediction_rows())
     for name, values in (("x.csv", [i % 3 for i in range(12)]),
                          ("y.csv", [i * 7 % 5 for i in range(12)])):
-        emit_figure_data({"value": DailySeries(D0, [float(v) for v in values])}, d / name)
+        write_figure({"value": DailySeries(D0, [float(v) for v in values])}, d / name)
     (d / "report.json").write_text(
         json.dumps({"report": {"predictions": str(d / "pred.jsonl")}}), encoding="utf-8")
 

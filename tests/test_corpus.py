@@ -22,7 +22,7 @@ from aspectsent.corpus import (
     split,
 )
 
-from conftest import make_tweet
+from conftest import init_params, make_tweet
 
 NEG, NEU, POS = Sentiment.NEGATIVE, Sentiment.NEUTRAL, Sentiment.POSITIVE
 
@@ -360,7 +360,6 @@ class TestDatasetStats:
 class TestSelectConfident:
     def test_empty_pool(self):
         from aspectsent.features import HashedProvider
-        from aspectsent.model import init_params
 
         provider = HashedProvider()
         assert model.select_confident([], provider, init_params(provider.dim, 0)) == {}
@@ -400,7 +399,6 @@ class TestSelectConfident:
 
     def test_threshold_validation(self):
         from aspectsent.features import HashedProvider
-        from aspectsent.model import init_params
 
         provider = HashedProvider()
         for threshold, cap in ((1.0, 300), (0.0, 300), (0.9, 0)):

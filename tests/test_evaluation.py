@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aspectsent.evaluation import Metrics, evaluate, metrics, write_report_csv
+from aspectsent.evaluation import Metrics, evaluate, metrics, report_table
+from aspectsent.files import write_csv
 
 K = 6  # |A_USED|
 
@@ -137,7 +138,7 @@ def test_report_csv_layout(tmp_path):
         "sentiment": {"Politics": Metrics(1.0, 1.0), "Overall": Metrics(0.0, 0.0)},
     }
     path = tmp_path / "report.csv"
-    write_report_csv(path, reports)
+    write_csv(path, *report_table(reports))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "aspect,aspect_macro_f1,aspect_micro_f1,sentiment_macro_f1,sentiment_micro_f1"
     assert lines[1] == "Politics,0.5000,0.7500,1.0000,1.0000"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aspectsent import features
 from aspectsent.features import (
     EMBED_CHUNK_ROWS,
     EmbeddingContractError,
@@ -269,6 +270,23 @@ class TestEmbedRemote:
         with pytest.raises(EmbeddingContractError):
             embed_remote(["a", "b", "c"], _spec(stub_server, batch_size=2))
         assert len(_StubHandler.calls) == 1
+
+    def test_one_decoded_batch_alive_at_a_time(self, monkeypatch):
+        # a decoded response holds a Python float per value, several times its array's size
+        dim, batch_size = 256, 64
+        monkeypatch.setattr(features, "_post_embed", lambda endpoint, texts, timeout: {
+            "dim": dim, "embeddings": [[i + j / dim for j in range(dim)] for i in range(len(texts))]})
+        tracemalloc.start()
+        try:
+            features._post_embed("", ["t"] * batch_size, 1.0)
+            one_batch = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = embed_remote(["t"] * (8 * batch_size), _spec("http://unused", dim, batch_size))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 1.5 * one_batch
 
     def test_unreachable_service_is_retryable_error(self):
         import socket

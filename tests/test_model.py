@@ -28,7 +28,6 @@ from aspectsent.model import (
     forward_sentiment,
     full_loss,
     gradients,
-    init_params,
     load_params,
     loss_aspect,
     loss_sentiment,
@@ -37,6 +36,8 @@ from aspectsent.model import (
     train,
     train_svm_baseline,
 )
+
+from conftest import init_params
 
 K = len(A_USED)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aspectsent import cli, files
-from aspectsent.cli import emit_figure_data, read_prediction_rows
+from aspectsent.cli import figure_table, read_prediction_rows
 from aspectsent.corpus import A_USED, CONTENT_ASPECTS
 from aspectsent.errors import PipelineError
 from aspectsent.stats import (
@@ -690,6 +690,11 @@ def outcome(fn):
     return result
 
 
+def selected(t, spec):
+    """The rows of table `t` in group selector `spec`, as `report` selects them."""
+    return cli._group_mask(t, cli._group_selector(spec))
+
+
 def assert_matches_enumeration(records, start=None, end=None, selectors=SELECTORS):
     t = table(records)
     for mode, aspect in SERIES:
@@ -698,8 +703,8 @@ def assert_matches_enumeration(records, start=None, end=None, selectors=SELECTOR
     for spec_a in selectors:
         for spec_b in selectors:
             for mode in GROUP_COMPARE_MODES:
-                got = outcome(lambda: group_compare(t, cli._group_mask(t, spec_a),
-                                                    cli._group_mask(t, spec_b), mode))
+                got = outcome(lambda: group_compare(t, selected(t, spec_a), selected(t, spec_b),
+                                                    mode))
                 assert got == outcome(lambda: enumerated_compare(records, spec_a, spec_b, mode))
 
 
@@ -753,8 +758,8 @@ class TestPredictionsTable:
     def test_null_bot_flag_is_neither_bot_nor_user(self):
         records = [row(i, D0, bot=bot) for i, bot in enumerate([None, True, False, None, True])]
         t = table(records)
-        assert cli._group_mask(t, "bots").tolist() == [False, True, False, False, True]
-        assert cli._group_mask(t, "users").tolist() == [False, False, True, False, False]
+        assert selected(t, "bots").tolist() == [False, True, False, False, True]
+        assert selected(t, "users").tolist() == [False, False, True, False, False]
         assert_matches_enumeration(records)
 
     def test_seventy_distinct_tags(self):
@@ -763,7 +768,7 @@ class TestPredictionsTable:
                        bot=i % 2 == 0) for i in range(140)]
         t = table(records)
         for tag in TAGS:
-            assert cli._group_mask(t, f"tag:{tag}").tolist() == [
+            assert selected(t, f"tag:{tag}").tolist() == [
                 tag in r["group_tags"] for r in records]
         assert_matches_enumeration(records, selectors=["all", "tag:tag0", "tag:tag69"])
 
@@ -772,7 +777,7 @@ class TestSeriesCsv:
     def test_roundtrip_with_missing(self, tmp_path):
         s = DailySeries(D0, [1.0, math.nan, 0.25])
         path = tmp_path / "series.csv"
-        emit_figure_data({"value": s}, path)
+        files.write_csv(path, *figure_table({"value": s}))
         assert path.read_text(encoding="utf-8").splitlines()[2] == "2020-03-02,"
         again = read_series_csv(path)
         assert again.start_date == s.start_date
