@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, iter_chunks, provider_config, providers_from_config
+from .features import PROVIDER_SETTINGS, iter_chunks, providers
 from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
@@ -159,8 +159,7 @@ def _providers(settings: dict):
     """The provider object a params file records for provider `settings`, and
     its providers; a bad setting is a PipelineError."""
     try:
-        cfg = provider_config(settings)
-        return (cfg, *providers_from_config(cfg))
+        return providers(settings)
     except ValueError as exc:
         raise PipelineError(f"bad provider settings: {exc}") from None
 
@@ -396,17 +395,9 @@ def _cmd_train(args, file_cfg):
 
 def _load_bundle_and_provider(params_path, flags: dict):
     """Load a params file and its providers; `flags` (endpoint settings)
-    override the file's provider object, which must hold on its own and whose
-    `dim` must be the tensors'."""
+    override the file's provider object."""
     bundle = model.load_params(params_path)
-    try:
-        providers_from_config(bundle.provider_config)
-    except ValueError as exc:
-        raise model.ModelError(f"bad parameter file {params_path}: {exc}") from None
     _, provider, provider_y = _providers({**bundle.provider_config, **flags})
-    if provider.dim != bundle.params.dim:
-        raise model.ModelError(f"bad parameter file {params_path}: provider dim {provider.dim} "
-                               f"!= tensor dim {bundle.params.dim}")
     return bundle, provider, provider_y
 
 
@@ -618,7 +609,7 @@ def _cmd_report(args, file_cfg):
         _write_meta(out_dir / name, section)
     if _TABLE2 in tables:
         _print_eval(tables[_TABLE2][1], out_dir / _TABLE2)
-    print(f"report: wrote {len(tables)} files to {out_dir}")
+    print(f"report: wrote {len(tables)} tables to {out_dir}")
     return 0
 
 

@@ -91,9 +91,6 @@ class SparseRows:
         """The row of every stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    def copy(self) -> "SparseRows":
-        return SparseRows(self.indptr.copy(), self.indices.copy(), self.data.copy(), self.dim)
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self._row_ids(), self.indices] = self.data
@@ -166,35 +163,17 @@ def tokenize(text: str) -> list[str]:
             for tok in _TOKEN_PATTERN.findall(text.lower())]
 
 
-@dataclass(frozen=True)
-class HashedFeatureConfig:
-    """Hashed bag-of-n-grams encoder config; any change invalidates trained heads."""
-
-    ngram_max: int = 1
-    dim: int = 4096
-    hash_seed: int = 0
-    normalize: bool = True
-
-    def __post_init__(self):
-        if not 1 <= self.ngram_max <= 3:
-            raise ValueError("ngram_max must be in 1..3")
-        if not 1024 <= self.dim <= MAX_DIM or self.dim & (self.dim - 1):
-            raise ValueError(f"dim must be a power of two in 1024..{MAX_DIM}")
-        if not 0 <= self.hash_seed < 2**64:  # the hash folds a seed mod 2**64
-            raise ValueError("hash_seed must be in 0..2**64-1")
-
-
-def _buckets(tokens: Sequence[str], config: HashedFeatureConfig) -> list[int]:
+def _buckets(tokens: Sequence[str], provider: HashedProvider) -> list[int]:
     """The bucket hash(seed, gram) mod dim of each n-gram (n <= ngram_max).
 
     N-grams are the tokens joined with a single space.
     """
-    mask = config.dim - 1  # dim is a power of two
+    mask = provider.dim - 1  # dim is a power of two
     out = []
-    for n in range(1, config.ngram_max + 1):
+    for n in range(1, provider.ngram_max + 1):
         for i in range(len(tokens) - n + 1):
             gram = tokens[i] if n == 1 else " ".join(tokens[i : i + n])
-            out.append(stable_hash64(config.hash_seed, gram) & mask)
+            out.append(stable_hash64(provider.hash_seed, gram) & mask)
     return out
 
 
@@ -295,12 +274,25 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
     return out
 
 
+@dataclass(frozen=True)
 class HashedProvider:
-    """Native provider: tokenize + hashed n-gram counts. Pure and parallel-safe."""
+    """Native provider: tokenize + hashed n-gram counts. Pure and parallel-safe.
 
-    def __init__(self, config: HashedFeatureConfig | None = None):
-        self.config = config or HashedFeatureConfig()
-        self.dim = self.config.dim
+    Its four fields are the encoder's config; any change invalidates trained heads.
+    """
+
+    ngram_max: int = 1
+    dim: int = 4096
+    hash_seed: int = 0
+    normalize: bool = True
+
+    def __post_init__(self):
+        if not 1 <= self.ngram_max <= 3:
+            raise ValueError("ngram_max must be in 1..3")
+        if not 1024 <= self.dim <= MAX_DIM or self.dim & (self.dim - 1):
+            raise ValueError(f"dim must be a power of two in 1024..{MAX_DIM}")
+        if not 0 <= self.hash_seed < 2**64:  # the hash folds a seed mod 2**64
+            raise ValueError("hash_seed must be in 0..2**64-1")
 
     def embed(self, texts: Sequence[str]) -> SparseRows:
         """Each text's n-gram counts per bucket, as sparse rows.
@@ -309,27 +301,26 @@ class HashedProvider:
         empty row stays empty). All n-grams of `texts` are hashed in one
         vectorized pass, bit-identical to `stable_hash64` on each.
         """
-        c = self.config
-        blob, lengths = _gram_lines(texts, c.ngram_max)
-        buckets = stable_hash64_lines(c.hash_seed, blob)
+        blob, lengths = _gram_lines(texts, self.ngram_max)
+        buckets = stable_hash64_lines(self.hash_seed, blob)
         del blob  # each `del` frees a buffer before the next one is allocated
-        buckets &= np.uint64(c.dim - 1)  # dim is a power of two
+        buckets &= np.uint64(self.dim - 1)  # dim is a power of two
         n = len(lengths)
         keys = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        keys *= c.dim
+        keys *= self.dim
         keys += buckets.view(np.int64)  # a bucket < dim reads the same as int64
         del buckets
         # sorted unique (row, bucket) keys give CSR order; their counts are the values
         keys, counts = np.unique(keys, return_counts=True)
-        row_of, indices = np.divmod(keys, c.dim)
+        row_of, indices = np.divmod(keys, self.dim)
         data = counts.astype(float)
-        if c.normalize:
+        if self.normalize:
             # integer sums of squares are exact, so this matches dividing a dense
             # count vector by its norm, bit for bit
             data /= np.sqrt(np.bincount(row_of, weights=data * data, minlength=n))[row_of]
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(row_of, minlength=n), out=indptr[1:])
-        return SparseRows(indptr, indices, data, c.dim)
+        return SparseRows(indptr, indices, data, self.dim)
 
 
 class RemoteProvider:
@@ -356,41 +347,33 @@ PROVIDER_SETTINGS = {
 }
 
 
-def provider_config(settings: dict) -> dict:
-    """The provider object a params file records for provider `settings` (flags
-    and a config file, or a params file's object and endpoint flags), checked
-    against `PROVIDER_SETTINGS`. A hashed provider takes no endpoint and drops
-    the remote-only settings; a remote one requires an endpoint and keeps
-    `sentiment_endpoint` only when it is set. Applying it twice changes nothing.
+def providers(settings: dict):
+    """Provider `settings` (flags and a config file, or a params file's object
+    and endpoint flags) resolved once, checked against `PROVIDER_SETTINGS`:
+    `(cfg, provider, sentiment_provider_or_None)`, where `cfg` is the provider
+    object a params file records.
+
+    A hashed provider takes no endpoint and `cfg` drops the remote-only
+    settings; a remote one requires an endpoint and `cfg` keeps
+    `sentiment_endpoint` only when it is set. Resolving `cfg` again gives
+    `cfg`. A second provider exists only when `sentiment_endpoint` is
+    configured on a remote provider: that is the switch for learning distinct
+    aspect-stage and sentiment-stage representations. With a single provider
+    both stages share one embedding.
     """
     cfg = files.settings(settings, PROVIDER_SETTINGS, "provider")
     if cfg["kind"] == "native-hashed":
         for key in ("endpoint", "sentiment_endpoint"):
             if cfg[key]:
                 raise ValueError(f"{key} requires a remote provider")
-        return {key: value for key, value in cfg.items()
-                if key not in ("endpoint", "sentiment_endpoint", "timeout", "batch_size")}
+        cfg = {key: value for key, value in cfg.items()
+               if key not in ("endpoint", "sentiment_endpoint", "timeout", "batch_size")}
+        return cfg, HashedProvider(ngram_max=cfg["ngram_max"], dim=cfg["dim"],
+                                   hash_seed=cfg["hash_seed"], normalize=cfg["normalize"]), None
     if not cfg["endpoint"]:
         raise ValueError("remote provider requires an endpoint")
     if not cfg["sentiment_endpoint"]:
         del cfg["sentiment_endpoint"]
-    return cfg
-
-
-def providers_from_config(cfg: dict):
-    """Build (provider, sentiment_provider_or_None) from provider settings, as
-    `provider_config` resolves them (a resolved object resolves to itself).
-
-    A second provider exists only when `sentiment_endpoint` is configured on
-    a remote provider: that is the switch for learning distinct aspect-stage
-    and sentiment-stage representations. With a single provider both stages
-    share one embedding.
-    """
-    cfg = provider_config(cfg)
-    if cfg["kind"] == "native-hashed":
-        return HashedProvider(HashedFeatureConfig(
-            ngram_max=cfg["ngram_max"], dim=cfg["dim"], hash_seed=cfg["hash_seed"],
-            normalize=cfg["normalize"])), None
 
     def remote(endpoint):
         return RemoteProvider(EmbeddingProviderSpec(
@@ -398,4 +381,4 @@ def providers_from_config(cfg: dict):
             batch_size=cfg["batch_size"]))
 
     sentiment_endpoint = cfg.get("sentiment_endpoint")
-    return remote(cfg["endpoint"]), (remote(sentiment_endpoint) if sentiment_endpoint else None)
+    return cfg, remote(cfg["endpoint"]), remote(sentiment_endpoint) if sentiment_endpoint else None

@@ -27,7 +27,7 @@ import numpy as np
 from . import evaluation, files
 from .corpus import A_USED, Aspect, LabeledSet
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, SparseRows, iter_chunks
+from .features import SparseRows, iter_chunks, providers
 
 LOSS_CLAMP_EPS = 1e-12
 
@@ -444,7 +444,11 @@ def save_params(path, bundle: ModelBundle) -> None:
 
 
 def load_params(path) -> ModelBundle:
-    """Read a `save_params` file; a malformed one is a `ModelError` naming `path`."""
+    """Read a `save_params` file; a malformed one is a `ModelError` naming `path`.
+
+    The file's own provider object must resolve by `features.providers`, with
+    no endpoint flag applied, to a provider of the tensors' dim.
+    """
     try:
         doc = files.read_json(path)
         files.field(doc, "format_version", (PARAMS_FORMAT_VERSION,))
@@ -452,10 +456,10 @@ def load_params(path) -> ModelBundle:
             raise ModelError("trained with a different aspect set")
         tensors = files.field(doc, "tensors", dict)
         provider_config = files.field(doc, "provider", dict)
-        files.settings(provider_config, PROVIDER_SETTINGS, "provider")  # a bad one names `path`
         if files.field(doc, "provider_fingerprint", str) != provider_fingerprint(provider_config):
             raise ModelError("provider_fingerprint does not match the provider object")
-        return ModelBundle(
+        _, provider, _ = providers(provider_config)
+        bundle = ModelBundle(
             params=HeadParams(*(_tensor_from_obj(files.field(tensors, name, dict))
                                 for name in ("W_a", "b_a", "W_y", "b_y"))),
             provider_config=provider_config,
@@ -463,6 +467,9 @@ def load_params(path) -> ModelBundle:
             sentiment_threshold=files.field(doc, "sentiment_threshold", float),
             objective=files.field(doc, "objective", ("bce", "hinge"), optional=True) or "bce",
         )
+        if provider.dim != bundle.params.dim:
+            raise ModelError(f"provider dim {provider.dim} != tensor dim {bundle.params.dim}")
+        return bundle
     except (PipelineError, KeyError, TypeError, ValueError, OverflowError) as exc:
         # ValueError: bad JSON, UTF-8, base64 or tensor shape; OverflowError: a huge shape
         raise ModelError(f"bad parameter file {path}: {exc}") from None

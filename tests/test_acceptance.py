@@ -23,7 +23,6 @@ from aspectsent import corpus, evaluation, model, stats, synth
 from aspectsent.cli import main as cli
 from aspectsent.features import (
     EmbeddingProviderSpec,
-    HashedFeatureConfig,
     HashedProvider,
     RemoteProvider,
 )
@@ -113,7 +112,7 @@ def test_criterion_2_gradient_oracle():
 def test_criterion_3_training_sanity():
     started = time.perf_counter()
     examples = separable_examples(20)
-    provider = HashedProvider(HashedFeatureConfig(dim=1024))
+    provider = HashedProvider(dim=1024)
     losses = []
     cfg = model.TrainConfig(learning_rate=0.05, epochs=300, batch_size=len(examples), seed=3)
     params = model.train(
@@ -154,7 +153,7 @@ def test_criterion_4_model_quality():
         source = "synthetic corpus (released dataset unavailable)"
     train_set, dev_set, test_set = _split_model_examples(examples, seed=11)
 
-    provider = HashedProvider(HashedFeatureConfig(ngram_max=1, dim=4096))
+    provider = HashedProvider(ngram_max=1, dim=4096)
     cfg = model.TrainConfig(learning_rate=0.1, epochs=20, batch_size=32, seed=7)
     params = model.train(train_set, dev_set, provider, cfg)
     micro = _aspect_overall_micro(provider, params, test_set)

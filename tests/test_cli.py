@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from aspectsent import cli, corpus, evaluation, features, files, ingest, model, stats, synth
 from aspectsent.cli import figure_table, main, read_prediction_rows
 from aspectsent.errors import PipelineError
-from aspectsent.features import providers_from_config
+from aspectsent.features import providers
 from aspectsent.stats import DailySeries
 
 from conftest import corpus_line
@@ -487,7 +487,7 @@ class TestTrainEvalInfer:
         assert main(["infer", "--params", str(params_path), "--corpus", str(fixture),
                      "--out", str(out)]) == 0
         bundle = model.load_params(params_path)
-        provider = providers_from_config(bundle.provider_config)[0]
+        provider = providers(bundle.provider_config)[1]
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [o["id"] for o in lines] == ["a", "b", "c"]
         texts = ["china government policy awful", "china lockdown masks effective",
@@ -646,7 +646,7 @@ class TestStreamingInfer:
         assert main(["infer", "--params", str(params_path), "--corpus", str(corpus_path),
                      "--out", str(out)]) == 0
         bundle = model.load_params(params_path)
-        provider = providers_from_config(bundle.provider_config)[0]
+        provider = providers(bundle.provider_config)[1]
         config = model.TrainConfig(aspect_threshold=bundle.aspect_threshold,
                                    sentiment_threshold=bundle.sentiment_threshold)
         expected = [
@@ -1056,7 +1056,7 @@ def _report_rows():
 
 
 class TestReport:
-    def test_full_bundle(self, tmp_path, trained_params):
+    def test_full_bundle(self, tmp_path, trained_params, capsys):
         params, splits = trained_params
         public = tmp_path / "public.jsonl"
         media = tmp_path / "media.jsonl"
@@ -1080,8 +1080,12 @@ class TestReport:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         out_dir = tmp_path / "report"
+        capsys.readouterr()
         assert main(["report", "-c", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        # nine tables, each a CSV and its .meta.json
+        assert capsys.readouterr().out.splitlines()[-1] == f"report: wrote 9 tables to {out_dir}"
         names = {p.name for p in out_dir.iterdir()}
+        assert len(names) == 18
         for expected in (
             "table1_dataset_stats.csv", "table2_model_performance.csv",
             "fig2_daily_counts.csv", "fig3_aspect_proportions.csv",

@@ -1,9 +1,12 @@
-"""README's Configuration table against the settings and flags the CLI declares."""
+"""README against the code: its Configuration table against the settings and flags
+the CLI declares, and each `<module>.<name>` it cites against the package."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
+import aspectsent
 from aspectsent import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -46,3 +49,14 @@ def test_each_listed_flag_sets_its_setting():
     # equality: every flag that sets a setting (dest `<section>.<key>`) is listed too
     listed = {(flag, f"{section}.{key}") for section, key, flag in settings_table() if flag}
     assert {(flag, dest) for flag, dest in parser_flags() if "." in dest} == listed
+
+
+def test_each_module_name_in_readme_resolves():
+    # a backticked `<module>.<name>` whose <module> is a module of the package
+    modules = {p.stem for p in Path(aspectsent.__file__).parent.glob("*.py")}
+    names = [(module, name) for module, name
+             in re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+             if module in modules]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"aspectsent.{module}"), name), f"{module}.{name}"

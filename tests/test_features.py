@@ -17,19 +17,19 @@ from aspectsent.features import (
     EmbeddingContractError,
     EmbeddingProviderSpec,
     EmbeddingServiceError,
-    HashedFeatureConfig,
     HashedProvider,
+    MAX_DIM,
     RemoteProvider,
     SparseRows,
     _buckets,
     embed_remote,
-    providers_from_config,
+    providers,
     tokenize,
 )
 from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME
 
 
-def embed_hashed(tokens, config: HashedFeatureConfig) -> np.ndarray:
+def embed_hashed(tokens, config: HashedProvider) -> np.ndarray:
     """Dense reference encoder: count each n-gram into its bucket.
 
     With normalize=True the vector is scaled to unit Euclidean norm (the zero
@@ -101,18 +101,18 @@ class TestTokenize:
 
 class TestEmbedHashed:
     def test_empty_tokens_zero_vector(self):
-        cfg = HashedFeatureConfig(dim=1024)
+        cfg = HashedProvider(dim=1024)
         assert not embed_hashed([], cfg).any()
 
     def test_deterministic(self):
-        cfg = HashedFeatureConfig(dim=1024, hash_seed=42)
+        cfg = HashedProvider(dim=1024, hash_seed=42)
         a = embed_hashed(["china", "news"], cfg)
         b = embed_hashed(["china", "news"], cfg)
         assert np.array_equal(a, b)
 
     def test_buckets_match_independent_hash(self):
         # dim=4 is below the config minimum, so hash the buckets directly.
-        cfg = HashedFeatureConfig(dim=1024, hash_seed=9, ngram_max=2, normalize=False)
+        cfg = HashedProvider(dim=1024, hash_seed=9, ngram_max=2, normalize=False)
         tokens = ["a", "b"]
         vec = embed_hashed(tokens, cfg)
 
@@ -128,39 +128,41 @@ class TestEmbedHashed:
         assert np.array_equal(vec, expected)
 
     def test_seed_changes_buckets(self):
-        a = embed_hashed(["china"], HashedFeatureConfig(dim=1024, hash_seed=1, normalize=False))
-        b = embed_hashed(["china"], HashedFeatureConfig(dim=1024, hash_seed=2, normalize=False))
+        a = embed_hashed(["china"], HashedProvider(dim=1024, hash_seed=1, normalize=False))
+        b = embed_hashed(["china"], HashedProvider(dim=1024, hash_seed=2, normalize=False))
         assert not np.array_equal(a, b)
 
     def test_normalized_unit_norm(self):
-        cfg = HashedFeatureConfig(dim=1024, normalize=True)
+        cfg = HashedProvider(dim=1024, normalize=True)
         vec = embed_hashed(["several", "distinct", "tokens"], cfg)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
     @given(tokens=st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), max_size=8))
     def test_unigram_permutation_invariance(self, tokens):
-        cfg = HashedFeatureConfig(ngram_max=1, dim=1024)
+        cfg = HashedProvider(ngram_max=1, dim=1024)
         base = embed_hashed(tokens, cfg)
         flipped = embed_hashed(list(reversed(tokens)), cfg)
         assert np.array_equal(base, flipped)
 
     def test_bigrams_are_order_sensitive(self):
-        cfg = HashedFeatureConfig(ngram_max=2, dim=1024, normalize=False)
+        cfg = HashedProvider(ngram_max=2, dim=1024, normalize=False)
         a = embed_hashed(["x", "y", "z"], cfg)
         b = embed_hashed(["z", "y", "x"], cfg)
         assert not np.array_equal(a, b)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HashedFeatureConfig(dim=1000)  # not a power of two
+            HashedProvider(dim=1000)  # not a power of two
         with pytest.raises(ValueError):
-            HashedFeatureConfig(dim=512)  # below 2**10
+            HashedProvider(dim=512)  # below 2**10
         with pytest.raises(ValueError):
-            HashedFeatureConfig(ngram_max=4)
+            HashedProvider(dim=2 * MAX_DIM)
+        with pytest.raises(ValueError):
+            HashedProvider(ngram_max=4)
         for seed in (-1, 2**64):  # the hash would fold either onto another seed
             with pytest.raises(ValueError):
-                HashedFeatureConfig(hash_seed=seed)
-        assert HashedFeatureConfig(hash_seed=2**64 - 1).hash_seed == 2**64 - 1
+                HashedProvider(hash_seed=seed)
+        assert HashedProvider(hash_seed=2**64 - 1).hash_seed == 2**64 - 1
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -303,18 +305,20 @@ class TestEmbedRemote:
         with pytest.raises(ValueError):
             EmbeddingProviderSpec(kind="remote", dim=8)  # no endpoint
         with pytest.raises(ValueError):
+            EmbeddingProviderSpec(kind="remote", dim=MAX_DIM + 1, endpoint="http://e")
+        with pytest.raises(ValueError):
             EmbeddingProviderSpec(kind="mystery", dim=8)
 
 
 class TestProviders:
     def test_hashed_provider_shape(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         out = provider.embed(["china news", "other text"])
         assert out.shape == (2, 1024)
         assert provider.embed([]).shape == (0, 1024)
 
     def test_remote_config_builds_the_declared_spec(self, stub_server):
-        provider, provider_y = providers_from_config({
+        _, provider, provider_y = providers({
             "kind": "remote", "dim": 8, "endpoint": stub_server, "timeout": 5.0,
             "batch_size": 64,
         })
@@ -323,13 +327,12 @@ class TestProviders:
         assert provider_y is None
 
     def test_hashed_config_builds_the_declared_config(self):
-        provider, provider_y = providers_from_config({
+        _, provider, provider_y = providers({
             "kind": "native-hashed", "ngram_max": 2, "dim": 2048, "hash_seed": 5,
             "normalize": False,
         })
         assert isinstance(provider, HashedProvider)
-        assert provider.config == HashedFeatureConfig(ngram_max=2, dim=2048, hash_seed=5,
-                                                      normalize=False)
+        assert provider == HashedProvider(ngram_max=2, dim=2048, hash_seed=5, normalize=False)
         assert provider_y is None
 
 
@@ -356,9 +359,9 @@ class TestSparseRows:
     @example(texts=["china news", "", "數據 china"], ngram_max=3, normalize=False, dim=1024,
              seed=2**64 - 1)
     def test_rows_equal_dense_reference(self, texts, ngram_max, normalize, dim, seed):
-        cfg = HashedFeatureConfig(ngram_max=ngram_max, dim=dim, hash_seed=seed,
+        cfg = HashedProvider(ngram_max=ngram_max, dim=dim, hash_seed=seed,
                                   normalize=normalize)
-        rows = HashedProvider(cfg).embed(texts)
+        rows = cfg.embed(texts)
         dense = _dense(texts, cfg)
         assert isinstance(rows, SparseRows)
         assert rows.shape == dense.shape
@@ -367,8 +370,8 @@ class TestSparseRows:
 
     @given(texts=_texts, data=st.data())
     def test_row_selection(self, texts, data):
-        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
-        rows = HashedProvider(cfg).embed(texts)
+        cfg = HashedProvider(ngram_max=2, dim=1024)
+        rows = cfg.embed(texts)
         dense = _dense(texts, cfg)
         n = len(texts)
         idx = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)
@@ -381,8 +384,8 @@ class TestSparseRows:
     def test_products_match_dense(self, texts, seed):
         # gather-sum and scatter-add sum in another order than BLAS, so the
         # tolerance is a few float64 ulps of values of order one
-        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
-        rows = HashedProvider(cfg).embed(texts)
+        cfg = HashedProvider(ngram_max=2, dim=1024)
+        rows = cfg.embed(texts)
         dense = _dense(texts, cfg)
         rng = np.random.default_rng(seed)
         W = rng.normal(size=(6, cfg.dim))
@@ -391,8 +394,7 @@ class TestSparseRows:
         np.testing.assert_allclose(D.T @ rows, D.T @ dense, rtol=1e-12, atol=1e-15)
 
     def test_row_products_depend_on_the_row_alone(self):
-        cfg = HashedFeatureConfig(ngram_max=2, dim=1024)
-        provider = HashedProvider(cfg)
+        provider = HashedProvider(ngram_max=2, dim=1024)
         texts = [f"china news {i} " * (i % 5) for i in range(40)]
         W = np.random.default_rng(3).normal(size=(1024, 6))
         together = provider.embed(texts) @ W
@@ -400,7 +402,7 @@ class TestSparseRows:
             assert np.array_equal(provider.embed([text]) @ W, together[i:i + 1])
 
     def test_implicit_densification_raises(self):
-        rows = HashedProvider(HashedFeatureConfig(dim=1024)).embed(["china news", ""])
+        rows = HashedProvider(dim=1024).embed(["china news", ""])
         for densify in (np.asarray, np.atleast_2d, lambda r: np.stack([r]),
                         lambda r: np.vstack([r, r]), lambda r: r + 1.0):
             with pytest.raises(TypeError):
@@ -410,9 +412,8 @@ class TestSparseRows:
 
     def test_storage_is_proportional_to_nonzeros(self):
         texts = ["china news update today"] * 100
-        rows = HashedProvider(HashedFeatureConfig(dim=4096)).embed(texts)
+        rows = HashedProvider(dim=4096).embed(texts)
         assert rows.nbytes <= 100 * 4 * 16 + 101 * 8  # 4 nonzeros per row, 8-byte values and indices
-        assert rows.copy().nbytes == rows.nbytes
 
 
 def _synthetic_tweets(n, seed=0):
@@ -458,13 +459,13 @@ def test_embed_peak_memory_of_one_chunk():
 
 class TestDualRepresentation:
     def test_single_provider_by_default(self):
-        provider, provider_y = providers_from_config(
+        _, provider, provider_y = providers(
             {"kind": "native-hashed", "dim": 1024}
         )
         assert provider_y is None
 
     def test_two_remote_providers(self, stub_server):
-        provider, provider_y = providers_from_config({
+        _, provider, provider_y = providers({
             "kind": "remote", "dim": 8, "endpoint": stub_server,
             "sentiment_endpoint": stub_server, "timeout": 5.0, "batch_size": 64,
         })
@@ -474,7 +475,7 @@ class TestDualRepresentation:
 
     def test_sentiment_endpoint_requires_remote(self):
         with pytest.raises(ValueError):
-            providers_from_config({
+            providers({
                 "kind": "native-hashed", "dim": 1024, "sentiment_endpoint": "http://x",
             })
 

@@ -17,7 +17,8 @@ from aspectsent.corpus import (
     example_from_obj,
     labeled_set,
 )
-from aspectsent.features import HashedFeatureConfig, HashedProvider, provider_config
+from aspectsent.errors import PipelineError
+from aspectsent.features import HashedProvider, providers
 from aspectsent.model import (
     HeadParams,
     ModelBundle,
@@ -303,7 +304,7 @@ def first(examples: LabeledSet, k: int) -> LabeledSet:
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
         examples = separable_examples()
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         cfg = TrainConfig(epochs=0, seed=9)
         got = train(examples, None, provider, cfg)
         expected = init_params(provider.dim, seed=9)
@@ -313,7 +314,7 @@ class TestTrain:
 
     def test_deterministic_under_seed(self):
         examples = separable_examples()
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         cfg = TrainConfig(epochs=3, seed=5, batch_size=4)
         a = train(examples, first(examples, 4), provider, cfg)
         b = train(examples, first(examples, 4), provider, cfg)
@@ -324,7 +325,7 @@ class TestTrain:
         # weight decay at an absurd learning rate multiplies W each step,
         # so the parameters overflow exponentially
         examples = separable_examples()
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         cfg = TrainConfig(learning_rate=1e200, weight_decay=1.0, epochs=3,
                           batch_size=5, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as exc:
@@ -332,7 +333,7 @@ class TestTrain:
         assert "epoch" in str(exc.value)
 
     def test_empty_train_set_rejected(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         with pytest.raises(ModelError):
             train(labeled_set([]), None, provider, TrainConfig())
 
@@ -340,7 +341,7 @@ class TestTrain:
         # training consumes only (vector, dim): a stub replaying the hashed
         # matrix must produce identical parameters
         examples = separable_examples()
-        hashed = HashedProvider(HashedFeatureConfig(dim=1024))
+        hashed = HashedProvider(dim=1024)
         matrix = hashed.embed(examples.texts)
 
         class Replay:
@@ -349,7 +350,7 @@ class TestTrain:
 
             def embed(self, texts):
                 assert len(texts) == len(examples)
-                return matrix.copy()
+                return matrix[:]  # a fresh SparseRows of every row
 
         cfg = TrainConfig(epochs=4, seed=6, batch_size=8)
         a = train(examples, None, hashed, cfg)
@@ -361,7 +362,7 @@ class TestTrain:
         from aspectsent import evaluation
 
         examples = separable_examples()
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         cfg = TrainConfig(learning_rate=0.5, epochs=200, batch_size=20, seed=1)
         params = train(examples, None, provider, cfg)
         h = provider.embed(examples.texts)
@@ -373,7 +374,7 @@ class TestTrain:
 
 class TestPredict:
     def test_nothing_detected(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         params = zero_params(provider.dim)
         params.b_a[:] = -3.0  # p ~ 0.047 everywhere
         _, _, detected, negative = predict("china news", provider, params, TrainConfig())
@@ -381,7 +382,7 @@ class TestPredict:
         assert not (detected & negative).any()  # no sentiment is read
 
     def test_fixture_detection_and_negative_call(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         params = zero_params(provider.dim)
         params.b_a[:] = -3.0  # keep the other aspects below threshold
         i = ASPECT_INDEX[Aspect.POLITICS]
@@ -394,7 +395,7 @@ class TestPredict:
         assert p_a[i] == pytest.approx(0.9, abs=1e-9)
 
     def test_threshold_semantics(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         params = zero_params(provider.dim)
         params.b_a[:] = math.log(0.6 / 0.4)  # p = 0.6 everywhere
         _, _, detected, _ = predict("x", provider, params, TrainConfig(aspect_threshold=0.7))
@@ -404,7 +405,7 @@ class TestPredict:
     @settings(max_examples=20)
     def test_sentiment_keys_equal_detected(self, seed):
         rng = np.random.default_rng(seed)
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         params = random_params(provider.dim, rng)
         p_a, p_y, detected, negative = predict_batch(["china policy news"], provider, params,
                                                      TrainConfig())
@@ -416,7 +417,7 @@ class TestPredict:
         assert np.array_equal(negative, p_y >= 0.5)
 
     def test_no_texts_give_empty_arrays(self):
-        provider = HashedProvider(HashedFeatureConfig(dim=1024))
+        provider = HashedProvider(dim=1024)
         arrays = predict_batch([], provider, zero_params(provider.dim), TrainConfig())
         assert [a.shape for a in arrays] == [(0, K)] * 4
 
@@ -434,7 +435,7 @@ class TestSparseRowsInModel:
         rng = np.random.default_rng(seed)
         texts = [f"{'alpha beta ' * (i % 3)}item{i} china news #covid @who" for i in range(12)]
         texts[3] = ""  # an all-zero row
-        rows = HashedProvider(HashedFeatureConfig(ngram_max=2, dim=1024)).embed(texts)
+        rows = HashedProvider(ngram_max=2, dim=1024).embed(texts)
         _, t_a, t_y, mask = _random_batch(rng, 1, len(texts))
         return rows, t_a, t_y, mask, random_params(1024, rng)
 
@@ -467,7 +468,7 @@ class TestSvmBaseline:
     def test_separable_training_accuracy(self):
         examples = separable_examples()
         cfg = TrainConfig(learning_rate=0.5, epochs=100, batch_size=20, seed=2)
-        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        provider = HashedProvider(ngram_max=1)
         params = train_svm_baseline(examples, cfg, provider)
         _, _, pred, _ = predict_batch(examples.texts, provider, params, TrainConfig())
         gold = examples.aspects.astype(bool)
@@ -479,7 +480,7 @@ class TestSvmBaseline:
         t_y = t_a.copy()  # always negative
         examples = LabeledSet([f"text {i}" for i in range(10)], t_a, t_y)
         cfg = TrainConfig(learning_rate=0.5, epochs=50, seed=0)
-        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        provider = HashedProvider(ngram_max=1)
         params = train_svm_baseline(examples, cfg, provider)
         _, _, detected, negative = predict("text 3", provider, params, TrainConfig())
         assert detected[ASPECT_INDEX[Aspect.RACISM]]
@@ -488,7 +489,7 @@ class TestSvmBaseline:
     def test_deterministic_under_seed(self):
         examples = separable_examples()
         cfg = TrainConfig(epochs=5, seed=4)
-        provider = HashedProvider(HashedFeatureConfig(ngram_max=1))
+        provider = HashedProvider(ngram_max=1)
         p1 = train_svm_baseline(examples, cfg, provider)
         p2 = train_svm_baseline(examples, cfg, provider)
         assert np.array_equal(p1.W_a, p2.W_a)
@@ -535,21 +536,30 @@ class TestSvmBaseline:
         examples = labeled_set([example_from_obj(r) for r in records])
         cfg = TrainConfig(learning_rate=0.3, epochs=6, batch_size=batch_size,
                           weight_decay=0.01, seed=8)
-        fc = HashedFeatureConfig(ngram_max=1, dim=1024)
-        params = train_svm_baseline(examples, cfg, HashedProvider(fc))
-        expected = self.reference_hinge(examples, cfg, HashedProvider(fc))
+        provider = HashedProvider(ngram_max=1, dim=1024)
+        params = train_svm_baseline(examples, cfg, provider)
+        expected = self.reference_hinge(examples, cfg, provider)
         got = (params.W_a, params.b_a, params.W_y, params.b_y)
         for name, g, e in zip(("W_a", "b_a", "W_y", "b_y"), got, expected):
             assert np.array_equal(g, e), name
 
 
+def _provider_objects(dims):
+    """Well-typed `provider` objects of a params file, any setting left out."""
+    return st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["native-hashed", "remote"]), "ngram_max": st.integers(),
+        "dim": dims, "hash_seed": st.integers(0, 2**64 - 1), "normalize": st.booleans(),
+        "endpoint": st.none() | st.text(), "sentiment_endpoint": st.none() | st.text(),
+        "timeout": st.floats() | st.integers(-2**53, 2**53), "batch_size": st.integers()})
+
+
 class TestParamsIO:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
-        params = random_params(6, rng)
+        params = random_params(1024, rng)
         bundle = ModelBundle(
             params=params,
-            provider_config={"kind": "native-hashed", "ngram_max": 1, "dim": 6,
+            provider_config={"kind": "native-hashed", "ngram_max": 1, "dim": 1024,
                              "hash_seed": 0, "normalize": True},
             aspect_threshold=0.4,
             sentiment_threshold=0.6,
@@ -567,48 +577,68 @@ class TestParamsIO:
         save_params(second, again)
         assert path.read_bytes() == second.read_bytes()
 
-    @given(st.fixed_dictionaries({}, optional={
-        "kind": st.sampled_from(["native-hashed", "remote"]), "ngram_max": st.integers(),
-        "dim": st.integers(), "hash_seed": st.integers(0, 2**64 - 1), "normalize": st.booleans(),
-        "endpoint": st.none() | st.text(), "sentiment_endpoint": st.none() | st.text(),
-        "timeout": st.floats() | st.integers(-2**53, 2**53), "batch_size": st.integers()}))
+    @given(provider=_provider_objects(st.sampled_from([8, 1024]) | st.integers()),
+           tensor_dim=st.sampled_from([8, 1024]))
+    @example(provider={"dim": 1024}, tensor_dim=1024)
+    @example(provider={"kind": "remote", "endpoint": "http://e", "dim": 8}, tensor_dim=8)
+    @example(provider={"kind": "remote", "endpoint": "http://e", "dim": 1024}, tensor_dim=8)
     @settings(max_examples=60)
-    def test_every_saved_provider_object_loads(self, provider):
-        bundle = ModelBundle(random_params(2, np.random.default_rng(0)), provider)
+    def test_a_saved_provider_object_loads_iff_providers_accepts_it(self, provider, tensor_dim):
+        try:
+            accepted = providers(provider)[1].dim == tensor_dim
+        except (PipelineError, ValueError):
+            accepted = False
+        bundle = ModelBundle(random_params(tensor_dim, np.random.default_rng(0)), provider)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "params.json"
             save_params(path, bundle)
-            assert load_params(path).fingerprint == bundle.fingerprint
+            if accepted:
+                assert load_params(path).fingerprint == bundle.fingerprint
+            else:
+                with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: ")):
+                    load_params(path)
 
-    @given(st.fixed_dictionaries({}, optional={
-        "kind": st.sampled_from(["native-hashed", "remote"]), "ngram_max": st.integers(),
-        "dim": st.integers(), "hash_seed": st.integers(0, 2**64 - 1), "normalize": st.booleans(),
-        "endpoint": st.none() | st.text(), "sentiment_endpoint": st.none() | st.text(),
-        "timeout": st.floats() | st.integers(-2**53, 2**53), "batch_size": st.integers()}))
+    # dims up to 2**12 keep each saved file small; MAX_DIM is checked in test_features
+    @given(_provider_objects(st.sampled_from([8, 1024]) | st.integers(max_value=2**12)))
     @example({"timeout": 5.0, "batch_size": 8})
     @example({"kind": "remote", "endpoint": "http://e", "sentiment_endpoint": ""})
     @example({"kind": "remote", "endpoint": "http://e", "sentiment_endpoint": "http://s"})
     @settings(max_examples=60)
     def test_provider_config_is_idempotent_and_round_trips(self, provider):
+        remote = provider.get("kind") == "remote"
+        endpoint_fault = not provider.get("endpoint") if remote else bool(
+            provider.get("endpoint") or provider.get("sentiment_endpoint"))
         try:
-            cfg = provider_config(provider)
-        except ValueError as exc:  # only the endpoint rules reject well-typed settings
-            remote = provider.get("kind") == "remote"
-            assert not provider.get("endpoint") if remote else (
-                provider.get("endpoint") or provider.get("sentiment_endpoint"))
-            assert "endpoint" in str(exc)
+            cfg, built, _ = providers(provider)
+        except ValueError as exc:  # the endpoint rules, else a range check of the provider
+            assert ("endpoint" in str(exc)) == endpoint_fault
             return
-        assert provider_config(cfg) == cfg
+        assert not endpoint_fault
+        assert providers(cfg)[0] == cfg
         remote_only = {"endpoint", "sentiment_endpoint", "timeout", "batch_size"}
         if cfg["kind"] == "native-hashed":
             assert not remote_only & cfg.keys()
         else:
             assert cfg["endpoint"] and cfg.get("sentiment_endpoint", "set")
-        bundle = ModelBundle(random_params(2, np.random.default_rng(0)), cfg)
+        bundle = ModelBundle(random_params(built.dim, np.random.default_rng(0)), cfg)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "params.json"
             save_params(path, bundle)
             assert load_params(path).fingerprint == bundle.fingerprint
+
+    @pytest.mark.parametrize("provider, tensor_dim, message", [
+        ({"kind": "native-hashed", "hash_seed": -1}, 4096, "hash_seed must be in 0..2**64-1"),
+        ({"kind": "native-hashed", "dim": 64}, 64, "dim must be a power of two in 1024.."),
+        ({"kind": "remote", "dim": 8}, 8, "remote provider requires an endpoint"),
+        ({"kind": "native-hashed", "dim": 1024}, 8, "provider dim 1024 != tensor dim 8"),
+    ], ids=["negative-hash-seed", "hashed-dim-64", "remote-without-endpoint", "dim-mismatch"])
+    def test_a_file_whose_own_provider_is_bad_is_refused(self, tmp_path, provider, tensor_dim,
+                                                         message):
+        path = tmp_path / "params.json"
+        save_params(path, ModelBundle(random_params(tensor_dim, np.random.default_rng(0)),
+                                      provider))
+        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: {message}")):
+            load_params(path)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["provider"].update(hash_seed=99),
