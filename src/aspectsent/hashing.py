@@ -8,9 +8,14 @@ The hash is FNV-1a over bytes with the seed folded in first, so a given
         h = ((h XOR byte) * 1099511628211) mod 2**64
 
 `stable_hash64` hashes one payload. `stable_hash64_lines` hashes many in one
-vectorized numpy pass, bit-identical to `stable_hash64` on each: the hashed
-encoder joins every n-gram of a chunk of texts into one `"\\n"`-separated
-blob and hashes it with one call.
+vectorized numpy pass, bit-identical to `stable_hash64` on each. It has two
+batched callers, each joining its payloads into one `"\\n"`-separated blob:
+the hashed encoder hashes every n-gram of a chunk of texts with one call
+(n-grams never hold a newline), and `ingest.sample_daily` every
+`sample|<day>|<id>` key of a UTC day. A payload that holds `"\\n"` would
+split in two, so the sampler hashes a day whose ids hold one with
+`stable_hash64`, one payload at a time, as it does a day too small to gain
+from a batch.
 """
 
 from functools import lru_cache

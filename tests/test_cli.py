@@ -1385,6 +1385,9 @@ _GRANGER = ["granger", "--x", "{d}/s.csv", "--y", "{d}/s.csv", "--out", "{d}/g.c
 _INGEST = ["ingest", "--corpus", "{d}/train.jsonl", "--keywords", "{d}/s.csv",
            "--out", "{d}/kept.jsonl"]
 _INGEST_DATED = _INGEST + ["--date-start", "2020-01-01", "--date-end", "2020-12-31"]
+_CORPUS_INGEST = ["ingest", "--corpus", "{d}/corpus.jsonl", "--keywords", "{d}/keywords.txt",
+                  "--date-start", "2020-01-01", "--date-end", "2020-12-31",
+                  "--out", "{d}/kept.jsonl"]
 _INFER = ["infer", "--params", "{d}/params.json", "--corpus", "{d}/train.jsonl",
           "--out", "{d}/pred_out.jsonl"]
 
@@ -1538,6 +1541,33 @@ class TestDomainErrors:
         assert "Traceback" not in err
         if where is not None:
             assert f"{where.replace('{d}', str(tmp_path))}:" in err
+
+    @pytest.mark.parametrize("argv", [
+        _CORPUS_INGEST,
+        _CORPUS_INGEST + ["--sample-rate", "0.5"],
+        ["infer", "--params", "{d}/params.json", "--corpus", "{d}/corpus.jsonl",
+         "--out", "{d}/pred_out.jsonl"],
+        _ADJUDICATE + ["--tweets", "{d}/corpus.jsonl"],
+    ], ids=["ingest", "ingest-sampled", "infer", "adjudicate-tweets"])
+    @pytest.mark.parametrize("field, fields", [
+        ("id", {"tweet_id": "\ud800x"}), ("text", {"text": "china \udc00"})])
+    def test_lone_surrogate_in_a_corpus_record_exits_one(self, tmp_path, capsys, argv, field,
+                                                         fields):
+        # json.dumps writes each surrogate as a \u escape; no UTF-8 writer or
+        # hash can encode the str it decodes to
+        records = [{"tweet_id": str(i)} for i in range(6)]
+        records[2].update(fields)
+        write_lines(tmp_path / "corpus.jsonl", [
+            corpus_line(when=f"2020-03-0{1 + i % 2}T10:00:00Z", **{"text": "china news", **r})
+            for i, r in enumerate(records)])
+        (tmp_path / "keywords.txt").write_text("china\n", encoding="utf-8")
+        write_lines(tmp_path / "ann.jsonl", [
+            json.dumps({"tweet_id": r["tweet_id"], "annotator_id": who, "overall": "Negative"})
+            for r in records for who in ("a1", "a2")])
+        model.save_params(tmp_path / "params.json", _zero_bundle())
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/corpus.jsonl:3: lone UTF-16 surrogate in: {field!r}\n")
 
     @pytest.mark.parametrize("argv, threshold, message", [
         (_TRAIN + ["--sentiment-endpoint", _URL], None,

@@ -1,10 +1,13 @@
 import json
+import math
 import re
 import tracemalloc
 from datetime import date
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aspectsent import ingest
 from aspectsent.hashing import FNV64_OFFSET, FNV64_PRIME
@@ -21,6 +24,7 @@ from aspectsent.ingest import (
 )
 
 from conftest import corpus_line, make_tweet
+from test_hashing import fnv1a_reference
 
 
 def merge_shards(shards):
@@ -93,6 +97,24 @@ class TestParseRecord:
         with pytest.raises(SchemaError) as exc:
             parse_record(line)
         assert "user.screen_name" in str(exc.value)
+
+    @pytest.mark.parametrize("field, fields", [
+        ("id", {"tweet_id": "\ud800x"}),
+        ("text", {"text": "china \udc00"}),
+        ("lang", {"lang": "en\udfff"}),
+        ("user.id", {"user_id": "\ud83d"}),
+        ("user.screen_name", {"user_name": "al\ude37ice"}),
+        ("group_tags", {"group_tags": ["us_media", "\ud83d", "\ude37"]}),
+    ])
+    def test_lone_surrogate_is_schema_error_naming_the_field(self, field, fields):
+        line = corpus_line(**fields)  # json.dumps writes each surrogate as a \u escape
+        with pytest.raises(SchemaError, match="lone UTF-16 surrogate") as exc:
+            parse_record(line)
+        assert exc.value.field == field
+
+    def test_escaped_surrogate_pair_and_backslash_u_are_accepted(self):
+        t = parse_record(corpus_line(text="china \U0001F637 \\u00e9", tweet_id="\u00e9"))
+        assert (t.text, t.id) == ("china \U0001F637 \\u00e9", "\u00e9")
 
     def test_file_reader_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -244,6 +266,80 @@ class TestSampleDaily:
         entries = [ingest.Survivor(i, t.day, t.id) for i, t in enumerate(tweets)]
         got = sample_daily(entries, 0.4, seed=13)
         assert [e.record for e in got] == [tweets.index(t) for t in sample_daily(tweets, 0.4, 13)]
+
+
+def _oracle_sample(items, rate, seed):
+    """`sample_daily` from its docstring: rank each day's items by the FNV-1a
+    key of `sample|<day>|<id>`, then id, then position, and keep the first
+    floor(rate*n + 0.5), in input order."""
+    by_day = {}
+    for pos, item in enumerate(items):
+        by_day.setdefault(item.day, []).append(pos)
+    kept = set()
+    for day, positions in by_day.items():
+        ranked = sorted(positions, key=lambda p: (
+            fnv1a_reference(seed, f"sample|{day.isoformat()}|{items[p].id}"), items[p].id, p))
+        kept.update(ranked[:math.floor(rate * len(positions) + 0.5)])
+    return [items[p] for p in sorted(kept)]
+
+
+def _entries(day_and_ids):
+    return [ingest.Survivor(pos, date(2020, 3, 1 + d), tweet_id)
+            for pos, (d, tweet_id) in enumerate(day_and_ids)]
+
+
+# str.splitlines breaks at "\r", "\x85" and "\u2028" too, but only "\n" ends a
+# line for `stable_hash64_lines`, and "a\nb" must still be keyed as one payload
+_ODD_IDS = ["\n", "a\nb", "\r", "\x85", "\u2028", "", "\U0001F637"]
+
+
+@given(day_and_ids=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_ODD_IDS) | st.text()),
+                            max_size=40),
+       rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+@example(day_and_ids=[(0, i) for i in _ODD_IDS] + [(1, i) for i in _ODD_IDS], rate=0.5, seed=0)
+@example(day_and_ids=[(0, "\r"), (0, "\x85"), (0, "\u2028"), (0, ""), (0, "\U0001F637")] * 2
+         + [(1, "\U0001F637"), (1, "a"), (2, ""), (2, "b")], rate=0.4, seed=2**64 - 1)
+@example(day_and_ids=[(0, "x"), (0, "x"), (0, "x"), (1, "x"), (1, "y"), (2, "a\nb"),
+                      (2, "a"), (2, "a\nb")], rate=0.6, seed=7)
+def test_sample_daily_equals_the_fnv1a_oracle(day_and_ids, rate, seed):
+    items = _entries(day_and_ids)
+    expected = _oracle_sample(items, rate, seed)
+    for batch_min_keys in (2, 10**9):  # every day batched, then every day one key at a time
+        with mock.patch.object(ingest, "_BATCH_MIN_KEYS", batch_min_keys):
+            assert sample_daily(items, rate, seed) == expected
+
+
+class TestBatchedSampleKeys:
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        calls = []
+
+        def counted(seed, payload):
+            calls.append(payload)
+            return fnv1a_reference(seed, payload)
+
+        monkeypatch.setattr(ingest, "stable_hash64", counted)
+        return calls
+
+    def test_newline_free_ids_make_no_scalar_hash_call(self, scalar_calls):
+        items = _entries((i % 7, str(1220000000000000000 + 7919 * i)) for i in range(1000))
+        assert sample_daily(items, 0.4, seed=3) == _oracle_sample(items, 0.4, seed=3)
+        assert scalar_calls == []
+
+    def test_only_a_day_with_a_newline_id_is_hashed_one_key_at_a_time(self, scalar_calls):
+        day_and_ids = [(i % 7, str(1220000000000000000 + 7919 * i)) for i in range(1000)]
+        items = _entries(day_and_ids + [(2, "a\nb"), (2, "\n")])
+        assert sample_daily(items, 0.4, seed=3) == _oracle_sample(items, 0.4, seed=3)
+        assert len(scalar_calls) == sum(d == 2 for d, _ in day_and_ids) + 2
+        assert "sample|2020-03-03|a\nb" in scalar_calls
+
+    def test_equal_keys_rank_by_id_then_position(self, monkeypatch):
+        # a 64-bit collision cannot be found by search, so every key collides here
+        monkeypatch.setattr(ingest, "_BATCH_MIN_KEYS", 2)
+        monkeypatch.setattr(ingest, "stable_hash64_lines",
+                            lambda seed, blob: np.zeros(blob.count(b"\n") + 1, dtype=np.uint64))
+        items = _entries((0, tweet_id) for tweet_id in "dbcabca")
+        assert [e.record for e in sample_daily(items, 0.5, seed=0)] == [1, 3, 4, 6]
 
 
 def _spec(rate=1.0, seed=0, accounts=None, lang="en"):
