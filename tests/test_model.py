@@ -371,6 +371,87 @@ class TestTrain:
         report = evaluation.evaluate(pred, gold, stage="aspect")
         assert report["Overall"].micro_f1 == 1.0
 
+    @staticmethod
+    def reference_bce(examples, config, h, h_y):
+        """`train`'s minibatch loop (no dev set) written out per head, as the oracle.
+
+        Returns the four tensors and each epoch's full training loss.
+        """
+        t_a, t_y, mask = examples.aspects, examples.negative, examples.aspects
+        n, dim = h.shape
+        rng = np.random.default_rng(config.seed)
+        bound = 1.0 / math.sqrt(dim)
+        W_a = rng.uniform(-bound, bound, size=(K, dim))
+        b_a = np.zeros(K)
+        W_y = rng.uniform(-bound, bound, size=(K, dim))
+        b_y = np.zeros(K)
+
+        def probs(x, W, b):
+            z = x @ W.T + b
+            p = np.empty_like(z)
+            pos = z >= 0
+            p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            p[~pos] = ez / (1.0 + ez)
+            return np.clip(p, 1e-12, 1.0 - 1e-12)
+
+        def bce(p, t):
+            return -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
+
+        decay = config.learning_rate * config.weight_decay
+        losses = []
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                hb, hb_y = h[idx], h_y[idx]
+                scale = config.learning_rate / len(idx)
+                d_a = probs(hb, W_a, b_a) - t_a[idx]
+                d_y = (probs(hb_y, W_y, b_y) - t_y[idx]) * mask[idx]
+                W_a -= scale * (d_a.T @ hb) + decay * W_a
+                b_a -= scale * d_a.sum(axis=0)
+                W_y -= scale * (d_y.T @ hb_y) + decay * W_y
+                b_y -= scale * d_y.sum(axis=0)
+            losses.append(math.fsum(bce(probs(h, W_a, b_a), t_a).ravel())
+                          + math.fsum((bce(probs(h_y, W_y, b_y), t_y) * mask).ravel()))
+        return (W_a, b_a, W_y, b_y), losses
+
+    @pytest.mark.parametrize("inputs", ["sparse", "dense", "dense-two"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("batch_size", [11, 32])  # 45 = 4*11 + 1 = 32 + 13
+    def test_matches_reference_loop_bit_for_bit(self, inputs, weight_decay, batch_size):
+        records = synth.make_dataset_records(45, seed=4)
+        examples = labeled_set([example_from_obj(r) for r in records])
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size,
+                          weight_decay=weight_decay, seed=8)
+        provider, provider_y = {
+            "sparse": (HashedProvider(ngram_max=2, dim=1024), None),
+            "dense": (DenseRows(ngram_max=2, dim=1024), None),
+            "dense-two": (DenseRows(ngram_max=1, dim=1024),
+                          DenseRows(ngram_max=2, dim=1024, hash_seed=3)),
+        }[inputs]
+        losses = []
+        params = train(examples, None, provider, cfg, provider_y,
+                       epoch_callback=lambda epoch, loss: losses.append(loss))
+        h = provider.embed(examples.texts)
+        h_y = h if provider_y is None else provider_y.embed(examples.texts)
+        expected, expected_losses = self.reference_bce(examples, cfg, h, h_y)
+        got = (params.W_a, params.b_a, params.W_y, params.b_y)
+        for name, g, e in zip(("W_a", "b_a", "W_y", "b_y"), got, expected):
+            assert np.array_equal(g, e), name
+        assert losses == expected_losses
+
+
+class DenseRows:
+    """`HashedProvider(**settings)`'s rows as dense arrays, as a remote provider returns rows."""
+
+    def __init__(self, **settings):
+        self.hashed = HashedProvider(**settings)
+        self.dim = self.hashed.dim
+
+    def embed(self, texts):
+        return self.hashed.embed(texts).toarray()
+
 
 class TestPredict:
     def test_nothing_detected(self):
