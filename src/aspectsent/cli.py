@@ -191,6 +191,7 @@ def _prediction_to_obj(tweet: ingest.RawTweet, p_a, p_y, detected, negative) -> 
 def read_prediction_rows(path) -> stats.Predictions:
     """The predictions file `path` as a table, read in one pass."""
     groups: dict[tuple, int] = {}  # (group_tags, bot_flag) -> its index in the table
+    days: dict[str, int] = {}  # a date string already parsed -> its ordinal
 
     def row(obj: dict) -> tuple[int, int, int, int]:
         detected = negative = 0
@@ -201,7 +202,10 @@ def read_prediction_rows(path) -> stats.Predictions:
             if files.field(files.field(sentiment, a, dict), "label", _LABELS) == "Negative":
                 negative |= stats.ASPECT_BITS.get(a, 0)
         files.field(obj, "id", str)
-        day = _parse_date(files.field(obj, "date", str)).toordinal()
+        text = files.field(obj, "date", str)
+        day = days.get(text)
+        if day is None:
+            day = days[text] = _parse_date(text).toordinal()
         group = (tuple(files.field(obj, "group_tags", [str], optional=True) or ()),
                  files.field(obj, "bot_flag", bool, optional=True))
         return day, detected, negative & detected, groups.setdefault(group, len(groups))
@@ -287,7 +291,14 @@ def _cmd_ingest(args, file_cfg):
 
 
 def _cmd_adjudicate(args, file_cfg):
-    annotations = corpus.read_annotations(args.annotations)
+    try:
+        annotations = corpus.read_annotations(args.annotations)
+    except PipelineError:
+        # an annotation repeats its tweet's id, so a fault in the tweets file is
+        # reported first: that is where a bad id comes from
+        for _ in ingest.iter_corpus(args.tweets) if args.tweets else ():
+            pass
+        raise
     annotated = {ann.tweet_id for ann in annotations}
     tweets_by_id = None
     if args.tweets:  # every id is checked, but only the annotated tweets are kept

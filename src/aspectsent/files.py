@@ -58,16 +58,49 @@ def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
     return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
 
 
+class LoneSurrogateError(PipelineError):
+    """A JSON string (a key or a value) holding a lone UTF-16 surrogate, such as
+    `"\\ud800"`, which neither UTF-8 output nor a hash of UTF-8 bytes can encode.
+    `path` is its key path: keys joined by dots, a list item named as its list."""
+
+    def __init__(self, path: str):
+        super().__init__(f"lone UTF-16 surrogate in: {path!r}")
+        self.path = path
+
+
 def json_object(text: str) -> dict:
     """The JSON object that is `text`; a JSONDecodeError if it does not decode, else
-    a ValueError if it is not an object."""
+    a ValueError if it is not an object, else a LoneSurrogateError for its first
+    string that holds a lone UTF-16 surrogate."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    if "\\u" in text:  # text read as UTF-8 holds a lone surrogate only by a \u escape
+        _reject_lone_surrogates(obj)
     return obj
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _reject_lone_surrogates(obj: dict) -> None:
+    """Raise LoneSurrogateError for the first string of `obj`, in document order,
+    that holds a lone surrogate (a valid pair decodes to one code point)."""
+    stack: list[tuple[str, object]] = [("", obj)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                raise LoneSurrogateError(path)
+        elif isinstance(value, dict):
+            for key, item in reversed(value.items()):
+                sub = f"{path}.{key}" if path else key
+                stack += ((sub, item), (sub, key))
+        elif isinstance(value, list):
+            stack += ((path, item) for item in reversed(value))
 
 
 def read_json(path) -> dict:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .errors import PipelineError
-from .files import json_object, text_lines, write_jsonl
+from .files import LoneSurrogateError, json_object, text_lines, write_jsonl
 from .hashing import stable_hash64, stable_hash64_lines
 
 
@@ -180,7 +180,7 @@ def parse_record(line: str) -> RawTweet:
 
     Raises ParseError (with the byte offset of the failure) for malformed
     JSON and SchemaError (naming the field) for structural violations and for
-    a string field that holds a lone UTF-16 surrogate (such as `"\\ud800"`).
+    a string that holds a lone UTF-16 surrogate (such as `"\\ud800"`).
     """
     try:
         obj = json_object(line)
@@ -189,22 +189,9 @@ def parse_record(line: str) -> RawTweet:
         raise ParseError(f"malformed JSON: {exc.msg}", offset) from exc
     except ValueError as exc:  # valid JSON, but not an object
         raise SchemaError("record", str(exc)) from None
-    tweet = tweet_from_obj(obj)
-    if "\\u" in line:  # a valid UTF-8 line holds a lone surrogate only by a \u escape
-        _reject_lone_surrogates(tweet)
-    return tweet
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _reject_lone_surrogates(t: RawTweet) -> None:
-    """Raise SchemaError naming the first string field of `t` that holds a lone
-    UTF-16 surrogate, which neither UTF-8 output nor the sampling hash can encode."""
-    for name, value in (("id", t.id), ("text", t.text), ("lang", t.lang), ("user.id", t.user_id),
-                        ("user.screen_name", t.user_name), ("group_tags", "".join(t.group_tags))):
-        if _SURROGATE.search(value):
-            raise SchemaError(name, "lone UTF-16 surrogate in")
+    except LoneSurrogateError as exc:
+        raise SchemaError(exc.path, "lone UTF-16 surrogate in") from None
+    return tweet_from_obj(obj)
 
 
 def iter_corpus(path, name=None) -> Iterator[RawTweet]:

@@ -9,6 +9,12 @@ cross-entropies, with the sentiment terms masked to the aspects actually
 labeled on each example. Inference first thresholds the aspect
 probabilities, then reads sentiment only for the detected aspects.
 
+The heads are stored stacked: one C-contiguous `W` = [W_a; W_y] and one
+`b` = [b_a; b_y], of which `W_a`, `b_a`, `W_y` and `b_y` are views. Where
+both heads read the same sparse rows, one product computes both heads'
+logits (and one their weight gradients); a params file still holds the four
+tensors.
+
 Losses are accumulated with exact (fsum) summation, so full-batch loss is
 invariant under any permutation of the batch.
 """
@@ -16,6 +22,7 @@ invariant under any permutation of the batch.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import numbers
@@ -33,6 +40,10 @@ LOSS_CLAMP_EPS = 1e-12
 
 PARAMS_FORMAT_VERSION = 1
 
+_K = len(A_USED)  # aspects per head
+
+_TENSORS = ("W_a", "b_a", "W_y", "b_y")  # as a params file names them, in order
+
 
 class ModelError(PipelineError):
     pass
@@ -42,38 +53,68 @@ class TrainingError(ModelError):
     pass
 
 
-@dataclass
-class HeadParams:
-    """The four trainable tensors: W_a/b_a (aspect), W_y/b_y (sentiment)."""
+def _half(stacked: str, rows: slice) -> property:
+    """A read-write view of `rows` of the stacked array named `stacked`."""
 
-    W_a: np.ndarray
-    b_a: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
+    def get(self) -> np.ndarray:
+        return getattr(self, stacked)[rows]
 
-    def __post_init__(self):
-        for name in ("W_a", "b_a", "W_y", "b_y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.isfinite(arr).all():
-                raise ModelError(f"non-finite entries in {name}")
-            setattr(self, name, arr)
-        k = len(A_USED)
-        if self.W_a.ndim != 2 or not self.W_a.shape == self.W_y.shape == (k, self.dim):
+    def set(self, value) -> None:
+        getattr(self, stacked)[rows] = value
+
+    return property(get, set)
+
+
+class _Heads:
+    """The aspect rows and the sentiment rows of a stacked `W` ([W_a; W_y], 2k x d)
+    and `b` ([b_a; b_y], 2k), as views: writing into one writes into `W` or `b`."""
+
+    W: np.ndarray
+    b: np.ndarray
+    W_a = _half("W", slice(None, _K))
+    b_a = _half("b", slice(None, _K))
+    W_y = _half("W", slice(_K, None))
+    b_y = _half("b", slice(_K, None))
+
+
+class HeadParams(_Heads):
+    """The four trainable tensors: W_a/b_a (aspect), W_y/b_y (sentiment).
+
+    They are held stacked, in one C-contiguous `W` and one `b`; the
+    constructor copies the four tensors into them.
+    """
+
+    def __init__(self, W_a, b_a, W_y, b_y):
+        W_a, b_a, W_y, b_y = (np.asarray(t, dtype=float) for t in (W_a, b_a, W_y, b_y))
+        if W_a.ndim != 2 or not W_a.shape == W_y.shape == (_K, W_a.shape[1]):
             raise ModelError("weight matrices must be |A_used| x d")
-        if self.b_a.shape != (k,) or self.b_y.shape != (k,):
+        if b_a.shape != (_K,) or b_y.shape != (_K,):
             raise ModelError("bias vectors must have length |A_used|")
+        self._hold(np.concatenate([W_a, W_y]), np.concatenate([b_a, b_y]))
+
+    @classmethod
+    def stacked(cls, W: np.ndarray, b: np.ndarray) -> "HeadParams":
+        """The heads whose stacked tensors are `W` (2k x d, float64, C-contiguous)
+        and `b` (2k), held as they are, without a copy."""
+        params = cls.__new__(cls)
+        params._hold(W, b)
+        return params
+
+    def _hold(self, W: np.ndarray, b: np.ndarray) -> None:
+        self.W, self.b = W, b
+        for name in _TENSORS:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"non-finite entries in {name}")
 
     @property
     def dim(self) -> int:
-        return self.W_a.shape[1]
+        return self.W.shape[1]
 
     def copy(self) -> "HeadParams":
-        return HeadParams(self.W_a.copy(), self.b_a.copy(), self.W_y.copy(), self.b_y.copy())
+        return HeadParams.stacked(self.W.copy(), self.b.copy())
 
     def is_finite(self) -> bool:
-        return all(
-            np.isfinite(t).all() for t in (self.W_a, self.b_a, self.W_y, self.b_y)
-        )
+        return bool(np.isfinite(self.W).all() and np.isfinite(self.b).all())
 
 
 @dataclass(frozen=True)
@@ -120,12 +161,44 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(h: np.ndarray | SparseRows, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(h: np.ndarray | SparseRows, W: np.ndarray) -> np.ndarray:
     if h.shape[-1] != W.shape[1]:
         raise ModelError(f"embedding dim {h.shape[-1]} != parameter dim {W.shape[1]}")
+    return h @ W.T
+
+
+def _probs(z: np.ndarray) -> np.ndarray:
     # clamp so emitted probabilities stay strictly inside (0, 1) even at
     # sigmoid saturation
-    return np.clip(_sigmoid(h @ W.T + b), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+    return np.clip(_sigmoid(z), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+
+
+def _forward(h: np.ndarray | SparseRows, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _probs(_product(h, W) + b)
+
+
+def _shares_product(h, h_y) -> bool:
+    """Whether one product serves both heads: they read the same `SparseRows`, whose
+    products compute each column on its own. A dense BLAS product blocks columns,
+    so a 2k-column product can round otherwise than two k-column ones."""
+    return h_y is h and isinstance(h, SparseRows)
+
+
+def _logits(h, params: HeadParams, h_y) -> np.ndarray:
+    """Both heads' logits side by side, (n, 2k): `h @ W_a.T + b_a`, then `h_y @ W_y.T + b_y`."""
+    if _shares_product(h, h_y):
+        z = _product(h, params.W)
+    else:
+        z = np.concatenate([_product(h, params.W_a), _product(h_y, params.W_y)], axis=-1)
+    z += params.b
+    return z
+
+
+def _weight_grads(d: np.ndarray, h, h_y) -> np.ndarray:
+    """`d[:, :k].T @ h` stacked over `d[:, k:].T @ h_y`, (2k, d)."""
+    if _shares_product(h, h_y):
+        return d.T @ h
+    return np.concatenate([d[:, :_K].T @ h, d[:, _K:].T @ h_y])
 
 
 def forward_aspect(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
@@ -158,11 +231,11 @@ def loss_sentiment(p_y: np.ndarray, t_y: np.ndarray, mask: np.ndarray) -> float:
 
 
 @dataclass
-class HeadGrads:
-    W_a: np.ndarray
-    b_a: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
+class HeadGrads(_Heads):
+    """A gradient of both heads, stacked as `HeadParams` stacks them."""
+
+    W: np.ndarray
+    b: np.ndarray
 
 
 def gradients(
@@ -188,24 +261,20 @@ def gradients(
     if h.shape[0] == 0:
         raise ModelError("gradient of an empty batch")
 
-    d_a = forward_aspect(h, params) - t_a
-    d_y = (forward_sentiment(h_y, params) - t_y) * mask
-    return HeadGrads(
-        W_a=d_a.T @ h,
-        b_a=d_a.sum(axis=0),
-        W_y=d_y.T @ h_y,
-        b_y=d_y.sum(axis=0),
-    )
+    d = _probs(_logits(h, params, h_y))
+    d[:, :_K] -= t_a
+    d[:, _K:] -= t_y
+    d[:, _K:] *= mask
+    return HeadGrads(W=_weight_grads(d, h, h_y), b=d.sum(axis=0))
 
 
 def _init_from_rng(rng: np.random.Generator, dim: int) -> HeadParams:
     bound = 1.0 / math.sqrt(dim)
-    k = len(A_USED)
     return HeadParams(
-        W_a=rng.uniform(-bound, bound, size=(k, dim)),
-        b_a=np.zeros(k),
-        W_y=rng.uniform(-bound, bound, size=(k, dim)),
-        b_y=np.zeros(k),
+        W_a=rng.uniform(-bound, bound, size=(_K, dim)),
+        b_a=np.zeros(_K),
+        W_y=rng.uniform(-bound, bound, size=(_K, dim)),
+        b_y=np.zeros(_K),
     )
 
 
@@ -216,10 +285,8 @@ def _dev_aspect_macro_f1(h_dev, t_a_dev, params, threshold) -> float:
 
 
 def full_loss(h, t_a, t_y, mask, params, h_y=None) -> float:
-    h_y = h if h_y is None else h_y
-    return loss_aspect(forward_aspect(h, params), t_a) + loss_sentiment(
-        forward_sentiment(h_y, params), t_y, mask
-    )
+    p = _probs(_logits(h, params, h if h_y is None else h_y))
+    return loss_aspect(p[..., :_K], t_a) + loss_sentiment(p[..., _K:], t_y, mask)
 
 
 def _sgd_epoch(params: HeadParams, order: np.ndarray, config: TrainConfig, batch_grads) -> None:
@@ -228,16 +295,23 @@ def _sgd_epoch(params: HeadParams, order: np.ndarray, config: TrainConfig, batch
     `batch_grads(idx, params)` returns the batch's summed `HeadGrads`; the
     update divides it by the batch size so the learning rate is batch-size
     independent, and L2 weight decay shrinks the weight matrices only.
+    Each step is `W -= scale * g.W + decay * W`, computed in `g` and one reused
+    buffer: IEEE multiplication and addition commute, so the bits are the same.
+    With no decay the term is skipped: `0 * W` is a signed zero, and adding it
+    changes no update of a finite W (a non-finite W fails training either way).
     """
     decay = config.learning_rate * config.weight_decay
+    shrink = np.empty_like(params.W) if decay else None
     for start in range(0, len(order), config.batch_size):
         idx = order[start : start + config.batch_size]
         g = batch_grads(idx, params)
         scale = config.learning_rate / len(idx)
-        params.W_a -= scale * g.W_a + decay * params.W_a
-        params.b_a -= scale * g.b_a
-        params.W_y -= scale * g.W_y + decay * params.W_y
-        params.b_y -= scale * g.b_y
+        g.W *= scale
+        if decay:
+            g.W += np.multiply(params.W, decay, out=shrink)
+        params.W -= g.W
+        g.b *= scale
+        params.b -= g.b
 
 
 def train(
@@ -270,11 +344,14 @@ def train(
         h_dev = provider.embed(dev_set.texts)
         t_a_dev = dev_set.aspects
 
+    def batch_grads(idx, p):
+        hb = h[idx]
+        return gradients(hb, t_a[idx], t_y[idx], mask[idx], p, hb if h_y is h else h_y[idx])
+
     best_score = -math.inf
     best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(params, rng.permutation(n), config,
-                   lambda idx, p: gradients(h[idx], t_a[idx], t_y[idx], mask[idx], p, h_y[idx]))
+        _sgd_epoch(params, rng.permutation(n), config, batch_grads)
         epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
         if not (params.is_finite() and math.isfinite(epoch_loss)):
             raise TrainingError(f"training diverged at epoch {epoch}")
@@ -306,7 +383,8 @@ def predict_batch(
     texts = list(texts)
     h = provider.embed(texts)
     h_y = provider_y.embed(texts) if provider_y is not None else h
-    p_a, p_y = forward_aspect(h, params), forward_sentiment(h_y, params)
+    p = _probs(_logits(h, params, h_y))
+    p_a, p_y = p[:, :_K], p[:, _K:]
     return p_a, p_y, p_a >= thresholds.aspect_threshold, p_y >= thresholds.sentiment_threshold
 
 
@@ -325,20 +403,16 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
         raise ModelError("empty training set")
     h = provider.embed(train_set.texts)
     mask = train_set.aspects
-    s_a = 2.0 * train_set.aspects - 1.0
-    s_y = 2.0 * train_set.negative - 1.0
-    k = len(A_USED)
+    s = 2.0 * np.hstack([train_set.aspects, train_set.negative]) - 1.0  # the target signs
 
     def margin_grads(idx, p):
         # subgradient of sum(max(0, 1 - s * margin)): -s where the hinge is active
         hb = h[idx]
-        coef_a = -s_a[idx] * (1.0 - s_a[idx] * (hb @ p.W_a.T + p.b_a) > 0).astype(float)
-        active_y = (1.0 - s_y[idx] * (hb @ p.W_y.T + p.b_y) > 0).astype(float) * mask[idx]
-        coef_y = -s_y[idx] * active_y
-        return HeadGrads(coef_a.T @ hb, coef_a.sum(axis=0), coef_y.T @ hb, coef_y.sum(axis=0))
+        coef = -s[idx] * (1.0 - s[idx] * _logits(hb, p, hb) > 0).astype(float)
+        coef[:, _K:] *= mask[idx]
+        return HeadGrads(W=_weight_grads(coef, hb, hb), b=coef.sum(axis=0))
 
-    params = HeadParams(np.zeros((k, provider.dim)), np.zeros(k),
-                        np.zeros((k, provider.dim)), np.zeros(k))
+    params = HeadParams.stacked(np.zeros((2 * _K, provider.dim)), np.zeros(2 * _K))
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         _sgd_epoch(params, rng.permutation(len(train_set)), config, margin_grads)
@@ -417,9 +491,48 @@ def _tensor_to_obj(arr: np.ndarray) -> dict:
     }
 
 
-def _tensor_from_obj(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["b64"])
-    return np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"]).copy()
+_B64_CHUNK = 1 << 18  # base64 characters decoded at a time; a multiple of 4
+
+
+def _params_from_tensors(tensors: dict) -> HeadParams:
+    """The `tensors` object of a params file, decoded straight into the stacked
+    `W` and `b` a chunk at a time, so loading holds the heads once (96 MiB at
+    `features.MAX_DIM`) and not a second time as copies."""
+    objs = [files.field(tensors, name, dict) for name in _TENSORS]
+    shape_a, shape_ba, shape_y, shape_by = (files.field(obj, "shape", [int]) for obj in objs)
+    dim = shape_a[-1] if shape_a else -1
+    if dim < 0 or not shape_a == shape_y == [_K, dim]:
+        raise ModelError("weight matrices must be |A_used| x d")
+    if not shape_ba == shape_by == [_K]:
+        raise ModelError("bias vectors must have length |A_used|")
+    # every text is checked before anything is allocated, so a bad shape cannot ask for more
+    # memory than the file's size
+    texts = [_tensor_text(obj, name, size)
+             for obj, name, size in zip(objs, _TENSORS, (_K * dim, _K) * 2)]
+    W = np.empty((2 * _K, dim), dtype="<f8")
+    b = np.empty(2 * _K, dtype="<f8")
+    for out, text, name in zip((W[:_K], b[:_K], W[_K:], b[_K:]), texts, _TENSORS):
+        raw = out.reshape(-1).view(np.uint8)
+        written = 0
+        try:
+            for start in range(0, len(text), _B64_CHUNK):
+                chunk = binascii.a2b_base64(text[start : start + _B64_CHUNK])
+                raw[start // 4 * 3 : start // 4 * 3 + len(chunk)] = np.frombuffer(chunk, np.uint8)
+                written += len(chunk)
+        except binascii.Error as exc:
+            raise ModelError(f"tensor {name} is not base64: {exc}") from None
+        if written != raw.size:  # characters outside the base64 alphabet were skipped
+            raise ModelError(f"tensor {name} is not base64")
+    return HeadParams.stacked(W, b)
+
+
+def _tensor_text(obj: dict, name: str, size: int) -> str:
+    """The base64 text of tensor `name`, checked to be as long as `size` float64 values."""
+    files.field(obj, "dtype", ("<f8",))
+    text = files.field(obj, "b64", str)
+    if len(text) != 4 * -(-8 * size // 3):
+        raise ModelError(f"tensor {name} does not hold {size} float64 values")
+    return text
 
 
 def save_params(path, bundle: ModelBundle) -> None:
@@ -433,12 +546,7 @@ def save_params(path, bundle: ModelBundle) -> None:
         "provider_fingerprint": bundle.fingerprint,
         "aspect_threshold": bundle.aspect_threshold,
         "sentiment_threshold": bundle.sentiment_threshold,
-        "tensors": {
-            "W_a": _tensor_to_obj(bundle.params.W_a),
-            "b_a": _tensor_to_obj(bundle.params.b_a),
-            "W_y": _tensor_to_obj(bundle.params.W_y),
-            "b_y": _tensor_to_obj(bundle.params.b_y),
-        },
+        "tensors": {name: _tensor_to_obj(getattr(bundle.params, name)) for name in _TENSORS},
     }
     files.write_json(path, doc)
 
@@ -460,8 +568,7 @@ def load_params(path) -> ModelBundle:
             raise ModelError("provider_fingerprint does not match the provider object")
         _, provider, _ = providers(provider_config)
         bundle = ModelBundle(
-            params=HeadParams(*(_tensor_from_obj(files.field(tensors, name, dict))
-                                for name in ("W_a", "b_a", "W_y", "b_y"))),
+            params=_params_from_tensors(tensors),
             provider_config=provider_config,
             aspect_threshold=files.field(doc, "aspect_threshold", float),
             sentiment_threshold=files.field(doc, "sentiment_threshold", float),

@@ -1569,6 +1569,33 @@ class TestDomainErrors:
         assert capsys.readouterr().err == (
             f"error: {tmp_path}/corpus.jsonl:3: lone UTF-16 surrogate in: {field!r}\n")
 
+    @pytest.mark.parametrize("file_name, line, edit, argv, where, path", [
+        ("train.jsonl", 3, lambda r: r["tweet"].update(text="china \udc00"),
+         ["split", "--dataset", "{d}/train.jsonl", "--out-dir", "{d}/splits"],
+         "{d}/train.jsonl:3: bad dataset record", "tweet.text"),
+        ("ann.jsonl", 3, lambda r: r.update(tweet_id="\ud800x"), _ADJUDICATE,
+         "{d}/ann.jsonl:3: bad annotation record", "tweet_id"),
+        ("pred.jsonl", 2, lambda r: r.update(group_tags=["us_media", "\ud83d"]), _SERIES,
+         "{d}/pred.jsonl:2: bad prediction record", "group_tags"),
+        ("params.json", 1, lambda doc: doc["tensors"]["W_a"].update(dtype="<f8\udfff"), _INFER,
+         "bad parameter file {d}/params.json", "tensors.W_a.dtype"),
+    ], ids=["dataset", "annotations", "predictions", "params"])
+    def test_lone_surrogate_in_any_json_input_exits_one(self, tmp_path, capsys, file_name, line,
+                                                        edit, argv, where, path):
+        # every JSON reader decodes through files.json_object, which names the key path
+        synth.write_jsonl(tmp_path / "train.jsonl", synth.make_dataset_records(20, seed=3))
+        synth.write_jsonl(tmp_path / "ann.jsonl", synth.make_annotation_records(4, seed=6))
+        _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
+        model.save_params(tmp_path / "params.json", _zero_bundle())
+        lines = (tmp_path / file_name).read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)  # json.dumps writes each surrogate as a \u escape
+        write_lines(tmp_path / file_name, lines)
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where.replace('{d}', str(tmp_path))}: lone UTF-16 surrogate in: {path!r}\n")
+
     @pytest.mark.parametrize("argv, threshold, message", [
         (_TRAIN + ["--sentiment-endpoint", _URL], None,
          "bad provider settings: sentiment_endpoint requires a remote provider"),

@@ -54,3 +54,38 @@ class TestSettings:
     def test_unknown_or_wrong_typed_setting_names_it(self, obj, error):
         with pytest.raises(PipelineError, match=error):
             files.settings(obj, _DECLARED, "s")
+
+
+class TestLoneSurrogates:
+    """`json_object` refuses a string, key or value, that holds a lone UTF-16 surrogate."""
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"a": "x\\ud800"}', "a"),
+        ('{"a": {"b": ["ok", "\\udfff"]}}', "a.b"),
+        ('{"a": {"\\udc00k": 1}}', "a.\udc00k"),
+        ('{"a": "\\ud83d\\ude37", "b": [{"c": "\\ude37\\ud83d"}]}', "b.c"),
+        ('{"a": "\\ud800", "b": "\\ud800"}', "a"),
+    ], ids=["value", "list-item", "key", "reversed-pair", "first-in-document-order"])
+    def test_names_the_key_path(self, text, path):
+        with pytest.raises(files.LoneSurrogateError) as exc:
+            files.json_object(text)
+        assert exc.value.path == path
+        assert str(exc.value) == f"lone UTF-16 surrogate in: {path!r}"
+        str(exc.value).encode("utf-8")  # the message itself holds only escapes
+
+    def test_pairs_and_escaped_backslashes_are_text(self):
+        obj = files.json_object('{"a": "\\ud83d\\ude37 \\\\ud800", "\\u00e9": ["\\u00e9"]}')
+        assert obj == {"a": "\U0001F637 \\ud800", "\u00e9": ["\u00e9"]}
+
+    def test_read_jsonl_names_file_and_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": {"b": "\\udc00"}}\n', encoding="utf-8")
+        with pytest.raises(PipelineError, match=(
+                f"^{path}:3: bad x record: lone UTF-16 surrogate in: 'a.b'$")):
+            list(files.read_jsonl(path, dict, "x"))
+
+    def test_read_json_refuses_one(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{\n "a": "\\ud800"\n}\n', encoding="utf-8")
+        with pytest.raises(files.LoneSurrogateError, match="'a'"):
+            files.read_json(path)

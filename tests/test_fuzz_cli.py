@@ -51,7 +51,7 @@ REPORT_INPUTS = ("dataset.jsonl", "params.json", "pred.jsonl")
 
 DEEP = "[" * 100_000 + "]" * 100_000
 ODD_VALUES = [None, True, 0, -1, 2**70, 10**400, 1e308, float("inf"), float("nan"), 0.5, "",
-              "x", "Politics", "2020-03-01", [], ["x"], {}, {"label": "Negative"}, DEEP]
+              "x", "\ud800x", "Politics", "2020-03-01", [], ["x"], {}, {"label": "Negative"}, DEEP]
 
 
 @pytest.fixture(scope="module")

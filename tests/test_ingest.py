@@ -112,6 +112,11 @@ class TestParseRecord:
             parse_record(line)
         assert exc.value.field == field
 
+    def test_lone_surrogate_outside_the_schema_fields_is_refused_too(self):
+        with pytest.raises(SchemaError, match="lone UTF-16 surrogate") as exc:
+            parse_record(corpus_line(entities={"hashtags": ["\ud800"]}))
+        assert exc.value.field == "entities.hashtags"
+
     def test_escaped_surrogate_pair_and_backslash_u_are_accepted(self):
         t = parse_record(corpus_line(text="china \U0001F637 \\u00e9", tweet_id="\u00e9"))
         assert (t.text, t.id) == ("china \U0001F637 \\u00e9", "\u00e9")

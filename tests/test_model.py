@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -301,6 +302,71 @@ def first(examples: LabeledSet, k: int) -> LabeledSet:
     return LabeledSet(examples.texts[:k], examples.aspects[:k], examples.negative[:k])
 
 
+class TestStackedHeads:
+    """Both heads live in one `W` ([W_a; W_y]) and one `b` ([b_a; b_y])."""
+
+    def test_writing_a_head_view_writes_the_stacked_arrays(self):
+        params = random_params(3, np.random.default_rng(0))
+        assert params.W.shape == (2 * K, 3) and params.W.flags.c_contiguous
+        params.W_a[0] = [1.0, 2.0, 3.0]
+        params.W_y -= 1.0
+        params.b_a[:] = 4.0
+        params.b_y[2] = 5.0
+        assert params.W[0].tolist() == [1.0, 2.0, 3.0]
+        assert np.array_equal(params.W[K:], params.W_y)
+        assert params.b[:K].tolist() == [4.0] * K and params.b[K + 2] == 5.0
+
+    def test_constructor_takes_the_four_tensors_in_order(self):
+        rng = np.random.default_rng(1)
+        tensors = [rng.normal(size=(K, 3)), rng.normal(size=K), rng.normal(size=(K, 3)),
+                   rng.normal(size=K)]
+        params = HeadParams(*tensors)
+        assert np.array_equal(params.W, np.vstack([tensors[0], tensors[2]]))
+        assert np.array_equal(params.b, np.concatenate([tensors[1], tensors[3]]))
+        swapped = HeadParams(params.W_y, params.b_y, params.W_a, params.b_a)
+        assert np.array_equal(swapped.W_a, params.W_y) and np.array_equal(swapped.b_y, params.b_a)
+
+    def test_copy_is_independent(self):
+        params = random_params(3, np.random.default_rng(2))
+        copy = params.copy()
+        copy.W_a[0, 0] += 1.0
+        copy.b_y[0] += 1.0
+        assert copy.W[0, 0] == params.W[0, 0] + 1.0
+        assert copy.b[K] == params.b[K] + 1.0
+
+    @pytest.mark.parametrize("epochs, batch_size", [(3, 11), (2, 45), (1, 50), (0, 8)])
+    def test_train_computes_one_gradient_per_batch(self, monkeypatch, epochs, batch_size):
+        from aspectsent import model
+
+        calls = []
+        real = model.gradients
+        monkeypatch.setattr(model, "gradients", lambda *a: calls.append(1) or real(*a))
+        records = synth.make_dataset_records(45, seed=4)
+        examples = labeled_set([example_from_obj(r) for r in records])
+        train(examples, None, HashedProvider(dim=1024),
+              TrainConfig(epochs=epochs, batch_size=batch_size, seed=0))
+        assert len(calls) == math.ceil(45 / batch_size) * epochs
+
+    def test_load_params_holds_the_heads_once(self, tmp_path):
+        import tracemalloc
+
+        dim = 2**16
+        heads = 2 * K * dim * 8
+        path = tmp_path / "params.json"
+        save_params(path, ModelBundle(random_params(dim, np.random.default_rng(3)), {
+            "kind": "native-hashed", "ngram_max": 1, "dim": dim, "hash_seed": 0}))
+        tracemalloc.start()
+        try:
+            loaded = load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.params.W.base is None and loaded.params.W.nbytes == heads
+        # the file's text, the stacked heads and less than half of them again; decoding
+        # each head whole and stacking copies of them would hold the heads twice
+        assert peak < path.stat().st_size + 1.5 * heads
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
         examples = separable_examples()
@@ -544,6 +610,24 @@ class TestSparseRowsInModel:
         with pytest.raises(ModelError):
             forward_aspect(rows, zero_params(2048))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 300])
+    def test_one_product_for_both_heads_equals_one_per_head(self, n):
+        # training and inference on hashed rows form one 2k-column product for both
+        # heads; each column must come out as the head's own k-column product makes it
+        rng = np.random.default_rng(n)
+        texts = [" ".join(f"w{rng.integers(0, 5000)}" for _ in range(rng.integers(0, 40)))
+                 for _ in range(300)]
+        rows = HashedProvider(ngram_max=2, dim=4096).embed(texts)[rng.permutation(300)[:n]]
+        params = random_params(4096, rng)
+        W_a, W_y = params.W_a.copy(), params.W_y.copy()  # each head on its own, as before
+        both = rows @ params.W.T
+        assert np.array_equal(both[:, :K], rows @ W_a.T)
+        assert np.array_equal(both[:, K:], rows @ W_y.T)
+        d = rng.normal(size=(n, 2 * K))
+        both = d.T @ rows
+        assert np.array_equal(both[:K], np.ascontiguousarray(d[:, :K]).T @ rows)
+        assert np.array_equal(both[K:], np.ascontiguousarray(d[:, K:]).T @ rows)
+
 
 class TestSvmBaseline:
     def test_separable_training_accuracy(self):
@@ -737,6 +821,31 @@ class TestParamsIO:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: "
                                                        "provider_fingerprint")):
+            load_params(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t["W_a"].update(dtype="<f4"), "dtype: expected one of <f8, got '<f4'"),
+        (lambda t: t["W_y"].update(shape=[K, 3]), "weight matrices must be |A_used| x d"),
+        (lambda t: t["b_a"].update(shape=[K + 1]), "bias vectors must have length |A_used|"),
+        # a shape is checked against the text before memory for it is taken
+        (lambda t: [t[name].update(shape=[K, 2**40]) for name in ("W_a", "W_y")],
+         f"tensor W_a does not hold {K * 2**40} float64 values"),
+        (lambda t: t["b_y"].update(b64=t["b_y"]["b64"][:-4]),
+         f"tensor b_y does not hold {K} float64 values"),
+        (lambda t: t["W_y"].update(b64="*" + t["W_y"]["b64"][1:]), "tensor W_y is not base64: "),
+        (lambda t: t["W_y"].update(b64="****" + t["W_y"]["b64"][4:]), "tensor W_y is not base64"),
+        (lambda t: t["b_y"].update(b64=base64.b64encode(np.full(K, np.nan).tobytes()).decode()),
+         "non-finite entries in b_y"),
+    ], ids=["dtype", "weight-shape", "bias-shape", "huge-shape", "short-text", "bad-padding",
+            "not-base64", "nan"])
+    def test_a_bad_tensor_is_refused(self, tmp_path, edit, message):
+        path = tmp_path / "params.json"
+        save_params(path, ModelBundle(random_params(2, np.random.default_rng(0)), {
+            "kind": "remote", "endpoint": "http://e", "dim": 2}))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc["tensors"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: {message}")):
             load_params(path)
 
     def test_version_check(self, tmp_path):
