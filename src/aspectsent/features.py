@@ -116,7 +116,8 @@ class SparseRows:
         starts = self.indptr[:-1]
         nonempty = self.indptr[1:] > starts
         if self.data.size:
-            terms = other[self.indices] * self.data[:, None]
+            terms = other[self.indices]
+            terms *= self.data[:, None]  # in place: the gather is the one (nnz, k) temporary
             out[nonempty] = np.add.reduceat(terms, starts[nonempty], axis=0)
         return out
 
