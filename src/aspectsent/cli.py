@@ -294,10 +294,9 @@ def _cmd_adjudicate(args, file_cfg):
     try:
         annotations = corpus.read_annotations(args.annotations)
     except PipelineError:
-        # an annotation repeats its tweet's id, so a fault in the tweets file is
-        # reported first: that is where a bad id comes from
-        for _ in ingest.iter_corpus(args.tweets) if args.tweets else ():
-            pass
+        if args.tweets:  # an annotation repeats its tweet's id: report a bad id where it comes from
+            for _ in ingest.iter_corpus(args.tweets):
+                pass
         raise
     annotated = {ann.tweet_id for ann in annotations}
     tweets_by_id = None
