@@ -3,13 +3,14 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aspectsent import synth
+from aspectsent import model, synth
 from aspectsent.corpus import (
     A_USED,
     ASPECT_INDEX,
@@ -336,8 +337,6 @@ class TestStackedHeads:
 
     @pytest.mark.parametrize("epochs, batch_size", [(3, 11), (2, 45), (1, 50), (0, 8)])
     def test_train_computes_one_gradient_per_batch(self, monkeypatch, epochs, batch_size):
-        from aspectsent import model
-
         calls = []
         real = model.gradients
         monkeypatch.setattr(model, "gradients", lambda *a: calls.append(1) or real(*a))
@@ -348,8 +347,6 @@ class TestStackedHeads:
         assert len(calls) == math.ceil(45 / batch_size) * epochs
 
     def test_load_params_holds_the_heads_once(self, tmp_path):
-        import tracemalloc
-
         dim = 2**16
         heads = 2 * K * dim * 8
         path = tmp_path / "params.json"
