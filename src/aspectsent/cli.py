@@ -495,8 +495,11 @@ def _cmd_series(args, file_cfg):
     return 0
 
 
+_GRANGER_COLUMNS = ("lag", "n_used", "F", "p")  # the cells of one Granger direction
+
+
 def _granger_cells(cause, effect, lag: int) -> list:
-    """The lag, n_used, F and p cells of one Granger direction; blank if it cannot be tested."""
+    """The `_GRANGER_COLUMNS` cells of one direction; blank but its lag if it cannot be tested."""
     try:
         r = stats.granger_test(cause, effect, lag=lag)
     except stats.UntestableError:
@@ -511,7 +514,7 @@ def _cmd_granger(args, file_cfg):
     x_name, y_name = args.x_name or Path(args.x).stem, args.y_name or Path(args.y).stem
     rows = [[x_name, y_name, *_granger_cells(x, y, lag)],
             [y_name, x_name, *_granger_cells(y, x, lag)]]
-    files.write_csv(args.out, ["cause", "effect", "lag", "n_used", "F", "p"], rows)
+    files.write_csv(args.out, ["cause", "effect", *_GRANGER_COLUMNS], rows)
     _write_meta(args.out, {"x": args.x, "y": args.y, "lag": lag})
     for cause, effect, _, _, f_stat, p in rows:
         tested = f"F={float(f_stat):.4f} p={float(p):.4f}" if f_stat else "not tested"
@@ -598,16 +601,14 @@ def _cmd_report(args, file_cfg):
                        for a in corpus.A_USED for key, mode in modes.items()}
             media, public = (_series_map(source, columns, 1, min(days), max(days))
                              for source in (media_rows, rows))
-            tables[name] = (key_columns + ["direction", "lag", "n_used", "F", "p"], [
+            tables[name] = (key_columns + ["direction", *_GRANGER_COLUMNS], [
                 [*key, direction, *_granger_cells(cause, effect, lag)] for key in columns
                 for cause, effect, direction in ((media[key], public[key], "media->public"),
                                                  (public[key], media[key], "public->media"))])
 
     if rows and selectors:
-        for mode, name in (
-            ("aspect-proportion", "table7_group_aspects.csv"),
-            ("sentiment-mean", "table8_group_sentiments.csv"),
-        ):
+        for mode, name in (("aspect-proportion", "table7_group_aspects.csv"),
+                           ("sentiment-mean", "table8_group_sentiments.csv")):
             tables[name] = _group_table(rows, *selectors, mode)
 
     if not tables:

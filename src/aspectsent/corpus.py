@@ -209,22 +209,25 @@ def labeled_set(examples: Sequence[AdjudicatedExample]) -> LabeledSet:
     return LabeledSet(texts, aspects, negative)
 
 
-def split(dataset: Sequence, seed: int, ratios: Sequence[int] = (8, 1, 1)) -> tuple[list, ...]:
-    """Disjoint, exhaustive split with sizes within +/-1 of exact proportions.
+SPLIT_RATIOS = (8, 1, 1)  # train : dev : test
 
-    The partition is a pure function of (len(dataset), seed, ratios); members
-    keep their original relative order inside each part.
+
+def split(dataset: Sequence, seed: int) -> tuple[list, ...]:
+    """Disjoint, exhaustive train/dev/test split, sizes within +/-1 of `SPLIT_RATIOS`.
+
+    The partition is a pure function of (len(dataset), seed); members keep
+    their original relative order inside each part.
     """
     n = len(dataset)
     if n < 10:
         raise InputError(f"dataset too small to split: {n} < 10")
     if seed < 0:  # random.Random(-s) is random.Random(s)
         raise InputError(f"split seed must be >= 0, got {seed}")
-    total = sum(ratios)
+    total = sum(SPLIT_RATIOS)
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
-    sizes = [math.floor(n * r / total + 0.5) for r in ratios[1:]]
+    sizes = [math.floor(n * r / total + 0.5) for r in SPLIT_RATIOS[1:]]
     sizes.insert(0, n - sum(sizes))
     parts: list[list] = []
     pos = 0

@@ -428,13 +428,8 @@ class ConfidentCandidate:
     probability: float
 
 
-def select_confident(
-    pool: Iterable[tuple[str, str]],
-    provider,
-    params,
-    threshold: float = 0.90,
-    cap: int = 300,
-) -> dict[Aspect, list[ConfidentCandidate]]:
+def select_confident(pool: Iterable[tuple[str, str]], provider, params, threshold: float,
+                     cap: int) -> dict[Aspect, list[ConfidentCandidate]]:
     """Per aspect, up to `cap` pool texts with detection probability >= threshold.
 
     `pool` is (tweet_id, text) pairs, embedded in `iter_chunks` blocks so a

@@ -21,6 +21,7 @@ from aspectsent.features import providers
 from aspectsent.stats import DailySeries
 
 from conftest import corpus_line
+from test_docs import report_files
 from datetime import date, timedelta
 
 D0 = date(2020, 3, 1)
@@ -1208,6 +1209,12 @@ class TestReport:
         }}), encoding="utf-8")
         out_dir = tmp_path / "report"
         assert main(["report", "-c", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        # README's Report files table names every file written and its header row
+        listed = report_files()
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == sorted(listed)
+        for name, columns in listed.items():
+            with open(out_dir / name, encoding="utf-8", newline="") as fh:
+                assert next(csv.reader(fh)) == columns, name
 
         table1, table2 = tmp_path / "table1.csv", tmp_path / "table2.csv"
         assert main(["stats-dataset", "--dataset", str(splits / "train.jsonl"),
@@ -1579,7 +1586,10 @@ class TestDomainErrors:
          "{d}/pred.jsonl:2: bad prediction record", "group_tags"),
         ("params.json", 1, lambda doc: doc["tensors"]["W_a"].update(dtype="<f8\udfff"), _INFER,
          "bad parameter file {d}/params.json", "tensors.W_a.dtype"),
-    ], ids=["dataset", "annotations", "predictions", "params"])
+        ("config.json", 1, lambda doc: doc["report"].update(group_a="\ud800x"),
+         ["report", "-c", "{d}/config.json", "--out-dir", "{d}/r"],
+         "bad config file {d}/config.json", "report.group_a"),
+    ], ids=["dataset", "annotations", "predictions", "params", "config"])
     def test_lone_surrogate_in_any_json_input_exits_one(self, tmp_path, capsys, file_name, line,
                                                         edit, argv, where, path):
         # every JSON reader decodes through files.json_object, which names the key path
@@ -1587,6 +1597,8 @@ class TestDomainErrors:
         synth.write_jsonl(tmp_path / "ann.jsonl", synth.make_annotation_records(4, seed=6))
         _write_predictions(tmp_path / "pred.jsonl", _prediction_rows())
         model.save_params(tmp_path / "params.json", _zero_bundle())
+        (tmp_path / "config.json").write_text(json.dumps({"report": {"group_a": "bots"}}),
+                                              encoding="utf-8")
         lines = (tmp_path / file_name).read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[line - 1])
         edit(record)

@@ -362,7 +362,7 @@ class TestSelectConfident:
         from aspectsent.features import HashedProvider
 
         provider = HashedProvider()
-        assert model.select_confident([], provider, init_params(provider.dim, 0)) == {}
+        assert model.select_confident([], provider, init_params(provider.dim, 0), 0.9, 300) == {}
 
     def test_probability_fixture(self):
         # Zero weights, biases chosen so only Racism clears the threshold.
@@ -377,7 +377,7 @@ class TestSelectConfident:
         b_a[corpus.ASPECT_INDEX[Aspect.RACISM]] = math.log(0.95 / 0.05)
         params = HeadParams(np.zeros((k, d)), b_a, np.zeros((k, d)), np.zeros(k))
         pool = [("id2", "second text"), ("id1", "first text")]
-        got = model.select_confident(pool, provider, params, threshold=0.9)
+        got = model.select_confident(pool, provider, params, threshold=0.9, cap=300)
         assert set(got) == {Aspect.RACISM}
         assert [c.tweet_id for c in got[Aspect.RACISM]] == ["id1", "id2"]  # tie -> id order
         for c in got[Aspect.RACISM]:

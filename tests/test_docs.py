@@ -1,5 +1,7 @@
 """README against the code: its Configuration table against the settings and flags
-the CLI declares, and each `<module>.<name>` it cites against the package."""
+the CLI declares, and each `<module>.<name>` it cites against the package. Its
+Report files table is checked against the files `report` writes in
+`tests/test_cli.py`, where a full report runs."""
 
 import argparse
 import importlib
@@ -12,22 +14,39 @@ from aspectsent import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def settings_table() -> list[tuple[str, str, str | None]]:
-    """(section, key, flag or None) for each key in README's Configuration table,
-    in table order; a row with an empty section cell continues the one above."""
-    text = README.read_text(encoding="utf-8")
-    lines = text[text.index("### Configuration"):].splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("| section |"))
-    out, section = [], None
+def readme_table(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table after README's line that
+    starts with `heading`, in table order."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    start = next(i for i in range(at, len(lines)) if lines[i].startswith("|"))
+    rows = []
     for line in lines[start + 2:]:  # after the header and its |---| rule
         if not line.startswith("|"):
             break
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        assert len(cells) == 5, line
+        rows.append([c.strip() for c in line.strip().strip("|").split("|")])
+    return rows
+
+
+def settings_table() -> list[tuple[str, str, str | None]]:
+    """(section, key, flag or None) for each key in README's Configuration table,
+    in table order; a row with an empty section cell continues the one above."""
+    out, section = [], None
+    for cells in readme_table("### Configuration"):
+        assert len(cells) == 5, cells
         section = cells[0].strip("`") or section
         flag = cells[4].strip("`") or None
         out += [(section, key, flag) for key in re.findall(r"`([^`]+)`", cells[1])]
     return out
+
+
+def report_files() -> dict[str, list[str]]:
+    """File name -> columns, in order, of each row of README's Report files table."""
+    rows = readme_table("**Report files**")
+    assert all(len(cells) == 4 for cells in rows), rows
+    listed = {cells[0].strip("`"): cells[1].strip("`").split(",") for cells in rows}
+    assert len(listed) == len(rows), "a report file is listed twice"
+    return listed
 
 
 def parser_flags() -> set[tuple[str, str]]:
