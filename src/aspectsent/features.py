@@ -60,8 +60,10 @@ class SparseRows:
 
     * `rows @ M` for a dense (dim, k) M, as a gather-sum: each output row is
       summed from that row's own entries alone;
-    * `D @ rows` for a dense (k, n) D, as a scatter-add into a (k, dim) array;
-    * `rows[idx]` for a slice or an index array, selecting rows.
+    * `D @ rows` for a dense (k, n) D, as a scatter-add into a (k, dim) array,
+      and `rows.rmatmul_touched(D)`, the same sums over the touched columns only;
+    * `rows[idx]` for a slice or an index array, selecting rows. A contiguous
+      slice is a view: it shares the arrays, which nothing writes into.
 
     Implicit densification (`np.asarray`, `np.stack`, any other numpy
     function but `np.count_nonzero`) raises TypeError; `toarray()` is the
@@ -97,6 +99,11 @@ class SparseRows:
         return out
 
     def __getitem__(self, key) -> "SparseRows":
+        if isinstance(key, slice) and key.step in (None, 1):
+            start, stop, _ = key.indices(self.shape[0])
+            lo, hi = self.indptr[start], self.indptr[max(start, stop)]
+            return SparseRows(self.indptr[start : max(start, stop) + 1] - lo,
+                              self.indices[lo:hi], self.data[lo:hi], self.dim)
         rows = np.arange(self.shape[0])[key]
         if rows.ndim != 1:
             raise TypeError("SparseRows selects rows by slice or index array only")
@@ -131,6 +138,28 @@ class SparseRows:
         cols = np.arange(k)[:, None] * self.dim + self.indices
         out = np.bincount(cols.ravel(), weights=weights.ravel(), minlength=k * self.dim)
         return out.reshape(k, self.dim)
+
+    def rmatmul_touched(self, other) -> tuple[np.ndarray, np.ndarray]:
+        """`other @ self` over the columns these rows touch, as `(cols, out)`.
+
+        `cols` holds the touched columns, ascending, found with a dim-sized mark
+        array rather than a sort. `out` equals `(other @ self)[:, cols]` bit for
+        bit: each of its bins adds the same products in the same (stored-entry)
+        order from +0.0 as `__rmatmul__`'s, but there are k * len(cols) bins, not
+        k * dim. `out.T` is C-contiguous: feature-major, one row per column.
+        """
+        if not isinstance(other, np.ndarray) or other.ndim != 2 or other.shape[1] != self.shape[0]:
+            raise ValueError(f"cannot multiply {np.shape(other)} by {self.shape} rows")
+        k = other.shape[0]
+        mark = np.zeros(self.dim, dtype=bool)
+        mark[self.indices] = True
+        cols = np.flatnonzero(mark)
+        slot = np.empty(self.dim, dtype=np.intp)
+        slot[cols] = np.arange(cols.size)
+        bins = slot[self.indices] * k + np.arange(k)[:, None]
+        weights = np.repeat(other, np.diff(self.indptr), axis=1) * self.data
+        out = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=cols.size * k)
+        return cols, out.reshape(cols.size, k).astype(float, copy=False).T
 
     def __array__(self, dtype=None, copy=None):
         raise TypeError("SparseRows does not densify implicitly; call .toarray()")

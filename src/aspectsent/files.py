@@ -19,7 +19,7 @@ import re
 import reprlib
 import sys
 from contextlib import contextmanager
-from enum import Enum
+from enum import EnumMeta
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -137,7 +137,16 @@ _MAX_FLOAT_INT = int(sys.float_info.max)  # the largest integer a float kind tak
 def _checked(value, kind):
     if type(value) is kind:
         return value
-    if isinstance(kind, tuple):
+    if isinstance(kind, EnumMeta):  # first: label fields are Enum-valued
+        try:  # the lookup `kind(value)` makes first, without its call overhead
+            return kind._value2member_map_[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            pass
+        try:
+            return kind(value)
+        except ValueError:
+            expected = "one of " + ", ".join(m.value for m in kind)
+    elif isinstance(kind, tuple):
         if value in kind and not isinstance(value, bool):  # True == 1
             return value
         expected = "one of " + ", ".join(map(str, kind))
@@ -150,11 +159,6 @@ def _checked(value, kind):
             [(key_kind, value_kind)] = kind.items()
             return {_checked(k, key_kind): _checked(v, value_kind) for k, v in value.items()}
         expected = "an object"
-    elif issubclass(kind, Enum):
-        try:
-            return kind(value)
-        except ValueError:
-            expected = "one of " + ", ".join(m.value for m in kind)
     elif kind is float and type(value) is int and abs(value) <= _MAX_FLOAT_INT:
         return float(value)
     elif isinstance(value, kind) and not isinstance(value, bool):  # a bool is an int
@@ -231,12 +235,16 @@ def write_json(path, doc, indent=None) -> None:
         fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
+# `json.dumps` with a keyword other than its defaults builds an encoder per call
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path, objs: Iterable[dict]) -> int:
     """One compact JSON object per line, non-ASCII kept as is; returns the line count."""
     count = 0
     with _atomic_output(path) as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_JSONL_ENCODER.encode(obj) + "\n")
             count += 1
     return count
 

@@ -15,6 +15,18 @@ both heads read the same sparse rows, one product computes both heads'
 logits (and one their weight gradients); a params file still holds the four
 tensors.
 
+Training on hashed rows with no weight decay holds `W` feature-major for its
+length: `W.T` (d x 2k) is the C-contiguous array, so a sparse product gathers
+whole rows of it, and each step updates only the columns of `W` (rows of
+`W.T`) that its batch touches, from a gradient over those columns alone. A
+column no row of the batch touches has a +0.0 gradient, and `W - (+0.0)` is
+`W`, so the result is the dense update's to the bit. Weight decay shrinks
+every column at every step, so with decay > 0 (and for dense rows, which
+touch every column) each step stays dense over a row-major `W`. The rows of
+a hashed training are permuted once per epoch, so a batch is a contiguous
+slice of them; dense rows are gathered a batch at a time. `train` returns
+row-major heads either way.
+
 Losses are accumulated with exact (fsum) summation, so full-batch loss is
 invariant under any permutation of the batch.
 """
@@ -94,8 +106,9 @@ class HeadParams(_Heads):
 
     @classmethod
     def stacked(cls, W: np.ndarray, b: np.ndarray) -> "HeadParams":
-        """The heads whose stacked tensors are `W` (2k x d, float64, C-contiguous)
-        and `b` (2k), held as they are, without a copy."""
+        """The heads whose stacked tensors are `W` (2k x d, float64; C-contiguous,
+        or feature-major within a training) and `b` (2k), held as they are,
+        without a copy."""
         params = cls.__new__(cls)
         params._hold(W, b)
         return params
@@ -111,6 +124,7 @@ class HeadParams(_Heads):
         return self.W.shape[1]
 
     def copy(self) -> "HeadParams":
+        """A copy, with a C-contiguous `W` whatever the layout of this one."""
         return HeadParams.stacked(self.W.copy(), self.b.copy())
 
     def is_finite(self) -> bool:
@@ -152,13 +166,16 @@ def _check_thresholds(config: TrainConfig | ModelBundle) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) where z >= 0, and e^z / (1 + e^z) elsewhere, so no exp overflows.
+
+    Both forms are computed everywhere from e = exp(-|z|), which is exp(-z)
+    where z >= 0 and exp(z) elsewhere, and each entry takes its sign's form:
+    the bits of two boolean-masked passes, in a few whole-array ones.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    one_e = 1.0 + e
+    return np.where(z >= 0, 1.0 / one_e, e / one_e)
 
 
 def _product(h: np.ndarray | SparseRows, W: np.ndarray) -> np.ndarray:
@@ -194,11 +211,17 @@ def _logits(h, params: HeadParams, h_y) -> np.ndarray:
     return z
 
 
-def _weight_grads(d: np.ndarray, h, h_y) -> np.ndarray:
-    """`d[:, :k].T @ h` stacked over `d[:, k:].T @ h_y`, (2k, d)."""
-    if _shares_product(h, h_y):
-        return d.T @ h
-    return np.concatenate([d[:, :_K].T @ h, d[:, _K:].T @ h_y])
+def _grads(d: np.ndarray, h, h_y, touched: bool = False) -> HeadGrads:
+    """The gradient whose logit residuals are `d` (n, 2k): `W` stacks `d[:, :k].T @ h`
+    over `d[:, k:].T @ h_y`, and `b` sums `d` over the rows. With `touched`, and one
+    `SparseRows` for both heads, `W` holds only the columns `cols` that it touches."""
+    b = d.sum(axis=0)
+    if not _shares_product(h, h_y):
+        return HeadGrads(np.concatenate([d[:, :_K].T @ h, d[:, _K:].T @ h_y]), b)
+    if touched:
+        cols, W = h.rmatmul_touched(d.T)
+        return HeadGrads(W, b, cols)
+    return HeadGrads(d.T @ h, b)
 
 
 def forward_aspect(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
@@ -221,21 +244,24 @@ def _bce_terms(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def loss_aspect(p_a: np.ndarray, t_a: np.ndarray) -> float:
     """Binary cross-entropy summed over all aspect slots (and batch rows)."""
-    return math.fsum(_bce_terms(p_a, t_a).ravel())
+    return math.fsum(_bce_terms(p_a, t_a).ravel().tolist())  # a list: fsum reads it faster
 
 
 def loss_sentiment(p_y: np.ndarray, t_y: np.ndarray, mask: np.ndarray) -> float:
     """Binary cross-entropy summed only over slots where mask = 1."""
     terms = _bce_terms(p_y, t_y) * np.asarray(mask, dtype=float)
-    return math.fsum(terms.ravel())
+    return math.fsum(terms.ravel().tolist())
 
 
 @dataclass
 class HeadGrads(_Heads):
-    """A gradient of both heads, stacked as `HeadParams` stacks them."""
+    """A gradient of both heads, stacked as `HeadParams` stacks them. With `cols`,
+    `W` (2k x len(cols)) holds those columns of the weight gradient, and every
+    other column is +0.0."""
 
     W: np.ndarray
     b: np.ndarray
+    cols: np.ndarray | None = None
 
 
 def gradients(
@@ -245,13 +271,16 @@ def gradients(
     mask: np.ndarray,
     params: HeadParams,
     h_y: np.ndarray | SparseRows | None = None,
+    touched: bool = False,
 ) -> HeadGrads:
     """Analytic gradient of L_a + L_y, summed over the batch.
 
     Uses the sigmoid-BCE identity dL/dz = p - t, masked for the sentiment
     head. `h` is an (n, d) batch of dense or `SparseRows` embeddings; `h_y`
     supplies separate sentiment-stage embeddings when two representations are
-    in use and defaults to `h`.
+    in use and defaults to `h`. With `touched`, and `h` a `SparseRows` used for
+    both heads, the weight gradient covers only the columns `h` touches
+    (`HeadGrads.cols`).
     """
     if h_y is None:
         h_y = h
@@ -265,7 +294,7 @@ def gradients(
     d[:, :_K] -= t_a
     d[:, _K:] -= t_y
     d[:, _K:] *= mask
-    return HeadGrads(W=_weight_grads(d, h, h_y), b=d.sum(axis=0))
+    return _grads(d, h, h_y, touched)
 
 
 def _init_from_rng(rng: np.random.Generator, dim: int) -> HeadParams:
@@ -289,27 +318,68 @@ def full_loss(h, t_a, t_y, mask, params, h_y=None) -> float:
     return loss_aspect(p[..., :_K], t_a) + loss_sentiment(p[..., _K:], t_y, mask)
 
 
-def _sgd_epoch(params: HeadParams, order: np.ndarray, config: TrainConfig, batch_grads) -> None:
-    """One epoch of mini-batch descent over the examples in `order`, in place.
+def _touches_columns(h, h_y, config: TrainConfig) -> bool:
+    """Whether each training step updates only the columns its batch touches: one
+    `SparseRows` serves both heads, and no weight decay shrinks the other columns."""
+    return _shares_product(h, h_y) and not config.weight_decay
 
-    `batch_grads(idx, params)` returns the batch's summed `HeadGrads`; the
-    update divides it by the batch size so the learning rate is batch-size
-    independent, and L2 weight decay shrinks the weight matrices only.
-    Each step is `W -= scale * g.W + decay * W`, computed in `g` and one reused
-    buffer: IEEE multiplication and addition commute, so the bits are the same.
-    With no decay the term is skipped: `0 * W` is a signed zero, and adding it
-    changes no update of a finite W (a non-finite W fails training either way).
+
+def _laid_out(params: HeadParams, feature_major: bool) -> HeadParams:
+    """`params` with `W` held feature-major (`W.T` C-contiguous) or row-major (`W`
+    C-contiguous); a copy only where the layout changes."""
+    W = np.ascontiguousarray(params.W.T).T if feature_major else np.ascontiguousarray(params.W)
+    return HeadParams.stacked(W, params.b)
+
+
+def _mini_batches(order: np.ndarray, size: int, h, h_y, targets: np.ndarray):
+    """One epoch's mini-batches of the examples in `order`, each as (rows,
+    sentiment rows, targets); where `h_y is h`, each batch's are one object too.
+
+    The targets and any `SparseRows` are permuted once, so that a batch of them
+    is a contiguous slice; dense rows are gathered a batch at a time, so that
+    no more than a batch of them is copied.
+    """
+
+    def permuted(x):
+        return x[order] if isinstance(x, SparseRows) else x
+
+    def batch(x, rows: slice):
+        return x[rows] if isinstance(x, SparseRows) else x[order[rows]]
+
+    epoch_h = permuted(h)
+    epoch_h_y = epoch_h if h_y is h else permuted(h_y)
+    targets = targets[order]
+    for start in range(0, len(order), size):
+        rows = slice(start, start + size)
+        hb = batch(epoch_h, rows)
+        yield hb, hb if h_y is h else batch(epoch_h_y, rows), targets[rows]
+
+
+def _sgd_epoch(params: HeadParams, batches, config: TrainConfig, batch_grads) -> None:
+    """One epoch of mini-batch descent over `batches` (from `_mini_batches`), in place.
+
+    `batch_grads(rows, rows_y, targets, params)` returns the batch's summed
+    `HeadGrads`; the update divides it by the batch size so the learning rate
+    is batch-size independent, and L2 weight decay shrinks the weight matrices
+    only. Each step is `W -= scale * g.W + decay * W`, computed in `g` and one
+    reused buffer: IEEE multiplication and addition commute, so the bits are
+    the same. With no decay the term is skipped: `0 * W` is a signed zero, and
+    adding it changes no update of a finite W (a non-finite W fails training
+    either way). A gradient over the touched columns only (`g.cols`, given with
+    no decay) updates those columns alone, as rows of the feature-major `W.T`.
     """
     decay = config.learning_rate * config.weight_decay
     shrink = np.empty_like(params.W) if decay else None
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start : start + config.batch_size]
-        g = batch_grads(idx, params)
-        scale = config.learning_rate / len(idx)
+    for batch in batches:
+        g = batch_grads(*batch, params)
+        scale = config.learning_rate / len(batch[-1])
         g.W *= scale
-        if decay:
-            g.W += np.multiply(params.W, decay, out=shrink)
-        params.W -= g.W
+        if g.cols is not None:
+            params.W.T[g.cols] -= g.W.T
+        else:
+            if decay:
+                g.W += np.multiply(params.W, decay, out=shrink)
+            params.W -= g.W
         g.b *= scale
         params.b -= g.b
 
@@ -334,24 +404,26 @@ def train(
     h = provider.embed(train_set.texts)
     h_y = provider_y.embed(train_set.texts) if provider_y is not None else h
     t_a, t_y, mask = train_set.aspects, train_set.negative, train_set.aspects
+    targets = np.hstack([t_a, t_y, mask])
     n = len(train_set)
+    touched = _touches_columns(h, h_y, config)
 
     rng = np.random.default_rng(config.seed)
-    params = _init_from_rng(rng, provider.dim)
+    params = _laid_out(_init_from_rng(rng, provider.dim), feature_major=touched)
 
     h_dev = t_a_dev = None
     if dev_set:
         h_dev = provider.embed(dev_set.texts)
         t_a_dev = dev_set.aspects
 
-    def batch_grads(idx, p):
-        hb = h[idx]
-        return gradients(hb, t_a[idx], t_y[idx], mask[idx], p, hb if h_y is h else h_y[idx])
+    def batch_grads(hb, hb_y, tb, p):
+        return gradients(hb, tb[:, :_K], tb[:, _K : 2 * _K], tb[:, 2 * _K :], p, hb_y, touched)
 
     best_score = -math.inf
     best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(params, rng.permutation(n), config, batch_grads)
+        batches = _mini_batches(rng.permutation(n), config.batch_size, h, h_y, targets)
+        _sgd_epoch(params, batches, config, batch_grads)
         epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
         if not (params.is_finite() and math.isfinite(epoch_loss)):
             raise TrainingError(f"training diverged at epoch {epoch}")
@@ -363,7 +435,8 @@ def train(
                 best_score = score
                 best_params = params.copy()
 
-    return best_params if h_dev is not None and config.epochs > 0 else params
+    return _laid_out(best_params if h_dev is not None and config.epochs > 0 else params,
+                     feature_major=False)
 
 
 def predict_batch(
@@ -402,23 +475,26 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
     if not train_set:
         raise ModelError("empty training set")
     h = provider.embed(train_set.texts)
-    mask = train_set.aspects
     s = 2.0 * np.hstack([train_set.aspects, train_set.negative]) - 1.0  # the target signs
+    targets = np.hstack([s, train_set.aspects])  # the signs, then the sentiment mask
+    touched = _touches_columns(h, h, config)
 
-    def margin_grads(idx, p):
+    def margin_grads(hb, hb_y, tb, p):
         # subgradient of sum(max(0, 1 - s * margin)): -s where the hinge is active
-        hb = h[idx]
-        coef = -s[idx] * (1.0 - s[idx] * _logits(hb, p, hb) > 0).astype(float)
-        coef[:, _K:] *= mask[idx]
-        return HeadGrads(W=_weight_grads(coef, hb, hb), b=coef.sum(axis=0))
+        sb = tb[:, : 2 * _K]
+        coef = -sb * (1.0 - sb * _logits(hb, p, hb_y) > 0).astype(float)
+        coef[:, _K:] *= tb[:, 2 * _K :]
+        return _grads(coef, hb, hb_y, touched)
 
-    params = HeadParams.stacked(np.zeros((2 * _K, provider.dim)), np.zeros(2 * _K))
+    zeros = HeadParams.stacked(np.zeros((2 * _K, provider.dim)), np.zeros(2 * _K))
+    params = _laid_out(zeros, feature_major=touched)
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        _sgd_epoch(params, rng.permutation(len(train_set)), config, margin_grads)
+        batches = _mini_batches(rng.permutation(len(train_set)), config.batch_size, h, h, targets)
+        _sgd_epoch(params, batches, config, margin_grads)
     if not params.is_finite():
         raise TrainingError("hinge baseline training diverged")
-    return params
+    return _laid_out(params, feature_major=False)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,35 @@ class TestSparseRows:
         np.testing.assert_allclose(rows @ W.T, dense @ W.T, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(D.T @ rows, D.T @ dense, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("texts", [
+        ["china news", "", "china china virus", "news today", ""],  # empty rows, a shared column
+        ["china news today"],  # one row
+        ["", ""],  # no column touched
+        ["virus"] * 4,  # one column in every row
+    ])
+    def test_touched_column_product_equals_the_full_one_bit_for_bit(self, texts):
+        rows = HashedProvider(ngram_max=2, dim=1024).embed(texts)
+        D = np.random.default_rng(len(texts)).normal(size=(12, len(texts)))
+        D[0, 0] = -0.0  # a signed-zero product, which a sum from +0.0 turns into +0.0
+        cols, out = rows.rmatmul_touched(D)
+        assert np.array_equal(cols, np.unique(rows.indices))
+        full = D @ rows
+        assert out.shape == (12, cols.size)
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(full[:, cols]).tobytes()
+        assert out.T.flags.c_contiguous
+        assert not np.delete(full, cols, axis=1).any()
+        with pytest.raises(ValueError):
+            rows.rmatmul_touched(np.zeros((12, len(texts) + 1)))
+
+    def test_contiguous_slices_select_the_same_rows(self):
+        texts = ["china news", "", "china china virus", "news today", "wuhan"]
+        rows = HashedProvider(ngram_max=2, dim=1024).embed(texts)
+        dense = rows.toarray()
+        for key in (slice(1, 4), slice(None, 2), slice(3, None), slice(-2, None), slice(4, 1),
+                    slice(2, 99), slice(0, 5, 1), slice(1, 1)):
+            assert np.array_equal(rows[key].toarray(), dense[key]), key
+            assert np.array_equal(rows[key].indices, rows[np.arange(5)[key]].indices), key
+
     def test_row_products_depend_on_the_row_alone(self):
         provider = HashedProvider(ngram_max=2, dim=1024)
         texts = [f"china news {i} " * (i % 5) for i in range(40)]

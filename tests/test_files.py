@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from aspectsent import files
+from aspectsent.corpus import Aspect, BinarySentiment, Sentiment
 from aspectsent.errors import PipelineError
 
 
@@ -30,6 +33,43 @@ class TestFieldNumbers:
     def test_int_takes_only_integers(self, value):
         with pytest.raises(PipelineError, match="^x: expected int"):
             files.field({"x": value}, "x", int)
+
+
+_ASPECTS = "Politics, Economy, Foreign, Culture, Situation, Measures, Racism, Overall"
+
+
+class TestFieldEnums:
+    """An Enum kind returns the member whose value it is given, and names its values otherwise."""
+
+    @pytest.mark.parametrize("value, kind, member", [
+        ("Politics", Aspect, Aspect.POLITICS),
+        (Aspect.RACISM, Aspect, Aspect.RACISM),
+        (Sentiment.NEGATIVE, BinarySentiment, BinarySentiment.NEGATIVE),  # a str equal to a value
+    ])
+    def test_a_value_or_a_member_gives_the_member(self, value, kind, member):
+        assert files.field({"x": value}, "x", kind) is member
+        assert files.field({"x": [value]}, "x", [kind]) == [member]
+
+    @pytest.mark.parametrize("value, shown", [
+        ("politics", "'politics'"),
+        (["Politics"], r"\['Politics'\]"),  # unhashable
+        (True, "True"),
+        (1, "1"),
+        ({"Politics": 1}, r"\{'Politics': 1\}"),
+        (Sentiment.NEGATIVE, "<Sentiment.NE...E: 'Negative'>"),
+    ])
+    def test_anything_else_names_the_values(self, value, shown):
+        with pytest.raises(PipelineError, match=f"^x: expected one of {_ASPECTS}, got {shown}$"):
+            files.field({"x": value}, "x", Aspect)
+        with pytest.raises(PipelineError, match=f"^x: expected one of {_ASPECTS}, got {shown}$"):
+            files.field({"x": {"Politics": value}}, "x", {Aspect: Aspect})
+
+
+def test_write_jsonl_writes_what_json_dumps_gives(tmp_path):
+    objs = [{"text": "數據 ✓ \u00e9", "n": 1.5, "tags": ["a", None]}, {"b": True, "q": '"\\'}]
+    assert files.write_jsonl(tmp_path / "x.jsonl", objs) == 2
+    expected = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    assert (tmp_path / "x.jsonl").read_text(encoding="utf-8") == expected
 
 
 _DECLARED = {"lag": (int, 1), "path": (str, None)}

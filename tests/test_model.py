@@ -96,6 +96,16 @@ class TestForward:
         assert 0.0 < p[0] < 1.0  # saturation is clamped away from the bounds
         assert 0.0 < p[1] < 1.0
 
+    def test_sigmoid_takes_each_sign_s_form_bit_for_bit(self):
+        z = np.random.default_rng(0).normal(scale=30.0, size=500)
+        z[:10] = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-320, -1e-320, 36.7, -36.7]
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        assert model._sigmoid(z).tobytes() == expected.tobytes()
+        assert np.isnan(model._sigmoid(np.array([np.nan]))).all()
+
     def test_sentiment_head_mirrors_aspect_head(self):
         rng = np.random.default_rng(0)
         params = random_params(3, rng)
@@ -395,6 +405,18 @@ class TestTrain:
             train(examples, None, provider, cfg)
         assert "epoch" in str(exc.value)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_returned_heads_are_row_major(self, weight_decay):
+        # a hashed training with no decay holds W feature-major; what it returns is not
+        examples = separable_examples()
+        provider = HashedProvider(dim=1024)
+        cfg = TrainConfig(epochs=2, seed=5, batch_size=8, weight_decay=weight_decay)
+        for params in (train(examples, None, provider, cfg),
+                       train(examples, first(examples, 4), provider, cfg),
+                       train_svm_baseline(examples, cfg, provider)):
+            assert params.W.shape == (2 * K, 1024)
+            assert params.W.flags.c_contiguous
+
     def test_empty_train_set_rejected(self):
         provider = HashedProvider(dim=1024)
         with pytest.raises(ModelError):
@@ -602,6 +624,20 @@ class TestSparseRowsInModel:
             rtol=self.RTOL, atol=self.ATOL,
         )
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_touched_gradient_is_the_full_one_over_its_columns(self, seed):
+        rows, t_a, t_y, mask, params = self._batch(seed)
+        full = gradients(rows, t_a, t_y, mask, params)
+        touched = gradients(rows, t_a, t_y, mask, params, touched=True)
+        assert full.cols is None
+        assert np.array_equal(touched.cols, np.unique(rows.indices))
+        assert touched.W.tobytes() == np.ascontiguousarray(full.W[:, touched.cols]).tobytes()
+        assert touched.b.tobytes() == full.b.tobytes()
+        assert not np.delete(full.W, touched.cols, axis=1).any()
+        # dense rows, or two representations, have no touched columns to restrict to
+        assert gradients(rows.toarray(), t_a, t_y, mask, params, touched=True).cols is None
+        assert gradients(rows, t_a, t_y, mask, params, rows[:], touched=True).cols is None
+
     def test_dim_mismatch_is_model_error(self):
         rows, *_ = self._batch(0)
         with pytest.raises(ModelError):
@@ -692,12 +728,17 @@ class TestSvmBaseline:
                 b_y -= scale * coef.sum(axis=0)
         return W_a, b_a, W_y, b_y
 
-    @pytest.mark.parametrize("batch_size", [7, 32])
-    def test_matches_reference_loop_with_decay_and_ragged_batches(self, batch_size):
+    @pytest.mark.parametrize("batch_size, weight_decay", [
+        pytest.param(7, 0.01, id="7"),
+        pytest.param(32, 0.01, id="32"),
+        pytest.param(7, 0.0, id="7-no-decay"),  # steps over the touched columns only
+        pytest.param(32, 0.0, id="32-no-decay"),
+    ])
+    def test_matches_reference_loop_with_decay_and_ragged_batches(self, batch_size, weight_decay):
         records = synth.make_dataset_records(45, seed=3)  # 45 = 6*7 + 3 = 32 + 13
         examples = labeled_set([example_from_obj(r) for r in records])
         cfg = TrainConfig(learning_rate=0.3, epochs=6, batch_size=batch_size,
-                          weight_decay=0.01, seed=8)
+                          weight_decay=weight_decay, seed=8)
         provider = HashedProvider(ngram_max=1, dim=1024)
         params = train_svm_baseline(examples, cfg, provider)
         expected = self.reference_hinge(examples, cfg, provider)
