@@ -60,8 +60,9 @@ class SparseRows:
 
     * `rows @ M` for a dense (dim, k) M, as a gather-sum: each output row is
       summed from that row's own entries alone;
-    * `D @ rows` for a dense (k, n) D, as a scatter-add into a (k, dim) array,
-      and `rows.rmatmul_touched(D)`, the same sums over the touched columns only;
+    * `D @ rows` for a dense (k, n) D, as a scatter-add; `rows.rmatmul_touched(D)`
+      gives its touched columns alone, and `D @ rows` places them in a (k, dim)
+      array of zeros;
     * `rows[idx]` for a slice or an index array, selecting rows. A contiguous
       slice is a view: it shares the arrays, which nothing writes into.
 
@@ -89,13 +90,9 @@ class SparseRows:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
-    def _row_ids(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self._row_ids(), self.indices] = self.data
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
 
     def __getitem__(self, key) -> "SparseRows":
@@ -131,25 +128,22 @@ class SparseRows:
     def __rmatmul__(self, other) -> np.ndarray:
         if not isinstance(other, np.ndarray):
             return NotImplemented
-        if other.ndim != 2 or other.shape[1] != self.shape[0]:
-            raise ValueError(f"cannot multiply {other.shape} by {self.shape} rows")
-        k = other.shape[0]
-        weights = other[:, self._row_ids()] * self.data
-        cols = np.arange(k)[:, None] * self.dim + self.indices
-        out = np.bincount(cols.ravel(), weights=weights.ravel(), minlength=k * self.dim)
-        return out.reshape(k, self.dim)
+        cols, touched = self.rmatmul_touched(other)
+        out = np.zeros((other.shape[0], self.dim))
+        out[:, cols] = touched
+        return out
 
     def rmatmul_touched(self, other) -> tuple[np.ndarray, np.ndarray]:
         """`other @ self` over the columns these rows touch, as `(cols, out)`.
 
         `cols` holds the touched columns, ascending, found with a dim-sized mark
-        array rather than a sort. `out` equals `(other @ self)[:, cols]` bit for
-        bit: each of its bins adds the same products in the same (stored-entry)
-        order from +0.0 as `__rmatmul__`'s, but there are k * len(cols) bins, not
-        k * dim. `out.T` is C-contiguous: feature-major, one row per column.
+        array rather than a sort. `out` (k, len(cols)) holds those columns of the
+        product: each entry sums its column's stored entries times `other`, from
+        +0.0 and in storage order, in one `bincount` of k * len(cols) bins.
+        `out.T` is C-contiguous: feature-major, one row per column.
         """
-        if not isinstance(other, np.ndarray) or other.ndim != 2 or other.shape[1] != self.shape[0]:
-            raise ValueError(f"cannot multiply {np.shape(other)} by {self.shape} rows")
+        if other.ndim != 2 or other.shape[1] != self.shape[0]:
+            raise ValueError(f"cannot multiply {other.shape} by {self.shape} rows")
         k = other.shape[0]
         mark = np.zeros(self.dim, dtype=bool)
         mark[self.indices] = True
@@ -159,7 +153,7 @@ class SparseRows:
         bins = slot[self.indices] * k + np.arange(k)[:, None]
         weights = np.repeat(other, np.diff(self.indptr), axis=1) * self.data
         out = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=cols.size * k)
-        return cols, out.reshape(cols.size, k).astype(float, copy=False).T
+        return cols, out.reshape(cols.size, k).astype(float, copy=False).T  # int64 if nnz is 0
 
     def __array__(self, dtype=None, copy=None):
         raise TypeError("SparseRows does not densify implicitly; call .toarray()")

@@ -9,8 +9,9 @@ cross-entropies, with the sentiment terms masked to the aspects actually
 labeled on each example. Inference first thresholds the aspect
 probabilities, then reads sentiment only for the detected aspects.
 
-The heads are stored stacked: one C-contiguous `W` = [W_a; W_y] and one
-`b` = [b_a; b_y], of which `W_a`, `b_a`, `W_y` and `b_y` are views. Where
+The heads are stored stacked: one `W` = [W_a; W_y], C-contiguous outside a
+training, and one `b` = [b_a; b_y], of which `W_a`, `b_a`, `W_y` and `b_y`
+are views. Where
 both heads read the same sparse rows, one product computes both heads'
 logits (and one their weight gradients); a params file still holds the four
 tensors.

@@ -417,6 +417,17 @@ class TestTrain:
             assert params.W.shape == (2 * K, 1024)
             assert params.W.flags.c_contiguous
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_a_batch_of_rows_without_tokens_trains(self, weight_decay):
+        # such a batch has no stored entry, and numpy's bincount of nothing is int64
+        examples = LabeledSet(["", "!!!", "#"], np.zeros((3, K)), np.zeros((3, K)))
+        provider = HashedProvider(dim=1024)
+        cfg = TrainConfig(epochs=2, weight_decay=weight_decay)
+        params = train(examples, None, provider, cfg)
+        hinge = train_svm_baseline(examples, cfg, provider)
+        assert params.W.dtype == hinge.W.dtype == np.float64
+        assert not hinge.W.any()
+
     def test_empty_train_set_rejected(self):
         provider = HashedProvider(dim=1024)
         with pytest.raises(ModelError):
