@@ -120,7 +120,7 @@ class SparseRows:
         starts = self.indptr[:-1]
         nonempty = self.indptr[1:] > starts
         if self.data.size:
-            terms = other[self.indices]
+            terms = other.take(self.indices, axis=0)  # `other[indices]`, in half the time
             terms *= self.data[:, None]  # in place: the gather is the one (nnz, k) temporary
             out[nonempty] = np.add.reduceat(terms, starts[nonempty], axis=0)
         return out

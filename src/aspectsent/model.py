@@ -376,7 +376,8 @@ def _sgd_epoch(params: HeadParams, batches, config: TrainConfig, batch_grads) ->
         scale = config.learning_rate / len(batch[-1])
         g.W *= scale
         if g.cols is not None:
-            params.W.T[g.cols] -= g.W.T
+            rows = params.W.T  # `rows[cols] -= g.W.T`, with `take` for the faster gather
+            rows[g.cols] = rows.take(g.cols, axis=0) - g.W.T
         else:
             if decay:
                 g.W += np.multiply(params.W, decay, out=shrink)
