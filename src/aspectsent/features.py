@@ -120,7 +120,9 @@ class SparseRows:
         starts = self.indptr[:-1]
         nonempty = self.indptr[1:] > starts
         if self.data.size:
-            terms = other.take(self.indices, axis=0)  # `other[indices]`, in half the time
+            # `take` gathers the same rows in half the time, but copies a strided `other` first
+            terms = (other.take(self.indices, axis=0) if other.flags.c_contiguous
+                     else other[self.indices])
             terms *= self.data[:, None]  # in place: the gather is the one (nnz, k) temporary
             out[nonempty] = np.add.reduceat(terms, starts[nonempty], axis=0)
         return out

@@ -169,14 +169,15 @@ def _check_thresholds(config: TrainConfig | ModelBundle) -> None:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) where z >= 0, and e^z / (1 + e^z) elsewhere, so no exp overflows.
 
-    Both forms are computed everywhere from e = exp(-|z|), which is exp(-z)
-    where z >= 0 and exp(z) elsewhere, and each entry takes its sign's form:
-    the bits of two boolean-masked passes, in a few whole-array ones.
+    Both are 1 or e over 1 + e, where e = exp(-|z|) is exp(-z) for z >= 0 and
+    exp(z) elsewhere: the bits of two boolean-masked passes, in a few
+    whole-array ones.
     """
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    one_e = 1.0 + e
-    return np.where(z >= 0, 1.0 / one_e, e / one_e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def _product(h: np.ndarray | SparseRows, W: np.ndarray) -> np.ndarray:
@@ -375,9 +376,9 @@ def _sgd_epoch(params: HeadParams, batches, config: TrainConfig, batch_grads) ->
         g = batch_grads(*batch, params)
         scale = config.learning_rate / len(batch[-1])
         g.W *= scale
-        if g.cols is not None:
-            rows = params.W.T  # `rows[cols] -= g.W.T`, with `take` for the faster gather
-            rows[g.cols] = rows.take(g.cols, axis=0) - g.W.T
+        if g.cols is not None:  # `W.T[cols] -= g.W.T`, gathering with the faster `take`
+            WT = params.W.T
+            WT[g.cols] = WT.take(g.cols, axis=0) - g.W.T
         else:
             if decay:
                 g.W += np.multiply(params.W, decay, out=shrink)
