@@ -11,10 +11,9 @@ probabilities, then reads sentiment only for the detected aspects.
 
 The heads are stored stacked: one `W` = [W_a; W_y], C-contiguous outside a
 training, and one `b` = [b_a; b_y], of which `W_a`, `b_a`, `W_y` and `b_y`
-are views. Where
-both heads read the same sparse rows, one product computes both heads'
-logits (and one their weight gradients); a params file still holds the four
-tensors.
+are views. Where both heads read the same sparse rows, one product computes
+both heads' logits (and one their weight gradients); a params file still
+holds the four tensors.
 
 Training on hashed rows with no weight decay holds `W` feature-major for its
 length: `W.T` (d x 2k) is the C-contiguous array, so a sparse product gathers
