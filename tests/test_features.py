@@ -377,7 +377,10 @@ class TestSparseRows:
         idx = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)
                                  if n else st.just([])), dtype=np.intp)
         assert np.array_equal(rows[idx].toarray(), dense[idx])
-        assert np.array_equal(rows[1:].toarray(), dense[1:])
+        # contiguous slices take a path of their own: views, with no index gather
+        for key in (slice(1, None), slice(None, 2), slice(-2, None), slice(3, 1), slice(1, 99),
+                    slice(1, 1), slice(0, None, 1)):
+            assert np.array_equal(rows[key].toarray(), dense[key]), key
         assert np.array_equal(rows[::-1].toarray(), dense[::-1])
 
     @given(texts=_texts, seed=st.integers(0, 2**32 - 1))
@@ -416,15 +419,6 @@ class TestSparseRows:
         assert rows.rmatmul_touched(D.T.copy().T)[1].tobytes("F") == out.tobytes("F")
         with pytest.raises(ValueError):
             rows.rmatmul_touched(np.zeros((12, len(texts) + 1)))
-
-    def test_contiguous_slices_select_the_same_rows(self):
-        texts = ["china news", "", "china china virus", "news today", "wuhan"]
-        rows = HashedProvider(ngram_max=2, dim=1024).embed(texts)
-        dense = rows.toarray()
-        for key in (slice(1, 4), slice(None, 2), slice(3, None), slice(-2, None), slice(4, 1),
-                    slice(2, 99), slice(0, 5, 1), slice(1, 1)):
-            assert np.array_equal(rows[key].toarray(), dense[key]), key
-            assert np.array_equal(rows[key].indices, rows[np.arange(5)[key]].indices), key
 
     def test_row_products_depend_on_the_row_alone(self):
         provider = HashedProvider(ngram_max=2, dim=1024)
