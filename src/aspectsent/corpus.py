@@ -69,20 +69,12 @@ def merge_sentiment(s: Sentiment) -> BinarySentiment:
     return BinarySentiment.NON_NEGATIVE
 
 
-class ProtocolError(PipelineError):
-    """Adjudication called without the annotations the protocol requires."""
-
-
-class InputError(PipelineError):
-    """Malformed annotation or dataset input."""
-
-
 class _Labeled:
     """Holds `labels` and `overall`; Overall relevance is never inside `labels`."""
 
     def __post_init__(self):
         if Aspect.OVERALL in self.labels:
-            raise InputError("Overall must be annotated via the overall field, not labels")
+            raise PipelineError("Overall must be annotated via the overall field, not labels")
 
 
 @dataclass(frozen=True)
@@ -129,15 +121,15 @@ def adjudicate(
     anns = [a1, a2] if a3 is None else [a1, a2, a3]
     ids = [a.annotator_id for a in anns]
     if len(set(ids)) != len(ids):
-        raise InputError(f"duplicate annotator_id among {ids}")
+        raise PipelineError(f"duplicate annotator_id among {ids}")
     if len({a.tweet_id for a in anns}) != 1:
-        raise InputError("annotations refer to different tweets")
+        raise PipelineError("annotations refer to different tweets")
     tweet_id = a1.tweet_id
 
     if a3 is None:
         if dict(a1.labels) == dict(a2.labels) and a1.overall == a2.overall:
             return AdjudicatedExample(tweet_id, dict(a1.labels), a1.overall, "phase-1", tweet)
-        raise ProtocolError(
+        raise PipelineError(
             f"tweet {tweet_id}: annotators disagree and no third annotation was supplied"
         )
 
@@ -163,7 +155,7 @@ def adjudicate_corpus(
     discarded = 0
     for tweet_id, anns in grouped.items():
         if not 2 <= len(anns) <= 3:
-            raise InputError(f"tweet {tweet_id}: expected 2 or 3 annotations, got {len(anns)}")
+            raise PipelineError(f"tweet {tweet_id}: expected 2 or 3 annotations, got {len(anns)}")
         tweet = tweets_by_id.get(tweet_id) if tweets_by_id else None
         result = adjudicate(*anns, tweet=tweet)
         if result is None:
@@ -196,7 +188,7 @@ def labeled_set(examples: Sequence[AdjudicatedExample]) -> LabeledSet:
     texts = []
     for i, example in enumerate(examples):
         if example.tweet is None:
-            raise InputError(f"example {example.tweet_id} has no attached tweet text")
+            raise PipelineError(f"example {example.tweet_id} has no attached tweet text")
         texts.append(example.tweet.text)
         labels = example.labels.items()
         if example.overall is not None:
@@ -220,9 +212,9 @@ def split(dataset: Sequence, seed: int) -> tuple[list, ...]:
     """
     n = len(dataset)
     if n < 10:
-        raise InputError(f"dataset too small to split: {n} < 10")
+        raise PipelineError(f"dataset too small to split: {n} < 10")
     if seed < 0:  # random.Random(-s) is random.Random(s)
-        raise InputError(f"split seed must be >= 0, got {seed}")
+        raise PipelineError(f"split seed must be >= 0, got {seed}")
     total = sum(SPLIT_RATIOS)
     rng = random.Random(seed)
     order = list(range(n))
@@ -260,7 +252,7 @@ def _annotation_from_obj(obj: dict) -> Annotation:
 
 def read_annotations(path) -> list[Annotation]:
     """Annotation export: JSONL with tweet_id, annotator_id, labels, overall."""
-    return list(files.read_jsonl(path, _annotation_from_obj, "annotation", InputError))
+    return list(files.read_jsonl(path, _annotation_from_obj, "annotation"))
 
 
 def example_to_obj(example: AdjudicatedExample) -> dict:
@@ -279,17 +271,18 @@ def example_to_obj(example: AdjudicatedExample) -> dict:
 def example_from_obj(obj: dict) -> AdjudicatedExample:
     labels, overall = _labels_from_obj(obj)
     tweet = files.field(obj, "tweet", dict, optional=True)
+    provenance = files.field(obj, "provenance", ("phase-1", "phase-2"), optional=True)
     return AdjudicatedExample(
         tweet_id=files.field(obj, "tweet_id", str),
         labels=labels,
         overall=overall,
-        provenance=obj.get("provenance", "phase-1"),
+        provenance=provenance or "phase-1",
         tweet=None if tweet is None else tweet_from_obj(tweet),
     )
 
 
 def read_dataset(path) -> list[AdjudicatedExample]:
-    return list(files.read_jsonl(path, example_from_obj, "dataset", InputError))
+    return list(files.read_jsonl(path, example_from_obj, "dataset"))
 
 
 def write_dataset(path, examples: Iterable[AdjudicatedExample]) -> None:

@@ -166,15 +166,6 @@ class SparseRows:
         return NotImplemented
 
 
-class EmbeddingServiceError(PipelineError):
-    """Transport-level failure talking to the embedding service. Nothing
-    retries it: the failing call ends the run with exit code 1."""
-
-
-class EmbeddingContractError(PipelineError):
-    """The service answered but violated the declared contract."""
-
-
 _TOKEN_PATTERN = re.compile(r"(?:https?://|www\.)\S+|@\w+|[^\W_]+")
 _URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -256,18 +247,20 @@ def _post_embed(endpoint: str, texts: list[str], timeout: float) -> dict:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
             body = resp.read()
     except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        raise EmbeddingServiceError(f"embedding service unreachable at {url}: {exc}") from exc
+        raise PipelineError(f"embedding service unreachable at {url}: {exc}") from exc
     try:
         return json.loads(body)
     except json.JSONDecodeError as exc:
-        raise EmbeddingContractError(f"service returned non-JSON response: {exc}") from exc
+        raise PipelineError(f"service returned non-JSON response: {exc}") from exc
 
 
 def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarray:
     """Fetch one vector per text, order-preserving, dim-checked, finite-checked.
 
     Batches are issued sequentially in input order; callers wanting
-    concurrency must preserve request order when reassembling.
+    concurrency must preserve request order when reassembling. A transport
+    failure or a response that breaks the contract is a PipelineError; nothing
+    retries a transport failure, so it ends the run with exit code 1.
     """
     texts = list(texts)
     out = np.empty((len(texts), spec.dim))
@@ -275,26 +268,26 @@ def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarra
         batch = texts[start : start + spec.batch_size]
         body = _post_embed(spec.endpoint, batch, spec.timeout)
         if not isinstance(body, dict):
-            raise EmbeddingContractError("service response is not a JSON object")
+            raise PipelineError("service response is not a JSON object")
         dim = body.get("dim")
         embs = body.get("embeddings")
         if dim != spec.dim:
-            raise EmbeddingContractError(
+            raise PipelineError(
                 f"service reported dim {dim}, provider spec declares {spec.dim}"
             )
         if not isinstance(embs, list) or len(embs) != len(batch):
             got = len(embs) if isinstance(embs, list) else "no"
-            raise EmbeddingContractError(
+            raise PipelineError(
                 f"service returned {got} embeddings for a batch of {len(batch)}"
             )
         try:
             block = np.asarray(embs, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float
-            raise EmbeddingContractError(f"service returned non-numeric embeddings: {exc}") from None
+            raise PipelineError(f"service returned non-numeric embeddings: {exc}") from None
         if block.shape != (len(batch), spec.dim):
-            raise EmbeddingContractError(f"embedding batch has shape {block.shape}")
+            raise PipelineError(f"embedding batch has shape {block.shape}")
         if not np.isfinite(block).all():
-            raise EmbeddingContractError("service returned non-finite embedding values")
+            raise PipelineError("service returned non-finite embedding values")
         out[start : start + len(batch)] = block
         del body, embs, block  # free this batch's decoded JSON before the next is read
     return out
@@ -396,8 +389,6 @@ def providers(settings: dict):
                if key not in ("endpoint", "sentiment_endpoint", "timeout", "batch_size")}
         return cfg, HashedProvider(ngram_max=cfg["ngram_max"], dim=cfg["dim"],
                                    hash_seed=cfg["hash_seed"], normalize=cfg["normalize"]), None
-    if not cfg["endpoint"]:
-        raise ValueError("remote provider requires an endpoint")
     if not cfg["sentiment_endpoint"]:
         del cfg["sentiment_endpoint"]
 

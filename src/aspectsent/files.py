@@ -186,20 +186,19 @@ def settings(obj: dict, declared: dict, section: str) -> dict:
         raise PipelineError(f"{section}.{exc}") from None
 
 
-def read_jsonl(path, convert: Callable[[dict], T], what: str,
-               error: type[PipelineError] = PipelineError) -> Iterator[T]:
+def read_jsonl(path, convert: Callable[[dict], T], what: str) -> Iterator[T]:
     """`convert(obj)` for the JSON object on each non-blank line of `path`.
 
     A line that is not a JSON object, or that `convert` rejects with a
-    PipelineError, KeyError (a missing field), TypeError, AttributeError or
-    ValueError (a wrong-typed field), raises `error("<path>:<line>: bad
-    <what> record: ...")`.
+    PipelineError or ValueError, raises PipelineError("<path>:<line>: bad
+    <what> record: ..."). Any other exception propagates: converters report
+    bad input through `field`, so it is a bug, not a bad record.
     """
     for lineno, line in text_lines(path):
         try:
             yield convert(json_object(line))
-        except (PipelineError, KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise error(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+        except (PipelineError, ValueError) as exc:
+            raise PipelineError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
 
 
 def csv_rows(path) -> Iterator[tuple[int, list[str]]]:

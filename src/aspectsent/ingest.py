@@ -53,10 +53,6 @@ class SchemaError(PipelineError):
         self.field = field
 
 
-class CorpusFileError(PipelineError):
-    """A parse or schema failure while reading a corpus file, with location."""
-
-
 @dataclass(slots=True)
 class RawTweet:
     """One ingested post. `created_at` is always timezone-aware UTC."""
@@ -204,7 +200,7 @@ def iter_corpus(path, name=None) -> Iterator[RawTweet]:
         try:
             yield parse_record(line)
         except PipelineError as exc:
-            raise CorpusFileError(f"{name}:{lineno}: {exc}") from exc
+            raise PipelineError(f"{name}:{lineno}: {exc}") from exc
 
 
 def read_corpus(path) -> list[RawTweet]:

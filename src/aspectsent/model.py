@@ -57,14 +57,6 @@ _K = len(A_USED)  # aspects per head
 _TENSORS = ("W_a", "b_a", "W_y", "b_y")  # as a params file names them, in order
 
 
-class ModelError(PipelineError):
-    pass
-
-
-class TrainingError(ModelError):
-    pass
-
-
 def _half(stacked: str, rows: slice) -> property:
     """A read-write view of `rows` of the stacked array named `stacked`."""
 
@@ -99,9 +91,9 @@ class HeadParams(_Heads):
     def __init__(self, W_a, b_a, W_y, b_y):
         W_a, b_a, W_y, b_y = (np.asarray(t, dtype=float) for t in (W_a, b_a, W_y, b_y))
         if W_a.ndim != 2 or not W_a.shape == W_y.shape == (_K, W_a.shape[1]):
-            raise ModelError("weight matrices must be |A_used| x d")
+            raise PipelineError("weight matrices must be |A_used| x d")
         if b_a.shape != (_K,) or b_y.shape != (_K,):
-            raise ModelError("bias vectors must have length |A_used|")
+            raise PipelineError("bias vectors must have length |A_used|")
         self._hold(np.concatenate([W_a, W_y]), np.concatenate([b_a, b_y]))
 
     @classmethod
@@ -117,7 +109,7 @@ class HeadParams(_Heads):
         self.W, self.b = W, b
         for name in _TENSORS:
             if not np.isfinite(getattr(self, name)).all():
-                raise ModelError(f"non-finite entries in {name}")
+                raise PipelineError(f"non-finite entries in {name}")
 
     @property
     def dim(self) -> int:
@@ -181,7 +173,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _product(h: np.ndarray | SparseRows, W: np.ndarray) -> np.ndarray:
     if h.shape[-1] != W.shape[1]:
-        raise ModelError(f"embedding dim {h.shape[-1]} != parameter dim {W.shape[1]}")
+        raise PipelineError(f"embedding dim {h.shape[-1]} != parameter dim {W.shape[1]}")
     return h @ W.T
 
 
@@ -239,7 +231,7 @@ def _bce_terms(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     p = np.clip(np.asarray(p, dtype=float), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
     t = np.asarray(t, dtype=float)
     if p.shape != t.shape:
-        raise ModelError(f"probability shape {p.shape} != target shape {t.shape}")
+        raise PipelineError(f"probability shape {p.shape} != target shape {t.shape}")
     return -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
 
 
@@ -289,7 +281,7 @@ def gradients(
     t_y = np.atleast_2d(np.asarray(t_y, dtype=float))
     mask = np.atleast_2d(np.asarray(mask, dtype=float))
     if h.shape[0] == 0:
-        raise ModelError("gradient of an empty batch")
+        raise PipelineError("gradient of an empty batch")
 
     d = _probs(_logits(h, params, h_y))
     d[:, :_K] -= t_a
@@ -402,7 +394,7 @@ def train(
     `epoch_callback(epoch, full_train_loss)`, when given, observes each epoch.
     """
     if not train_set:
-        raise ModelError("empty training set")
+        raise PipelineError("empty training set")
     h = provider.embed(train_set.texts)
     h_y = provider_y.embed(train_set.texts) if provider_y is not None else h
     t_a, t_y, mask = train_set.aspects, train_set.negative, train_set.aspects
@@ -428,7 +420,7 @@ def train(
         _sgd_epoch(params, batches, config, batch_grads)
         epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
         if not (params.is_finite() and math.isfinite(epoch_loss)):
-            raise TrainingError(f"training diverged at epoch {epoch}")
+            raise PipelineError(f"training diverged at epoch {epoch}")
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss)
         if h_dev is not None:
@@ -475,7 +467,7 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
     probability >= 0.5.
     """
     if not train_set:
-        raise ModelError("empty training set")
+        raise PipelineError("empty training set")
     h = provider.embed(train_set.texts)
     s = 2.0 * np.hstack([train_set.aspects, train_set.negative]) - 1.0  # the target signs
     targets = np.hstack([s, train_set.aspects])  # the signs, then the sentiment mask
@@ -495,7 +487,7 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
         batches = _mini_batches(rng.permutation(len(train_set)), config.batch_size, h, h, targets)
         _sgd_epoch(params, batches, config, margin_grads)
     if not params.is_finite():
-        raise TrainingError("hinge baseline training diverged")
+        raise PipelineError("hinge baseline training diverged")
     return _laid_out(params, feature_major=False)
 
 
@@ -575,9 +567,9 @@ def _params_from_tensors(tensors: dict) -> HeadParams:
     shape_a, shape_ba, shape_y, shape_by = (files.field(obj, "shape", [int]) for obj in objs)
     dim = shape_a[-1] if shape_a else -1
     if dim < 0 or not shape_a == shape_y == [_K, dim]:
-        raise ModelError("weight matrices must be |A_used| x d")
+        raise PipelineError("weight matrices must be |A_used| x d")
     if not shape_ba == shape_by == [_K]:
-        raise ModelError("bias vectors must have length |A_used|")
+        raise PipelineError("bias vectors must have length |A_used|")
     # every text is checked before anything is allocated, so a bad shape cannot ask for more
     # memory than the file's size
     texts = [_tensor_text(obj, name, size)
@@ -593,9 +585,9 @@ def _params_from_tensors(tensors: dict) -> HeadParams:
                 raw[start // 4 * 3 : start // 4 * 3 + len(chunk)] = np.frombuffer(chunk, np.uint8)
                 written += len(chunk)
         except binascii.Error as exc:
-            raise ModelError(f"tensor {name} is not base64: {exc}") from None
+            raise PipelineError(f"tensor {name} is not base64: {exc}") from None
         if written != raw.size:  # characters outside the base64 alphabet were skipped
-            raise ModelError(f"tensor {name} is not base64")
+            raise PipelineError(f"tensor {name} is not base64")
     return HeadParams.stacked(W, b)
 
 
@@ -604,7 +596,7 @@ def _tensor_text(obj: dict, name: str, size: int) -> str:
     files.field(obj, "dtype", ("<f8",))
     text = files.field(obj, "b64", str)
     if len(text) != 4 * -(-8 * size // 3):
-        raise ModelError(f"tensor {name} does not hold {size} float64 values")
+        raise PipelineError(f"tensor {name} does not hold {size} float64 values")
     return text
 
 
@@ -625,7 +617,7 @@ def save_params(path, bundle: ModelBundle) -> None:
 
 
 def load_params(path) -> ModelBundle:
-    """Read a `save_params` file; a malformed one is a `ModelError` naming `path`.
+    """Read a `save_params` file; a malformed one is a `PipelineError` naming `path`.
 
     The file's own provider object must resolve by `features.providers`, with
     no endpoint flag applied, to a provider of the tensors' dim.
@@ -634,11 +626,11 @@ def load_params(path) -> ModelBundle:
         doc = files.read_json(path)
         files.field(doc, "format_version", (PARAMS_FORMAT_VERSION,))
         if doc.get("aspects") != [a.value for a in A_USED]:
-            raise ModelError("trained with a different aspect set")
+            raise PipelineError("trained with a different aspect set")
         tensors = files.field(doc, "tensors", dict)
         provider_config = files.field(doc, "provider", dict)
         if files.field(doc, "provider_fingerprint", str) != provider_fingerprint(provider_config):
-            raise ModelError("provider_fingerprint does not match the provider object")
+            raise PipelineError("provider_fingerprint does not match the provider object")
         _, provider, _ = providers(provider_config)
         bundle = ModelBundle(
             params=_params_from_tensors(tensors),
@@ -648,8 +640,8 @@ def load_params(path) -> ModelBundle:
             objective=files.field(doc, "objective", ("bce", "hinge"), optional=True) or "bce",
         )
         if provider.dim != bundle.params.dim:
-            raise ModelError(f"provider dim {provider.dim} != tensor dim {bundle.params.dim}")
+            raise PipelineError(f"provider dim {provider.dim} != tensor dim {bundle.params.dim}")
         return bundle
     except (PipelineError, KeyError, TypeError, ValueError, OverflowError) as exc:
         # ValueError: bad JSON, UTF-8, base64 or tensor shape; OverflowError: a huge shape
-        raise ModelError(f"bad parameter file {path}: {exc}") from None
+        raise PipelineError(f"bad parameter file {path}: {exc}") from None

@@ -25,15 +25,6 @@ from .errors import PipelineError
 class UntestableError(PipelineError):
     """An untestable Granger pair: too few complete days, a singular design or an exact fit."""
 
-
-class SingularMatrixError(UntestableError):
-    """The regression design is rank deficient."""
-
-
-class InsufficientDataError(UntestableError):
-    """Not enough complete aligned observations for the requested test."""
-
-
 @dataclass
 class DailySeries:
     """One value per consecutive UTC day from `start_date`; NaN = missing."""
@@ -178,7 +169,7 @@ def _solve_ppivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for col in range(k):
         pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
         if abs(a[pivot_row, col]) <= tol:
-            raise SingularMatrixError("design matrix is rank deficient")
+            raise UntestableError("design matrix is rank deficient")
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]
             b[[col, pivot_row]] = b[[pivot_row, col]]
@@ -201,7 +192,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     if y.shape != (n,):
         raise ValueError("y length must match the rows of X")
     if n <= k:
-        raise InsufficientDataError(f"need more observations ({n}) than regressors ({k})")
+        raise UntestableError(f"need more observations ({n}) than regressors ({k})")
     beta = _solve_ppivot(X.T @ X, X.T @ y)
     resid = y - X @ beta
     return beta, float(resid @ resid)
@@ -313,7 +304,7 @@ def granger_test(x: DailySeries, y: DailySeries, lag: int = 1) -> GrangerResult:
     k = 2 * lag + 1
     too_few = f"granger test needs at least {max(lag + 4, k + 1)} complete aligned days, got"
     if len(y) <= lag:  # no row: fail before building 2 * lag columns of nothing
-        raise InsufficientDataError(f"{too_few} 0")
+        raise UntestableError(f"{too_few} 0")
     # row t - lag holds an intercept, y_{t-1..t-lag} and x_{t-1..t-lag}; its target is y_t
     rows = len(y) - lag
     ys = y.values[lag:]
@@ -326,7 +317,7 @@ def granger_test(x: DailySeries, y: DailySeries, lag: int = 1) -> GrangerResult:
 
     n_used = len(yy)
     if n_used < lag + 4 or n_used <= k:
-        raise InsufficientDataError(f"{too_few} {n_used}")
+        raise UntestableError(f"{too_few} {n_used}")
     _, rss_u = ols(design_u, yy)
     _, rss_r = ols(design_r, yy)
     if rss_u <= 0.0:

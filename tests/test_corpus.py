@@ -1,5 +1,7 @@
 import csv
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +14,6 @@ from aspectsent.corpus import (
     AdjudicatedExample,
     Annotation,
     Aspect,
-    InputError,
-    ProtocolError,
     Sentiment,
     adjudicate,
     dataset_stats,
@@ -84,21 +84,24 @@ class TestAdjudicate:
     def test_missing_third_annotation_is_protocol_error(self):
         a1 = ann("a", {Aspect.POLITICS: NEG}, NEG)
         a2 = ann("b", {Aspect.POLITICS: NEU}, NEG)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(PipelineError, match="^tweet t1: annotators disagree and no third "
+                                                 "annotation was supplied$"):
             adjudicate(a1, a2)
 
     def test_duplicate_annotator_rejected(self):
         a1 = ann("a", overall=NEG)
         a2 = ann("a", overall=NEG)
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError,
+                           match=re.escape("duplicate annotator_id among ['a', 'a']")):
             adjudicate(a1, a2)
 
     def test_mixed_tweet_ids_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError, match="^annotations refer to different tweets$"):
             adjudicate(ann("a", overall=NEG), ann("b", overall=NEG, tweet_id="other"))
 
     def test_overall_key_banned_inside_labels(self):
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError, match="^Overall must be annotated via the overall "
+                                                 "field, not labels$"):
             ann("a", {Aspect.OVERALL: NEG}, NEG)
 
 
@@ -182,7 +185,7 @@ class TestToModelExample:
 
     def test_requires_attached_tweet(self):
         bad = AdjudicatedExample("t1", {}, None, "phase-1", tweet=None)
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError, match="^example t1 has no attached tweet text$"):
             labeled_set([bad])
 
 
@@ -248,12 +251,12 @@ class TestSplit:
         assert split(data, seed=5) != split(data, seed=6)
 
     def test_too_small(self):
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError, match="^dataset too small to split: 9 < 10$"):
             split(list(range(9)), seed=0)
 
     def test_negative_seed_rejected(self):
         # random.Random(-7) shuffles as random.Random(7) does
-        with pytest.raises(InputError):
+        with pytest.raises(PipelineError, match="^split seed must be >= 0, got -7$"):
             split(list(range(100)), seed=-7)
 
     @given(n=st.integers(min_value=10, max_value=500), seed=st.integers(0, 2**32))
@@ -419,6 +422,30 @@ def test_dataset_roundtrip(tmp_path):
     assert again[0].tweet == examples[0].tweet
 
 
+@pytest.mark.parametrize("record, want", [
+    ({}, "phase-1"), ({"provenance": None}, "phase-1"),
+    ({"provenance": "phase-1"}, "phase-1"), ({"provenance": "phase-2"}, "phase-2"),
+])
+def test_dataset_provenance_defaults_to_phase_1(tmp_path, record, want):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(json.dumps({"tweet_id": "t1", **record}) + "\n", encoding="utf-8")
+    [example] = corpus.read_dataset(path)
+    assert example.provenance == want
+
+
+@pytest.mark.parametrize("value, shown", [
+    (5, "5"), (["x", {"y": 1}], "['x', {'y': 1}]"), ("phase-3", "'phase-3'"), ("", "''"),
+    (True, "True"),
+])
+def test_dataset_reader_rejects_a_bad_provenance(tmp_path, value, shown):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(json.dumps({"tweet_id": "t1", "provenance": value}) + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{path}:1: bad dataset record: provenance: expected one of phase-1, phase-2, "
+            f"got {shown}") + "$"):
+        corpus.read_dataset(path)
+
+
 def test_annotation_reader(tmp_path):
     path = tmp_path / "ann.jsonl"
     path.write_text(
@@ -460,5 +487,7 @@ def test_annotation_reader_rejects_unknown_aspect(tmp_path):
         '{"tweet_id": "t1", "annotator_id": "a", "labels": {"Bogus": "Negative"}, "overall": null}\n',
         encoding="utf-8",
     )
-    with pytest.raises(InputError):
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{path}:1: bad annotation record: labels: expected one of Politics, Economy, "
+            "Foreign, Culture, Situation, Measures, Racism, Overall, got 'Bogus'")):
         corpus.read_annotations(path)

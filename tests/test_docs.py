@@ -1,9 +1,11 @@
 """README against the code: its Configuration table against the settings and flags
 the CLI declares, and each `<module>.<name>` it cites against the package. Its
 Report files table is checked against the files `report` writes in
-`tests/test_cli.py`, where a full report runs."""
+`tests/test_cli.py`, where a full report runs. Last, the rule that
+`errors.PipelineError`'s docstring states against the package's classes."""
 
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -12,6 +14,7 @@ import aspectsent
 from aspectsent import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(aspectsent.__file__).parent
 
 
 def readme_table(heading: str) -> list[list[str]]:
@@ -72,10 +75,37 @@ def test_each_listed_flag_sets_its_setting():
 
 def test_each_module_name_in_readme_resolves():
     # a backticked `<module>.<name>` whose <module> is a module of the package
-    modules = {p.stem for p in Path(aspectsent.__file__).parent.glob("*.py")}
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
     names = [(module, name) for module, name
              in re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
              if module in modules]
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(f"aspectsent.{module}"), name), f"{module}.{name}"
+
+
+def _name(node: ast.expr) -> str | None:
+    """The class name that `Name` or `module.Name` refers to."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_each_pipeline_error_subclass_is_caught_or_builds_its_message():
+    classes, caught = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(map(_name, types))
+
+    def is_subclass(name):
+        bases = [_name(b) for b in classes[name].bases] if name in classes else []
+        return any(b == "PipelineError" or is_subclass(b) for b in bases)
+
+    subclasses = {name for name in classes if is_subclass(name)}
+    assert subclasses, "no PipelineError subclass found"
+    builds_message = {name for name in subclasses
+                      if any(isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                             for n in classes[name].body)}
+    assert subclasses - caught - builds_message == set()

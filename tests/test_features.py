@@ -12,11 +12,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from aspectsent import features
+from aspectsent.errors import PipelineError
 from aspectsent.features import (
     EMBED_CHUNK_ROWS,
-    EmbeddingContractError,
     EmbeddingProviderSpec,
-    EmbeddingServiceError,
     HashedProvider,
     MAX_DIM,
     RemoteProvider,
@@ -243,23 +242,32 @@ class TestEmbedRemote:
 
     def test_dim_mismatch_is_contract_error(self, stub_server):
         _StubHandler.fail_mode = "wrong-dim"
-        with pytest.raises(EmbeddingContractError):
+        with pytest.raises(PipelineError,
+                           match="^service reported dim 9, provider spec declares 8$"):
             embed_remote(["a"], _spec(stub_server))
 
     def test_non_finite_is_contract_error(self, stub_server):
         _StubHandler.fail_mode = "nan"
-        with pytest.raises(EmbeddingContractError):
+        with pytest.raises(PipelineError, match="^service returned non-finite embedding values$"):
             embed_remote(["a"], _spec(stub_server))
 
     def test_wrong_count_is_contract_error(self, stub_server):
         _StubHandler.fail_mode = "short"
-        with pytest.raises(EmbeddingContractError):
+        with pytest.raises(PipelineError,
+                           match="^service returned 0 embeddings for a batch of 2$"):
             embed_remote(["a", "b"], _spec(stub_server))
 
     @pytest.mark.parametrize("mode", ["ragged", "not-numbers", "not-object", "huge-int"])
     def test_malformed_batch_is_contract_error(self, stub_server, mode):
         _StubHandler.fail_mode = mode
-        with pytest.raises(EmbeddingContractError):
+        message = {
+            "ragged": r"embedding batch has shape \(2, 7\)$",
+            "not-numbers": "service returned non-numeric embeddings: could not convert string "
+                           "to float: 'x'$",
+            "not-object": "service response is not a JSON object$",
+            "huge-int": "service returned non-numeric embeddings: ",
+        }[mode]
+        with pytest.raises(PipelineError, match="^" + message):
             embed_remote(["a", "b"], _spec(stub_server))
 
     def test_bad_later_batch_is_contract_error(self, stub_server):
@@ -269,7 +277,7 @@ class TestEmbedRemote:
         assert out.dtype == np.float64 and out.shape == (3, 8)
         _StubHandler.calls = []
         _StubHandler.fail_mode = "nan"
-        with pytest.raises(EmbeddingContractError):
+        with pytest.raises(PipelineError, match="^service returned non-finite embedding values$"):
             embed_remote(["a", "b", "c"], _spec(stub_server, batch_size=2))
         assert len(_StubHandler.calls) == 1
 
@@ -298,7 +306,8 @@ class TestEmbedRemote:
         port = sock.getsockname()[1]
         sock.close()  # nothing listens here now
         spec = _spec(f"http://127.0.0.1:{port}", dim=8)
-        with pytest.raises(EmbeddingServiceError):
+        with pytest.raises(PipelineError, match=re.escape(
+                f"embedding service unreachable at http://127.0.0.1:{port}/embed: ")):
             embed_remote(["a"], spec)
 
     def test_spec_validation(self):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,33 @@ def test_write_jsonl_writes_what_json_dumps_gives(tmp_path):
 
 
 _DECLARED = {"lag": (int, 1), "path": (str, None)}
+
+
+class TestReadJsonl:
+    @pytest.mark.parametrize("line, error", [
+        ("[1]", "expected a JSON object, not list"),
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"x": true}', "x: expected int, got True"),
+    ], ids=["not-an-object", "not-json", "bad-field"])
+    def test_a_bad_line_names_file_and_line(self, tmp_path, line, error):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"x": 1}\n' + line + "\n", encoding="utf-8")
+        want = f"{path}:2: bad x record: {error}"
+        with pytest.raises(PipelineError, match=f"^{re.escape(want)}$"):
+            list(files.read_jsonl(path, lambda obj: files.field(obj, "x", int), "x"))
+
+    @pytest.mark.parametrize("bug", [KeyError, TypeError, AttributeError])
+    def test_a_converter_bug_propagates_unchanged(self, tmp_path, bug):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"x": 1}\n', encoding="utf-8")
+        raised = bug("y")
+
+        def convert(obj):
+            raise raised
+
+        with pytest.raises(bug) as exc:
+            list(files.read_jsonl(path, convert, "x"))
+        assert exc.value is raised
 
 
 class TestSettings:

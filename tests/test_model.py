@@ -24,9 +24,7 @@ from aspectsent.features import HashedProvider, providers
 from aspectsent.model import (
     HeadParams,
     ModelBundle,
-    ModelError,
     TrainConfig,
-    TrainingError,
     forward_aspect,
     forward_sentiment,
     full_loss,
@@ -85,7 +83,7 @@ class TestForward:
         assert p2 > p1 > 0.5
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match="^embedding dim 3 != parameter dim 4$"):
             forward_aspect(np.zeros(3), zero_params(4))
 
     def test_outputs_strictly_inside_unit_interval(self):
@@ -283,7 +281,7 @@ class TestGradients:
             assert np.array_equal(getattr(base_grad, name), getattr(poisoned_grad, name))
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match="^gradient of an empty batch$"):
             gradients(np.zeros((0, 4)), np.zeros((0, K)), np.zeros((0, K)),
                       np.zeros((0, K)), zero_params(4))
 
@@ -401,9 +399,9 @@ class TestTrain:
         provider = HashedProvider(dim=1024)
         cfg = TrainConfig(learning_rate=1e200, weight_decay=1.0, epochs=3,
                           batch_size=5, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                PipelineError, match=r"^training diverged at epoch \d+$"):
             train(examples, None, provider, cfg)
-        assert "epoch" in str(exc.value)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_returned_heads_are_row_major(self, weight_decay):
@@ -430,7 +428,7 @@ class TestTrain:
 
     def test_empty_train_set_rejected(self):
         provider = HashedProvider(dim=1024)
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match="^empty training set$"):
             train(labeled_set([]), None, provider, TrainConfig())
 
     def test_provider_swap_is_invisible_to_training(self):
@@ -651,7 +649,7 @@ class TestSparseRowsInModel:
 
     def test_dim_mismatch_is_model_error(self):
         rows, *_ = self._batch(0)
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match="^embedding dim 1024 != parameter dim 2048$"):
             forward_aspect(rows, zero_params(2048))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 32, 300])
@@ -809,7 +807,7 @@ class TestParamsIO:
             if accepted:
                 assert load_params(path).fingerprint == bundle.fingerprint
             else:
-                with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: ")):
+                with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: ")):
                     load_params(path)
 
     # dims up to 2**12 keep each saved file small; MAX_DIM is checked in test_features
@@ -851,7 +849,7 @@ class TestParamsIO:
         path = tmp_path / "params.json"
         save_params(path, ModelBundle(random_params(tensor_dim, np.random.default_rng(0)),
                                       provider))
-        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: {message}")):
+        with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: {message}")):
             load_params(path)
 
     @pytest.mark.parametrize("edit", [
@@ -868,7 +866,7 @@ class TestParamsIO:
         doc = json.loads(path.read_text(encoding="utf-8"))
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: "
+        with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: "
                                                        "provider_fingerprint")):
             load_params(path)
 
@@ -894,17 +892,18 @@ class TestParamsIO:
         doc = json.loads(path.read_text(encoding="utf-8"))
         edit(doc["tensors"])
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ModelError, match=re.escape(f"bad parameter file {path}: {message}")):
+        with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: {message}")):
             load_params(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text('{"format_version": 99}', encoding="utf-8")
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match=re.escape(
+                f"bad parameter file {path}: format_version: expected one of 1, got 99") + "$"):
             load_params(path)
 
     def test_non_finite_params_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(PipelineError, match="^non-finite entries in W_a$"):
             HeadParams(np.full((K, 2), np.nan), np.zeros(K), np.zeros((K, 2)), np.zeros(K))
 
 

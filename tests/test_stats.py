@@ -17,8 +17,6 @@ from aspectsent.stats import (
     SERIES_MODES,
     DailySeries,
     GrangerResult,
-    InsufficientDataError,
-    SingularMatrixError,
     UntestableError,
     betainc_reg,
     daily_series,
@@ -224,11 +222,12 @@ class TestOls:
 
     def test_rank_deficiency_raises(self):
         X = np.column_stack([np.ones(6), np.ones(6)])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(UntestableError, match="^design matrix is rank deficient$"):
             ols(X, np.arange(6.0))
 
     def test_underdetermined_raises(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(UntestableError,
+                           match=r"^need more observations \(2\) than regressors \(2\)$"):
             ols(np.ones((2, 2)), np.ones(2))
 
 
@@ -437,7 +436,8 @@ class TestGranger:
     def test_insufficient_data(self):
         x = DailySeries(D0, [1.0, 2.0, 1.5, 2.5])
         y = DailySeries(D0, [2.0, 1.0, 2.5, 1.5])
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(UntestableError,
+                           match="^granger test needs at least 5 complete aligned days, got 3$"):
             granger_test(x, y)
 
     def test_lag_below_one_rejected(self):
@@ -451,7 +451,7 @@ class TestGranger:
         x, y = _series_pair(seed=4, n=60)
         tracemalloc.start()
         try:
-            with pytest.raises(InsufficientDataError, match="needs at least 200002 .* got 0$"):
+            with pytest.raises(UntestableError, match="needs at least 200002 .* got 0$"):
                 granger_test(x, y, lag=100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -502,22 +502,24 @@ def reference_granger(x, y, lag):
         design_r.append([1.0] + y_lags)
     n_used, k = len(rows_y), 2 * lag + 1
     if n_used < lag + 4 or n_used <= k:
-        raise InsufficientDataError("too few complete rows")
+        raise UntestableError(f"granger test needs at least {max(lag + 4, k + 1)} complete "
+                              f"aligned days, got {n_used}")
     yy = np.asarray(rows_y)
     _, rss_u = ols(np.asarray(design_u), yy)
     _, rss_r = ols(np.asarray(design_r), yy)
     if rss_u <= 0.0:
-        raise UntestableError("degenerate")
+        raise UntestableError("degenerate series: unrestricted model fits exactly")
     f_stat = max(((rss_r - rss_u) / lag) / (rss_u / (n_used - k)), 0.0)
     return GrangerResult(f_stat, f_pvalue(f_stat, lag, n_used - k), n_used)
 
 
 def granger_outcome(x, y, lag, test):
-    """The result's fields, floats as hex so that == is bit for bit, or the error type."""
+    """The result's fields, floats as hex so that == is bit for bit, or the error's
+    type and message."""
     try:
         r = test(x, y, lag)
     except PipelineError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return r.f_stat.hex(), r.p_value.hex(), r.n_used
 
 
@@ -553,7 +555,9 @@ class TestGrangerEqualsRowReference:
                 assert got == granger_outcome(DailySeries(D0, cause), DailySeries(D0, y), lag,
                                               reference_granger)
                 # every second day missing leaves no complete row once lag >= 2
-                assert (got is InsufficientDataError) == (cause is sparse and lag >= 2)
+                too_few = (UntestableError, f"granger test needs at least "
+                            f"{max(lag + 4, 2 * lag + 2)} complete aligned days, got 0")
+                assert (got == too_few) == (cause is sparse and lag >= 2)
 
 
 class TestGroupCompare:
