@@ -420,9 +420,8 @@ def _eval_table(params_path, dataset_path, flags: dict) -> tuple[list, list]:
     _, _, pred_a, pred_y = model.predict_batch(gold.texts, provider, bundle.params, bundle,
                                                provider_y)
     return evaluation.report_table({
-        "aspect": evaluation.evaluate(pred_a, gold.aspects, stage="aspect"),
-        "sentiment": evaluation.evaluate(pred_y, gold.negative, stage="sentiment",
-                                         gold_aspects=gold.aspects),
+        "aspect": evaluation.evaluate(pred_a, gold.aspects),
+        "sentiment": evaluation.evaluate(pred_y, gold.negative, gold.aspects),
     })
 
 

@@ -12,7 +12,7 @@ the two stages are scored independently of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -34,44 +34,33 @@ def metrics(tp: int, fp: int, fn: int, tn: int) -> Metrics:
     return Metrics((f1_positive + f1_negative) / 2.0, (tp + tn) / total if total else 0.0)
 
 
-def evaluate(
-    pred: np.ndarray,
-    gold: np.ndarray,
-    stage: str = "aspect",
-    gold_aspects: np.ndarray | None = None,
-    aspects: Sequence[str] | None = None,
-) -> dict[str, Metrics]:
+def evaluate(pred: np.ndarray, gold: np.ndarray,
+             gold_aspects: np.ndarray | None = None) -> dict[str, Metrics]:
     """Metrics for one stage: a row per content aspect plus pooled "Overall".
 
-    `pred` and `gold` are (n_examples, n_slots) binary matrices over the
+    `pred` and `gold` are (n_examples, |A_used|) binary matrices over the
     `A_USED` slot order. Every slot, including the relevance slot, enters the
-    pooled "Overall" row; slots named "Overall" do not get an individual row
-    since the pooled column takes that name. For the sentiment stage,
-    `gold_aspects` must be supplied and evaluation is restricted to slots
-    where it is 1; gold sentiment on other slots is never read.
+    pooled "Overall" row; the slot named "Overall" gets no individual row
+    since the pooled column takes that name. Given `gold_aspects`, this is the
+    sentiment stage: evaluation is restricted to slots where it is 1, and gold
+    sentiment on other slots is never read.
     """
     pred = np.asarray(pred, dtype=bool)
     gold = np.asarray(gold, dtype=bool)
     if pred.shape != gold.shape:
         raise ValueError(f"prediction shape {pred.shape} != gold shape {gold.shape}")
-    if stage not in ("aspect", "sentiment"):
-        raise ValueError(f"unknown stage {stage!r}")
-    if stage == "sentiment":
-        if gold_aspects is None:
-            raise ValueError("sentiment-stage evaluation requires gold_aspects")
-        gold_aspects = np.asarray(gold_aspects, dtype=bool)
-        if gold_aspects.shape != pred.shape:
-            raise ValueError("gold_aspects shape mismatch")
-    names = list(aspects) if aspects is not None else [a.value for a in A_USED]
-    if pred.ndim != 2 or pred.shape[1] != len(names):
-        raise ValueError(f"expected (n, {len(names)}) matrices, got {pred.shape}")
+    if pred.ndim != 2 or pred.shape[1] != len(A_USED):
+        raise ValueError(f"expected (n, {len(A_USED)}) matrices, got {pred.shape}")
+    keep = np.ones_like(gold) if gold_aspects is None else np.asarray(gold_aspects, dtype=bool)
+    if keep.shape != pred.shape:
+        raise ValueError("gold_aspects shape mismatch")
 
-    keep = gold_aspects if stage == "sentiment" else np.ones_like(gold)
     # one row per slot: tp, fp, fn, tn over the kept examples
     counts = np.stack([(p & g & keep).sum(axis=0)
                        for p, g in ((pred, gold), (pred, ~gold), (~pred, gold), (~pred, ~gold))],
                       axis=1)
-    report = {name: metrics(*row) for name, row in zip(names, counts.tolist()) if name != "Overall"}
+    report = {a.value: metrics(*row) for a, row in zip(A_USED, counts.tolist())
+              if a.value != "Overall"}
     report["Overall"] = metrics(*counts.sum(axis=0).tolist())
     return report
 

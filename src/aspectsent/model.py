@@ -11,21 +11,24 @@ probabilities, then reads sentiment only for the detected aspects.
 
 The heads are stored stacked: one `W` = [W_a; W_y], C-contiguous outside a
 training, and one `b` = [b_a; b_y], of which `W_a`, `b_a`, `W_y` and `b_y`
-are views. Where both heads read the same sparse rows, one product computes
-both heads' logits (and one their weight gradients); a params file still
-holds the four tensors.
+are views; a params file still holds the four tensors. `probabilities` is
+the one forward pass: both heads' probabilities side by side, from one
+product where both heads read the same sparse rows. Training, dev-epoch
+selection, inference and `select_confident` all read it.
 
-Training on hashed rows with no weight decay holds `W` feature-major for its
-length: `W.T` (d x 2k) is the C-contiguous array, so a sparse product gathers
-whole rows of it, and each step updates only the columns of `W` (rows of
-`W.T`) that its batch touches, from a gradient over those columns alone. A
+`_descend` is the one descent loop, of the BCE `train` and of the hinge
+`train_svm_baseline` alike; it stops at the first epoch whose heads are not
+finite. Training on hashed rows with no weight decay holds `W` feature-major
+for its length: `W.T` (d x 2k) is the C-contiguous array, so a sparse product
+gathers whole rows of it, and each step updates only the columns of `W` (rows
+of `W.T`) that its batch touches, from a gradient over those columns alone. A
 column no row of the batch touches has a +0.0 gradient, and `W - (+0.0)` is
 `W`, so the result is the dense update's to the bit. Weight decay shrinks
 every column at every step, so with decay > 0 (and for dense rows, which
 touch every column) each step stays dense over a row-major `W`. The rows of
 a hashed training are permuted once per epoch, so a batch is a contiguous
-slice of them; dense rows are gathered a batch at a time. `train` returns
-row-major heads either way.
+slice of them; dense rows are gathered a batch at a time. Both trainers
+return row-major heads.
 
 Losses are accumulated with exact (fsum) summation, so full-batch loss is
 invariant under any permutation of the batch.
@@ -183,10 +186,6 @@ def _probs(z: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(z), LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
 
 
-def _forward(h: np.ndarray | SparseRows, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _probs(_product(h, W) + b)
-
-
 def _shares_product(h, h_y) -> bool:
     """Whether one product serves both heads: they read the same `SparseRows`, whose
     products compute each column on its own. A dense BLAS product blocks columns,
@@ -217,14 +216,12 @@ def _grads(d: np.ndarray, h, h_y, touched: bool = False) -> HeadGrads:
     return HeadGrads(d.T @ h, b)
 
 
-def forward_aspect(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
-    """Per-aspect detection probabilities sigmoid(W_a h + b_a)."""
-    return _forward(h, params.W_a, params.b_a)
-
-
-def forward_sentiment(h: np.ndarray | SparseRows, params: HeadParams) -> np.ndarray:
-    """Per-aspect P(Negative) probabilities sigmoid(W_y h + b_y)."""
-    return _forward(h, params.W_y, params.b_y)
+def probabilities(h: np.ndarray | SparseRows, params: HeadParams,
+                  h_y: np.ndarray | SparseRows | None = None) -> np.ndarray:
+    """Both heads' probabilities side by side, (n, 2k): `[p_a | p_y]`, the aspect
+    detection probabilities sigmoid(W_a h + b_a), then the P(Negative)
+    probabilities sigmoid(W_y h_y + b_y). `h_y` defaults to `h`."""
+    return _probs(_logits(h, params, h if h_y is None else h_y))
 
 
 def _bce_terms(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -283,7 +280,7 @@ def gradients(
     if h.shape[0] == 0:
         raise PipelineError("gradient of an empty batch")
 
-    d = _probs(_logits(h, params, h_y))
+    d = probabilities(h, params, h_y)
     d[:, :_K] -= t_a
     d[:, _K:] -= t_y
     d[:, _K:] *= mask
@@ -300,14 +297,8 @@ def _init_from_rng(rng: np.random.Generator, dim: int) -> HeadParams:
     )
 
 
-def _dev_aspect_macro_f1(h_dev, t_a_dev, params, threshold) -> float:
-    pred = (forward_aspect(h_dev, params) >= threshold).astype(float)
-    report = evaluation.evaluate(pred, t_a_dev, stage="aspect")
-    return report["Overall"].macro_f1
-
-
 def full_loss(h, t_a, t_y, mask, params, h_y=None) -> float:
-    p = _probs(_logits(h, params, h if h_y is None else h_y))
+    p = probabilities(h, params, h_y)
     return loss_aspect(p[..., :_K], t_a) + loss_sentiment(p[..., _K:], t_y, mask)
 
 
@@ -378,6 +369,33 @@ def _sgd_epoch(params: HeadParams, batches, config: TrainConfig, batch_grads) ->
         params.b -= g.b
 
 
+def _descend(params: HeadParams, h, h_y, targets: np.ndarray, rng: np.random.Generator,
+             config: TrainConfig, batch_grads, loss=None, after_epoch=None) -> HeadParams:
+    """Mini-batch descent from `params` for `config.epochs` epochs, the one loop of
+    both objectives; returns the final heads, row-major.
+
+    Each epoch steps (`_sgd_epoch`) over the `_mini_batches` of a fresh
+    `rng` permutation of the aspect rows `h`, the sentiment rows `h_y` and
+    `targets` (a row per example). `batch_grads(rows, rows_y, targets, params,
+    touched)` returns a batch's summed `HeadGrads`; `touched` is
+    `_touches_columns`, under which `W` is held feature-major throughout. An
+    epoch that leaves the heads, or `loss(params)` where given, not finite
+    raises `training diverged at epoch N`; else `after_epoch(epoch, params,
+    loss)`, where given, observes it.
+    """
+    touched = _touches_columns(h, h_y, config)
+    params = _laid_out(params, feature_major=touched)
+    for epoch in range(1, config.epochs + 1):
+        batches = _mini_batches(rng.permutation(len(targets)), config.batch_size, h, h_y, targets)
+        _sgd_epoch(params, batches, config, lambda *batch: batch_grads(*batch, touched))
+        epoch_loss = loss(params) if loss is not None else 0.0
+        if not (params.is_finite() and math.isfinite(epoch_loss)):
+            raise PipelineError(f"training diverged at epoch {epoch}")
+        if after_epoch is not None:
+            after_epoch(epoch, params, epoch_loss)
+    return _laid_out(params, feature_major=False)
+
+
 def train(
     train_set: LabeledSet,
     dev_set: LabeledSet | None,
@@ -386,7 +404,7 @@ def train(
     provider_y=None,
     epoch_callback=None,
 ) -> HeadParams:
-    """Mini-batch gradient descent (`_sgd_epoch`) on the summed BCE losses.
+    """Mini-batch gradient descent (`_descend`) on the summed BCE losses.
 
     Deterministic under `config.seed`. Returns the parameters with the best
     dev-set aspect-stage macro F1 (pooled over all slots) seen at any epoch
@@ -398,39 +416,27 @@ def train(
     h = provider.embed(train_set.texts)
     h_y = provider_y.embed(train_set.texts) if provider_y is not None else h
     t_a, t_y, mask = train_set.aspects, train_set.negative, train_set.aspects
-    targets = np.hstack([t_a, t_y, mask])
-    n = len(train_set)
-    touched = _touches_columns(h, h_y, config)
+    h_dev = provider.embed(dev_set.texts) if dev_set else None
+    best = None  # the best epoch's (dev score, heads)
 
-    rng = np.random.default_rng(config.seed)
-    params = _laid_out(_init_from_rng(rng, provider.dim), feature_major=touched)
-
-    h_dev = t_a_dev = None
-    if dev_set:
-        h_dev = provider.embed(dev_set.texts)
-        t_a_dev = dev_set.aspects
-
-    def batch_grads(hb, hb_y, tb, p):
+    def batch_grads(hb, hb_y, tb, p, touched):
         return gradients(hb, tb[:, :_K], tb[:, _K : 2 * _K], tb[:, 2 * _K :], p, hb_y, touched)
 
-    best_score = -math.inf
-    best_params = params.copy()
-    for epoch in range(1, config.epochs + 1):
-        batches = _mini_batches(rng.permutation(n), config.batch_size, h, h_y, targets)
-        _sgd_epoch(params, batches, config, batch_grads)
-        epoch_loss = full_loss(h, t_a, t_y, mask, params, h_y)
-        if not (params.is_finite() and math.isfinite(epoch_loss)):
-            raise PipelineError(f"training diverged at epoch {epoch}")
+    def after_epoch(epoch, params, loss):
+        nonlocal best
         if epoch_callback is not None:
-            epoch_callback(epoch, epoch_loss)
+            epoch_callback(epoch, loss)
         if h_dev is not None:
-            score = _dev_aspect_macro_f1(h_dev, t_a_dev, params, config.aspect_threshold)
-            if score > best_score:
-                best_score = score
-                best_params = params.copy()
+            detected = probabilities(h_dev, params)[:, :_K] >= config.aspect_threshold
+            score = evaluation.evaluate(detected, dev_set.aspects)["Overall"].macro_f1
+            if best is None or score > best[0]:
+                best = score, params.copy()
 
-    return _laid_out(best_params if h_dev is not None and config.epochs > 0 else params,
-                     feature_major=False)
+    rng = np.random.default_rng(config.seed)
+    params = _descend(_init_from_rng(rng, provider.dim), h, h_y, np.hstack([t_a, t_y, mask]),
+                      rng, config, batch_grads, lambda p: full_loss(h, t_a, t_y, mask, p, h_y),
+                      after_epoch)
+    return params if best is None else best[1]
 
 
 def predict_batch(
@@ -450,7 +456,7 @@ def predict_batch(
     texts = list(texts)
     h = provider.embed(texts)
     h_y = provider_y.embed(texts) if provider_y is not None else h
-    p = _probs(_logits(h, params, h_y))
+    p = probabilities(h, params, h_y)
     p_a, p_y = p[:, :_K], p[:, _K:]
     return p_a, p_y, p_a >= thresholds.aspect_threshold, p_y >= thresholds.sentiment_threshold
 
@@ -461,7 +467,7 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
 
     Subgradient descent on hinge loss with L2 regularization, one detector
     per aspect and one Negative-vs-NonNegative classifier per aspect
-    (sentiment slots masked as in the main model), by the same `_sgd_epoch`
+    (sentiment slots masked as in the main model), by the same `_descend`
     loop as `train` from zero weights. `predict_batch` then works unchanged,
     since the margins pass through the logistic and margin >= 0 lands at
     probability >= 0.5.
@@ -471,9 +477,8 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
     h = provider.embed(train_set.texts)
     s = 2.0 * np.hstack([train_set.aspects, train_set.negative]) - 1.0  # the target signs
     targets = np.hstack([s, train_set.aspects])  # the signs, then the sentiment mask
-    touched = _touches_columns(h, h, config)
 
-    def margin_grads(hb, hb_y, tb, p):
+    def margin_grads(hb, hb_y, tb, p, touched):
         # subgradient of sum(max(0, 1 - s * margin)): -s where the hinge is active
         sb = tb[:, : 2 * _K]
         coef = -sb * (1.0 - sb * _logits(hb, p, hb_y) > 0).astype(float)
@@ -481,14 +486,8 @@ def train_svm_baseline(train_set: LabeledSet, config: TrainConfig, provider) -> 
         return _grads(coef, hb, hb_y, touched)
 
     zeros = HeadParams.stacked(np.zeros((2 * _K, provider.dim)), np.zeros(2 * _K))
-    params = _laid_out(zeros, feature_major=touched)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
-        batches = _mini_batches(rng.permutation(len(train_set)), config.batch_size, h, h, targets)
-        _sgd_epoch(params, batches, config, margin_grads)
-    if not params.is_finite():
-        raise PipelineError("hinge baseline training diverged")
-    return _laid_out(params, feature_major=False)
+    return _descend(zeros, h, h, targets, np.random.default_rng(config.seed), config,
+                    margin_grads)
 
 
 @dataclass(frozen=True)
@@ -511,7 +510,7 @@ def select_confident(pool: Iterable[tuple[str, str]], provider, params, threshol
         raise PipelineError("augment-candidates needs 0 < threshold < 1 and cap >= 1")
     best: dict[Aspect, list[ConfidentCandidate]] = {a: [] for a in A_USED}
     for chunk in iter_chunks(pool):
-        probs = forward_aspect(provider.embed([text for _, text in chunk]), params)
+        probs = probabilities(provider.embed([text for _, text in chunk]), params)[:, :_K]
         for i, aspect in enumerate(A_USED):
             hits = best[aspect] + [
                 ConfidentCandidate(tweet_id, text, float(p))
@@ -536,10 +535,6 @@ class ModelBundle:
 
     def __post_init__(self):
         _check_thresholds(self)
-
-    @property
-    def fingerprint(self) -> str:
-        return provider_fingerprint(self.provider_config)
 
 
 def provider_fingerprint(provider_config: dict) -> str:
@@ -608,7 +603,7 @@ def save_params(path, bundle: ModelBundle) -> None:
         "aspects": [a.value for a in A_USED],
         "objective": bundle.objective,
         "provider": bundle.provider_config,
-        "provider_fingerprint": bundle.fingerprint,
+        "provider_fingerprint": provider_fingerprint(bundle.provider_config),
         "aspect_threshold": bundle.aspect_threshold,
         "sentiment_threshold": bundle.sentiment_threshold,
         "tensors": {name: _tensor_to_obj(getattr(bundle.params, name)) for name in _TENSORS},
@@ -642,6 +637,6 @@ def load_params(path) -> ModelBundle:
         if provider.dim != bundle.params.dim:
             raise PipelineError(f"provider dim {provider.dim} != tensor dim {bundle.params.dim}")
         return bundle
-    except (PipelineError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError: bad JSON, UTF-8, base64 or tensor shape; OverflowError: a huge shape
+    except (PipelineError, ValueError) as exc:
+        # ValueError: bad JSON or UTF-8, a provider setting out of range, a threshold outside (0, 1)
         raise PipelineError(f"bad parameter file {path}: {exc}") from None

@@ -123,8 +123,8 @@ def test_criterion_3_training_sanity():
 
     h = provider.embed(examples.texts)
     gold = examples.aspects
-    pred = model.forward_aspect(h, params) >= 0.5
-    micro = evaluation.evaluate(pred, gold, stage="aspect")["Overall"].micro_f1
+    pred = model.probabilities(h, params)[:, :len(corpus.A_USED)] >= 0.5
+    micro = evaluation.evaluate(pred, gold)["Overall"].micro_f1
     elapsed = time.perf_counter() - started
     _report(3, "training sanity", monotone and micro == 1.0 and elapsed < 10.0,
             f"monotone={monotone}, train micro F1={micro:.3f}, {elapsed:.2f}s")
@@ -138,8 +138,8 @@ def _split_model_examples(examples, seed):
 def _aspect_overall_micro(provider, params, test_set, threshold=0.5):
     h = provider.embed(test_set.texts)
     gold = test_set.aspects
-    pred = model.forward_aspect(h, params) >= threshold
-    return evaluation.evaluate(pred, gold, stage="aspect")["Overall"].micro_f1
+    pred = model.probabilities(h, params)[:, :len(corpus.A_USED)] >= threshold
+    return evaluation.evaluate(pred, gold)["Overall"].micro_f1
 
 
 def test_criterion_4_model_quality():

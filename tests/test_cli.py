@@ -493,10 +493,10 @@ class TestTrainEvalInfer:
         assert [o["id"] for o in lines] == ["a", "b", "c"]
         texts = ["china government policy awful", "china lockdown masks effective",
                  "china cases update"]
-        p_a = model.forward_aspect(provider.embed(texts), bundle.params)
+        p = model.probabilities(provider.embed(texts), bundle.params)  # [p_a | p_y]
         for i, obj in enumerate(lines):
             for j, aspect in enumerate(corpus.A_USED):
-                assert obj["aspect_probs"][aspect.value] == pytest.approx(p_a[i, j], abs=1e-12)
+                assert obj["aspect_probs"][aspect.value] == pytest.approx(p[i, j], abs=1e-12)
             detected = {a for a, p in obj["aspect_probs"].items() if p >= bundle.aspect_threshold}
             assert set(obj["detected"]) == detected
             assert set(obj["sentiment"]) == detected
@@ -601,9 +601,8 @@ class TestOneThresholdRule:
         gold_a, gold_y = gold.aspects, gold.negative
         everything = np.ones(gold_a.shape, dtype=bool)
         files.write_csv(tmp_path / "expected.csv", *evaluation.report_table({
-            "aspect": evaluation.evaluate(everything, gold_a, stage="aspect"),
-            "sentiment": evaluation.evaluate(everything, gold_y, stage="sentiment",
-                                             gold_aspects=gold_a),
+            "aspect": evaluation.evaluate(everything, gold_a),
+            "sentiment": evaluation.evaluate(everything, gold_y, gold_a),
         }))
         assert (tmp_path / "eval.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
@@ -620,7 +619,7 @@ class TestOneThresholdRule:
                          for line in out.read_text(encoding="utf-8").splitlines()])
         gold = corpus.labeled_set(corpus.read_dataset(test_split)).aspects
         assert pred.any() and not pred.all()
-        report = evaluation.evaluate(pred, gold, stage="aspect")
+        report = evaluation.evaluate(pred, gold)
         rows = list(csv.DictReader((tmp_path / "eval.csv").open(encoding="utf-8")))
         assert [r["aspect"] for r in rows] == list(report)
         for r in rows:

@@ -43,7 +43,7 @@ class TestEvaluate:
     def test_perfect_predictions(self):
         rng = np.random.default_rng(0)
         gold = rng.integers(0, 2, size=(30, K))
-        report = evaluate(gold, gold, stage="aspect")
+        report = evaluate(gold, gold)
         for metrics in report.values():
             assert metrics.macro_f1 == 1.0
             assert metrics.micro_f1 == 1.0
@@ -51,43 +51,45 @@ class TestEvaluate:
     def test_constant_predictor_balanced_micro(self):
         gold = np.zeros((10, K), dtype=bool)
         gold[:5] = True  # 50/50 per column
-        report = evaluate(_full(10, K, True), gold, stage="aspect")
+        report = evaluate(_full(10, K, True), gold)
         assert report["Overall"].micro_f1 == 0.5
 
     def test_twelve_slot_hand_fixture(self):
-        # 2 aspects x 6 examples = 12 slots, worked by hand.
+        # 2 aspects x 6 examples = 12 slots, worked by hand, in the Politics and
+        # Foreign columns; the other four columns are all tn.
         # col0: gold 1,1,1,0,0,0  pred 1,0,1,0,0,1 -> tp2 fn1 fp1 tn2
         #   pos: P=2/3 R=2/3 F1=2/3; neg: P=2/3 R=2/3 F1=2/3; macro=2/3; micro=4/6
         # col1: gold 1,0,0,0,0,0  pred 1,1,1,1,1,1 -> tp1 fp5 tn0 fn0
         #   pos: P=1/6 R=1 F1=2/7; neg: 0; macro=1/7; micro=1/6
-        # pooled: tp3 fp6 fn1 tn2
-        #   pos: P=1/3 R=3/4 F1=6/13; neg: P=2/3 R=1/4 F1=4/11
-        #   macro=(6/13+4/11)/2; micro=5/12
+        # pooled: tp3 fp6 fn1 tn2+24=26
+        #   pos: P=1/3 R=3/4 F1=6/13; neg: F1=2*26/(2*26+1+6)=52/59
+        #   macro=(6/13+52/59)/2; micro=29/36
         gold = np.array([[1, 1], [1, 0], [1, 0], [0, 0], [0, 0], [0, 0]])
         pred = np.array([[1, 1], [0, 1], [1, 1], [0, 1], [0, 1], [1, 1]])
-        report = evaluate(pred, gold, stage="aspect", aspects=["A", "B"])
-        assert report["A"].macro_f1 == pytest.approx(2 / 3, abs=1e-12)
-        assert report["A"].micro_f1 == pytest.approx(4 / 6, abs=1e-12)
-        assert report["B"].macro_f1 == pytest.approx((2 / 7) / 2, abs=1e-12)
-        assert report["B"].micro_f1 == pytest.approx(1 / 6, abs=1e-12)
-        assert report["Overall"].macro_f1 == pytest.approx((6 / 13 + 4 / 11) / 2, abs=1e-12)
-        assert report["Overall"].micro_f1 == pytest.approx(5 / 12, abs=1e-12)
+        pad = np.zeros((6, K - 2), dtype=int)
+        report = evaluate(np.hstack([pred, pad]), np.hstack([gold, pad]))
+        assert report["Politics"].macro_f1 == pytest.approx(2 / 3, abs=1e-12)
+        assert report["Politics"].micro_f1 == pytest.approx(4 / 6, abs=1e-12)
+        assert report["Foreign"].macro_f1 == pytest.approx((2 / 7) / 2, abs=1e-12)
+        assert report["Foreign"].micro_f1 == pytest.approx(1 / 6, abs=1e-12)
+        assert report["Overall"].macro_f1 == pytest.approx((6 / 13 + 52 / 59) / 2, abs=1e-12)
+        assert report["Overall"].micro_f1 == pytest.approx(29 / 36, abs=1e-12)
 
     def test_sentiment_stage_conditions_on_gold_aspects(self):
         rng = np.random.default_rng(1)
         gold_aspects = rng.integers(0, 2, size=(20, K))
         gold = rng.integers(0, 2, size=(20, K)) * gold_aspects
         pred = rng.integers(0, 2, size=(20, K))
-        base = evaluate(pred, gold, stage="sentiment", gold_aspects=gold_aspects)
+        base = evaluate(pred, gold, gold_aspects)
         poisoned = gold.copy()
         poisoned[gold_aspects == 0] = rng.integers(0, 2, size=int((gold_aspects == 0).sum()))
-        again = evaluate(pred, poisoned, stage="sentiment", gold_aspects=gold_aspects)
+        again = evaluate(pred, poisoned, gold_aspects)
         assert base == again
 
-    def test_sentiment_stage_requires_gold_aspects(self):
+    def test_gold_aspects_shape_must_match(self):
         gold = np.zeros((4, K))
-        with pytest.raises(ValueError):
-            evaluate(gold, gold, stage="sentiment")
+        with pytest.raises(ValueError, match="^gold_aspects shape mismatch$"):
+            evaluate(gold, gold, np.zeros((3, K)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -96,7 +98,7 @@ class TestEvaluate:
     def test_relevance_slot_feeds_only_the_pool(self):
         # the slot named Overall has no individual row; the pooled row exists
         gold = np.zeros((4, K))
-        report = evaluate(np.zeros((4, K)), gold, stage="aspect")
+        report = evaluate(np.zeros((4, K)), gold)
         assert set(report) == {"Politics", "Foreign", "Situation", "Measures",
                                "Racism", "Overall"}
 
@@ -104,9 +106,10 @@ class TestEvaluate:
 binary_matrix = arrays(np.int8, (12, 1), elements=st.integers(0, 1))
 
 
-@given(pred=binary_matrix, gold=binary_matrix)
+@given(pred=arrays(np.int8, (12, K), elements=st.integers(0, 1)),
+       gold=arrays(np.int8, (12, K), elements=st.integers(0, 1)))
 def test_micro_f1_equals_accuracy(pred, gold):
-    report = evaluate(pred, gold, stage="aspect", aspects=["X"])
+    report = evaluate(pred, gold)
     accuracy = float(np.mean(pred.astype(bool) == gold.astype(bool)))
     assert report["Overall"].micro_f1 == pytest.approx(accuracy, abs=1e-12)
 
@@ -175,9 +178,9 @@ class TestEvaluateEqualsEnumeration:
     @given(stage_inputs())
     def test_both_stages(self, inputs):
         pred, gold, gold_aspects = inputs
-        assert evaluate(pred, gold, stage="aspect") == reference_report(
+        assert evaluate(pred, gold) == reference_report(
             pred, gold, np.ones_like(gold))
-        assert evaluate(pred, gold, stage="sentiment", gold_aspects=gold_aspects) == (
+        assert evaluate(pred, gold, gold_aspects) == (
             reference_report(pred, gold, gold_aspects))
 
     @pytest.mark.parametrize("n", [0, 5])
@@ -187,8 +190,8 @@ class TestEvaluateEqualsEnumeration:
         gold = np.zeros((n, K), dtype=int)
         gold_aspects = np.zeros((n, K), dtype=int)
         gold_aspects[:, 0] = 1  # every other slot is empty in the sentiment stage
-        assert evaluate(pred, gold, stage="aspect") == reference_report(
+        assert evaluate(pred, gold) == reference_report(
             pred, gold, np.ones_like(gold))
-        report = evaluate(pred, gold, stage="sentiment", gold_aspects=gold_aspects)
+        report = evaluate(pred, gold, gold_aspects)
         assert report == reference_report(pred, gold, gold_aspects)
         assert report["Foreign"] == Metrics(0.0, 0.0)

@@ -534,6 +534,7 @@ class TestDualRepresentation:
         t_y = np.zeros((3, k))
         mask = np.ones((3, k))
         g = model.gradients(h, t_a, t_y, mask, params, h_y=h_y)
-        p_y = model.forward_sentiment(h_y, params)
+        p_y = model.probabilities(h, params, h_y)[:, k:]
         assert np.allclose(g.W_y, ((p_y - t_y) * mask).T @ h_y, atol=1e-12)
-        assert not np.allclose(g.W_y, ((model.forward_sentiment(h, params) - t_y) * mask).T @ h)
+        p_y_of_h = model.probabilities(h, params)[:, k:]
+        assert not np.allclose(g.W_y, ((p_y_of_h - t_y) * mask).T @ h)

@@ -25,14 +25,13 @@ from aspectsent.model import (
     HeadParams,
     ModelBundle,
     TrainConfig,
-    forward_aspect,
-    forward_sentiment,
     full_loss,
     gradients,
     load_params,
     loss_aspect,
     loss_sentiment,
     predict_batch,
+    probabilities,
     save_params,
     train,
     train_svm_baseline,
@@ -63,7 +62,7 @@ def random_params(d, rng):
 
 class TestForward:
     def test_zero_parameters_give_half(self):
-        p = forward_aspect(np.ones(4), zero_params(4))
+        p = probabilities(np.ones(4), zero_params(4))
         assert np.allclose(p, 0.5)
 
     def test_logistic_fixture(self):
@@ -71,26 +70,26 @@ class TestForward:
         params = zero_params(2)
         params.W_a[0] = [2.0, -1.0]
         params.b_a[0] = 0.5
-        p = forward_aspect(np.array([1.0, 0.0]), params)
+        p = probabilities(np.array([1.0, 0.0]), params)[:K]
         assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.5)), abs=1e-9)
         assert p[0] == pytest.approx(0.924142, abs=1e-6)
 
     def test_monotone_in_positive_logit(self):
         params = zero_params(2)
         params.W_a[0] = [1.0, 0.0]
-        p1 = forward_aspect(np.array([1.0, 0.0]), params)[0]
-        p2 = forward_aspect(np.array([2.0, 0.0]), params)[0]
+        p1 = probabilities(np.array([1.0, 0.0]), params)[0]
+        p2 = probabilities(np.array([2.0, 0.0]), params)[0]
         assert p2 > p1 > 0.5
 
     def test_dimension_mismatch(self):
         with pytest.raises(PipelineError, match="^embedding dim 3 != parameter dim 4$"):
-            forward_aspect(np.zeros(3), zero_params(4))
+            probabilities(np.zeros(3), zero_params(4))
 
     def test_outputs_strictly_inside_unit_interval(self):
         params = zero_params(2)
         params.W_a[0] = [1000.0, 0.0]
         params.W_a[1] = [-1000.0, 0.0]
-        p = forward_aspect(np.array([1.0, 0.0]), params)
+        p = probabilities(np.array([1.0, 0.0]), params)[:K]
         assert 0.0 < p[0] < 1.0  # saturation is clamped away from the bounds
         assert 0.0 < p[1] < 1.0
 
@@ -109,7 +108,7 @@ class TestForward:
         params = random_params(3, rng)
         h = rng.normal(size=3)
         swapped = HeadParams(params.W_y, params.b_y, params.W_a, params.b_a)
-        assert np.allclose(forward_sentiment(h, params), forward_aspect(h, swapped))
+        assert np.allclose(probabilities(h, params)[K:], probabilities(h, swapped)[:K])
 
 
 class TestLosses:
@@ -205,8 +204,8 @@ class TestGradients:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         params = random_params(4, rng)
-        t_a = forward_aspect(h, params)
-        t_y = forward_sentiment(h, params)
+        p = probabilities(h, params)
+        t_a, t_y = p[:, :K], p[:, K:]
         mask = np.ones_like(t_a)
         g = gradients(h, t_a, t_y, mask, params)
         for name in ("W_a", "b_a", "W_y", "b_y"):
@@ -217,8 +216,8 @@ class TestGradients:
         h, t_a, t_y, mask = _random_batch(rng, 4, 3)
         params = random_params(4, rng)
         g = gradients(h, t_a, t_y, mask, params)
-        p_a = forward_aspect(h, params)
-        p_y = forward_sentiment(h, params)
+        p = probabilities(h, params)
+        p_a, p_y = p[:, :K], p[:, K:]
         assert np.allclose(g.W_a, (p_a - t_a).T @ h, atol=1e-12)
         assert np.allclose(g.b_a, (p_a - t_a).sum(axis=0), atol=1e-12)
         assert np.allclose(g.W_y, ((p_y - t_y) * mask).T @ h, atol=1e-12)
@@ -460,9 +459,9 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.5, epochs=200, batch_size=20, seed=1)
         params = train(examples, None, provider, cfg)
         h = provider.embed(examples.texts)
-        pred = forward_aspect(h, params) >= 0.5
+        pred = probabilities(h, params)[:, :K] >= 0.5
         gold = examples.aspects
-        report = evaluation.evaluate(pred, gold, stage="aspect")
+        report = evaluation.evaluate(pred, gold)
         assert report["Overall"].micro_f1 == 1.0
 
     @staticmethod
@@ -585,11 +584,26 @@ class TestPredict:
         p_a, p_y, detected, negative = predict_batch(["china policy news"], provider, params,
                                                      TrainConfig())
         h = provider.embed(["china policy news"])
-        assert np.array_equal(p_a, forward_aspect(h, params))
-        assert np.array_equal(p_y, forward_sentiment(h, params))
+        p = probabilities(h, params)
+        assert np.array_equal(p_a, p[:, :K])
+        assert np.array_equal(p_y, p[:, K:])
         assert all(a.shape == (1, K) for a in (p_a, p_y, detected, negative))
         assert np.array_equal(detected, p_a >= 0.5)
         assert np.array_equal(negative, p_y >= 0.5)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["hashed", "dense"])
+    def test_select_confident_reads_predict_batch_probabilities(self, dense):
+        # candidate selection and inference read one forward pass, to the bit
+        texts = [f"{'alpha beta ' * (i % 3)}item{i} china news #covid @who" for i in range(40)]
+        provider = (DenseRows if dense else HashedProvider)(ngram_max=2, dim=1024)
+        params = random_params(1024, np.random.default_rng(2))
+        pool = [(f"id{i:02d}", text) for i, text in enumerate(texts)]
+        p_a = predict_batch(texts, provider, params, TrainConfig())[0]
+        got = model.select_confident(pool, provider, params, threshold=0.5, cap=len(pool))
+        selected = [(ASPECT_INDEX[aspect], c) for aspect, cands in got.items() for c in cands]
+        assert len(selected) == (p_a >= 0.5).sum() > 0
+        for j, c in selected:
+            assert c.probability.hex() == float(p_a[int(c.tweet_id[2:]), j]).hex()
 
     def test_no_texts_give_empty_arrays(self):
         provider = HashedProvider(dim=1024)
@@ -618,9 +632,8 @@ class TestSparseRowsInModel:
     def test_forward_and_gradients_match_dense(self, seed):
         rows, t_a, t_y, mask, params = self._batch(seed)
         dense = rows.toarray()
-        for fwd in (forward_aspect, forward_sentiment):
-            np.testing.assert_allclose(fwd(rows, params), fwd(dense, params),
-                                       rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(probabilities(rows, params), probabilities(dense, params),
+                                   rtol=self.RTOL, atol=self.ATOL)
         sparse_g = gradients(rows, t_a, t_y, mask, params)
         dense_g = gradients(dense, t_a, t_y, mask, params)
         for name in ("W_a", "b_a", "W_y", "b_y"):
@@ -650,7 +663,7 @@ class TestSparseRowsInModel:
     def test_dim_mismatch_is_model_error(self):
         rows, *_ = self._batch(0)
         with pytest.raises(PipelineError, match="^embedding dim 1024 != parameter dim 2048$"):
-            forward_aspect(rows, zero_params(2048))
+            probabilities(rows, zero_params(2048))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 32, 300])
     def test_one_product_for_both_heads_equals_one_per_head(self, n):
@@ -701,6 +714,13 @@ class TestSvmBaseline:
         p2 = train_svm_baseline(examples, cfg, provider)
         assert np.array_equal(p1.W_a, p2.W_a)
         assert np.array_equal(p1.W_y, p2.W_y)
+
+    def test_divergence_raises_at_the_first_non_finite_epoch(self):
+        # as in BCE training, decay at an absurd learning rate overflows W in epoch 1
+        cfg = TrainConfig(learning_rate=1e200, weight_decay=1.0, epochs=3, batch_size=5, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                PipelineError, match=r"^training diverged at epoch 1$"):
+            train_svm_baseline(separable_examples(), cfg, HashedProvider(dim=1024))
 
     @staticmethod
     def reference_hinge(examples, config, provider):
@@ -805,7 +825,7 @@ class TestParamsIO:
             path = Path(tmp) / "params.json"
             save_params(path, bundle)
             if accepted:
-                assert load_params(path).fingerprint == bundle.fingerprint
+                assert load_params(path).provider_config == bundle.provider_config
             else:
                 with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: ")):
                     load_params(path)
@@ -836,7 +856,7 @@ class TestParamsIO:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "params.json"
             save_params(path, bundle)
-            assert load_params(path).fingerprint == bundle.fingerprint
+            assert load_params(path).provider_config == bundle.provider_config
 
     @pytest.mark.parametrize("provider, tensor_dim, message", [
         ({"kind": "native-hashed", "hash_seed": -1}, 4096, "hash_seed must be in 0..2**64-1"),
@@ -893,6 +913,20 @@ class TestParamsIO:
         edit(doc["tensors"])
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(PipelineError, match=re.escape(f"bad parameter file {path}: {message}")):
+            load_params(path)
+
+    @pytest.mark.parametrize("bug", [KeyError, TypeError])
+    def test_a_loader_bug_propagates_unchanged(self, tmp_path, monkeypatch, bug):
+        # only bad input is a `bad parameter file`; any other exception is a bug in the loader
+        path = tmp_path / "params.json"
+        save_params(path, ModelBundle(random_params(2, np.random.default_rng(0)), {
+            "kind": "remote", "endpoint": "http://e", "dim": 2}))
+
+        def broken(tensors):
+            raise bug("W_a")
+
+        monkeypatch.setattr(model, "_params_from_tensors", broken)
+        with pytest.raises(bug, match="W_a"):
             load_params(path)
 
     def test_version_check(self, tmp_path):
