@@ -6,7 +6,9 @@ key, or a value not of its key's type, is a domain error when the file is
 loaded. Every output file gets a sibling `<name>.meta.json` recording the
 tool version, a hash of the effective configuration, and the seed, so runs
 are auditable; all non-metadata outputs are byte-reproducible given
-identical inputs, configuration, and seeds.
+identical inputs, configuration, and seeds. `main` runs each command in one
+`files.committed()` block: its outputs and metas land together when the
+handler returns, and a command that fails before then changes no previous output.
 
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 """
@@ -270,6 +272,7 @@ def _cmd_ingest(args, file_cfg):
     section = _settings("ingest", args, file_cfg)
     if not section["date_start"] or not section["date_end"]:
         raise PipelineError("ingest requires --date-start and --date-end")
+    out = files.staged(args.out)  # ingest_file fills it in place
     # a missing corpus is reported before a missing keyword or account file
     with _rereadable(args.corpus, args.out) as corpus_path:
         try:
@@ -284,10 +287,9 @@ def _cmd_ingest(args, file_cfg):
             )
         except ValueError as exc:
             raise PipelineError(f"bad ingest settings: {exc}") from None
-        counts = ingest.ingest_file(corpus_path, spec, args.out, name=args.corpus)
+        counts = ingest.ingest_file(corpus_path, spec, out, name=args.corpus)
     _write_meta(args.out, section, seed=spec.seed, counts=counts)
     print(f"ingest: kept {counts['kept']} tweets -> {args.out}")
-    return 0
 
 
 def _cmd_adjudicate(args, file_cfg):
@@ -318,7 +320,6 @@ def _cmd_adjudicate(args, file_cfg):
                 counts={"tweets": len(annotated), "phase_1": phases["phase-1"],
                         "phase_2": phases["phase-2"], "discarded": discarded})
     print(f"adjudicate: accepted {len(examples)}, discarded {discarded} -> {args.out}")
-    return 0
 
 
 def _pct(count: int, total: int) -> str:
@@ -349,7 +350,6 @@ def _dataset_stats_table(dataset_path) -> tuple[list, list]:
 def _cmd_stats_dataset(args, file_cfg):
     files.write_csv(args.out, *_dataset_stats_table(args.dataset))
     _write_meta(args.out, {"dataset": args.dataset})
-    return 0
 
 
 def _cmd_split(args, file_cfg):
@@ -365,7 +365,6 @@ def _cmd_split(args, file_cfg):
     print(
         f"split: {len(train_part)}/{len(dev_part)}/{len(test_part)} -> {out_dir}"
     )
-    return 0
 
 
 def _cmd_train(args, file_cfg):
@@ -400,7 +399,6 @@ def _cmd_train(args, file_cfg):
     effective = {"provider": provider_cfg, "train": train_cfg.__dict__, "objective": args.objective}
     _write_meta(args.params_out, effective, seed=train_cfg.seed, train_loss=train_loss)
     print(f"train: {len(train_set)} examples, objective={args.objective} -> {args.params_out}")
-    return 0
 
 
 def _load_bundle_and_provider(params_path, flags: dict):
@@ -435,7 +433,6 @@ def _cmd_eval(args, file_cfg):
     files.write_csv(args.out, header, rows)
     _write_meta(args.out, {"params": args.params, "dataset": args.dataset})
     _print_eval(rows, args.out)
-    return 0
 
 
 def _cmd_infer(args, file_cfg):
@@ -454,7 +451,6 @@ def _cmd_infer(args, file_cfg):
     _write_meta(args.out, {"params": args.params, "corpus": args.corpus},
                 counts={"rows": count, "detected": dict(zip(_ASPECT_NAMES, detected.tolist()))})
     print(f"infer: {count} tweets -> {args.out}")
-    return 0
 
 
 def _cmd_augment_candidates(args, file_cfg):
@@ -471,7 +467,6 @@ def _cmd_augment_candidates(args, file_cfg):
     _write_meta(args.out, {"params": args.params, "pool": args.pool,
                            "threshold": threshold, "cap": cap})
     print(f"augment-candidates: {total} candidates -> {args.out}")
-    return 0
 
 
 def _cmd_series(args, file_cfg):
@@ -491,7 +486,6 @@ def _cmd_series(args, file_cfg):
          "start": section["start"], "end": section["end"]},
     )
     print(f"series: {len(columns)} series -> {args.out}")
-    return 0
 
 
 _GRANGER_COLUMNS = ("lag", "n_used", "F", "p")  # the cells of one Granger direction
@@ -518,7 +512,6 @@ def _cmd_granger(args, file_cfg):
     for cause, effect, _, _, f_stat, p in rows:
         tested = f"F={float(f_stat):.4f} p={float(p):.4f}" if f_stat else "not tested"
         print(f"granger: {cause} -> {effect}: {tested}")
-    return 0
 
 
 def _group_table(table, selector_a, selector_b, mode: str) -> tuple[list, list]:
@@ -542,7 +535,6 @@ def _cmd_compare_groups(args, file_cfg):
     )
     for aspect, mean_a, mean_b, difference, *_, stars in rows:
         print(f"compare-groups[{aspect}]: {mean_a} vs {mean_b} diff={difference}{stars}")
-    return 0
 
 
 _TABLE2 = "table2_model_performance.csv"  # its `eval:` line prints once it is written
@@ -620,7 +612,6 @@ def _cmd_report(args, file_cfg):
     if _TABLE2 in tables:
         _print_eval(tables[_TABLE2][1], out_dir / _TABLE2)
     print(f"report: wrote {len(tables)} tables to {out_dir}")
-    return 0
 
 
 # --- parser ---
@@ -743,7 +734,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         file_cfg = _load_config_file(args.config)
-        return args.func(args, file_cfg)
+        with files.committed():  # the command's outputs land together when it returns
+            args.func(args, file_cfg)
+        return 0
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

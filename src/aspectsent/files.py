@@ -5,14 +5,16 @@ them, and report a line they cannot read (not UTF-8, not a JSON object, a
 missing or wrong-typed field) as a `PipelineError` saying `<path>:<line>: …`.
 `json_object` is the one JSON decode of a pipeline file, and `field` the one
 typed check of a record's field.
-Writers write a temp file in the output's directory and rename it over the
-output only once it is complete, so a failure leaves any previous output as it
-was and no partial file. CSV files use the excel dialect (`\r\n` line ends).
+Writers fill a temp file beside each output, and `committed()` renames them
+all into place, metas first, when its block ends: a failure in the block leaves
+every previous output as it was and no partial file. CSV files use the excel
+dialect (`\r\n` line ends).
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import re
@@ -210,22 +212,52 @@ def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
             raise PipelineError(f"{path}:{lineno}: {exc}") from None
 
 
+_staging: dict[str, str] | None = None  # the open `committed()` block: temp file -> output
+
+
+@contextmanager
+def committed():
+    """A block whose outputs land together when it ends: each writer in it fills
+    a `staged` temp file, and on exit every `.meta.json` is renamed into place,
+    then every other output. Any error, KeyboardInterrupt included, renames no
+    more and removes every temp file. A block opened inside another joins it."""
+    global _staging
+    if _staging is not None:
+        yield
+        return
+    _staging = staging = {}
+    try:
+        yield
+        for tmp in sorted(staging, key=lambda t: not staging[t].endswith(".meta.json")):
+            os.replace(tmp, staging[tmp])
+    except OSError as exc:  # name the output, not its temp file
+        exc.filename = staging.get(exc.filename, exc.filename)
+        raise
+    finally:
+        _staging = None
+        for tmp in staging:
+            Path(tmp).unlink(missing_ok=True)
+
+
+def staged(path) -> Path:
+    """The temp file beside `path` that the open `committed()` block renames over
+    `path`; a directory at `path` is an IsADirectoryError, before any write."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    _staging[str(tmp)] = str(path)
+    return tmp
+
+
 @contextmanager
 def _atomic_output(path, newline=None):
-    """A UTF-8 text file to write `path` through: a temp file in `path`'s
-    directory, renamed into place only on success; on any error it is removed
-    and `path` is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    """A UTF-8 text file to write `path` through: its `staged` temp file, or `path`
+    if it is one, committed by the open block or else by a block of its own."""
+    with committed():
+        tmp = path if str(path) in _staging else staged(path)
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(tmp):
-            exc.filename = str(path)  # name the output, not its temp file
-        raise
 
 
 def write_json(path, doc, indent=None) -> None:

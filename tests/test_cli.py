@@ -1055,30 +1055,37 @@ def _report_rows():
     return rows
 
 
+def _full_report_config(d, trained_params) -> Path:
+    """A report config in directory `d` whose section sets every key, so the
+    report writes all nine tables."""
+    params, splits = trained_params
+    public = d / "public.jsonl"
+    media = d / "media.jsonl"
+    rows = _report_rows()
+    _write_predictions(public, rows)
+    _write_predictions(media, rows[::3])
+
+    cfg = {
+        "report": {
+            "dataset": str(splits / "train.jsonl"),
+            "params": str(params),
+            "test": str(splits / "test.jsonl"),
+            "predictions": str(public),
+            "media_predictions": str(media),
+            "group_a": "bots",
+            "group_b": "users",
+            "lag": 1,
+            "smoothing_window": 7,
+        }
+    }
+    cfg_path = d / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return cfg_path
+
+
 class TestReport:
     def test_full_bundle(self, tmp_path, trained_params, capsys):
-        params, splits = trained_params
-        public = tmp_path / "public.jsonl"
-        media = tmp_path / "media.jsonl"
-        rows = _report_rows()
-        _write_predictions(public, rows)
-        _write_predictions(media, rows[::3])
-
-        cfg = {
-            "report": {
-                "dataset": str(splits / "train.jsonl"),
-                "params": str(params),
-                "test": str(splits / "test.jsonl"),
-                "predictions": str(public),
-                "media_predictions": str(media),
-                "group_a": "bots",
-                "group_b": "users",
-                "lag": 1,
-                "smoothing_window": 7,
-            }
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        cfg_path = _full_report_config(tmp_path, trained_params)
         out_dir = tmp_path / "report"
         capsys.readouterr()
         assert main(["report", "-c", str(cfg_path), "--out-dir", str(out_dir)]) == 0
@@ -1809,6 +1816,11 @@ def _fail_writes(monkeypatch) -> list:
     return failed
 
 
+def _file_bytes(d) -> dict:
+    """The bytes of every file under directory `d`, by path."""
+    return {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
 class TestAtomicOutputs:
     """A writer that fails after its first row leaves the previous output as it
     was and no temp file."""
@@ -1835,6 +1847,65 @@ class TestAtomicOutputs:
         assert failed == [out.with_name(f".{out.name}.{os.getpid()}.tmp")]
         assert out.read_bytes() == self.PREVIOUS
         assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("stage", list(_STAGE_OUTPUTS))
+    def test_failed_meta_keeps_every_previous_output(self, tmp_path, small_corpus,
+                                                     trained_params, capsys, stage):
+        _write_stage_inputs(tmp_path)
+        argv, out_name = _STAGE_OUTPUTS[stage]
+        out = tmp_path / out_name
+        argv = [a.replace("{d}", str(tmp_path)).replace("{out}", str(out)) for a in argv]
+        assert main(argv) == 0
+        out.write_bytes(self.PREVIOUS)
+        meta = Path(f"{out}.meta.json")
+        meta.unlink()
+        meta.mkdir()
+        before = _file_bytes(tmp_path)
+        capsys.readouterr()
+
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {meta}: Is a directory\n"
+        assert _file_bytes(tmp_path) == before
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    def test_report_keeps_every_table_when_the_last_meta_fails(self, tmp_path, trained_params,
+                                                                capsys):
+        argv = ["report", "-c", str(_full_report_config(tmp_path, trained_params)),
+                "--out-dir", str(tmp_path / "r")]
+        assert main(argv) == 0
+        last = tmp_path / "r" / "table8_group_sentiments.csv.meta.json"
+        for path in (tmp_path / "r").iterdir():  # bytes this run would not write
+            path.write_bytes(self.PREVIOUS + path.name.encode())
+        last.unlink()
+        last.mkdir()
+        before = _file_bytes(tmp_path / "r")
+        assert len(before) == 17  # nine tables and eight metas
+        capsys.readouterr()
+
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {last}: Is a directory\n"
+        assert _file_bytes(tmp_path / "r") == before
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("out", ["", ".", "/", "..", "existing"])
+    def test_directory_output_is_refused(self, tmp_path, small_corpus, trained_params,
+                                         monkeypatch, capsys, out):
+        _write_stage_inputs(tmp_path)
+        (tmp_path / "cwd" / "existing").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "cwd")  # so ".." is the test directory
+
+        def listing():
+            return sorted(tmp_path.rglob("*")), sorted(os.listdir("/"))
+
+        before = listing()
+        for argv, _ in _STAGE_OUTPUTS.values():
+            if "{out}" not in argv:  # split and report write into a directory
+                continue
+            argv = [a.replace("{d}", str(tmp_path)).replace("{out}", out) for a in argv]
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == f"error: {Path(out)}: Is a directory\n", argv
+            assert listing() == before, argv
 
     def test_meta_keeps_previous_output(self, tmp_path, monkeypatch):
         meta = tmp_path / "out.csv.meta.json"

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -157,3 +158,89 @@ class TestLoneSurrogates:
         path.write_text('{\n "a": "\\ud800"\n}\n', encoding="utf-8")
         with pytest.raises(files.LoneSurrogateError, match="'a'"):
             files.read_json(path)
+
+
+class TestCommitted:
+    """`files.committed()`: every output written in the block lands when it ends, metas first."""
+
+    @pytest.fixture
+    def renames(self, monkeypatch):
+        """The (temp file, output) pairs `os.replace` is called with, in order."""
+        calls, replace = [], os.replace
+
+        def recording(src, dst):
+            calls.append((os.path.basename(src), os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(files.os, "replace", recording)
+        return calls
+
+    def test_metas_land_before_outputs(self, tmp_path, renames):
+        with files.committed():
+            files.write_csv(tmp_path / "a.csv", ["x"], [[1]])
+            files.write_json(tmp_path / "a.csv.meta.json", {"a": 1})
+            files.write_jsonl(tmp_path / "b.jsonl", [{"b": 1}])
+            files.write_json(tmp_path / "b.jsonl.meta.json", {"b": 1})
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                f".{name}.{os.getpid()}.tmp"
+                for name in ("a.csv", "a.csv.meta.json", "b.jsonl", "b.jsonl.meta.json")]
+        assert [dst for _, dst in renames] == [
+            "a.csv.meta.json", "b.jsonl.meta.json", "a.csv", "b.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "a.csv.meta.json", "b.jsonl", "b.jsonl.meta.json"]
+
+    def test_a_nested_block_joins_the_open_one(self, tmp_path, renames):
+        with files.committed():
+            with files.committed():
+                files.write_json(tmp_path / "a.json", {})
+            assert renames == [] and not (tmp_path / "a.json").exists()
+            files.write_json(tmp_path / "b.json", {})
+        assert [dst for _, dst in renames] == ["a.json", "b.json"]
+
+    @pytest.mark.parametrize("error", [PipelineError, OSError, KeyboardInterrupt])
+    def test_an_error_renames_nothing_and_removes_every_temp(self, tmp_path, renames, error):
+        (tmp_path / "a.csv").write_bytes(b"previous\r\n")
+        with pytest.raises(error):
+            with files.committed():
+                files.write_csv(tmp_path / "a.csv", ["x"], [[1]])
+                files.write_json(tmp_path / "a.csv.meta.json", {})
+                raise error("late")
+        assert renames == []
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == b"previous\r\n"
+        files.write_json(tmp_path / "b.json", {})  # no block is left open
+        assert renames == [(f".b.json.{os.getpid()}.tmp", "b.json")]
+
+    def test_a_failed_rename_names_the_output_and_leaves_the_outputs(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"previous")
+        meta = tmp_path / "a.csv.meta.json"
+        with pytest.raises(IsADirectoryError) as exc:
+            with files.committed():
+                files.write_csv(tmp_path / "a.csv", ["x"], [[1]])
+                files.write_json(meta, {})
+                meta.mkdir()  # after the meta is staged
+        assert exc.value.filename == str(meta)
+        assert (tmp_path / "a.csv").read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", meta.name]
+
+    def test_a_writer_outside_a_block_lands_on_its_own(self, tmp_path, renames):
+        files.write_json(tmp_path / "a.json", {"a": 1})
+        assert renames == [(f".a.json.{os.getpid()}.tmp", "a.json")]
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_a_writer_given_a_staged_path_fills_it_in_place(self, tmp_path, renames):
+        out = tmp_path / "a.jsonl"
+        with files.committed():
+            tmp = files.staged(out)
+            files.write_jsonl(tmp, [{"a": 1}])
+            assert tmp.read_text(encoding="utf-8") == '{"a": 1}\n' and not out.exists()
+        assert renames == [(tmp.name, out.name)]
+        assert out.read_text(encoding="utf-8") == '{"a": 1}\n'
+
+    @pytest.mark.parametrize("path", ["", ".", "/", ".."])
+    def test_a_directory_is_refused_before_any_write(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(IsADirectoryError) as exc:
+            files.write_json(path, {})
+        assert exc.value.filename == os.path.normpath(path)
+        assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
-"""Fuzzed inputs for every subcommand: exit 0, 1 or 2, no traceback, no temp file left.
+"""Fuzzed inputs for every subcommand: exit 0, 1 or 2, no traceback, no temp file
+left, and a failed command changes no file.
 
 Each example copies a set of valid inputs, breaks one file a subcommand reads
 (a wrong-typed field, a truncated line, a non-UTF-8 byte, an empty file, a
@@ -141,6 +142,7 @@ def test_fuzzed_input_exits_cleanly(valid_inputs, tmp_path_factory, command, dat
     name = data.draw(st.sampled_from(_inputs(argv)), label="input")
     broken = data.draw(mutation((d / name).read_bytes(), name), label="content")
     (d / name).write_bytes(broken)
+    before = {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(d)  # the report config names its inputs relative to the directory
@@ -155,3 +157,4 @@ def test_fuzzed_input_exits_cleanly(valid_inputs, tmp_path_factory, command, dat
     assert not [p for p in Path(d).rglob(".*.tmp")]
     if code == 1:
         assert err.getvalue().startswith("error: ")
+        assert {p: p.read_bytes() for p in before if p.exists()} == before
