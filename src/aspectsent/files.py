@@ -3,6 +3,7 @@
 Readers see the non-blank lines of a UTF-8 file, numbered as text mode splits
 them, and report a line they cannot read (not UTF-8, not a JSON object, a
 missing or wrong-typed field) as a `PipelineError` saying `<path>:<line>: …`.
+`split_lines` splits a run of whole lines read as bytes by the same rule.
 `json_object` is the one JSON decode of a pipeline file, and `field` the one
 typed check of a record's field.
 Writers fill a temp file beside each output, and `committed()` renames them
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import os
 import re
@@ -28,6 +30,15 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .errors import PipelineError
 
 T = TypeVar("T")
+
+
+class LineError(PipelineError):
+    """A fault on a line of a file: `<name>:<line>: <detail>`."""
+
+    def __init__(self, name, line: int, detail: str):
+        super().__init__(f"{name}:{line}: {detail}")
+        self.line = line
+        self.detail = detail
 
 
 def text_lines(path, name=None) -> Iterator[tuple[int, str]]:
@@ -44,7 +55,28 @@ def text_lines(path, name=None) -> Iterator[tuple[int, str]]:
             raise _bad_utf8_error(path, path if name is None else name, exc) from None
 
 
+def split_lines(data: bytes, name) -> tuple[list[tuple[int, str]], int]:
+    """`text_lines` of `data`, a run of whole lines of a UTF-8 file, numbered from 1,
+    and how many lines `data` holds, blank ones included.
+
+    `data` is decoded at once: a byte that is not UTF-8 anywhere in it is the
+    error, even when an earlier line of it is bad in another way.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        escaped = io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
+        raise LineError(name, _first_escaped_line(escaped), f"not valid UTF-8 ({exc.reason})")
+    lines = io.StringIO(text, newline=None).readlines()  # split and translated as text mode does
+    return [(lineno, line) for lineno, line in enumerate(lines, 1) if line.strip()], len(lines)
+
+
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _first_escaped_line(lines: Iterable[str]) -> int | None:
+    """The number of the first line that holds a byte escaped by surrogateescape."""
+    return next((n for n, line in enumerate(lines, 1) if _ESCAPED_BYTE.search(line)), None)
 
 
 def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
@@ -54,10 +86,10 @@ def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
     read that turns each undecodable byte into a lone surrogate.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if _ESCAPED_BYTE.search(line):
-                return PipelineError(f"{name}:{lineno}: not valid UTF-8 ({exc.reason})")
-    return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
+        lineno = _first_escaped_line(fh)
+    if lineno is None:
+        return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
+    return LineError(name, lineno, f"not valid UTF-8 ({exc.reason})")
 
 
 class LoneSurrogateError(PipelineError):
