@@ -2,8 +2,8 @@
 """Check that the working tree's pipeline outputs are byte-identical to a git revision's.
 
 Extracts `src/` and `scripts/` of REV with `git archive` (local git only),
-runs `scripts/run_synthetic_pipeline.py --seed 7` from that copy and from
-this working tree, and compares:
+runs `scripts/run_synthetic_pipeline.py --seed 7 --n N` from that copy and
+from this working tree, and compares:
 
 * stdout, with each run's output directory replaced by `<out>`;
 * every field of each `.meta.json` except `created_utc` (a timestamp) and
@@ -18,6 +18,11 @@ steps to that script shows their outputs as `added`. Commit the extended
 script on its own first, then compare the code change against that commit.
 
     python scripts/compare_pipeline.py --base HEAD~1
+    python scripts/compare_pipeline.py --base HEAD~1 --n 20000
+
+At the default `--n 1000` each corpus is smaller than one `ingest.CHUNK_BYTES`
+range, so ingest and infer run in one process; at `--n 20000` the corpora
+span several ranges and both run in forked workers.
 """
 
 import argparse
@@ -77,10 +82,11 @@ def _extract(rev: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def _run(root: Path, out_dir: Path) -> tuple[int, str, str]:
+def _run(root: Path, out_dir: Path, n: int) -> tuple[int, str, str]:
     """Exit code, stdout with `out_dir` as `<out>`, and stderr of one pipeline run."""
     proc = subprocess.run([sys.executable, str(root / PIPELINE), "--out-dir", str(out_dir),
-                           "--seed", "7"], capture_output=True, text=True, cwd=root)
+                           "--seed", "7", "--n", str(n)], capture_output=True, text=True,
+                          cwd=root)
     return proc.returncode, proc.stdout.replace(str(out_dir), "<out>"), proc.stderr
 
 
@@ -88,6 +94,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--n", type=int, default=1000,
+                        help="synthetic corpus size passed to both pipeline runs")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,10 +105,10 @@ def main() -> int:
         except subprocess.CalledProcessError as exc:
             print(json.dumps({"equal": False, "error": exc.stderr.decode(errors="replace")}))
             return 1
-        runs = {side: _run(root, tmp / f"{side}_out")
+        runs = {side: _run(root, tmp / f"{side}_out", args.n)
                 for side, root in (("base", tmp / "base"), ("head", REPO))}
         failed = {side: err[-2000:] for side, (code, _, err) in runs.items() if code != 0}
-        verdict = {"base": args.base}
+        verdict = {"base": args.base, "n": args.n}
         if failed:
             verdict.update(equal=False, failed=failed)
         else:

@@ -23,7 +23,7 @@ import os
 import shutil
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, iter_chunks, providers
+from .features import PROVIDER_SETTINGS, HashedProvider, iter_chunks, providers
 from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
@@ -436,18 +436,44 @@ def _cmd_eval(args, file_cfg):
 
 
 def _cmd_infer(args, file_cfg):
-    bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
+    """Predict every tweet of the corpus into `--out`.
 
+    With a hashed provider, whose rows do not depend on their batch, the
+    corpus goes through `ingest.map_ranges`: forked workers each parse,
+    predict and format one range at a time, and this process writes each
+    range's lines in file order, holding one range's text at a time. A
+    remote provider (its batches stay sequential, and dense products may
+    depend on the batch), a corpus that is not a regular file, one of one
+    range and a host of one CPU stream here instead, `EMBED_CHUNK_ROWS`
+    tweets at a time. Either way, `--out` and its counts are the same.
+    """
+    bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     detected = np.zeros(len(_ASPECT_NAMES), dtype=np.int64)  # rows per detected aspect
 
-    def predictions():
-        for tweets in iter_chunks(ingest.iter_corpus(args.corpus)):
-            arrays = model.predict_batch([t.text for t in tweets], provider, bundle.params,
+    def predictions(tweets, detected):
+        for chunk in iter_chunks(tweets):
+            arrays = model.predict_batch([t.text for t in chunk], provider, bundle.params,
                                          bundle, provider_y)
-            detected[:] += arrays[2].sum(axis=0)
-            yield from map(_prediction_to_obj, tweets, *(a.tolist() for a in arrays))
+            detected += arrays[2].sum(axis=0)
+            yield from map(_prediction_to_obj, chunk, *(a.tolist() for a in arrays))
 
-    count = files.write_jsonl(args.out, predictions())
+    def infer_range(lines):  # in a worker
+        tweets = list(ingest.parse_lines(lines, args.corpus))
+        found = np.zeros_like(detected)
+        return files.jsonl_text(predictions(tweets, found)), len(tweets), found
+
+    ranges = None
+    if isinstance(provider, HashedProvider):
+        ranges = ingest.map_ranges(args.corpus, args.corpus, infer_range, "infer")
+    if ranges is None:
+        count = files.write_jsonl(args.out, predictions(ingest.iter_corpus(args.corpus), detected))
+    else:
+        count = 0
+        with closing(ranges), files.open_output(args.out) as fh:
+            for text, rows, found in ranges:
+                fh.write(text)
+                count += rows
+                detected += found
     _write_meta(args.out, {"params": args.params, "corpus": args.corpus},
                 counts={"rows": count, "detected": dict(zip(_ASPECT_NAMES, detected.tolist()))})
     print(f"infer: {count} tweets -> {args.out}")

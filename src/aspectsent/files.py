@@ -283,7 +283,7 @@ def staged(path) -> Path:
 
 
 @contextmanager
-def _atomic_output(path, newline=None):
+def open_output(path, newline=None):
     """A UTF-8 text file to write `path` through: its `staged` temp file, or `path`
     if it is one, committed by the open block or else by a block of its own."""
     with committed():
@@ -294,7 +294,7 @@ def _atomic_output(path, newline=None):
 
 def write_json(path, doc, indent=None) -> None:
     """One JSON document with sorted keys, then a newline."""
-    with _atomic_output(path) as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
@@ -302,10 +302,15 @@ def write_json(path, doc, indent=None) -> None:
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
+def jsonl_text(objs: Iterable[dict]) -> str:
+    """The lines that `write_jsonl` writes for `objs`, as one string."""
+    return "".join([_JSONL_ENCODER.encode(obj) + "\n" for obj in objs])
+
+
 def write_jsonl(path, objs: Iterable[dict]) -> int:
     """One compact JSON object per line, non-ASCII kept as is; returns the line count."""
     count = 0
-    with _atomic_output(path) as fh:
+    with open_output(path) as fh:
         for obj in objs:
             fh.write(_JSONL_ENCODER.encode(obj) + "\n")
             count += 1
@@ -314,7 +319,7 @@ def write_jsonl(path, objs: Iterable[dict]) -> int:
 
 def write_csv(path, header: list, rows: Iterable[list]) -> None:
     """A header row, then `rows`, in the excel dialect."""
-    with _atomic_output(path, newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -11,7 +11,7 @@ entry (record number, UTC day, id), never the tweet; `sample_daily` then
 picks among the entries. `ingest_file` writes a corpus file's kept records
 in two passes: pass 1 is `apply_filters` over `iter_corpus`, and pass 2
 re-reads the file, rebuilds just the kept records and streams them to the
-output. Pass 1 and sampling together hold about 230 bytes per survivor.
+output. Pass 1 and sampling together hold about 240 bytes per survivor.
 The corpus must therefore be a regular file that does not change between
 the passes. Pass 2 checks only the id and UTC day of each kept record: a
 record that is missing or differs in either raises `PipelineError`, while
@@ -20,7 +20,8 @@ other edits to it go unnoticed. The output is byte-identical to writing
 where `tweets = list(iter_corpus(path))`. On a corpus longer than
 CHUNK_BYTES, pass 1 runs in forked workers, up to one per CPU, each holding
 one range of whole lines at a time; the parent merges their entries in file
-order and samples them as `apply_filters` does.
+order and samples them as `apply_filters` does. `map_ranges` is that one
+fork helper, and `infer` is its other caller.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ import os
 import pickle
 import re
 import signal
+import stat
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import partial
 from itertools import compress, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
@@ -203,10 +207,10 @@ def iter_corpus(path, name=None) -> Iterator[RawTweet]:
     Errors name the line, and call the file `name` (default: `path`).
     """
     name = path if name is None else name
-    return _parsed(text_lines(path, name), name)
+    return parse_lines(text_lines(path, name), name)
 
 
-def _parsed(lines: Iterable[tuple[int, str]], name) -> Iterator[RawTweet]:
+def parse_lines(lines: Iterable[tuple[int, str]], name) -> Iterator[RawTweet]:
     """`parse_record` of each numbered line; a bad one is a LineError naming it."""
     for lineno, line in lines:
         try:
@@ -421,16 +425,16 @@ def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
         yield tweet
 
 
-# Pass 1 of a corpus of more than one range runs in forked workers. On the
-# benchmark's 26 MB dump (about 2,400 tweets a MiB) and a 2-core Xeon, pass 1
-# took as long with 256 KiB ranges as with 1 MiB ones, and 10% longer with
-# 4 MiB ones, where one worker is left with the last range alone.
-CHUNK_BYTES = 1 << 20
+# A corpus of more than one range runs in forked workers (`map_ranges`). On a
+# 2-core Xeon, 256 KiB ranges cut the benchmark's 2.6 MB infer corpus into 10
+# ranges, where 1 MiB ones gave 3 and left one worker 1.6 MB of it; ingest's
+# pass 1 over a 26 MB dump took about 5% less time at 256 KiB than at 1 MiB.
+CHUNK_BYTES = 1 << 18
 
 
 def _ranges(path) -> list[tuple[int, int]]:
     """`path` cut into (start, end) byte ranges of at least CHUNK_BYTES, the
-    last excepted, each ending just after a b"\\n" or at the end of the file."""
+    last excepted, each ending just after a b"\n" or at the end of the file."""
     ranges = []
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -452,46 +456,102 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Part(NamedTuple):
-    """What a worker sends back of pass 1 over one range: its survivors as
-    columns, numbered within the range, and its counts."""
-
-    tally: dict[str, int]  # each record of the range not among the survivors, once
-    records: list[int]
-    days: list[int]  # date ordinals
-    ids: list[str]
-    line_count: int
+R = TypeVar("R")
+Lines = list[tuple[int, str]]  # the non-blank lines of a range, numbered within it from 1
 
 
-def _filter_range(corpus: int, start: int, end: int, rejection, name) -> _Part | tuple[int, str]:
-    """Pass 1 over the bytes start:end of the corpus open as file descriptor
-    `corpus`, or the line (numbered within the range) and detail of the
-    range's first bad line."""
-    tally = dict.fromkeys(INGEST_COUNTS, 0)
+class _Fault(NamedTuple):
+    """A worker's report of the first bad line of a range, numbered within the range."""
+
+    line: int
+    detail: str
+
+
+def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] | None:
+    """`job` of each range of whole lines of the file `path`, run in forked
+    workers and yielded in file order; None where this process should read
+    `path` itself.
+
+    `path` is cut into ranges of at least CHUNK_BYTES, and worker `k` of
+    `n = min(CPUs this process may run on, ranges)` takes ranges `k::n`. A
+    worker reads and decodes a range at once, as `files.split_lines` does, and
+    gives `job` its numbered lines; results come back through one pipe per
+    worker. A `LineError` of a range (from the decode or from `job`) is raised
+    here at its line of the file, so the first bad line of the file is the one
+    reported; a worker that dies is `<name>: an <what> worker stopped before its
+    result (exit status <n>)`. None for a file that is not regular (a pipe), of
+    one range, on a host of one CPU or without `os.fork`. Close the iterator
+    (`contextlib.closing`) to stop early: every worker is killed and reaped on
+    every path. Forking is safe only while no other thread of the caller holds
+    a lock; the CLI runs none.
+    """
+    if not hasattr(os, "fork") or not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    ranges = _ranges(path)
+    workers = min(_cpus(), len(ranges))
+    if workers < 2:
+        return None
+    return _forked(path, name, job, what, ranges, workers)
+
+
+def _forked(path, name, job: Callable[[Lines], R], what: str, ranges: list[tuple[int, int]],
+            workers: int) -> Iterator[R]:
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
-        lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
-        survivors = _survivors(_parsed(lines, name), rejection, tally)
-    except LineError as exc:
-        return exc.line, exc.detail
-    return _Part(tally, [s.record for s in survivors], [s.day.toordinal() for s in survivors],
-                 [s.id for s in survivors], line_count)
+        with open(path, "rb") as corpus:
+            for k in range(workers):
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))
+                with open(w, "wb") as out:  # the parent's end closes once the child has its own
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(corpus.fileno(), ranges[k::workers], job, name, out, pipes)
+                    pids.append(pid)
+        lines = 0  # of the ranges before this one, blank ones included
+        for i in range(len(ranges)):
+            pid = pids[i % workers]
+            try:
+                reply = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                pids.remove(pid)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise PipelineError(f"{name}: an {what} worker stopped before its result "
+                                    f"(exit status {status})") from None
+            if isinstance(reply, _Fault):
+                raise LineError(name, lines + reply.line, reply.detail)
+            line_count, result = reply
+            lines += line_count
+            yield result
+    finally:  # on every path, so no worker outlives this call
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-def _worker(corpus: int, ranges: list[tuple[int, int]], rejection, name, out: BinaryIO,
+def _worker(corpus: int, ranges: list[tuple[int, int]], job, name, out: BinaryIO,
             inherited: list[BinaryIO]) -> NoReturn:
-    """A forked worker: the `_filter_range` of each of `ranges`, pickled to `out`
-    in order, up to the first bad line. It leaves only through `os._exit`, so
-    it never unwinds into its caller's code (which would, say, remove the
+    """A forked worker: for each of `ranges` of the file open as descriptor
+    `corpus`, its line count and `job` result, or its `_Fault`, pickled to
+    `out` in order, up to the first fault. It leaves only through `os._exit`,
+    so it never unwinds into its caller's code (which would, say, remove the
     outputs staged by an open `files.committed()` block)."""
     code = 1
     try:
         for pipe in inherited:  # so a write fails once the parent has gone
             pipe.close()
         for start, end in ranges:
-            part = _filter_range(corpus, start, end, rejection, name)
-            pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+            try:
+                lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
+                reply = line_count, job(lines)
+            except LineError as exc:
+                reply = _Fault(exc.line, exc.detail)
+            pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
             out.flush()
-            if not isinstance(part, _Part):
+            if isinstance(reply, _Fault):
                 break
         code = 0
     except Exception:  # a bug: show it here; the parent reports the lost worker
@@ -502,55 +562,38 @@ def _worker(corpus: int, ranges: list[tuple[int, int]], rejection, name, out: Bi
         os._exit(code)
 
 
-def _filter_forked(path, spec: FilterSpec, ranges: list[tuple[int, int]], workers: int,
-                   name, counts: dict[str, int]) -> list[Survivor]:
-    """`apply_filters(iter_corpus(path, name), spec, counts)`, with pass 1 of
-    range i in worker i % `workers`. Ranges are merged in file order, so the
-    first bad line of the file is the one reported."""
-    pids: list[int] = []
-    pipes: list[BinaryIO] = []
-    try:
-        with open(path, "rb") as corpus:
-            rejection = _rejection(spec)
-            for k in range(workers):
-                r, w = os.pipe()
-                pipes.append(open(r, "rb"))
-                with open(w, "wb") as out:  # the parent's end closes once the child has its own
-                    pid = os.fork()
-                    if pid == 0:
-                        _worker(corpus.fileno(), ranges[k::workers], rejection, name, out, pipes)
-                    pids.append(pid)
-        tally = dict.fromkeys(INGEST_COUNTS, 0)
-        survivors: list[Survivor] = []
-        days: dict[int, date] = {}
-        records = lines = 0
-        for i in range(len(ranges)):
-            pid = pids[i % workers]
-            try:
-                part = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):
-                pids.remove(pid)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise PipelineError(f"{name}: an ingest worker stopped before its result "
-                                    f"(exit status {status})") from None
-            if not isinstance(part, _Part):
-                line, detail = part
-                raise LineError(name, lines + line, detail)
-            for key, n in part.tally.items():
-                tally[key] += n
-            for ordinal in set(part.days).difference(days):
-                days[ordinal] = date.fromordinal(ordinal)
-            survivors += map(Survivor, [records + r for r in part.records],
-                             map(days.__getitem__, part.days), part.ids)
-            records += sum(part.tally.values()) + len(part.ids)
-            lines += part.line_count
-    finally:  # on every path, so no worker outlives this call
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+class _Part(NamedTuple):
+    """What a worker sends back of pass 1 over one range: its survivors as
+    columns, numbered within the range, and its counts."""
+
+    tally: dict[str, int]  # each record of the range not among the survivors, once
+    records: list[int]
+    days: list[int]  # date ordinals
+    ids: list[str]
+
+
+def _filter_range(lines: Lines, rejection, name) -> _Part:
+    """Pass 1 over the numbered lines of one range."""
+    tally = dict.fromkeys(INGEST_COUNTS, 0)
+    survivors = _survivors(parse_lines(lines, name), rejection, tally)
+    return _Part(tally, [s.record for s in survivors], [s.day.toordinal() for s in survivors],
+                 [s.id for s in survivors])
+
+
+def _merged(parts: Iterable[_Part], spec: FilterSpec, counts: dict[str, int]) -> list[Survivor]:
+    """`apply_filters` of a corpus from the `_Part` of each of its ranges, in file order."""
+    tally = dict.fromkeys(INGEST_COUNTS, 0)
+    survivors: list[Survivor] = []
+    days: dict[int, date] = {}
+    records = 0
+    for part in parts:
+        for key, n in part.tally.items():
+            tally[key] += n
+        for ordinal in set(part.days).difference(days):
+            days[ordinal] = date.fromordinal(ordinal)
+        survivors += map(Survivor, [records + r for r in part.records],
+                         map(days.__getitem__, part.days), part.ids)
+        records += sum(part.tally.values()) + len(part.ids)
     return _sampled(survivors, tally, spec, counts)
 
 
@@ -558,27 +601,26 @@ def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     """Filter and sample the corpus file `path` into `out_path` in two passes.
 
     Holds only the `Survivor` entries of `apply_filters`, then writes the
-    tweet of each from a second read. `path` is cut into ranges of whole
-    lines of at least CHUNK_BYTES, and pass 1 runs in
-    `min(CPUs this process may run on, ranges)` forked workers, each holding
-    one range at a time. With one worker (one range, one CPU) or without
-    `os.fork`, pass 1 is `apply_filters(iter_corpus(path, name), spec, counts)`
-    in this process. Output, counts and errors are the same either way, but
-    for one case: a worker decodes a whole range first, so a byte that is not
-    UTF-8 is reported ahead of an earlier bad line of its range. Forking is
-    safe only while no other thread of the caller holds a lock; the CLI runs
-    none. `path` must be a regular file that stays unchanged until this
-    returns; errors call it `name` (default: `path`). Returns the
-    INGEST_COUNTS of `apply_filters`.
+    tweet of each from a second read. Pass 1 runs through `map_ranges`: in
+    forked workers, each holding one range of whole lines at a time, whose
+    entries this process merges in file order and samples once. Where
+    `map_ranges` forks nothing (one range, one CPU, no `os.fork`), pass 1 is
+    `apply_filters(iter_corpus(path, name), spec, counts)` in this process.
+    Output, counts and errors are the same either way, but for one case: a
+    worker decodes a whole range first, so a byte that is not UTF-8 is
+    reported ahead of an earlier bad line of its range. `path` must be a
+    regular file that stays unchanged until this returns; errors call it
+    `name` (default: `path`). Returns the INGEST_COUNTS of `apply_filters`.
     """
     name = path if name is None else name
     counts: dict[str, int] = {}
-    ranges = _ranges(path)
-    workers = min(_cpus(), len(ranges)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        kept = _filter_forked(path, spec, ranges, workers, name, counts)
-    else:
+    parts = map_ranges(path, name, partial(_filter_range, rejection=_rejection(spec), name=name),
+                       "ingest")
+    if parts is None:
         kept = apply_filters(iter_corpus(path, name), spec, counts)
+    else:
+        with closing(parts):
+            kept = _merged(parts, spec, counts)
     write_corpus(out_path, _rebuild(path, kept, name))
     return counts
 

@@ -176,7 +176,7 @@ class TestTwoPassIngest:
 
     def test_memory_per_survivor(self, tmp_path):
         # Holding each survivor as a RawTweet grows the peak by about 720 B a
-        # survivor here; the pass-1 index entry and its sampling take about 230.
+        # survivor here; the pass-1 index entry and its sampling take about 240.
         keywords = tmp_path / "kw.txt"
         keywords.write_text("china\n", encoding="utf-8")
 
@@ -698,6 +698,29 @@ class TestStreamingInfer:
 
         peak(chunk)  # warm lazy imports and caches
         assert peak(4 * chunk) - peak(chunk) < 256 * 1024
+
+    def test_forked_parent_memory_flat_in_corpus_size(self, tmp_path, trained_params,
+                                                      monkeypatch):
+        # Ranges of 16 KiB in two workers: the parent holds one range's lines at
+        # a time. Holding every range's would add about 600 KB from 1x to 4x.
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 16 * 1024)
+        monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+        params_path, _ = trained_params
+
+        def peak(n):
+            corpus_path = tmp_path / f"corpus{n}.jsonl"
+            synth.write_jsonl(corpus_path, synth.make_corpus_records(n, seed=5))
+            tracemalloc.start()
+            try:
+                assert main(["infer", "--params", str(params_path), "--corpus",
+                             str(corpus_path), "--out", str(tmp_path / "pred.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 512
+        peak(n)  # warm lazy imports and caches
+        assert peak(4 * n) - peak(n) < 128 * 1024
 
     @pytest.mark.parametrize("previous", [None, "earlier predictions\n"])
     def test_bad_line_past_first_chunk_leaves_no_partial_output(
