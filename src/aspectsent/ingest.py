@@ -434,7 +434,7 @@ CHUNK_BYTES = 1 << 18
 
 def _ranges(path) -> list[tuple[int, int]]:
     """`path` cut into (start, end) byte ranges of at least CHUNK_BYTES, the
-    last excepted, each ending just after a b"\n" or at the end of the file."""
+    last excepted, each ending just after a b"\\n" or at the end of the file."""
     ranges = []
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -496,6 +496,7 @@ def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] 
 
 def _forked(path, name, job: Callable[[Lines], R], what: str, ranges: list[tuple[int, int]],
             workers: int) -> Iterator[R]:
+    """The iterator of `map_ranges`: it forks on its first step."""
     pids: list[int] = []
     pipes: list[BinaryIO] = []
     try:

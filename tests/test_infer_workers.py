@@ -191,5 +191,6 @@ def test_a_fifo_corpus_never_forks(tmp_path, params):
     writer.start()
     code, forked, run = infer(params, fifo, tmp_path / "pred.jsonl", 3, 2)
     writer.join(timeout=10)
+    assert not writer.is_alive()
     assert (code, forked) == (0, [])
     assert run == want
