@@ -25,13 +25,15 @@ import sys
 from collections import Counter
 from contextlib import closing, contextmanager
 from datetime import date, datetime, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, corpus, evaluation, files, ingest, model, stats
 from .errors import PipelineError
-from .features import PROVIDER_SETTINGS, HashedProvider, iter_chunks, providers
+from .features import (PROVIDER_SETTINGS, HashedProvider, embed_bodies, iter_chunks, providers,
+                       request_bodies)
 from .stats import DailySeries
 
 # Every setting, by config-file section: key -> (kind, default). A flag sets
@@ -438,39 +440,75 @@ def _cmd_eval(args, file_cfg):
 def _cmd_infer(args, file_cfg):
     """Predict every tweet of the corpus into `--out`.
 
-    With a hashed provider, whose rows do not depend on their batch, the
-    corpus goes through `ingest.map_ranges`: forked workers each parse,
-    predict and format one range at a time, and this process writes each
-    range's lines in file order, holding one range's text at a time. A
-    remote provider (its batches stay sequential, and dense products may
-    depend on the batch), a corpus that is not a regular file, one of one
-    range and a host of one CPU stream here instead, `EMBED_CHUNK_ROWS`
-    tweets at a time. Either way, `--out` and its counts are the same.
+    The corpus goes to forked workers, and this process writes each task's
+    lines in corpus order, holding one task's text at a time:
+
+    * with a hashed provider, whose rows do not depend on their batch, through
+      `ingest.map_ranges`: each worker parses, predicts and formats one byte
+      range at a time;
+    * with a remote provider, through `ingest.map_tasks`: this process reads
+      the corpus in `iter_chunks` blocks of `EMBED_CHUNK_ROWS` tweets and sends
+      every HTTP request itself, one at a time in input order, first each batch
+      of the provider and then each of the sentiment provider. It streams a
+      block's tweets and raw response bodies to a worker, which decodes and
+      checks them (`features.embed_bodies`, as `embed_remote` does), predicts
+      the whole block and formats it.
+
+    A host of one CPU, a hashed corpus that is not a regular file or is one
+    range, and a remote corpus of at most one block stream here instead,
+    `EMBED_CHUNK_ROWS` tweets at a time. Either way, `--out`, its counts, the
+    requests and the first error are the same.
     """
     bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     detected = np.zeros(len(_ASPECT_NAMES), dtype=np.int64)  # rows per detected aspect
 
-    def predictions(tweets, detected):
-        for chunk in iter_chunks(tweets):
-            arrays = model.predict_batch([t.text for t in chunk], provider, bundle.params,
-                                         bundle, provider_y)
-            detected += arrays[2].sum(axis=0)
-            yield from map(_prediction_to_obj, chunk, *(a.tolist() for a in arrays))
+    def records(chunk, arrays, found):  # the prediction records of one block
+        found += arrays[2].sum(axis=0)
+        return map(_prediction_to_obj, chunk, *(a.tolist() for a in arrays))
+
+    def predictions(chunks, found):
+        for chunk in chunks:
+            yield from records(chunk, model.predict_batch([t.text for t in chunk], provider,
+                                                          bundle.params, bundle, provider_y), found)
 
     def infer_range(lines):  # in a worker
         tweets = list(ingest.parse_lines(lines, args.corpus))
         found = np.zeros_like(detected)
-        return files.jsonl_text(predictions(tweets, found)), len(tweets), found
+        return files.jsonl_text(predictions(iter_chunks(tweets), found)), len(tweets), found
 
-    ranges = None
+    def remote_task(chunk):  # a block's tweets, then the response body of each request
+        yield chunk
+        texts = [t.text for t in chunk]
+        for remote in filter(None, (provider, provider_y)):
+            yield from request_bodies(texts, remote.spec)
+
+    def infer_block(pieces):  # in a worker
+        chunk = next(pieces)
+        h = embed_bodies(pieces, len(chunk), provider.spec)
+        h_y = None if provider_y is None else embed_bodies(pieces, len(chunk), provider_y.spec)
+        found = np.zeros_like(detected)
+        arrays = model.predict_rows(h, bundle.params, bundle, h_y)
+        return files.jsonl_text(records(chunk, arrays, found)), len(chunk), found
+
+    chunks = iter_chunks(ingest.iter_corpus(args.corpus))
     if isinstance(provider, HashedProvider):
-        ranges = ingest.map_ranges(args.corpus, args.corpus, infer_range, "infer")
-    if ranges is None:
-        count = files.write_jsonl(args.out, predictions(ingest.iter_corpus(args.corpus), detected))
+        results = ingest.map_ranges(args.corpus, args.corpus, infer_range, "infer")
+    else:  # forks only for a second block, so read ahead to it
+        head = list(islice(chunks, 1))
+        try:
+            head += islice(chunks, 1)
+        except PipelineError as exc:  # a bad line in block 2: raised after block 1's requests
+            chunks = ingest.raising([exc])
+        chunks = chain(head, chunks)
+        results = None
+        if len(head) > 1:
+            results = ingest.map_tasks(map(remote_task, chunks), infer_block, args.corpus, "infer")
+    if results is None:
+        count = files.write_jsonl(args.out, predictions(chunks, detected))
     else:
         count = 0
-        with closing(ranges), files.open_output(args.out) as fh:
-            for text, rows, found in ranges:
+        with closing(results), files.open_output(args.out) as fh:
+            for text, rows, found in results:
                 fh.write(text)
                 count += rows
                 detected += found

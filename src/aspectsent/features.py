@@ -15,6 +15,11 @@ Callers that stream a corpus embed it in `iter_chunks` blocks of
 The remote provider stands in for a transformer-style sentence encoder and
 speaks a fixed HTTP contract: POST `<endpoint>/embed` with
 `{"texts": [...]}`, response `{"dim": N, "embeddings": [[...], ...]}`.
+Fetching and decoding are two steps: `request_bodies` sends the requests
+and yields the raw response bodies, and `embed_bodies` decodes and checks
+them into rows. `embed_remote` runs both in one process, one batch at a
+time; remote-provider `infer` sends the requests in the parent and decodes
+each block's bodies in a forked worker (`cli._cmd_infer`).
 """
 
 from __future__ import annotations
@@ -237,7 +242,8 @@ class EmbeddingProviderSpec:
             raise ValueError("timeout must be a positive number of seconds")
 
 
-def _post_embed(endpoint: str, texts: list[str], timeout: float) -> dict:
+def _post_embed(endpoint: str, texts: list[str], timeout: float) -> bytes:
+    """The raw response body to one batch's request."""
     url = endpoint if endpoint.rstrip("/").endswith("/embed") else endpoint.rstrip("/") + "/embed"
     payload = json.dumps({"texts": texts}).encode("utf-8")
     req = urllib.request.Request(
@@ -245,52 +251,67 @@ def _post_embed(endpoint: str, texts: list[str], timeout: float) -> dict:
     )
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            body = resp.read()
+            return resp.read()
     except (urllib.error.URLError, OSError, TimeoutError) as exc:
         raise PipelineError(f"embedding service unreachable at {url}: {exc}") from exc
+
+
+def request_bodies(texts: list[str], spec: EmbeddingProviderSpec) -> Iterator[bytes]:
+    """The raw response body of each batch of `texts`, in input order; a batch is
+    requested only once the body before it has been taken."""
+    for start in range(0, len(texts), spec.batch_size):
+        yield _post_embed(spec.endpoint, texts[start : start + spec.batch_size], spec.timeout)
+
+
+def embed_bodies(bodies: Iterator[bytes], n: int, spec: EmbeddingProviderSpec) -> np.ndarray:
+    """The (n, dim) rows of `n` texts from `bodies`, the response bodies of their
+    batches in order, each decoded and checked as it is taken."""
+    out = np.empty((n, spec.dim))
+    for start in range(0, n, spec.batch_size):
+        size = min(spec.batch_size, n - start)
+        out[start : start + size] = _decoded(next(bodies), size, spec)
+    return out
+
+
+def _decoded(body: bytes, size: int, spec: EmbeddingProviderSpec) -> np.ndarray:
+    """The rows of a batch of `size` texts from its response body; a body that
+    breaks the contract is a PipelineError."""
     try:
-        return json.loads(body)
+        obj = json.loads(body)
     except json.JSONDecodeError as exc:
         raise PipelineError(f"service returned non-JSON response: {exc}") from exc
+    del body  # free the raw body before the array is built
+    if not isinstance(obj, dict):
+        raise PipelineError("service response is not a JSON object")
+    dim = obj.get("dim")
+    embs = obj.get("embeddings")
+    if dim != spec.dim:
+        raise PipelineError(f"service reported dim {dim}, provider spec declares {spec.dim}")
+    if not isinstance(embs, list) or len(embs) != size:
+        got = len(embs) if isinstance(embs, list) else "no"
+        raise PipelineError(f"service returned {got} embeddings for a batch of {size}")
+    try:
+        block = np.asarray(embs, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float
+        raise PipelineError(f"service returned non-numeric embeddings: {exc}") from None
+    if block.shape != (size, spec.dim):
+        raise PipelineError(f"embedding batch has shape {block.shape}")
+    if not np.isfinite(block).all():
+        raise PipelineError("service returned non-finite embedding values")
+    return block
 
 
 def embed_remote(texts: Sequence[str], spec: EmbeddingProviderSpec) -> np.ndarray:
     """Fetch one vector per text, order-preserving, dim-checked, finite-checked.
 
-    Batches are issued sequentially in input order; callers wanting
-    concurrency must preserve request order when reassembling. A transport
-    failure or a response that breaks the contract is a PipelineError; nothing
-    retries a transport failure, so it ends the run with exit code 1.
+    Batches are issued sequentially in input order (`request_bodies`), and each
+    response is decoded and checked (`embed_bodies`) before the next request,
+    so one decoded batch is alive at a time. A transport failure or a response
+    that breaks the contract is a PipelineError; nothing retries a transport
+    failure, so it ends the run with exit code 1.
     """
     texts = list(texts)
-    out = np.empty((len(texts), spec.dim))
-    for start in range(0, len(texts), spec.batch_size):
-        batch = texts[start : start + spec.batch_size]
-        body = _post_embed(spec.endpoint, batch, spec.timeout)
-        if not isinstance(body, dict):
-            raise PipelineError("service response is not a JSON object")
-        dim = body.get("dim")
-        embs = body.get("embeddings")
-        if dim != spec.dim:
-            raise PipelineError(
-                f"service reported dim {dim}, provider spec declares {spec.dim}"
-            )
-        if not isinstance(embs, list) or len(embs) != len(batch):
-            got = len(embs) if isinstance(embs, list) else "no"
-            raise PipelineError(
-                f"service returned {got} embeddings for a batch of {len(batch)}"
-            )
-        try:
-            block = np.asarray(embs, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float
-            raise PipelineError(f"service returned non-numeric embeddings: {exc}") from None
-        if block.shape != (len(batch), spec.dim):
-            raise PipelineError(f"embedding batch has shape {block.shape}")
-        if not np.isfinite(block).all():
-            raise PipelineError("service returned non-finite embedding values")
-        out[start : start + len(batch)] = block
-        del body, embs, block  # free this batch's decoded JSON before the next is read
-    return out
+    return embed_bodies(request_bodies(texts, spec), len(texts), spec)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ other edits to it go unnoticed. The output is byte-identical to writing
 where `tweets = list(iter_corpus(path))`. On a corpus longer than
 CHUNK_BYTES, pass 1 runs in forked workers, up to one per CPU, each holding
 one range of whole lines at a time; the parent merges their entries in file
-order and samples them as `apply_filters` does. `map_ranges` is that one
-fork helper, and `infer` is its other caller.
+order and samples them as `apply_filters` does. `map_ranges` is that fork
+helper, and hashed `infer` is its other caller; `map_tasks`, on the same fork
+core (`_forked`), runs remote-provider `infer`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import pickle
 import re
 import signal
 import stat
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import partial
@@ -459,6 +460,10 @@ def _cpus() -> int:
 R = TypeVar("R")
 Lines = list[tuple[int, str]]  # the non-blank lines of a range, numbered within it from 1
 
+# The ranges a worker may have queued or in hand: a range goes to its worker as a
+# few dozen bytes, so this many always fit in its pipe.
+_RANGES_AHEAD = 8
+
 
 class _Fault(NamedTuple):
     """A worker's report of the first bad line of a range, numbered within the range."""
@@ -467,23 +472,24 @@ class _Fault(NamedTuple):
     detail: str
 
 
+class _Failed(NamedTuple):
+    """A worker's report of the PipelineError that its job raised on a task."""
+
+    message: str
+
+
 def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] | None:
     """`job` of each range of whole lines of the file `path`, run in forked
     workers and yielded in file order; None where this process should read
     `path` itself.
 
-    `path` is cut into ranges of at least CHUNK_BYTES, and worker `k` of
-    `n = min(CPUs this process may run on, ranges)` takes ranges `k::n`. A
-    worker reads and decodes a range at once, as `files.split_lines` does, and
-    gives `job` its numbered lines; results come back through one pipe per
-    worker. A `LineError` of a range (from the decode or from `job`) is raised
-    here at its line of the file, so the first bad line of the file is the one
-    reported; a worker that dies is `<name>: an <what> worker stopped before its
-    result (exit status <n>)`. None for a file that is not regular (a pipe), of
-    one range, on a host of one CPU or without `os.fork`. Close the iterator
-    (`contextlib.closing`) to stop early: every worker is killed and reaped on
-    every path. Forking is safe only while no other thread of the caller holds
-    a lock; the CLI runs none.
+    `path` is cut into ranges of at least CHUNK_BYTES, and `_forked` deals
+    them to `min(CPUs this process may run on, ranges)` workers. A worker reads
+    and decodes a range at once, as `files.split_lines` does, and gives `job`
+    its numbered lines. A `LineError` of a range (from the decode or from
+    `job`) is raised here at its line of the file, so the first bad line of
+    the file is the one reported. None for a file that is not regular (a
+    pipe), of one range, on a host of one CPU or without `os.fork`.
     """
     if not hasattr(os, "fork") or not stat.S_ISREG(os.stat(path).st_mode):
         return None
@@ -491,69 +497,180 @@ def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] 
     workers = min(_cpus(), len(ranges))
     if workers < 2:
         return None
-    return _forked(path, name, job, what, ranges, workers)
+    return _in_file_order(path, name, job, what, ranges, workers)
 
 
-def _forked(path, name, job: Callable[[Lines], R], what: str, ranges: list[tuple[int, int]],
-            workers: int) -> Iterator[R]:
-    """The iterator of `map_ranges`: it forks on its first step."""
-    pids: list[int] = []
-    pipes: list[BinaryIO] = []
+def _in_file_order(path, name, job: Callable[[Lines], R], what: str,
+                   ranges: list[tuple[int, int]], workers: int) -> Iterator[R]:
+    """The iterator of `map_ranges`."""
+    with open(path, "rb") as corpus:
+        replies = _forked(([r] for r in ranges), partial(_range_job, corpus.fileno(), job, name),
+                          name, what, workers, _RANGES_AHEAD)
+        with closing(replies):
+            lines = 0  # of the ranges before this one, blank ones included
+            for reply in replies:
+                if isinstance(reply, _Fault):
+                    raise LineError(name, lines + reply.line, reply.detail)
+                line_count, result = reply
+                lines += line_count
+                yield result
+
+
+def _range_job(corpus: int, job: Callable[[Lines], R], name, pieces: Iterator
+               ) -> tuple[int, R] | _Fault:
+    """In a worker: the line count and `job` result of the range that is the one
+    piece of its task, in the file open as descriptor `corpus`, or the `_Fault`
+    of its first bad line."""
+    start, end = next(pieces)
     try:
-        with open(path, "rb") as corpus:
-            for k in range(workers):
-                r, w = os.pipe()
-                pipes.append(open(r, "rb"))
-                with open(w, "wb") as out:  # the parent's end closes once the child has its own
+        lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
+        return line_count, job(lines)
+    except LineError as exc:
+        return _Fault(exc.line, exc.detail)
+
+
+def map_tasks(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what: str
+              ) -> Iterator[R] | None:
+    """`job` of each of `tasks`, run in forked workers with one task each in
+    flight, and yielded in order; None on a host of one CPU or without
+    `os.fork`, where this process should run the tasks itself.
+
+    A task is an iterable of pieces, which `_forked` takes one at a time as it
+    writes them to the task's worker: a task may be far larger than what this
+    process holds of it. `name` and `what` name a worker that dies.
+    """
+    workers = _cpus() if hasattr(os, "fork") else 1
+    if workers < 2:
+        return None
+    return _forked(tasks, job, name, what, workers, 1)
+
+
+def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what: str,
+            workers: int, ahead: int) -> Iterator[R]:
+    """`job` of each task, run in forked workers and yielded in task order: the
+    fork core of `map_ranges` (ingest's pass 1 and hashed `infer`) and of
+    `map_tasks` (remote-provider `infer`).
+
+    Task `j` goes to worker `j % workers`, which is forked when its first task
+    comes. This process writes each piece of a task to the worker's pipe as it
+    takes it from the task, then None; the worker reads a whole task before it
+    runs `job` over an iterator of its pieces, so a slow job never holds up the
+    writing. Task `j` is written only once the result of task
+    `j - ahead * workers` has been read, and a worker writes its results in
+    order, so no worker blocks writing a result while this process blocks
+    writing that worker a task, if `ahead` tasks fit in a pipe; at `ahead` 1,
+    tasks may have any size.
+
+    Results come back through one pipe per worker. A PipelineError raised by
+    `job` is raised here in its task's place; a worker that dies is `<name>: an
+    <what> worker stopped before its result (exit status <n>)`. A PipelineError
+    met taking a task from `tasks` is raised after the result of every earlier
+    task. One met taking a piece is raised as well, and it also goes to the
+    worker in that piece's place, so that `job` reaches the pieces before it
+    first. Close the iterator (`contextlib.closing`) to stop early: every
+    worker is killed and reaped on every path. Forking is safe only while no
+    other thread of the caller holds a lock; the CLI runs none.
+    """
+    pids: list[int] = []
+    sends: list[BinaryIO] = []  # this process's end of each worker's task pipe
+    replies: list[BinaryIO] = []
+    sent = done = 0  # tasks written, results read
+
+    def result():
+        nonlocal done
+        pid = pids[done % workers]
+        try:
+            reply = pickle.load(replies[done % workers])
+        except (EOFError, pickle.UnpicklingError):
+            pids.remove(pid)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise PipelineError(f"{name}: an {what} worker stopped before its result "
+                                f"(exit status {status})") from None
+        done += 1
+        if isinstance(reply, _Failed):
+            raise PipelineError(reply.message)
+        return reply
+
+    failure = None
+    tasks = iter(tasks)
+    try:
+        while failure is None:
+            try:
+                task = next(tasks)
+            except StopIteration:
+                break
+            except PipelineError as exc:  # a bad corpus line, say
+                failure = exc
+                break
+            while done <= sent - ahead * workers:
+                yield result()
+            k = sent % workers
+            if k == len(pids):  # its first task: fork the worker
+                (task_r, task_w), (reply_r, reply_w) = os.pipe(), os.pipe()
+                sends.append(open(task_w, "wb"))
+                replies.append(open(reply_r, "rb"))
+                with open(task_r, "rb") as tasks_in, open(reply_w, "wb") as out:  # the child's ends
                     pid = os.fork()
                     if pid == 0:
-                        _worker(corpus.fileno(), ranges[k::workers], job, name, out, pipes)
+                        _worker(tasks_in, out, job, sends + replies)
                     pids.append(pid)
-        lines = 0  # of the ranges before this one, blank ones included
-        for i in range(len(ranges)):
-            pid = pids[i % workers]
+            sent += 1
             try:
-                reply = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):
-                pids.remove(pid)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise PipelineError(f"{name}: an {what} worker stopped before its result "
-                                    f"(exit status {status})") from None
-            if isinstance(reply, _Fault):
-                raise LineError(name, lines + reply.line, reply.detail)
-            line_count, result = reply
-            lines += line_count
-            yield result
+                failure = _send(task, sends[k])
+            except BrokenPipeError:  # the worker has died: reading its result says so
+                break
+        while done < sent:
+            yield result()
+        if failure is not None:
+            raise failure
     finally:  # on every path, so no worker outlives this call
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        for pipe in pipes:
-            pipe.close()
+        for pipe in sends + replies:
+            with suppress(BrokenPipeError):  # a task cut short leaves bytes to flush
+                pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
 
-def _worker(corpus: int, ranges: list[tuple[int, int]], job, name, out: BinaryIO,
+def _send(task: Iterable, out: BinaryIO) -> PipelineError | None:
+    """Write each piece of `task` to `out`, holding one at a time, then None. A
+    PipelineError met taking a piece is written in its place and returned."""
+    error = None
+    try:
+        for piece in task:
+            pickle.dump(piece, out, pickle.HIGHEST_PROTOCOL)
+            del piece  # before the next is taken: it may be as large
+    except PipelineError as exc:
+        error = exc
+        pickle.dump(PipelineError(str(exc)), out, pickle.HIGHEST_PROTOCOL)
+    pickle.dump(None, out)
+    out.flush()
+    return error
+
+
+def _worker(tasks_in: BinaryIO, out: BinaryIO, job: Callable[[Iterator], R],
             inherited: list[BinaryIO]) -> NoReturn:
-    """A forked worker: for each of `ranges` of the file open as descriptor
-    `corpus`, its line count and `job` result, or its `_Fault`, pickled to
-    `out` in order, up to the first fault. It leaves only through `os._exit`,
-    so it never unwinds into its caller's code (which would, say, remove the
-    outputs staged by an open `files.committed()` block)."""
+    """A forked worker: for each task read from `tasks_in`, its `job` result or
+    `_Failed`, pickled to `out` in order, until `tasks_in` ends. It leaves only
+    through `os._exit`, so it never unwinds into its caller's code (which would,
+    say, remove the outputs staged by an open `files.committed()` block)."""
     code = 1
     try:
-        for pipe in inherited:  # so a write fails once the parent has gone
-            pipe.close()
-        for start, end in ranges:
+        for pipe in inherited:  # the parent's ends: so a write fails once the parent has gone
+            os.close(pipe.fileno())  # not `close()`, which would flush the parent's buffer here
+        while True:
             try:
-                lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
-                reply = line_count, job(lines)
-            except LineError as exc:
-                reply = _Fault(exc.line, exc.detail)
+                pieces = list(iter(partial(pickle.load, tasks_in), None))
+            except EOFError:  # no more tasks
+                break
+            try:
+                reply = job(raising(pieces))
+            except PipelineError as exc:
+                reply = _Failed(str(exc))
             pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
             out.flush()
-            if isinstance(reply, _Fault):
-                break
+            del pieces, reply  # before the next task is read
         code = 0
     except Exception:  # a bug: show it here; the parent reports the lost worker
         import traceback
@@ -561,6 +678,14 @@ def _worker(corpus: int, ranges: list[tuple[int, int]], job, name, out: BinaryIO
         traceback.print_exc()
     finally:  # KeyboardInterrupt too
         os._exit(code)
+
+
+def raising(items: Iterable) -> Iterator:
+    """`items` in order; a PipelineError among them is raised in its place."""
+    for item in items:
+        if isinstance(item, PipelineError):
+            raise item
+        yield item
 
 
 class _Part(NamedTuple):

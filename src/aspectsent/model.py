@@ -455,7 +455,17 @@ def predict_batch(
     """
     texts = list(texts)
     h = provider.embed(texts)
-    h_y = provider_y.embed(texts) if provider_y is not None else h
+    h_y = provider_y.embed(texts) if provider_y is not None else None
+    return predict_rows(h, params, thresholds, h_y)
+
+
+def predict_rows(
+    h: np.ndarray | SparseRows,
+    params: HeadParams,
+    thresholds: TrainConfig | ModelBundle,
+    h_y: np.ndarray | SparseRows | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`predict_batch` of texts already embedded as `h` (and `h_y`, which defaults to `h`)."""
     p = probabilities(h, params, h_y)
     p_a, p_y = p[:, :_K], p[:, _K:]
     return p_a, p_y, p_a >= thresholds.aspect_threshold, p_y >= thresholds.sentiment_threshold

@@ -284,15 +284,17 @@ class TestEmbedRemote:
     def test_one_decoded_batch_alive_at_a_time(self, monkeypatch):
         # a decoded response holds a Python float per value, several times its array's size
         dim, batch_size = 256, 64
-        monkeypatch.setattr(features, "_post_embed", lambda endpoint, texts, timeout: {
-            "dim": dim, "embeddings": [[i + j / dim for j in range(dim)] for i in range(len(texts))]})
+        monkeypatch.setattr(features, "_post_embed", lambda endpoint, texts, timeout: json.dumps({
+            "dim": dim, "embeddings": [[i + j / dim for j in range(dim)] for i in range(len(texts))]
+        }).encode())
+        spec = _spec("http://unused", dim, batch_size)
         tracemalloc.start()
-        try:
-            features._post_embed("", ["t"] * batch_size, 1.0)
+        try:  # one batch: its raw body, then its decoded JSON and its rows
+            features._decoded(features._post_embed("", ["t"] * batch_size, 1.0), batch_size, spec)
             one_batch = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = embed_remote(["t"] * (8 * batch_size), _spec("http://unused", dim, batch_size))
+            out = embed_remote(["t"] * (8 * batch_size), spec)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

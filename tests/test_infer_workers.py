@@ -1,6 +1,7 @@
 """`infer` over byte ranges in forked workers: the same `--out` and counts for every
 cut of the corpus into ranges and every worker count, the same errors, no worker
-left behind, and no fork where the corpus or the provider rules it out."""
+left behind, and no fork where the corpus rules it out. Remote-provider `infer`
+is in `test_remote_infer_workers.py`."""
 
 import json
 import os
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from aspectsent import ingest, synth
 from aspectsent.cli import main
 
-from test_cli import embed_service  # noqa: F401  (a fixture)
 from test_ingest_workers import (BAD, LINE_BYTES, LINES_PER_RANGE, N_LINES, UNLIMITED,
                                  assert_no_child_left, cut, write_corpus)
 
@@ -161,20 +161,7 @@ def test_a_successful_run_leaves_no_worker(tmp_path, capsys, params):
     assert len(pred) == N_LINES - 3
 
 
-# --- what never forks: a remote provider, a corpus that is not a regular file ---
-
-def test_a_remote_provider_never_forks(tmp_path, embed_service):  # noqa: F811
-    dataset = tmp_path / "labels.jsonl"
-    synth.write_jsonl(dataset, synth.make_dataset_records(30, seed=19))
-    params = tmp_path / "params.json"
-    assert main(["train", "--train", str(dataset), "--params-out", str(params), "--provider",
-                 "remote", "--endpoint", embed_service, "--dim", "16", "--epochs", "1"]) == 0
-    corpus = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, {})
-    code, forked, run = infer(params, corpus, tmp_path / "pred.jsonl", RANGE_BYTES, 2)
-    assert (code, forked) == (0, [])
-    assert run[1]["rows"] == N_LINES - 3
-
+# --- what never forks: a corpus that is not a regular file ---
 
 def test_a_fifo_corpus_never_forks(tmp_path, params):
     corpus = tmp_path / "corpus.jsonl"
