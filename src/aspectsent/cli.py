@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from contextlib import closing, contextmanager
 from datetime import date, datetime, timezone
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -438,43 +438,35 @@ def _cmd_eval(args, file_cfg):
 
 
 def _cmd_infer(args, file_cfg):
-    """Predict every tweet of the corpus into `--out`.
+    """Predict every tweet of the corpus into `--out`, writing each task's lines
+    in corpus order and holding one task's text at a time; `ingest`'s fork
+    core runs each task's job in a forked worker or here.
 
-    The corpus goes to forked workers, and this process writes each task's
-    lines in corpus order, holding one task's text at a time:
+    * Hashed provider, whose rows do not depend on their batch: a task is a
+      byte range (`ingest.map_ranges`), which its job parses, predicts and
+      formats. A pipe, or a corpus of one range, is read here in `iter_chunks`
+      blocks of `EMBED_CHUNK_ROWS` tweets.
+    * Remote provider: a task is such a block (`ingest.map_tasks`). This
+      process parses it and sends every HTTP request itself, one at a time in
+      input order, the provider's and then the sentiment provider's; the job
+      decodes and checks the bodies (`features.embed_bodies`) and predicts.
 
-    * with a hashed provider, whose rows do not depend on their batch, through
-      `ingest.map_ranges`: each worker parses, predicts and formats one byte
-      range at a time;
-    * with a remote provider, through `ingest.map_tasks`: this process reads
-      the corpus in `iter_chunks` blocks of `EMBED_CHUNK_ROWS` tweets and sends
-      every HTTP request itself, one at a time in input order, first each batch
-      of the provider and then each of the sentiment provider. It streams a
-      block's tweets and raw response bodies to a worker, which decodes and
-      checks them (`features.embed_bodies`, as `embed_remote` does), predicts
-      the whole block and formats it.
-
-    A host of one CPU, a hashed corpus that is not a regular file or is one
-    range, and a remote corpus of at most one block stream here instead,
-    `EMBED_CHUNK_ROWS` tweets at a time. Either way, `--out`, its counts, the
-    requests and the first error are the same.
+    `--out`, its counts and the first error are the same either way.
     """
     bundle, provider, provider_y = _load_bundle_and_provider(args.params, _flags(args, "provider"))
     detected = np.zeros(len(_ASPECT_NAMES), dtype=np.int64)  # rows per detected aspect
 
-    def records(chunk, arrays, found):  # the prediction records of one block
-        found += arrays[2].sum(axis=0)
-        return map(_prediction_to_obj, chunk, *(a.tolist() for a in arrays))
+    def block(chunk, arrays):  # the prediction lines, rows and detections of a block
+        return (files.jsonl_text(map(_prediction_to_obj, chunk, *(a.tolist() for a in arrays))),
+                len(chunk), arrays[2].sum(axis=0))
 
-    def predictions(chunks, found):
-        for chunk in chunks:
-            yield from records(chunk, model.predict_batch([t.text for t in chunk], provider,
-                                                          bundle.params, bundle, provider_y), found)
+    def infer_tweets(tweets):  # hashed: the `block` of each EMBED_CHUNK_ROWS tweets
+        return [block(chunk, model.predict_batch([t.text for t in chunk], provider, bundle.params,
+                                                 bundle, provider_y))
+                for chunk in iter_chunks(tweets)]
 
-    def infer_range(lines):  # in a worker
-        tweets = list(ingest.parse_lines(lines, args.corpus))
-        found = np.zeros_like(detected)
-        return files.jsonl_text(predictions(iter_chunks(tweets), found)), len(tweets), found
+    def infer_range(numbered):
+        return infer_tweets(ingest.parse_lines(numbered, args.corpus))
 
     def remote_task(chunk):  # a block's tweets, then the response body of each request
         yield chunk
@@ -482,36 +474,25 @@ def _cmd_infer(args, file_cfg):
         for remote in filter(None, (provider, provider_y)):
             yield from request_bodies(texts, remote.spec)
 
-    def infer_block(pieces):  # in a worker
+    def infer_block(pieces):
         chunk = next(pieces)
         h = embed_bodies(pieces, len(chunk), provider.spec)
         h_y = None if provider_y is None else embed_bodies(pieces, len(chunk), provider_y.spec)
-        found = np.zeros_like(detected)
-        arrays = model.predict_rows(h, bundle.params, bundle, h_y)
-        return files.jsonl_text(records(chunk, arrays, found)), len(chunk), found
+        return [block(chunk, model.predict_rows(h, bundle.params, bundle, h_y))]
 
     chunks = iter_chunks(ingest.iter_corpus(args.corpus))
     if isinstance(provider, HashedProvider):
         results = ingest.map_ranges(args.corpus, args.corpus, infer_range, "infer")
-    else:  # forks only for a second block, so read ahead to it
-        head = list(islice(chunks, 1))
-        try:
-            head += islice(chunks, 1)
-        except PipelineError as exc:  # a bad line in block 2: raised after block 1's requests
-            chunks = ingest.raising([exc])
-        chunks = chain(head, chunks)
-        results = None
-        if len(head) > 1:
-            results = ingest.map_tasks(map(remote_task, chunks), infer_block, args.corpus, "infer")
-    if results is None:
-        count = files.write_jsonl(args.out, predictions(chunks, detected))
+        if results is None:  # a pipe, or a corpus of one range: read here
+            results = (infer_tweets(chunk) for chunk in chunks)
     else:
-        count = 0
-        with closing(results), files.open_output(args.out) as fh:
-            for text, rows, found in results:
-                fh.write(text)
-                count += rows
-                detected += found
+        results = ingest.map_tasks(map(remote_task, chunks), infer_block, args.corpus, "infer")
+    count = 0
+    with closing(results), files.open_output(args.out) as fh:
+        for text, rows, found in chain.from_iterable(results):
+            fh.write(text)
+            count += rows
+            detected += found
     _write_meta(args.out, {"params": args.params, "corpus": args.corpus},
                 counts={"rows": count, "detected": dict(zip(_ASPECT_NAMES, detected.tolist()))})
     print(f"infer: {count} tweets -> {args.out}")

@@ -18,8 +18,8 @@ speaks a fixed HTTP contract: POST `<endpoint>/embed` with
 Fetching and decoding are two steps: `request_bodies` sends the requests
 and yields the raw response bodies, and `embed_bodies` decodes and checks
 them into rows. `embed_remote` runs both in one process, one batch at a
-time; remote-provider `infer` sends the requests in the parent and decodes
-each block's bodies in a forked worker (`cli._cmd_infer`).
+time; remote-provider `infer` sends the requests in its own process and
+decodes each block's bodies in a task's job (`cli._cmd_infer`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -273,6 +274,9 @@ def embed_bodies(bodies: Iterator[bytes], n: int, spec: EmbeddingProviderSpec) -
     return out
 
 
+_JSON_KINDS = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
 def _decoded(body: bytes, size: int, spec: EmbeddingProviderSpec) -> np.ndarray:
     """The rows of a batch of `size` texts from its response body; a body that
     breaks the contract is a PipelineError."""
@@ -290,6 +294,14 @@ def _decoded(body: bytes, size: int, spec: EmbeddingProviderSpec) -> np.ndarray:
     if not isinstance(embs, list) or len(embs) != size:
         got = len(embs) if isinstance(embs, list) else "no"
         raise PipelineError(f"service returned {got} embeddings for a batch of {size}")
+    kinds = set()  # of the values; a row that is not a list fails in `np.asarray` or below
+    for row in embs:
+        if type(row) is list:
+            kinds.update(map(type, row))
+    if not kinds <= {float, int}:  # JSON numbers; a float cast would take "1.5" and true
+        bad = next(v for r in embs if type(r) is list for v in r if type(v) not in (float, int))
+        raise PipelineError(f"service returned non-numeric embeddings: could not convert "
+                            f"{_JSON_KINDS[type(bad)]} to float: {reprlib.repr(bad)}")
     try:
         block = np.asarray(embs, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float

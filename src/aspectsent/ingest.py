@@ -18,11 +18,11 @@ record that is missing or differs in either raises `PipelineError`, while
 other edits to it go unnoticed. The output is byte-identical to writing
 `tweets[s.record]` for each entry `s` of `apply_filters(tweets, spec)`,
 where `tweets = list(iter_corpus(path))`. On a corpus longer than
-CHUNK_BYTES, pass 1 runs in forked workers, up to one per CPU, each holding
-one range of whole lines at a time; the parent merges their entries in file
-order and samples them as `apply_filters` does. `map_ranges` is that fork
-helper, and hashed `infer` is its other caller; `map_tasks`, on the same fork
-core (`_forked`), runs remote-provider `infer`.
+CHUNK_BYTES, pass 1 runs one range of whole lines at a time (`map_ranges`),
+and this process merges the ranges' entries in file order and samples them
+as `apply_filters` does. Hashed `infer` runs on `map_ranges` too, and remote
+`infer` on `map_tasks`; `_forked`, their one core, alone decides whether a
+task's job runs in a forked worker (up to one per CPU) or in this process.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import partial
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -426,7 +426,7 @@ def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
         yield tweet
 
 
-# A corpus of more than one range runs in forked workers (`map_ranges`). On a
+# A corpus of more than one range runs a range at a time (`map_ranges`). On a
 # 2-core Xeon, 256 KiB ranges cut the benchmark's 2.6 MB infer corpus into 10
 # ranges, where 1 MiB ones gave 3 and left one worker 1.6 MB of it; ingest's
 # pass 1 over a 26 MB dump took about 5% less time at 256 KiB than at 1 MiB.
@@ -479,33 +479,29 @@ class _Failed(NamedTuple):
 
 
 def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] | None:
-    """`job` of each range of whole lines of the file `path`, run in forked
-    workers and yielded in file order; None where this process should read
-    `path` itself.
+    """`job` of each range of whole lines of the file `path`, yielded in file
+    order through `_forked`; None for a file that is not regular (a pipe) or
+    is one range, which this process should read itself.
 
-    `path` is cut into ranges of at least CHUNK_BYTES, and `_forked` deals
-    them to `min(CPUs this process may run on, ranges)` workers. A worker reads
-    and decodes a range at once, as `files.split_lines` does, and gives `job`
-    its numbered lines. A `LineError` of a range (from the decode or from
-    `job`) is raised here at its line of the file, so the first bad line of
-    the file is the one reported. None for a file that is not regular (a
-    pipe), of one range, on a host of one CPU or without `os.fork`.
+    `path` is cut into ranges of at least CHUNK_BYTES. Whichever process runs
+    a range's job reads and decodes the range at once, as `files.split_lines`
+    does, and gives `job` its numbered lines. A `LineError` of a range (from
+    the decode or from `job`) is raised here at its line of the file, so the
+    first bad line of the file is the one reported. None also on a platform
+    without `os.pread`, which reads a range.
     """
-    if not hasattr(os, "fork") or not stat.S_ISREG(os.stat(path).st_mode):
+    if not hasattr(os, "pread") or not stat.S_ISREG(os.stat(path).st_mode):
         return None
     ranges = _ranges(path)
-    workers = min(_cpus(), len(ranges))
-    if workers < 2:
-        return None
-    return _in_file_order(path, name, job, what, ranges, workers)
+    return _in_file_order(path, name, job, what, ranges) if len(ranges) > 1 else None
 
 
 def _in_file_order(path, name, job: Callable[[Lines], R], what: str,
-                   ranges: list[tuple[int, int]], workers: int) -> Iterator[R]:
+                   ranges: list[tuple[int, int]]) -> Iterator[R]:
     """The iterator of `map_ranges`."""
     with open(path, "rb") as corpus:
         replies = _forked(([r] for r in ranges), partial(_range_job, corpus.fileno(), job, name),
-                          name, what, workers, _RANGES_AHEAD)
+                          name, what, _RANGES_AHEAD)
         with closing(replies):
             lines = 0  # of the ranges before this one, blank ones included
             for reply in replies:
@@ -518,9 +514,9 @@ def _in_file_order(path, name, job: Callable[[Lines], R], what: str,
 
 def _range_job(corpus: int, job: Callable[[Lines], R], name, pieces: Iterator
                ) -> tuple[int, R] | _Fault:
-    """In a worker: the line count and `job` result of the range that is the one
-    piece of its task, in the file open as descriptor `corpus`, or the `_Fault`
-    of its first bad line."""
+    """The line count and `job` result of the range that is the one piece of
+    its task, in the file open as descriptor `corpus`, or the `_Fault` of its
+    first bad line."""
     start, end = next(pieces)
     try:
         lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
@@ -530,36 +526,33 @@ def _range_job(corpus: int, job: Callable[[Lines], R], name, pieces: Iterator
 
 
 def map_tasks(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what: str
-              ) -> Iterator[R] | None:
-    """`job` of each of `tasks`, run in forked workers with one task each in
-    flight, and yielded in order; None on a host of one CPU or without
-    `os.fork`, where this process should run the tasks itself.
+              ) -> Iterator[R]:
+    """`job` of each of `tasks`, yielded in order through `_forked`, with one
+    task each in flight to a worker.
 
     A task is an iterable of pieces, which `_forked` takes one at a time as it
     writes them to the task's worker: a task may be far larger than what this
     process holds of it. `name` and `what` name a worker that dies.
     """
-    workers = _cpus() if hasattr(os, "fork") else 1
-    if workers < 2:
-        return None
-    return _forked(tasks, job, name, what, workers, 1)
+    return _forked(tasks, job, name, what, 1)
 
 
 def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what: str,
-            workers: int, ahead: int) -> Iterator[R]:
-    """`job` of each task, run in forked workers and yielded in task order: the
-    fork core of `map_ranges` (ingest's pass 1 and hashed `infer`) and of
-    `map_tasks` (remote-provider `infer`).
+            ahead: int) -> Iterator[R]:
+    """`job` of each task, yielded in task order: the core of `map_ranges` and
+    `map_tasks`, and the one place that decides whether to fork. It forks once
+    a second task comes, given `os.fork` and two CPUs or more for this process;
+    else it runs `job(iter(task))` here, task by task, as they are taken.
 
-    Task `j` goes to worker `j % workers`, which is forked when its first task
-    comes. This process writes each piece of a task to the worker's pipe as it
-    takes it from the task, then None; the worker reads a whole task before it
-    runs `job` over an iterator of its pieces, so a slow job never holds up the
-    writing. Task `j` is written only once the result of task
-    `j - ahead * workers` has been read, and a worker writes its results in
-    order, so no worker blocks writing a result while this process blocks
-    writing that worker a task, if `ahead` tasks fit in a pipe; at `ahead` 1,
-    tasks may have any size.
+    Task `j` goes to worker `j % n`, for `n` the CPUs this process may run on,
+    which is forked when its first task comes. This process writes each piece
+    of a task to the worker's pipe as it takes it from the task, then None; the
+    worker reads a whole task before it runs `job` over an iterator of its
+    pieces, so a slow job never holds up the writing. Task `j` is written only
+    once the result of task `j - ahead * n` has been read, and a worker writes
+    its results in order, so no worker blocks writing a result while this
+    process blocks writing that worker a task, if `ahead` tasks fit in a pipe;
+    at `ahead` 1, tasks may have any size.
 
     Results come back through one pipe per worker. A PipelineError raised by
     `job` is raised here in its task's place; a worker that dies is `<name>: an
@@ -571,10 +564,19 @@ def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what:
     worker is killed and reaped on every path. Forking is safe only while no
     other thread of the caller holds a lock; the CLI runs none.
     """
+    workers = _cpus() if hasattr(os, "fork") else 1
+    tasks = _taken(tasks)
+    head = list(islice(tasks, min(workers, 2)))
+    tasks = chain(head, tasks)
+    if len(head) < 2 or isinstance(head[1], PipelineError):  # no second task, or no workers
+        for task in _raising(tasks):
+            yield job(iter(task))
+        return
     pids: list[int] = []
     sends: list[BinaryIO] = []  # this process's end of each worker's task pipe
     replies: list[BinaryIO] = []
     sent = done = 0  # tasks written, results read
+    failure = None
 
     def result():
         nonlocal done
@@ -591,16 +593,10 @@ def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what:
             raise PipelineError(reply.message)
         return reply
 
-    failure = None
-    tasks = iter(tasks)
     try:
-        while failure is None:
-            try:
-                task = next(tasks)
-            except StopIteration:
-                break
-            except PipelineError as exc:  # a bad corpus line, say
-                failure = exc
+        for task in tasks:
+            if isinstance(task, PipelineError):  # a bad corpus line, say
+                failure = task
                 break
             while done <= sent - ahead * workers:
                 yield result()
@@ -619,6 +615,8 @@ def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what:
                 failure = _send(task, sends[k])
             except BrokenPipeError:  # the worker has died: reading its result says so
                 break
+            if failure is not None:
+                break
         while done < sent:
             yield result()
         if failure is not None:
@@ -631,6 +629,14 @@ def _forked(tasks: Iterable[Iterable], job: Callable[[Iterator], R], name, what:
                 pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _taken(tasks: Iterable) -> Iterator:
+    """`tasks` in order, then the PipelineError met taking one, if any."""
+    try:
+        yield from tasks
+    except PipelineError as exc:
+        yield exc
 
 
 def _send(task: Iterable, out: BinaryIO) -> PipelineError | None:
@@ -665,7 +671,7 @@ def _worker(tasks_in: BinaryIO, out: BinaryIO, job: Callable[[Iterator], R],
             except EOFError:  # no more tasks
                 break
             try:
-                reply = job(raising(pieces))
+                reply = job(_raising(pieces))
             except PipelineError as exc:
                 reply = _Failed(str(exc))
             pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
@@ -680,7 +686,7 @@ def _worker(tasks_in: BinaryIO, out: BinaryIO, job: Callable[[Iterator], R],
         os._exit(code)
 
 
-def raising(items: Iterable) -> Iterator:
+def _raising(items: Iterable) -> Iterator:
     """`items` in order; a PipelineError among them is raised in its place."""
     for item in items:
         if isinstance(item, PipelineError):
@@ -727,14 +733,13 @@ def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     """Filter and sample the corpus file `path` into `out_path` in two passes.
 
     Holds only the `Survivor` entries of `apply_filters`, then writes the
-    tweet of each from a second read. Pass 1 runs through `map_ranges`: in
-    forked workers, each holding one range of whole lines at a time, whose
-    entries this process merges in file order and samples once. Where
-    `map_ranges` forks nothing (one range, one CPU, no `os.fork`), pass 1 is
-    `apply_filters(iter_corpus(path, name), spec, counts)` in this process.
-    Output, counts and errors are the same either way, but for one case: a
-    worker decodes a whole range first, so a byte that is not UTF-8 is
-    reported ahead of an earlier bad line of its range. `path` must be a
+    tweet of each from a second read. Pass 1 runs through `map_ranges`, one
+    range of whole lines at a time (in forked workers where `_forked` forks),
+    whose entries this process merges in file order and samples once. For a
+    corpus of one range, pass 1 is `apply_filters(iter_corpus(path, name),
+    spec, counts)`. Output, counts and errors are the same either way, but
+    for one case: a range is decoded whole first, so a byte that is not UTF-8
+    is reported ahead of an earlier bad line of its range. `path` must be a
     regular file that stays unchanged until this returns; errors call it
     `name` (default: `path`). Returns the INGEST_COUNTS of `apply_filters`.
     """

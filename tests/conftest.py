@@ -1,3 +1,5 @@
+import aspectsent  # noqa: F401  (first: it pins BLAS to one thread before numpy loads)
+
 import json
 from datetime import date, datetime, timezone
 

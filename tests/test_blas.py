@@ -42,6 +42,14 @@ def test_the_package_imported_before_numpy_runs_blas_in_one_thread():
     assert threads_after_a_product("aspectsent") == 1
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_the_suite_runs_blas_in_one_thread():
+    # conftest loads the package before numpy, so the tests run as the command does
+    a = np.ones((300, 300))
+    a @ a
+    assert len(os.listdir("/proc/self/task")) == threading.active_count()  # no BLAS thread
+
+
 DIM = 768
 
 

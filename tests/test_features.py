@@ -270,6 +270,19 @@ class TestEmbedRemote:
         with pytest.raises(PipelineError, match="^" + message):
             embed_remote(["a", "b"], _spec(stub_server))
 
+    @pytest.mark.parametrize("value, says", [
+        ("1.5", "string to float: '1.5'"),
+        (True, "boolean to float: True"),
+        (None, "null to float: None"),
+        ([0.5], r"array to float: \[0\.5\]"),
+    ], ids=["string", "bool", "null", "nested-list"])
+    def test_a_value_that_is_not_a_json_number_is_non_numeric(self, value, says):
+        # a float cast would take "1.5" and true, and make null a NaN
+        body = json.dumps({"dim": 3, "embeddings": [[0.5, 1, -2.0], [0.5, value, 0.0]]})
+        says = f"^service returned non-numeric embeddings: could not convert {says}$"
+        with pytest.raises(PipelineError, match=says):
+            features._decoded(body.encode(), 2, _spec("http://unused", dim=3))
+
     def test_bad_later_batch_is_contract_error(self, stub_server):
         # each batch is checked as it arrives, not only the assembled matrix
         _StubHandler.fail_mode = None

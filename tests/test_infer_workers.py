@@ -89,6 +89,24 @@ def test_a_corpus_of_many_ranges_runs_in_workers(tmp_path, params):
     assert one[1]["rows"] == N_LINES - 3
 
 
+def test_without_os_fork_each_range_runs_here(tmp_path, params, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, {})
+    _, forked, want = infer(params, corpus, tmp_path / "forked.jsonl", RANGE_BYTES, 2)
+    assert len(forked) == 2
+    range_job, ranges = ingest._range_job, []
+    monkeypatch.setattr(ingest, "_range_job", lambda *args: ranges.append(args) or range_job(*args))
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", RANGE_BYTES)
+    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "here.jsonl"
+    assert main(["infer", "--params", str(params), "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert_no_child_left()
+    assert len(ranges) == N_LINES // LINES_PER_RANGE
+    counts = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))["counts"]
+    assert (out.read_bytes(), counts) == want
+
+
 # --- errors: the same `error: <corpus>:<line>: …` whichever way the corpus is cut ---
 
 def run_infer(tmp_path, params, corpus, chunk_bytes, cpus, capsys):

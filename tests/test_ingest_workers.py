@@ -216,3 +216,24 @@ def test_a_successful_run_leaves_no_worker(tmp_path, capsys):
     assert run_ingest(tmp_path, corpus, LINE_BYTES * LINES_PER_RANGE, 2, capsys) == (0, "")
     kept = (tmp_path / "out" / "kept.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(kept) == N_LINES - 3
+
+
+# --- a platform without `os.fork`: the ranges run in this process ---
+
+def test_without_os_fork_each_range_runs_here(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, {})
+    with cut(LINE_BYTES * LINES_PER_RANGE, 2) as forked:
+        want = ingest.ingest_file(corpus, SPEC, tmp_path / "forked.jsonl")
+    assert len(forked) == 2
+    filter_range, ranges = ingest._filter_range, []
+    monkeypatch.setattr(ingest, "_filter_range", lambda lines, **kw: ranges.append(lines)
+                        or filter_range(lines, **kw))
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", LINE_BYTES * LINES_PER_RANGE)
+    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    counts = ingest.ingest_file(corpus, SPEC, tmp_path / "here.jsonl")
+    assert_no_child_left()
+    assert len(ranges) == N_LINES // LINES_PER_RANGE
+    assert counts == want
+    assert (tmp_path / "here.jsonl").read_bytes() == (tmp_path / "forked.jsonl").read_bytes()

@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aspectsent import features, synth
+from aspectsent import features, ingest, synth
 from aspectsent.cli import main
 
 from test_ingest_workers import BAD, UNLIMITED, assert_no_child_left, cut
@@ -188,6 +188,23 @@ def test_a_fifo_corpus_forks(tmp_path, service, params):
     assert not writer.is_alive()
     assert (code, len(forked)) == (0, 2)
     assert (run, log) == (want, want_log)
+
+
+def test_without_os_fork_each_block_runs_here(tmp_path, service, params, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    _, forked, want, want_log = infer(service, params, corpus, tmp_path / "forked.jsonl", 2)
+    assert len(forked) == 2
+    monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    service.reset()
+    out = tmp_path / "here.jsonl"
+    assert main(["infer", "--params", str(params), "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert_no_child_left()
+    counts = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))["counts"]
+    assert ((out.read_bytes(), counts), service.log) == (want, want_log)
+    assert service.most_open == 1
 
 
 # --- errors: the first in input order, as in one process ---
