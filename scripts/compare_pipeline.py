@@ -20,7 +20,7 @@ script on its own first, then compare the code change against that commit.
     python scripts/compare_pipeline.py --base HEAD~1
     python scripts/compare_pipeline.py --base HEAD~1 --n 20000
 
-At the default `--n 1000` each corpus is smaller than one `ingest.CHUNK_BYTES`
+At the default `--n 1000` each corpus is smaller than one `workers.CHUNK_BYTES`
 range, so ingest and infer run in one process; at `--n 20000` the corpora
 span several ranges and both run in forked workers.
 """

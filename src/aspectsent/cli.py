@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corpus, evaluation, files, ingest, model, stats
+from . import __version__, corpus, evaluation, files, ingest, model, stats, workers
 from .errors import PipelineError
 from .features import (PROVIDER_SETTINGS, HashedProvider, embed_bodies, iter_chunks, providers,
                        request_bodies)
@@ -439,14 +439,14 @@ def _cmd_eval(args, file_cfg):
 
 def _cmd_infer(args, file_cfg):
     """Predict every tweet of the corpus into `--out`, writing each task's lines
-    in corpus order and holding one task's text at a time; `ingest`'s fork
-    core runs each task's job in a forked worker or here.
+    in corpus order and holding one task's text at a time; the fork core
+    (`workers`) runs each task's job in a forked worker or here.
 
     * Hashed provider, whose rows do not depend on their batch: a task is a
-      byte range (`ingest.map_ranges`), which its job parses, predicts and
+      byte range (`workers.map_ranges`), which its job parses, predicts and
       formats. A pipe, or a corpus of one range, is read here in `iter_chunks`
       blocks of `EMBED_CHUNK_ROWS` tweets.
-    * Remote provider: a task is such a block (`ingest.map_tasks`). This
+    * Remote provider: a task is such a block (`workers.map_tasks`). This
       process parses it and sends every HTTP request itself, one at a time in
       input order, the provider's and then the sentiment provider's; the job
       decodes and checks the bodies (`features.embed_bodies`) and predicts.
@@ -482,11 +482,11 @@ def _cmd_infer(args, file_cfg):
 
     chunks = iter_chunks(ingest.iter_corpus(args.corpus))
     if isinstance(provider, HashedProvider):
-        results = ingest.map_ranges(args.corpus, args.corpus, infer_range, "infer")
+        results = workers.map_ranges(args.corpus, args.corpus, infer_range, "infer")
         if results is None:  # a pipe, or a corpus of one range: read here
             results = (infer_tweets(chunk) for chunk in chunks)
     else:
-        results = ingest.map_tasks(map(remote_task, chunks), infer_block, args.corpus, "infer")
+        results = workers.map_tasks(map(remote_task, chunks), infer_block, args.corpus, "infer")
     count = 0
     with closing(results), files.open_output(args.out) as fh:
         for text, rows, found in chain.from_iterable(results):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aspectsent import cli, corpus, evaluation, features, files, ingest, model, stats, synth
+from aspectsent import (cli, corpus, evaluation, features, files, ingest, model, stats, synth,
+                        workers)
 from aspectsent.cli import figure_table, main, read_prediction_rows
 from aspectsent.errors import PipelineError
 from aspectsent.features import providers
@@ -703,8 +704,8 @@ class TestStreamingInfer:
                                                       monkeypatch):
         # Ranges of 16 KiB in two workers: the parent holds one range's lines at
         # a time. Holding every range's would add about 600 KB from 1x to 4x.
-        monkeypatch.setattr(ingest, "CHUNK_BYTES", 16 * 1024)
-        monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "CHUNK_BYTES", 16 * 1024)
+        monkeypatch.setattr(workers, "_cpus", lambda: 2)
         params_path, _ = trained_params
 
         def peak(n):

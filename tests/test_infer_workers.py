@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspectsent import ingest, synth
+from aspectsent import ingest, synth, workers
 from aspectsent.cli import main
 
+from test_cli import _fail_writes
 from test_ingest_workers import (BAD, LINE_BYTES, LINES_PER_RANGE, N_LINES, UNLIMITED,
                                  assert_no_child_left, cut, write_corpus)
 
@@ -94,10 +95,10 @@ def test_without_os_fork_each_range_runs_here(tmp_path, params, monkeypatch):
     write_corpus(corpus, {})
     _, forked, want = infer(params, corpus, tmp_path / "forked.jsonl", RANGE_BYTES, 2)
     assert len(forked) == 2
-    range_job, ranges = ingest._range_job, []
-    monkeypatch.setattr(ingest, "_range_job", lambda *args: ranges.append(args) or range_job(*args))
-    monkeypatch.setattr(ingest, "CHUNK_BYTES", RANGE_BYTES)
-    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    range_job, ranges = workers._range_job, []
+    monkeypatch.setattr(workers, "_range_job", lambda *args: ranges.append(args) or range_job(*args))
+    monkeypatch.setattr(workers, "CHUNK_BYTES", RANGE_BYTES)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     out = tmp_path / "here.jsonl"
     assert main(["infer", "--params", str(params), "--corpus", str(corpus), "--out", str(out)]) == 0
@@ -156,7 +157,14 @@ def _worker_dies(corpus, monkeypatch):
     return f"error: {corpus}: an infer worker stopped before its result (exit status 3)"
 
 
-@pytest.mark.parametrize("make", [_fail_late, _worker_dies], ids=["bad-late-line", "worker-dies"])
+def _disk_full(corpus, monkeypatch):  # `--out` takes one write: the run is closed early
+    write_corpus(corpus, {})
+    _fail_writes(monkeypatch)
+    return f"error: {corpus.parent / 'out' / 'pred.jsonl'}: No space left on device"
+
+
+@pytest.mark.parametrize("make", [_fail_late, _worker_dies, _disk_full],
+                         ids=["bad-late-line", "worker-dies", "disk-full"])
 def test_a_failed_run_leaves_no_worker_and_the_previous_output(tmp_path, capsys, monkeypatch,
                                                                params, make):
     corpus = tmp_path / "corpus.jsonl"

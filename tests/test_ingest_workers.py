@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspectsent import ingest
+from aspectsent import ingest, workers
 from aspectsent.cli import main
 
 from conftest import corpus_line
@@ -24,7 +24,7 @@ UNLIMITED = 2**62
 
 @contextmanager
 def cut(chunk_bytes, cpus):
-    """`ingest` with ranges of `chunk_bytes` and `cpus` CPUs; yields the pids forked."""
+    """The fork core with ranges of `chunk_bytes` and `cpus` CPUs; yields the pids forked."""
     forked = []
     fork = os.fork
 
@@ -34,8 +34,8 @@ def cut(chunk_bytes, cpus):
             forked.append(pid)
         return pid
 
-    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(ingest, "_cpus", return_value=cpus), \
+    with mock.patch.object(workers, "CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(workers, "_cpus", return_value=cpus), \
             mock.patch.object(os, "fork", counting_fork):
         yield forked
 
@@ -229,8 +229,8 @@ def test_without_os_fork_each_range_runs_here(tmp_path, monkeypatch):
     filter_range, ranges = ingest._filter_range, []
     monkeypatch.setattr(ingest, "_filter_range", lambda lines, **kw: ranges.append(lines)
                         or filter_range(lines, **kw))
-    monkeypatch.setattr(ingest, "CHUNK_BYTES", LINE_BYTES * LINES_PER_RANGE)
-    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "CHUNK_BYTES", LINE_BYTES * LINES_PER_RANGE)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     counts = ingest.ingest_file(corpus, SPEC, tmp_path / "here.jsonl")
     assert_no_child_left()

@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aspectsent import features, ingest, synth
+from aspectsent import features, ingest, synth, workers
 from aspectsent.cli import main
 
 from test_ingest_workers import BAD, UNLIMITED, assert_no_child_left, cut
@@ -196,7 +196,7 @@ def test_without_os_fork_each_block_runs_here(tmp_path, service, params, monkeyp
     _, forked, want, want_log = infer(service, params, corpus, tmp_path / "forked.jsonl", 2)
     assert len(forked) == 2
     monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(ingest, "_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     service.reset()
     out = tmp_path / "here.jsonl"
