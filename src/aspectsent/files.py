@@ -1,9 +1,10 @@
 """Pipeline files: the one place that decides how stage files are read and written.
 
 Readers see the non-blank lines of a UTF-8 file, numbered as text mode splits
-them, and report a line they cannot read (not UTF-8, not a JSON object, a
-missing or wrong-typed field) as a `PipelineError` saying `<path>:<line>: …`.
-`split_lines` splits a run of whole lines read as bytes by the same rule.
+them, and report the first line they cannot read (not UTF-8, not a JSON
+object, a missing or wrong-typed field) as a `PipelineError` saying
+`<path>:<line>: …`. `text_lines`, the one line reader, reads a file or the
+bytes of a run of its lines by the same rule.
 `json_object` is the one JSON decode of a pipeline file, and `field` the one
 typed check of a record's field.
 Writers fill a temp file beside each output, and `committed()` renames them
@@ -24,6 +25,7 @@ import reprlib
 import sys
 from contextlib import contextmanager
 from enum import EnumMeta
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -41,55 +43,48 @@ class LineError(PipelineError):
         self.detail = detail
 
 
-def text_lines(path, name=None) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line of a UTF-8 text file.
+def text_lines(source, name=None) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of UTF-8 text, split as text
+    mode splits it: the file at the path `source`, or `source` itself if it is
+    the bytes of a run of whole lines.
 
-    Errors call the file `name` (default: `path`).
+    A line that is not UTF-8 is a LineError, raised only after every line
+    before it has been yielded. Errors call the text `name` (default: `source`).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise _bad_utf8_error(path, path if name is None else name, exc) from None
-
-
-def split_lines(data: bytes, name) -> tuple[list[tuple[int, str]], int]:
-    """`text_lines` of `data`, a run of whole lines of a UTF-8 file, numbered from 1,
-    and how many lines `data` holds, blank ones included.
-
-    `data` is decoded at once: a byte that is not UTF-8 anywhere in it is the
-    error, even when an earlier line of it is bad in another way.
-    """
+    name = source if name is None else name
+    read = 0  # lines read, blank ones included
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        escaped = io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
-        raise LineError(name, _first_escaped_line(escaped), f"not valid UTF-8 ({exc.reason})")
-    lines = io.StringIO(text, newline=None).readlines()  # split and translated as text mode does
-    return [(lineno, line) for lineno, line in enumerate(lines, 1) if line.strip()], len(lines)
+        with _opened(source, "strict") as fh:
+            for read, line in enumerate(fh, 1):
+                if line.strip():
+                    yield read, line
+        return
+    except UnicodeDecodeError as exc:  # the lines of the block that failed were not read
+        reason = exc.reason
+    with _opened(source, "surrogateescape") as fh:  # a lone surrogate is an undecodable byte
+        for lineno, line in islice(enumerate(fh, 1), read, None):
+            if _ESCAPED_BYTE.search(line):
+                raise LineError(name, lineno, f"not valid UTF-8 ({reason})")
+            if line.strip():
+                yield lineno, line
+    raise PipelineError(f"{name}: not valid UTF-8 ({reason})")  # changed since the first read
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def _first_escaped_line(lines: Iterable[str]) -> int | None:
-    """The number of the first line that holds a byte escaped by surrogateescape."""
-    return next((n for n, line in enumerate(lines, 1) if _ESCAPED_BYTE.search(line)), None)
+def _opened(source, errors: str) -> io.TextIOWrapper:
+    """`source` (a path, or bytes) open as UTF-8 text with universal newlines."""
+    if isinstance(source, bytes):
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors=errors)
+    return open(source, encoding="utf-8", errors=errors)
 
 
-def _bad_utf8_error(path, name, exc: UnicodeDecodeError) -> PipelineError:
-    """The error for a file that is not UTF-8, naming the first bad line.
-
-    Text mode decodes in blocks, so the failing line is found by a second
-    read that turns each undecodable byte into a lone surrogate.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lineno = _first_escaped_line(fh)
-    if lineno is None:
-        return PipelineError(f"{name}: not valid UTF-8 ({exc.reason})")
-    return LineError(name, lineno, f"not valid UTF-8 ({exc.reason})")
+def line_count(data: bytes) -> int:
+    """How many lines `text_lines(data)` reads, blank ones included: each ends
+    at "\\n", "\\r" or "\\r\\n", or at the end of `data`."""
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return ends + (data[-1:] not in (b"\n", b"\r", b""))
 
 
 class LoneSurrogateError(PipelineError):
@@ -293,9 +288,10 @@ def open_output(path, newline=None):
 
 
 def write_json(path, doc, indent=None) -> None:
-    """One JSON document with sorted keys, then a newline."""
+    """One JSON document with sorted keys, then a newline; a float that is NaN or
+    infinite, which standard JSON cannot hold, is a ValueError before any write."""
     with open_output(path) as fh:
-        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False) + "\n")
 
 
 # `json.dumps` with a keyword other than its defaults builds an encoder per call

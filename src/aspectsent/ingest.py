@@ -462,11 +462,10 @@ def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     one range of whole lines at a time (in forked workers where it forks),
     whose entries this process merges in file order and samples once. For a
     corpus of one range, pass 1 is `apply_filters(iter_corpus(path, name),
-    spec, counts)`. Output, counts and errors are the same either way, but
-    for one case: a range is decoded whole first, so a byte that is not UTF-8
-    is reported ahead of an earlier bad line of its range. `path` must be a
-    regular file that stays unchanged until this returns; errors call it
-    `name` (default: `path`). Returns the INGEST_COUNTS of `apply_filters`.
+    spec, counts)`. Output, counts and errors are the same either way: the
+    first bad line of the file is the error. `path` must be a regular file
+    that stays unchanged until this returns; errors call it `name` (default:
+    `path`). Returns the INGEST_COUNTS of `apply_filters`.
     """
     name = path if name is None else name
     counts: dict[str, int] = {}

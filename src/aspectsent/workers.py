@@ -20,7 +20,7 @@ from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
 from .errors import PipelineError
-from .files import LineError, split_lines
+from .files import LineError, line_count, text_lines
 
 
 # A corpus of more than one range runs a range at a time (`map_ranges`). On a
@@ -55,7 +55,7 @@ def _cpus() -> int:
 
 
 R = TypeVar("R")
-Lines = list[tuple[int, str]]  # the non-blank lines of a range, numbered within it from 1
+Lines = Iterator[tuple[int, str]]  # an iterator of a range's non-blank lines, numbered from 1
 
 # The ranges a worker may have queued or in hand: a range goes to its worker as a
 # few dozen bytes, so this many always fit in its pipe.
@@ -81,11 +81,11 @@ def map_ranges(path, name, job: Callable[[Lines], R], what: str) -> Iterator[R] 
     is one range, which this process should read itself.
 
     `path` is cut into ranges of at least CHUNK_BYTES. Whichever process runs
-    a range's job reads and decodes the range at once, as `files.split_lines`
-    does, and gives `job` its numbered lines. A `LineError` of a range (from
-    the decode or from `job`) is raised here at its line of the file, so the
-    first bad line of the file is the one reported. None also on a platform
-    without `os.pread`, which reads a range.
+    a range's job reads the range and gives `job` its `files.text_lines`, which
+    `job` reads to the end. The first `LineError` of a range (from the reader
+    or from `job`) is raised here at its line of the file, so the first bad
+    line of the file is the one reported. None also on a platform without
+    `os.pread`, which reads a range.
     """
     if not hasattr(os, "pread") or not stat.S_ISREG(os.stat(path).st_mode):
         return None
@@ -115,9 +115,9 @@ def _range_job(corpus: int, job: Callable[[Lines], R], name, pieces: Iterator
     its task, in the file open as descriptor `corpus`, or the `_Fault` of its
     first bad line."""
     start, end = next(pieces)
+    data = os.pread(corpus, end - start, start)
     try:
-        lines, line_count = split_lines(os.pread(corpus, end - start, start), name)
-        return line_count, job(lines)
+        return line_count(data), job(text_lines(data, name))
     except LineError as exc:
         return _Fault(exc.line, exc.detail)
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import hashlib
 import json
 import os
 import tempfile
@@ -1313,7 +1314,7 @@ class _DeterministicEmbedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         vecs = []
         for text in body["texts"]:
-            rng = np.random.default_rng(abs(hash((text,))) % (2**32))
+            rng = np.random.default_rng(list(hashlib.sha256(text.encode()).digest()))
             vecs.append(list(rng.uniform(-1, 1, size=self.dim)))
         data = json.dumps({"dim": self.dim, "embeddings": vecs}).encode()
         self.send_response(200)

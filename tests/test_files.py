@@ -1,8 +1,11 @@
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from aspectsent import files
 from aspectsent.corpus import Aspect, BinarySentiment, Sentiment
@@ -72,6 +75,41 @@ def test_write_jsonl_writes_what_json_dumps_gives(tmp_path):
     assert files.write_jsonl(tmp_path / "x.jsonl", objs) == 2
     expected = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
     assert (tmp_path / "x.jsonl").read_text(encoding="utf-8") == expected
+
+
+class TestTextLines:
+    """The one line reader, of a file or of the bytes of a run of its lines."""
+
+    # any text, "\r", "\n", U+2028 and U+0085 included: text mode ends a line only at
+    # "\n", "\r" and "\r\n"
+    @given(lines=st.lists(st.tuples(st.text(), st.sampled_from(["\n", "\r\n", "\r"]))),
+           final_newline=st.booleans())
+    @example(lines=[("a\u2028b", "\n"), (" ", "\r"), ("", "\n"), ("c\x85d", "\r")],
+             final_newline=False)
+    def test_bytes_read_as_their_file_does(self, lines, final_newline):
+        text = "".join(line + end for line, end in lines)
+        data = (text if final_newline else text.rstrip("\r\n")).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.txt"
+            path.write_bytes(data)
+            want = list(files.text_lines(path))
+            with open(path, encoding="utf-8") as fh:
+                read = len(fh.readlines())
+        assert list(files.text_lines(data, "x")) == want
+        assert files.line_count(data) == read
+
+    # 8 KiB decode blocks: the bad byte in the block of the first line, and in a later one
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_every_line_before_a_bad_byte_is_yielded_first(self, tmp_path, n):
+        data = b"".join(b"%d\n" % i for i in range(n)) + b"\n \r\ncaf\xe9\nlater\n"
+        path = tmp_path / "x.txt"
+        path.write_bytes(data)
+        for source in (path, data):
+            lines = []
+            with pytest.raises(files.LineError) as exc:
+                lines.extend(files.text_lines(source, "x"))
+            assert lines == [(i + 1, f"{i}\n") for i in range(n)]
+            assert str(exc.value) == f"x:{n + 3}: not valid UTF-8 (invalid continuation byte)"
 
 
 _DECLARED = {"lag": (int, 1), "path": (str, None)}

@@ -3,21 +3,25 @@ cut of the corpus into ranges and every worker count, the same errors, no worker
 left behind, and no fork where the corpus rules it out. Remote-provider `infer`
 is in `test_remote_infer_workers.py`."""
 
+import io
 import json
 import os
+import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aspectsent import ingest, synth, workers
 from aspectsent.cli import main
 
 from test_cli import _fail_writes
-from test_ingest_workers import (BAD, LINE_BYTES, LINES_PER_RANGE, N_LINES, UNLIMITED,
-                                 assert_no_child_left, cut, write_corpus)
+from test_ingest_workers import (BAD, BAD_THEN_NOT_UTF8, DETAIL, LINE_BYTES, LINES_PER_RANGE,
+                                 N_LINES, UNLIMITED, assert_no_child_left, bad_corpora, cut,
+                                 stderr_at_every_cut, write_corpus)
 
 RANGE_BYTES = LINE_BYTES * LINES_PER_RANGE  # six ranges of `write_corpus`'s thirty lines
 
@@ -128,13 +132,19 @@ def test_a_bad_line_is_reported_as_in_one_range(tmp_path, capsys, params, kind, 
         assert run_infer(tmp_path, params, corpus, RANGE_BYTES, cpus, capsys) == one_range
 
 
-def test_in_one_range_a_non_utf8_byte_wins_over_an_earlier_bad_line(tmp_path, capsys, params):
-    (tmp_path / "out").mkdir()
-    corpus = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, {12: "malformed", 14: "not-utf8"})  # both in the third range
-    code, err = run_infer(tmp_path, params, corpus, RANGE_BYTES, 2, capsys)
-    assert code == 1
-    assert err.startswith(f"error: {corpus}:14: not valid UTF-8 (")
+@settings(max_examples=15)
+@given(corpus=bad_corpora(_LINE))
+@example(corpus=BAD_THEN_NOT_UTF8)
+def test_every_cut_and_worker_count_reports_the_first_bad_line(params, corpus):
+    data, first, kind = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        runs = stderr_at_every_cut(["infer", "--params", str(params), "--corpus", str(path),
+                                    "--out", str(Path(tmp) / "pred.jsonl")])
+    code, err = reference = runs[UNLIMITED, 1]  # one range, in this process
+    assert code == 1 and err.startswith(f"error: {path}:{first}: {DETAIL[kind]}")
+    assert all(run == reference for run in runs.values())
 
 
 # --- process hygiene: no worker outlives infer, and a failure leaves --out as it was ---
@@ -176,6 +186,37 @@ def test_a_failed_run_leaves_no_worker_and_the_previous_output(tmp_path, capsys,
     assert (code, err) == (1, want + "\n")  # one line: no traceback
     assert [p.name for p in out_dir.iterdir()] == ["pred.jsonl"]  # no .*.tmp file, no meta
     assert (out_dir / "pred.jsonl").read_bytes() == b"previous\n"
+
+
+class _ChildCheckingStderr(io.StringIO):
+    """A stderr that notes, at each write, whether this process has a child left."""
+
+    def __init__(self):
+        super().__init__()
+        self.children_left = []
+
+    def write(self, text):
+        try:
+            os.waitpid(-1, os.WNOHANG)  # (0, 0) for a live worker
+            self.children_left.append(True)
+        except ChildProcessError:
+            self.children_left.append(False)
+        return super().write(text)
+
+
+def test_the_workers_are_reaped_before_the_error_is_printed(tmp_path, params, monkeypatch):
+    # the error's traceback holds the run's frame, so its workers outlive the print
+    # unless the run closes them as the error leaves it
+    corpus = tmp_path / "corpus.jsonl"
+    want = _disk_full(corpus, monkeypatch)
+    (tmp_path / "out").mkdir()
+    stderr = _ChildCheckingStderr()
+    with cut(RANGE_BYTES, 2) as forked, mock.patch.object(sys, "stderr", stderr):
+        code = main(["infer", "--params", str(params), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "out" / "pred.jsonl")])
+    assert len(forked) == 2
+    assert (code, stderr.getvalue()) == (1, want + "\n")
+    assert stderr.children_left and not any(stderr.children_left)
 
 
 def test_a_successful_run_leaves_no_worker(tmp_path, capsys, params):

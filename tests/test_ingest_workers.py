@@ -3,16 +3,17 @@ errors for every cut of the corpus into ranges and every worker count, and no
 worker left behind."""
 
 import dataclasses
+import io
 import json
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from datetime import date
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aspectsent import ingest, workers
 from aspectsent.cli import main
@@ -166,13 +167,60 @@ def test_of_bad_lines_in_two_ranges_the_earlier_is_reported(tmp_path, capsys, fi
     assert err.startswith(f"error: {corpus}:8: ")
 
 
-def test_in_one_range_a_non_utf8_byte_wins_over_an_earlier_bad_line(tmp_path, capsys):
-    (tmp_path / "out").mkdir()
-    corpus = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, {12: "malformed", 14: "not-utf8"})  # both in the third range
-    code, err = run_ingest(tmp_path, corpus, LINE_BYTES * LINES_PER_RANGE, 2, capsys)
-    assert code == 1
-    assert err.startswith(f"error: {corpus}:14: not valid UTF-8 (")
+# the start of the detail of each kind of BAD line's error
+DETAIL = {"malformed": "malformed JSON", "schema": "missing required field",
+          "surrogate": "lone UTF-16 surrogate", "not-utf8": "not valid UTF-8"}
+
+
+@st.composite
+def bad_corpora(draw, line):
+    """A corpus of `line`s (strings) with one or two BAD lines at random places,
+    each line ended by "\\n", "\\r\\n" or "\\r", as bytes; the number of its first
+    bad line in file order; and that line's BAD kind."""
+    lines = [(text.encode(), None) for text in draw(st.lists(line, max_size=20))]
+    for kind in draw(st.lists(st.sampled_from(list(BAD)), min_size=1, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), (BAD[kind].rstrip(b"\n"), kind))
+    ended = [text + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for text, _ in lines]
+    data = b"".join(ended)
+    if not draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    first = next(i for i, (_, kind) in enumerate(lines) if kind)
+    before = b"".join(ended[:first]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data, before.count(b"\n") + 1, lines[first][1]
+
+
+# a bad line, then a byte that is not UTF-8 on the next line of its range and block
+BAD_THEN_NOT_UTF8 = (BAD["malformed"].replace(b"\n", b"\r\n") + BAD["not-utf8"], 1, "malformed")
+
+
+def stderr_at_every_cut(argv) -> dict:
+    """The exit code and stderr of `main(argv)` at each cut and CPU count."""
+    runs = {}
+    for chunk_bytes in (UNLIMITED, 3, 300):
+        for cpus in (1, 2, 3):
+            with cut(chunk_bytes, cpus), redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert_no_child_left()
+            runs[chunk_bytes, cpus] = code, err.getvalue()
+    return runs
+
+
+@settings(max_examples=25)
+@given(corpus=bad_corpora(_LINE))
+@example(corpus=BAD_THEN_NOT_UTF8)
+def test_every_cut_and_worker_count_reports_the_first_bad_line(corpus):
+    data, first, kind = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(data)
+        keywords = Path(tmp) / "kw.txt"
+        keywords.write_text("china\n", encoding="utf-8")
+        runs = stderr_at_every_cut(["ingest", "--corpus", str(path), "--keywords", str(keywords),
+                                    "--out", str(Path(tmp) / "kept.jsonl"), "--date-start",
+                                    "2020-01-22", "--date-end", "2020-05-21"])
+    code, err = reference = runs[UNLIMITED, 1]  # one range, in this process
+    assert code == 1 and err.startswith(f"error: {path}:{first}: {DETAIL[kind]}")
+    assert all(run == reference for run in runs.values())
 
 
 # --- process hygiene: no worker outlives ingest, and a failure leaves --out as it was ---
