@@ -6,7 +6,8 @@ object, a missing or wrong-typed field) as a `PipelineError` saying
 `<path>:<line>: …`. `text_lines`, the one line reader, reads a file or the
 bytes of a run of its lines by the same rule.
 `json_object` is the one JSON decode of a pipeline file, and `field` the one
-typed check of a record's field.
+typed check of a record's field. `read_json` (a params or config file) takes
+standard JSON only: no `NaN`, no infinity.
 Writers fill a temp file beside each output, and `committed()` renames them
 all into place, metas first, when its block ends: a failure in the block leaves
 every previous output as it was and no partial file. CSV files use the excel
@@ -19,9 +20,11 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import re
 import reprlib
+import stat
 import sys
 from contextlib import contextmanager
 from enum import EnumMeta
@@ -50,8 +53,15 @@ def text_lines(source, name=None) -> Iterator[tuple[int, str]]:
 
     A line that is not UTF-8 is a LineError, raised only after every line
     before it has been yielded. Errors call the text `name` (default: `source`).
+    A regular file or bytes is decoded strictly, and read a second time, with
+    undecodable bytes escaped, only to find the line of a byte that fails. Any
+    other file (a pipe) can be read only once: it is read with undecodable
+    bytes escaped, and a line that holds one is the error.
     """
     name = source if name is None else name
+    if not isinstance(source, bytes) and not stat.S_ISREG(os.stat(source).st_mode):
+        yield from _checked_lines(source, name)
+        return
     read = 0  # lines read, blank ones included
     try:
         with _opened(source, "strict") as fh:
@@ -71,6 +81,19 @@ def text_lines(source, name=None) -> Iterator[tuple[int, str]]:
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _checked_lines(path, name) -> Iterator[tuple[int, str]]:
+    """`text_lines` of a file that can be read only once, such as a pipe."""
+    with _opened(path, "surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
+                try:  # the reason a strict decode gives, for this line alone
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LineError(name, lineno, f"not valid UTF-8 ({exc.reason})") from None
+            if line.strip():
+                yield lineno, line
 
 
 def _opened(source, errors: str) -> io.TextIOWrapper:
@@ -97,12 +120,12 @@ class LoneSurrogateError(PipelineError):
         self.path = path
 
 
-def json_object(text: str) -> dict:
+def json_object(text: str, decode: Callable[[str], object] = json.loads) -> dict:
     """The JSON object that is `text`; a JSONDecodeError if it does not decode, else
     a ValueError if it is not an object, else a LoneSurrogateError for its first
     string that holds a lone UTF-16 surrogate."""
     try:
-        obj = json.loads(text)
+        obj = decode(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
     if not isinstance(obj, dict):
@@ -132,10 +155,27 @@ def _reject_lone_surrogates(obj: dict) -> None:
             stack += ((path, item) for item in reversed(value))
 
 
+def _nonstandard(token: str):
+    raise ValueError(f"{token} is not standard JSON")
+
+
+def _finite(number: str) -> float:
+    value = float(number)
+    if not math.isfinite(value):
+        raise ValueError(f"{number} is too large for a float")
+    return value
+
+
+# no value that `write_json` cannot write: no NaN or Infinity, nor a number that
+# decodes to an infinite float
+_STANDARD_JSON = json.JSONDecoder(parse_constant=_nonstandard, parse_float=_finite)
+
+
 def read_json(path) -> dict:
-    """The JSON object that is the UTF-8 file `path`; ValueError if it is anything else."""
+    """The standard-JSON object that is the UTF-8 file `path`; ValueError if it is
+    anything else."""
     with open(path, encoding="utf-8") as fh:
-        return json_object(fh.read())
+        return json_object(fh.read(), _STANDARD_JSON.decode)
 
 
 def field(obj: dict, name: str, kind, optional: bool = False):

@@ -9,17 +9,22 @@ normalized to UTC and all date bucketing uses the UTC calendar day.
 one that passes the lang/date/keyword/account filters, only a `Survivor`
 entry (record number, UTC day, id), never the tweet; `sample_daily` then
 picks among the entries. `ingest_file` writes a corpus file's kept records
-in two passes: pass 1 is `apply_filters` over `iter_corpus`, and pass 2
-re-reads the file, rebuilds just the kept records and streams them to the
-output. Pass 1 and sampling together hold about 240 bytes per survivor.
-The corpus must therefore be a regular file that does not change between
-the passes. Pass 2 checks only the id and UTC day of each kept record: a
-record that is missing or differs in either raises `PipelineError`, while
-other edits to it go unnoticed. The output is byte-identical to writing
-`tweets[s.record]` for each entry `s` of `apply_filters(tweets, spec)`,
-where `tweets = list(iter_corpus(path))`. On a corpus of more than one range,
-pass 1 runs on `workers.map_ranges`, whose entries this process merges in file
-order and samples as `apply_filters` does.
+in two passes: pass 1 filters and samples, and pass 2 re-reads the file,
+rebuilds just the kept records and streams them to the output. The corpus
+must therefore be a regular file that does not change between the passes.
+Pass 2 checks only the id and UTC day of each kept record: a record that is
+missing or differs in either raises `PipelineError`, while other edits to it
+go unnoticed. The output is byte-identical to writing `tweets[s.record]` for
+each entry `s` of `apply_filters(tweets, spec)`, where
+`tweets = list(iter_corpus(path))`.
+
+On a corpus of one range, pass 1 is `apply_filters` over `iter_corpus`, which
+holds about 240 bytes a survivor with the sampling. On a corpus of more than
+one range, pass 1 runs on `workers.map_ranges`, and each range's survivors
+come back as columns (`_Part`): record numbers, days, and the ids as UTF-8
+bytes. This process joins them in file order and samples them by the rule
+of `sample_daily`, day by day, then streams the kept entries to pass 2. It
+holds no Python object a survivor, about 60 bytes each with the sampling.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import partial
 from itertools import compress, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -311,19 +316,27 @@ def sample_daily(items: Iterable[T], rate: float, seed: int) -> list[T]:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     items = list(items)
-    by_day: dict[date, list[int]] = {}
-    for pos, item in enumerate(items):
-        by_day.setdefault(item.day, []).append(pos)
-    keep = np.zeros(len(items), dtype=bool)
-    for day, positions in by_day.items():
-        k = math.floor(rate * len(positions) + 0.5)
-        if k == 0:
-            continue
-        if k < len(positions):
-            order = _sample_ranking(seed, day, [items[p].id for p in positions])
-            positions = np.array(positions)[order[:k]]
-        keep[positions] = True
+    days = np.array([item.day.toordinal() for item in items], dtype=np.int32)
+    keep = _daily_keep(days, lambda positions: [items[p].id for p in positions.tolist()],
+                       rate, seed)
     return list(compress(items, keep.tolist()))
+
+
+def _daily_keep(days: np.ndarray, ids_at: Callable[[np.ndarray], list[str]], rate: float,
+                seed: int) -> np.ndarray:
+    """The mask of the items `sample_daily` keeps, from each item's UTC day as a
+    date ordinal in `days`; `ids_at(positions)` gives the ids of those items."""
+    keep = np.zeros(len(days), dtype=bool)
+    order = np.argsort(days, kind="stable")  # each day's positions, in input order
+    ranked = days[order]
+    for positions in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        k = math.floor(rate * len(positions) + 0.5)
+        if 0 < k < len(positions):
+            day = date.fromordinal(int(days[positions[0]]))
+            positions = positions[_sample_ranking(seed, day, ids_at(positions))[:k]]
+        if k:
+            keep[positions] = True
+    return keep
 
 
 def _rejection(spec: FilterSpec) -> Callable[[RawTweet], str | None]:
@@ -368,7 +381,10 @@ def apply_filters(tweets: Iterable[RawTweet], spec: FilterSpec,
     counts once among the other six, under the first filter it fails.
     """
     tally = dict.fromkeys(INGEST_COUNTS, 0)
-    return _sampled(_survivors(tweets, _rejection(spec), tally), tally, spec, counts)
+    survivors = _survivors(tweets, _rejection(spec), tally)
+    kept = sample_daily(survivors, spec.sample_rate, spec.seed)
+    _fill_counts(counts, tally, len(survivors), len(kept))
+    return kept
 
 
 def _survivors(tweets: Iterable[RawTweet], rejection, tally: dict[str, int]) -> list[Survivor]:
@@ -386,14 +402,13 @@ def _survivors(tweets: Iterable[RawTweet], rejection, tally: dict[str, int]) -> 
     return survivors
 
 
-def _sampled(survivors: list[Survivor], tally: dict[str, int], spec: FilterSpec,
-             counts: dict[str, int] | None) -> list[Survivor]:
-    """The daily sample of `survivors`, with the INGEST_COUNTS filled into `counts`."""
-    kept = sample_daily(survivors, spec.sample_rate, spec.seed)
+def _fill_counts(counts: dict[str, int] | None, tally: dict[str, int], survivors: int,
+           kept: int) -> None:
+    """Fill the INGEST_COUNTS into `counts`, given those of `tally` and how many
+    records survived the filters and the sampling."""
     if counts is not None:
-        counts.update(tally, records_read=sum(tally.values()) + len(survivors),
-                      sampled_out=len(survivors) - len(kept), kept=len(kept))
-    return kept
+        counts.update(tally, records_read=sum(tally.values()) + survivors,
+                      sampled_out=survivors - kept, kept=kept)
 
 
 def _reparse(line: str) -> RawTweet | None:
@@ -403,7 +418,7 @@ def _reparse(line: str) -> RawTweet | None:
         return None
 
 
-def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
+def _rebuild(path, kept: Iterable[Survivor], name) -> Iterator[RawTweet]:
     """Pass 2: re-read `path` and yield the tweet of each kept entry, in file
     order. A kept record that no longer parses or has another id or day
     raises PipelineError; a record edited in any other way goes unnoticed."""
@@ -420,49 +435,77 @@ def _rebuild(path, kept: Sequence[Survivor], name) -> Iterator[RawTweet]:
 
 
 class _Part(NamedTuple):
-    """What a worker sends back of pass 1 over one range: its survivors as
-    columns, numbered within the range, and its counts."""
+    """What a worker sends back of pass 1 over one range: its counts, and its
+    survivors as three columns, numbered within the range. It holds no Python
+    object a survivor: a survivor's share is its 20 bytes of numbers plus its id."""
 
     tally: dict[str, int]  # each record of the range not among the survivors, once
-    records: list[int]
-    days: list[int]  # date ordinals
-    ids: list[str]
+    records: np.ndarray  # int64: index among the range's non-blank lines
+    days: np.ndarray  # int32: date ordinal
+    ids: bytes  # the UTF-8 ids, back to back
+    ends: np.ndarray  # int64: where each id ends in `ids`
 
 
 def _filter_range(lines: workers.Lines, rejection, name) -> _Part:
     """Pass 1 over the numbered lines of one range."""
     tally = dict.fromkeys(INGEST_COUNTS, 0)
     survivors = _survivors(parse_lines(lines, name), rejection, tally)
-    return _Part(tally, [s.record for s in survivors], [s.day.toordinal() for s in survivors],
-                 [s.id for s in survivors])
+    ids = [s.id.encode("utf-8") for s in survivors]
+    return _Part(tally, np.array([s.record for s in survivors], dtype=np.int64),
+                 np.array([s.day.toordinal() for s in survivors], dtype=np.int32),
+                 b"".join(ids), np.cumsum([len(i) for i in ids], dtype=np.int64))
 
 
-def _merged(parts: Iterable[_Part], spec: FilterSpec, counts: dict[str, int]) -> list[Survivor]:
-    """`apply_filters` of a corpus from the `_Part` of each of its ranges, in file order."""
+# Kept entries go to pass 2 this many at a time: no list of them all is built, and
+# a block's Python objects (about 200 B an entry) stay small beside the columns.
+_ENTRY_BLOCK = 256
+
+
+def _merged(parts: Iterable[_Part], spec: FilterSpec, counts: dict[str, int]
+            ) -> Iterator[Survivor]:
+    """`apply_filters` of a corpus from the `_Part` of each of its ranges, in file
+    order: the survivors joined into columns and sampled as `sample_daily`
+    samples, with the kept entries streamed in file order."""
     tally = dict.fromkeys(INGEST_COUNTS, 0)
-    survivors: list[Survivor] = []
-    days: dict[int, date] = {}
-    records = 0
+    records, days, offsets = [], [], [np.zeros(1, dtype=np.int64)]
+    ids = bytearray()  # grows in place, as each part's ids are let go
+    before = 0  # records of the ranges before this one
     for part in parts:
         for key, n in part.tally.items():
             tally[key] += n
-        for ordinal in set(part.days).difference(days):
-            days[ordinal] = date.fromordinal(ordinal)
-        survivors += map(Survivor, [records + r for r in part.records],
-                         map(days.__getitem__, part.days), part.ids)
-        records += sum(part.tally.values()) + len(part.ids)
-    return _sampled(survivors, tally, spec, counts)
+        records.append(part.records + before)
+        days.append(part.days)
+        offsets.append(part.ends + len(ids))
+        ids += part.ids
+        before += sum(part.tally.values()) + len(part.records)
+    records = np.concatenate(records)
+    days = np.concatenate(days)
+    offsets = np.concatenate(offsets)  # id i is ids[offsets[i]:offsets[i + 1]]
+
+    def ids_at(positions: np.ndarray) -> list[str]:
+        return [ids[a:b].decode("utf-8") for a, b in zip(offsets[positions].tolist(),
+                                                         offsets[positions + 1].tolist())]
+
+    keep = np.flatnonzero(_daily_keep(days, ids_at, spec.sample_rate, spec.seed))
+    _fill_counts(counts, tally, len(days), len(keep))
+
+    def entries() -> Iterator[Survivor]:
+        for at in np.split(keep, range(_ENTRY_BLOCK, len(keep), _ENTRY_BLOCK)):
+            yield from map(Survivor, records[at].tolist(),
+                           map(date.fromordinal, days[at].tolist()), ids_at(at))
+
+    return entries()
 
 
 def ingest_file(path, spec: FilterSpec, out_path, name=None) -> dict[str, int]:
     """Filter and sample the corpus file `path` into `out_path` in two passes.
 
-    Holds only the `Survivor` entries of `apply_filters`, then writes the
-    tweet of each from a second read. Pass 1 runs through `workers.map_ranges`,
-    one range of whole lines at a time (in forked workers where it forks),
-    whose entries this process merges in file order and samples once. For a
+    Pass 1 runs through `workers.map_ranges`, one range of whole lines at a
+    time (in forked workers where it forks), whose survivors come back as
+    columns that this process joins in file order and samples once. For a
     corpus of one range, pass 1 is `apply_filters(iter_corpus(path, name),
-    spec, counts)`. Output, counts and errors are the same either way: the
+    spec, counts)`. Pass 2 writes the tweet of each kept survivor from a
+    second read. Output, counts and errors are the same either way: the
     first bad line of the file is the error. `path` must be a regular file
     that stays unchanged until this returns; errors call it `name` (default:
     `path`). Returns the INGEST_COUNTS of `apply_filters`.

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -104,12 +105,67 @@ class TestTextLines:
         data = b"".join(b"%d\n" % i for i in range(n)) + b"\n \r\ncaf\xe9\nlater\n"
         path = tmp_path / "x.txt"
         path.write_bytes(data)
-        for source in (path, data):
+        for source in (path, data, _fed_fifo(tmp_path, data)):
             lines = []
             with pytest.raises(files.LineError) as exc:
-                lines.extend(files.text_lines(source, "x"))
+                _read_within(10, lambda: lines.extend(files.text_lines(source, "x")))
             assert lines == [(i + 1, f"{i}\n") for i in range(n)]
             assert str(exc.value) == f"x:{n + 3}: not valid UTF-8 (invalid continuation byte)"
+
+    # a pipe is read once, as text with its undecodable bytes escaped
+    @pytest.mark.parametrize("data, error", [
+        (b"a\r\n\xe2\x80\xa8b\n\n\xc2\x85c\r \r\xf0\x9f\x98\x80", None),
+        (b"ok\n\xed\xa0\x80\n", "x:2: not valid UTF-8 (invalid continuation byte)"),  # U+D800
+        (b"ok\n\xff\n", "x:2: not valid UTF-8 (invalid start byte)"),
+        (b"ok\n\xe4\xb8", "x:2: not valid UTF-8 (unexpected end of data)"),
+    ], ids=["utf8", "surrogate", "start-byte", "truncated"])
+    def test_a_pipe_reads_as_its_file_does(self, tmp_path, data, error):
+        path = tmp_path / "x.txt"
+        path.write_bytes(data)
+        want = _lines_then_error(path)
+        assert _lines_then_error(_fed_fifo(tmp_path, data)) == want
+        assert (want[-1] if error else None) == error
+
+
+def _lines_then_error(source) -> list:
+    """The lines `text_lines(source, "x")` yields, then the text of its LineError, if any."""
+    lines = []
+    try:
+        _read_within(10, lambda: lines.extend(files.text_lines(source, "x")))
+    except files.LineError as exc:
+        lines.append(str(exc))
+    return lines
+
+
+def _fed_fifo(tmp_path, data: bytes) -> Path:
+    """A new FIFO in `tmp_path` that a thread fills with `data`, then closes."""
+    fifo = tmp_path / f"fifo{len(list(tmp_path.iterdir()))}"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=feed, daemon=True).start()
+    return fifo
+
+
+def _read_within(seconds, read):
+    """`read()`, run in a thread; an AssertionError if it has not returned in time."""
+    raised = []
+
+    def run():
+        try:
+            read()
+        except BaseException as exc:  # noqa: BLE001 (raised again below)
+            raised.append(exc)
+
+    reader = threading.Thread(target=run, daemon=True)
+    reader.start()
+    reader.join(seconds)
+    assert not reader.is_alive(), "the read hung"
+    if raised:
+        raise raised[0]
 
 
 _DECLARED = {"lag": (int, 1), "path": (str, None)}

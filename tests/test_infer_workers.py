@@ -6,6 +6,7 @@ is in `test_remote_infer_workers.py`."""
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import aspectsent
 from aspectsent import ingest, synth, workers
 from aspectsent.cli import main
 
@@ -248,3 +250,23 @@ def test_a_fifo_corpus_never_forks(tmp_path, params):
     assert not writer.is_alive()
     assert (code, forked) == (0, [])
     assert run == want
+
+
+def test_a_fifo_corpus_with_a_byte_not_utf8_exits_one_naming_its_line(tmp_path, params):
+    # a FIFO cannot be opened again to find the bad line once its writer has gone
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    data = "".join(line + "\n" for line in _RECORDS[:3]).encode() + BAD["not-utf8"]
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=feed, daemon=True).start()
+    env = {**os.environ, "PYTHONPATH": str(Path(aspectsent.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "aspectsent", "infer", "--params", str(params),
+                          "--corpus", str(fifo), "--out", str(tmp_path / "pred.jsonl")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == f"error: {fifo}:4: {DETAIL['not-utf8']} (invalid continuation byte)\n"
+    assert not (tmp_path / "pred.jsonl").exists()

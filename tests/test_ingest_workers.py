@@ -12,6 +12,7 @@ from datetime import date
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -102,6 +103,68 @@ def test_a_corpus_of_many_ranges_runs_in_workers(tmp_path):
     with cut(UNLIMITED, 2) as forked:
         ingest.ingest_file(corpus, SPEC, tmp_path / "kept.jsonl")
     assert forked == []  # one range: in this process
+
+
+
+# --- the merge: pass 1's columns sample as `apply_filters` samples its entries ---
+
+def reference_ingest(corpus, spec, out):
+    """`--out` and counts as `apply_filters` over the whole corpus gives them."""
+    tweets, counts = list(ingest.iter_corpus(corpus)), {}
+    ingest.write_corpus(out, (tweets[s.record] for s in ingest.apply_filters(tweets, spec, counts)))
+    return out.read_bytes(), counts
+
+
+def ingest_at_every_cut(corpus, spec, out) -> dict:
+    """`--out` and counts of `ingest_file` at each cut and CPU count."""
+    runs = {}
+    for chunk_bytes in (UNLIMITED, 3, 300):
+        for cpus in (1, 2, 3):
+            with cut(chunk_bytes, cpus):
+                counts = ingest.ingest_file(corpus, spec, out)
+            assert_no_child_left()
+            runs[chunk_bytes, cpus] = out.read_bytes(), counts
+    return runs
+
+
+_WHEN = ["2020-02-10T12:00:00Z", "2020-02-10T01:00:00+03:00", "2020-02-11T08:00:00Z",
+         "2020-03-03T08:00:00", "2020-01-21T23:30:00Z"]  # the last is out of SPEC's range
+_SURVIVOR = st.tuples(
+    st.text(st.sampled_from("ab\n\u00e9\U0001f600"), max_size=3),  # repeats, "\n", astral
+    st.sampled_from(_WHEN[:2] * 4 + _WHEN[2:]),  # two days of many, and days of a few
+    st.sampled_from(["en"] * 5 + ["es"]))
+
+
+@settings(max_examples=20)
+@given(records=st.lists(_SURVIVOR, max_size=90), rate=st.sampled_from([0.0, 0.4, 1.0]))
+@example(records=[(f"i{i % 40}", _WHEN[i % 2], "en") for i in range(90)], rate=0.4)  # batched
+def test_every_cut_samples_the_columns_as_apply_filters(records, rate):
+    spec = dataclasses.replace(SPEC, sample_rate=rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "kept.jsonl"
+        corpus.write_text("".join(corpus_line(tweet_id=i, when=when, lang=lang) + "\n"
+                                  for i, when, lang in records), encoding="utf-8")
+        want = reference_ingest(corpus, spec, out)
+        runs = ingest_at_every_cut(corpus, spec, out)
+    assert all(run == want for run in runs.values())
+
+
+@pytest.mark.parametrize("batch_min_keys", [2, ingest._BATCH_MIN_KEYS])
+def test_equal_keys_rank_by_id_then_position_across_ranges(tmp_path, monkeypatch,
+                                                          batch_min_keys):
+    # a 64-bit collision cannot be found by search, so every key collides here
+    monkeypatch.setattr(ingest, "_BATCH_MIN_KEYS", batch_min_keys)
+    monkeypatch.setattr(ingest, "stable_hash64", lambda seed, payload: 0)
+    monkeypatch.setattr(ingest, "stable_hash64_lines",
+                        lambda seed, blob: np.zeros(blob.count(b"\n") + 1, dtype=np.uint64))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(corpus_line(tweet_id=i) + "\n" for i in "dbcabca"))
+    spec = dataclasses.replace(SPEC, sample_rate=0.5)
+    runs = ingest_at_every_cut(corpus, spec, tmp_path / "kept.jsonl")
+    # ranked a@3, a@6, b@1, b@4, c@2, c@5, d@0: 4 of 7 kept, written in file order
+    for kept, counts in runs.values():
+        assert [json.loads(line)["id"] for line in kept.splitlines()] == list("baba")
+        assert counts["kept"] == 4
 
 
 # --- errors: the same `error: <corpus>:<line>: …` whichever way the corpus is cut ---
